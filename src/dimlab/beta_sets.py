@@ -6,6 +6,11 @@ beta-sets describe the same partition exactly when one is a shift of the
 other.  Removing a t-hook from a partition is the move h -> h - t on any
 of its beta-sets, which is what makes t-cores computable without touching
 the diagram.
+
+The int helpers below work on the abacus form: a Python int with bit h
+set for each element h (James and Kerber, 1981).  A shift is a left
+shift, a t-hook removal moves one bit down by t, and the 2-quotient
+splits the even and odd bits.  An abacus is canonical when bit 0 is clear.
 """
 
 from __future__ import annotations
@@ -122,17 +127,94 @@ def t_core(p: Partition, t: int) -> Partition:
     """
     if t < 1:
         raise ValueError(f"hook size must be positive, got {t}")
-    elems = set(first_column_hooks(p).elements)
-    moved = True
-    while moved:
-        moved = False
-        for h in sorted(elems, reverse=True):
-            if h >= t and (h - t) not in elems:
-                elems.remove(h)
-                elems.add(h - t)
-                moved = True
-                break
-    return to_partition(BetaSet(elems))
+    return Partition(parts_of(t_core_mask(mask_of(p), t)))
+
+
+def mask_of(p: Partition) -> int:
+    """The canonical beta-set of p as an abacus: bit h per first-column hook h.
+
+    >>> bin(mask_of(Partition((2, 2, 2))))
+    '0b11100'
+    """
+    k = len(p.parts)
+    return sum(1 << (part + k - 1 - i) for i, part in enumerate(p.parts))
+
+
+def parts_of(x: int) -> tuple[int, ...]:
+    """Inverse of mask_of: each bead's part is the count of empty positions below it.
+
+    >>> parts_of(0b1001010110)
+    (5, 3, 2, 1, 1)
+    """
+    parts = []
+    below = 0
+    while x:
+        low = x & -x
+        h = low.bit_length() - 1
+        if h > below:
+            parts.append(h - below)
+        below += 1
+        x ^= low
+    return tuple(reversed(parts))
+
+
+def normalize_mask(x: int) -> int:
+    """Drop the beads packed at the bottom, which stand for parts of size 0."""
+    return x >> ((x + 1) & ~x).bit_length() - 1
+
+
+def shift_mask(x: int, r: int) -> int:
+    """The abacus of shift(x, r): every bead moves up r and 0..r-1 fill."""
+    return (x << r) | ((1 << r) - 1)
+
+
+def t_core_mask(x: int, t: int) -> int:
+    """Canonical abacus of the t-core: slide beads down t until none can move.
+
+    Each round moves every bead h >= t above an empty h - t.  No two land
+    on one position, so a round is a sequence of legal t-hook removals.
+    """
+    while True:
+        movable = x & ~(x << t) & -(1 << t)
+        if not movable:
+            return normalize_mask(x)
+        x ^= movable | (movable >> t)
+
+
+def parity_split(x: int) -> tuple[int, int]:
+    """The even and the odd beads of x, halved, after padding x to even size.
+
+    The halves are left unnormalized: their popcounts are the parity
+    census that core_height needs.
+
+    >>> parity_split(0b11100)  # {4, 3, 2} pads to {5, 4, 3, 0}
+    (5, 6)
+    """
+    if x.bit_count() & 1:
+        x = shift_mask(x, 1)
+    digits = format(x, "b")
+    digits = digits.zfill(len(digits) + len(digits) % 2)
+    return int(digits[1::2], 2), int(digits[::2], 2)
+
+
+def core_height(evens: int, odds: int) -> int:
+    """Rows of the 2-core of a beta-set with this many even and odd beads."""
+    d = odds - evens
+    return d if d >= 0 else -d - 1
+
+
+def interleave(q0: int, q1: int, height: int) -> int:
+    """Inverse of parity_split and core_height: the canonical abacus they came from.
+
+    q0 and q1 are shifted to the fewest beads whose census has an even
+    total and maps to `height`, then go back to the even and odd positions.
+    """
+    d = height if height % 2 == 0 else -(height + 1)
+    evens = max(q0.bit_count(), q1.bit_count() - d, -d)
+    b0 = shift_mask(q0, evens - q0.bit_count())
+    b1 = shift_mask(q1, evens + d - q1.bit_count())
+    # binary digits read in base 4 move bit i to bit 2i
+    return normalize_mask(int(format(b0, "b"), 4) | int(format(b1, "b"), 4) << 1)
 
 
 def parity_gap(x: BetaSet) -> int:

@@ -8,7 +8,8 @@ Subcommands
     alt <n>               alternating-group counts for one n
     bench --max-n N       throughput of the odd stream vs the full sweep
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.  The
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141
+(128 + SIGPIPE) when the reader closes stdout early.  The
 environment variable DIMLAB_ORACLE_BOUND overrides the default oracle
 bound; --oracle-bound overrides both.
 """
@@ -254,16 +255,26 @@ def _verify_suites(max_n: int, bound: int):
 def _cmd_verify(args: argparse.Namespace, bound: int, parser: argparse.ArgumentParser) -> int:
     if args.max_n > bound:
         parser.error(f"--max-n {args.max_n} exceeds the oracle bound {bound}")
-    failures = 0
-    for name, bad in _verify_suites(args.max_n, bound):
-        if bad:
-            failures += len(bad)
-            print(f"FAIL {name}")
-            for line in bad:
+    suites = [{"name": name, "ok": not bad, "mismatches": bad}
+              for name, bad in _verify_suites(args.max_n, bound)]
+    failures = sum(len(suite["mismatches"]) for suite in suites)
+    if args.format == "json":
+        print(json.dumps({"max_n": args.max_n, "mismatches": failures, "suites": suites}))
+    elif args.format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out)
+        if args.header:
+            writer.writerow(["suite", "ok", "mismatches"])
+        for suite in suites:
+            writer.writerow([suite["name"], suite["ok"], len(suite["mismatches"])])
+        sys.stdout.write(out.getvalue())
+    else:
+        for suite in suites:
+            print(f"{'ok' if suite['ok'] else 'FAIL'} {suite['name']}")
+            for line in suite["mismatches"]:
                 print(f"  {line}")
-        else:
-            print(f"ok {name}")
-    print(f"verify: {'FAIL' if failures else 'ok'} up to n={args.max_n} ({failures} mismatches)")
+        verdict = "FAIL" if failures else "ok"
+        print(f"verify: {verdict} up to n={args.max_n} ({failures} mismatches)")
     return 1 if failures else 0
 
 
@@ -304,6 +315,19 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`dimlab verify | head`).  Point
+        # stdout at devnull so the flush at exit cannot raise again, and
+        # report what a tool killed by SIGPIPE reports.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
+    return code
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,22 +10,31 @@ recursively hangs a 2-core on every node of a binary tree; row k holds
 The row weights of that tree decide the dimension's residue mod 4, which
 is why the whole structure earns its keep here.
 
-Parity split convention: the hook set is first padded to even
-cardinality, even elements (halved) give component 0 and odd elements
-give component 1.  Under this labelling, conjugating the partition
-mirrors every row of the tower.
+Everything runs on the James-Kerber abacus (*The Representation Theory
+of the Symmetric Group*, 1981) held as a Python int, bit h set for each
+first-column hook h.  The 2-quotient is the parity split of that int
+padded to an even number of beads: even beads (halved) give component 0
+and odd beads component 1; under this labelling, conjugating the
+partition mirrors every row of the tower.  The 2-core is the staircase
+whose height the popcounts of the two halves fix.  One walk over the
+levels yields each row's heights; partitions are built only at the
+boundary.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
+from typing import Iterator
 
-from .beta_sets import BetaSet, first_column_hooks, shift, t_core, to_partition
+from .beta_sets import (core_height, interleave, mask_of, normalize_mask, parity_split,
+                        parts_of, t_core_mask)
 from .partitions import Partition
 
 
+@lru_cache(maxsize=None)
 def staircase(height: int) -> Partition:
-    """The 2-core with the given number of rows: (h, h-1, ..., 1)."""
+    """The 2-core with the given number of rows: (h, h-1, ..., 1), built once."""
     if height < 0:
         raise ValueError(f"height must be non-negative, got {height}")
     return Partition(tuple(range(height, 0, -1)))
@@ -33,6 +42,36 @@ def staircase(height: int) -> Partition:
 
 def is_two_core(p: Partition) -> bool:
     return p.parts == tuple(range(len(p), 0, -1))
+
+
+def _split(x: int) -> tuple[int, int, int]:
+    """2-quotient masks and 2-core height of the canonical abacus x."""
+    x0, x1 = parity_split(x)
+    height = core_height(x0.bit_count(), x1.bit_count())
+    assert t_core_mask(x, 2) == mask_of(staircase(height)), \
+        f"parity census core disagrees with removal on {parts_of(x)}"
+    return normalize_mask(x0), normalize_mask(x1), height
+
+
+def _join(q0: int, q1: int, height: int) -> int:
+    """Inverse of _split."""
+    x = interleave(q0, q1, height)
+    assert _split(x) == (q0, q1, height), \
+        f"combine does not invert the quotient and core on {parts_of(x)}"
+    return x
+
+
+def _rows(x: int) -> Iterator[list[int]]:
+    """Staircase heights of each tower row over the abacus x, top row first."""
+    level = [x]
+    while any(level):
+        heights, below = [], []
+        for y in level:
+            q0, q1, height = _split(y) if y else (0, 0, 0)
+            heights.append(height)
+            below += (q0, q1)
+        yield heights
+        level = below
 
 
 def two_quotient(p: Partition) -> tuple[Partition, Partition]:
@@ -45,12 +84,8 @@ def two_quotient(p: Partition) -> tuple[Partition, Partition]:
     >>> (a.parts, b.parts)
     ((1, 1), (2,))
     """
-    elems = first_column_hooks(p).elements
-    if len(elems) % 2:
-        elems = tuple(e + 1 for e in elems) + (0,)
-    evens = tuple(e // 2 for e in elems if e % 2 == 0)
-    odds = tuple(e // 2 for e in elems if e % 2 == 1)
-    return to_partition(BetaSet(evens)), to_partition(BetaSet(odds))
+    q0, q1, _ = _split(mask_of(p))
+    return Partition(parts_of(q0)), Partition(parts_of(q1))
 
 
 def two_core(p: Partition) -> Partition:
@@ -59,13 +94,7 @@ def two_core(p: Partition) -> Partition:
     Only the parity census of the hook set matters: e even elements slide
     down to {0, 2, ..., 2e-2} and o odd ones to {1, 3, ..., 2o-1}.
     """
-    elems = first_column_hooks(p).elements
-    e = sum(1 for x in elems if x % 2 == 0)
-    o = len(elems) - e
-    beta = tuple(range(2 * o - 1, 0, -2)) + tuple(range(2 * e - 2, -1, -2))
-    out = to_partition(BetaSet(tuple(sorted(beta, reverse=True))))
-    assert out == t_core(p, 2), f"parity census core disagrees with removal on {p}"
-    return out
+    return staircase(_split(mask_of(p))[2])
 
 
 def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
@@ -77,18 +106,7 @@ def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     """
     if not is_two_core(core):
         raise ValueError(f"{core} is not a staircase")
-    c = len(core)
-    d = c if c % 2 == 0 else -(c + 1)
-    e = max(len(q0), len(q1) - d, -d)
-    o = e + d
-    b0 = shift(first_column_hooks(q0), e - len(q0))
-    b1 = shift(first_column_hooks(q1), o - len(q1))
-    merged = tuple(sorted((2 * a for a in b0.elements), reverse=True))
-    merged += tuple(sorted((2 * b + 1 for b in b1.elements), reverse=True))
-    out = to_partition(BetaSet(tuple(sorted(merged, reverse=True))))
-    assert two_quotient(out) == (q0, q1), f"combine does not invert the quotient on {out}"
-    assert two_core(out) == core, f"combine does not restore the core on {out}"
-    return out
+    return Partition(parts_of(_join(mask_of(q0), mask_of(q1), len(core))))
 
 
 class CoreTower:
@@ -140,31 +158,15 @@ class CoreTower:
 
 def tower(p: Partition) -> CoreTower:
     """The full tower of 2-cores over p, trailing empty rows trimmed."""
-    rows: list[tuple[Partition, ...]] = []
-    level = [p]
-    while any(q.size for q in level):
-        rows.append(tuple(two_core(q) for q in level))
-        nxt: list[Partition] = []
-        for q in level:
-            a, b = two_quotient(q)
-            nxt.append(a)
-            nxt.append(b)
-        level = nxt
-    if not rows:
-        rows.append((p,))
-    return CoreTower(tuple(rows))
+    rows = tuple(tuple(map(staircase, heights)) for heights in _rows(mask_of(p)))
+    return CoreTower(rows or ((staircase(0),),))
 
 
 def tower_to_partition(t: CoreTower) -> Partition:
-    rows = t.rows
-
-    def build(level: int, index: int) -> Partition:
-        core = rows[level][index]
-        if level + 1 >= len(rows):
-            return core
-        return combine(build(level + 1, 2 * index), build(level + 1, 2 * index + 1), core)
-
-    return build(0, 0)
+    level = [mask_of(node) for node in t.rows[-1]]
+    for row in reversed(t.rows[:-1]):
+        level = [_join(level[2 * j], level[2 * j + 1], len(node)) for j, node in enumerate(row)]
+    return Partition(parts_of(level[0]))
 
 
 def truncate(t: CoreTower, depth: int) -> CoreTower:
@@ -188,7 +190,7 @@ def classify_by_tower(p: Partition) -> str:
     "two_mod_4" when exactly one digit 1 at position R is traded for an
     extra 2 at position R-1; "other" covers everything divisible by 4.
     """
-    w = row_weights(tower(p))
+    w = [sum(h * (h + 1) // 2 for h in heights) for heights in _rows(mask_of(p))]
     n = p.size
     depth = max(len(w), n.bit_length())
     ww = list(w) + [0] * (depth - len(w))

@@ -165,9 +165,9 @@ def test_tower_classification():
             assert classify_by_tower(p) == want, p
 
 
-@criterion("11 hook-set and tower bijections round-trip up to 18")
+@criterion("11 hook-set and tower bijections round-trip up to 24")
 def test_bijections():
-    for n in range(0, 19):
+    for n in range(0, 25):
         for p in enumerate_partitions(n):
             assert to_partition(first_column_hooks(p)) == p
             t = tower(p)

@@ -5,13 +5,21 @@ from hypothesis import given, strategies as st
 
 from dimlab.beta_sets import (
     BetaSet,
+    core_height,
     equivalent,
     first_column_hooks,
+    interleave,
+    mask_of,
     normalize,
+    normalize_mask,
     parity_gap,
+    parity_split,
+    parts_of,
     remove_hook,
     shift,
+    shift_mask,
     t_core,
+    t_core_mask,
     to_partition,
 )
 from dimlab.errors import HookRemovalError
@@ -159,3 +167,64 @@ def test_parity_gap_of_odd_partitions():
             hooks = first_column_hooks(p)
             want = (1 - (-1) ** n) if len(hooks) % 2 == 0 else (-1) ** n
             assert parity_gap(hooks) == want, p
+
+
+partitions_st = st.lists(st.integers(min_value=1, max_value=30), max_size=12).map(
+    lambda parts: Partition(tuple(sorted(parts, reverse=True))))
+masks_st = st.integers(min_value=0, max_value=(1 << 48) - 1)
+
+
+@given(partitions_st)
+def test_mask_round_trip(p):
+    x = mask_of(p)
+    assert x == sum(1 << h for h in first_column_hooks(p))
+    assert parts_of(x) == p.parts
+    assert normalize_mask(x) == x
+
+
+@given(masks_st, st.integers(min_value=0, max_value=9))
+def test_mask_shift_matches_beta_set_shift(x, r):
+    elements = [h for h in range(x.bit_length()) if x >> h & 1]
+    assert shift_mask(x, r) == sum(1 << h for h in shift(BetaSet(elements), r))
+    assert parts_of(shift_mask(x, r)) == parts_of(x) == to_partition(BetaSet(elements)).parts
+    assert normalize_mask(shift_mask(x, r)) == normalize_mask(x)
+
+
+@given(masks_st)
+def test_shift_by_two_shifts_each_quotient_by_one(x):
+    x0, x1 = parity_split(x)
+    y0, y1 = parity_split(shift_mask(x, 2))
+    assert (y0, y1) == (shift_mask(x0, 1), shift_mask(x1, 1))
+    height = core_height(x0.bit_count(), x1.bit_count())
+    assert core_height(y0.bit_count(), y1.bit_count()) == height
+
+
+@given(partitions_st)
+def test_core_height_from_popcounts_is_the_two_core(p):
+    core = t_core(p, 2)
+    x0, x1 = parity_split(mask_of(p))
+    assert core.parts == tuple(range(core_height(x0.bit_count(), x1.bit_count()), 0, -1))
+
+
+@given(masks_st)
+def test_interleave_inverts_parity_split(x):
+    x0, x1 = parity_split(x)
+    height = core_height(x0.bit_count(), x1.bit_count())
+    assert interleave(normalize_mask(x0), normalize_mask(x1), height) == normalize_mask(x)
+
+
+def test_core_height_rule():
+    # d = odds - evens; the staircase has d rows, or -d - 1 when d < 0
+    assert [core_height(3, o) for o in range(7)] == [2, 1, 0, 0, 1, 2, 3]
+
+
+@given(partitions_st, st.integers(min_value=1, max_value=7))
+def test_t_core_mask_matches_one_hook_at_a_time(p, t):
+    x = set(first_column_hooks(p))
+    while True:
+        moves = [h for h in x if h >= t and h - t not in x]
+        if not moves:
+            break
+        x.remove(max(moves))
+        x.add(max(moves) - t)
+    assert parts_of(t_core_mask(mask_of(p), t)) == to_partition(BetaSet(x)).parts

@@ -1,7 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
+import dimlab
+from dimlab import enumeration
 from dimlab.cli import main
 
 
@@ -63,6 +68,66 @@ def test_verify_clean(capsys):
     assert sum(1 for line in lines if line.startswith("ok ")) == 8
     assert not any(line.startswith("FAIL") for line in lines)
     assert lines[-1] == "verify: ok up to n=10 (0 mismatches)"
+
+
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "10", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["max_n"], data["mismatches"]) == (10, 0)
+    assert len(data["suites"]) == 8
+    assert data["suites"][0] == {"name": "odd-count formula", "ok": True, "mismatches": []}
+
+
+def test_verify_csv(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "10", "--format", "csv", "--header")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["suite", "ok", "mismatches"]
+    assert rows[1] == ["odd-count formula", "True", "0"]
+    assert len(rows) == 9
+    _, plain, _ = run(capsys, "verify", "--max-n", "10", "--format", "csv")
+    assert plain.splitlines() == out.splitlines()[1:]
+
+
+def test_verify_reports_mismatches_in_every_format(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "count_odd", lambda n: 0)
+    code, out, _ = run(capsys, "verify", "--max-n", "3")
+    assert code == 1
+    assert out.splitlines()[:4] == [
+        "FAIL odd-count formula",
+        "  n=1: formula 0 oracle 1",
+        "  n=2: formula 0 oracle 2",
+        "  n=3: formula 0 oracle 2",
+    ]
+    text_last = out.splitlines()[-1]
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--format", "json")
+    data = json.loads(out)
+    assert code == 1
+    assert text_last == f"verify: FAIL up to n=3 ({data['mismatches']} mismatches)"
+    assert data["suites"][0]["ok"] is False
+    assert data["suites"][0]["mismatches"][0] == "n=1: formula 0 oracle 1"
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 1
+    assert rows[0] == ["odd-count formula", "False", "3"]
+    assert sum(int(row[2]) for row in rows) == data["mismatches"]
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the first write, as with `dimlab verify | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dimlab.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dimlab.cli", "verify", "--max-n", "12"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
 
 
 def test_verify_needs_bound(capsys):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from dimlab.core_towers import (
     CoreTower,
@@ -69,6 +70,12 @@ def test_combine_round_trips():
             assert combine(q0, q1, two_core(p)) == p
     for h in range(5):
         assert combine(EMPTY, EMPTY, staircase(h)) == staircase(h)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=30), max_size=12))
+def test_combine_inverts_quotient_and_core(parts):
+    p = Partition(tuple(sorted(parts, reverse=True)))
+    assert combine(*two_quotient(p), two_core(p)) == p
 
 
 def test_combine_rejects_non_staircase_core():
