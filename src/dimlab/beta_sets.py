@@ -11,6 +11,9 @@ The int helpers below work on the abacus form: a Python int with bit h
 set for each element h (James and Kerber, 1981).  A shift is a left
 shift, a t-hook removal moves one bit down by t, and the 2-quotient
 splits the even and odd bits.  An abacus is canonical when bit 0 is clear.
+`BetaSet` is the validated view of an abacus: it checks its elements once
+on the way in, keeps them as `mask`, and every move below goes through
+the int helpers.
 """
 
 from __future__ import annotations
@@ -22,22 +25,27 @@ from .partitions import Partition
 
 
 class BetaSet:
-    """Distinct non-negative integers, kept sorted in descending order."""
+    """Distinct non-negative integers, kept sorted in descending order.
 
-    __slots__ = ("elements", "_members")
+    `mask` is the same set as an abacus, the form every move works on.
+    """
+
+    __slots__ = ("elements", "mask")
 
     def __init__(self, elements: Iterable[int] = ()):
         elems = tuple(sorted((int(x) for x in elements), reverse=True))
-        for i, x in enumerate(elems):
+        mask = 0
+        for x in elems:
             if x < 0:
                 raise ValueError(f"beta-set elements must be non-negative, got {x}")
-            if i and elems[i - 1] == x:
+            if mask >> x & 1:
                 raise ValueError(f"beta-set elements must be distinct, got {x} twice")
+            mask |= 1 << x
         self.elements = elems
-        self._members = frozenset(elems)
+        self.mask = mask
 
     def __contains__(self, x: object) -> bool:
-        return x in self._members
+        return isinstance(x, int) and x >= 0 and bool(self.mask >> x & 1)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -46,10 +54,10 @@ class BetaSet:
         return len(self.elements)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BetaSet) and self.elements == other.elements
+        return isinstance(other, BetaSet) and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash(self.mask)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
@@ -58,21 +66,24 @@ class BetaSet:
         return f"BetaSet({self.elements!r})"
 
 
+def _view(x: int) -> BetaSet:
+    return BetaSet(h for h in range(x.bit_length()) if x >> h & 1)
+
+
 def first_column_hooks(p: Partition) -> BetaSet:
     """The canonical beta-set of p: hook lengths of the first column.
 
     >>> first_column_hooks(Partition((2, 2, 2))).elements
     (4, 3, 2)
     """
-    k = len(p.parts)
-    return BetaSet(p.parts[i] + k - 1 - i for i in range(k))
+    return _view(mask_of(p))
 
 
 def shift(x: BetaSet, r: int) -> BetaSet:
     """Add r to every element and fill in the new low positions 0..r-1."""
     if r < 0:
         raise ValueError(f"shift amount must be non-negative, got {r}")
-    return BetaSet(tuple(e + r for e in x.elements) + tuple(range(r)))
+    return _view(shift_mask(x.mask, r))
 
 
 def to_partition(x: BetaSet) -> Partition:
@@ -81,25 +92,17 @@ def to_partition(x: BetaSet) -> Partition:
     >>> to_partition(BetaSet((9, 6, 4, 2, 1))).parts
     (5, 3, 2, 1, 1)
     """
-    elems = x.elements
-    k = len(elems)
-    parts = []
-    for i, h in enumerate(elems):
-        part = h - (k - 1 - i)
-        if part <= 0:
-            break
-        parts.append(part)
-    return Partition(parts)
+    return Partition(parts_of(x.mask))
 
 
 def normalize(x: BetaSet) -> BetaSet:
     """The canonical representative of x's shift class."""
-    return first_column_hooks(to_partition(x))
+    return _view(normalize_mask(x.mask))
 
 
 def equivalent(x: BetaSet, y: BetaSet) -> bool:
     """True when x and y describe the same partition."""
-    return to_partition(x) == to_partition(y)
+    return normalize_mask(x.mask) == normalize_mask(y.mask)
 
 
 def remove_hook(x: BetaSet, h: int, t: int) -> BetaSet:
@@ -116,7 +119,7 @@ def remove_hook(x: BetaSet, h: int, t: int) -> BetaSet:
         raise HookRemovalError(f"element {h} is smaller than the hook size {t}")
     if h - t in x:
         raise HookRemovalError(f"{h - t} is already in {x}; no {t}-hook at {h}")
-    return BetaSet(tuple(e for e in x.elements if e != h) + (h - t,))
+    return _view(move_bead(x.mask, h, h - t))
 
 
 def t_core(p: Partition, t: int) -> Partition:
@@ -166,6 +169,11 @@ def normalize_mask(x: int) -> int:
 def shift_mask(x: int, r: int) -> int:
     """The abacus of shift(x, r): every bead moves up r and 0..r-1 fill."""
     return (x << r) | ((1 << r) - 1)
+
+
+def move_bead(x: int, src: int, dst: int) -> int:
+    """Move the bead at src to the empty position dst; adds or removes a hook."""
+    return x ^ (1 << src | 1 << dst)
 
 
 def t_core_mask(x: int, t: int) -> int:

@@ -126,20 +126,28 @@ def is_sparse(n: int) -> bool:
     return (n & (n >> 1)) == 0
 
 
-# Shared lookup tables for factorial valuations/signs, grown on demand.
-# Readers index concurrently; growth is serialized by the lock.
+# Lookup tables indexed by small non-negative integers, grown on demand:
+# _V2[d] is the 2-adic valuation of d and _SGNPAR[d] the sign parity of its
+# odd part; _V2FACT[d] and _FACPAR[d] are the same two facts for d factorial.
+# Readers index concurrently; growth is serialized by the lock, and
+# _FACPAR is appended last so its length bounds every table.
+_V2: list[int] = [0]
+_SGNPAR: list[int] = [0]
 _V2FACT: list[int] = [0]
 _FACPAR: list[int] = [0]
 _TABLE_LOCK = threading.Lock()
 
 
 def _grow_tables(n: int) -> None:
-    if n < len(_V2FACT):
+    if n < len(_FACPAR):
         return
     with _TABLE_LOCK:
-        for i in range(len(_V2FACT), n + 1):
+        for i in range(len(_FACPAR), n + 1):
+            low = (i & -i).bit_length()
+            _V2.append(low - 1)
+            _SGNPAR.append((i >> low) & 1)
             _V2FACT.append(i - i.bit_count())
-            _FACPAR.append(((i & (i >> 1)).bit_count() + (i >> 2).bit_count()) & 1)
+            _FACPAR.append(factorial_sign_parity(i))
 
 
 def binom_mod4_counts(n: int) -> tuple[int, int]:

@@ -4,7 +4,8 @@ Subcommands
     counts <n>            residue-class counts for one n (formula-first)
     verify --max-n N      formula-vs-oracle checks up to N, exit 1 on mismatch
     tower <partition>     render the 2-core tower and its row weights
-    parents <partition> --r R   list hook-addition parents with sign data
+    parents <partition> --r R   list hook-addition parents with sign data;
+                          refused when |partition| + 2^R exceeds 80
     alt <n>               alternating-group counts for one n
     bench --max-n N       throughput of the odd stream vs the full sweep
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 import dataclasses
 from functools import cache
 from math import comb
+from typing import Iterator
 
+from .beta_sets import parts_of
 from .binary_arith import bit_positions, is_sparse
 from .errors import SizeLimitError
-from .parents import all_parents
+from .parents import _hook_additions
 from .partitions import Partition, dim_mod4, enumerate_partitions
 
 DEFAULT_ORACLE_BOUND = 40
@@ -211,28 +213,30 @@ def m4(n: int) -> int:
     return count_odd(n) + a2(n)
 
 
-def enumerate_odd_partitions(n: int):
+def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     """Yield exactly the partitions of n with odd dimension.
 
     Walks the binary expansion top bit first: the odd partitions of
     2^r + m are precisely the partitions obtained from odd partitions
     of m by adding one hook of length 2^r.  Even-dimension partitions
     are never touched, so the stream scales with the odd count, not
-    with p(n).
+    with p(n).  The walk runs on abacus ints and builds one Partition per
+    partition yielded.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    for x in _odd_abaci(n):
+        yield Partition(parts_of(x))
+
+
+def _odd_abaci(n: int) -> Iterator[int]:
     if n == 0:
-        yield Partition(())
-        return
-    if n == 1:
-        yield Partition((1,))
+        yield 0
         return
     r = n.bit_length() - 1
-    m = n - (1 << r)
-    for mu in enumerate_odd_partitions(m):
-        for rec in all_parents(mu, r):
-            yield rec.parent
+    for core in _odd_abaci(n - (1 << r)):
+        for *_, parent in _hook_additions(core, 1 << r):
+            yield parent
 
 
 @cache

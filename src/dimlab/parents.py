@@ -1,20 +1,22 @@
 """Partitions obtained by adding a single hook of length 2^R to a core.
 
-For a core mu with |mu| < 2^R there are exactly 2^R such parents: one for
-each first-column hook of mu (bump that element by 2^R), and one for each
-admissible shift r (shift the hook set by r, then insert the element 2^R).
-The sign of a parent's dimension follows the core's sign up to a parity
-computable from the hook set alone, which is the engine behind all the
-signed counting downstream.
+On the abacus of a core mu with |mu| < 2^R there are exactly 2^R ways to
+add a 2^R-hook.  Kind I moves one bead x up to x + 2^R, one record per
+first-column hook of mu.  Kind II shifts the abacus by r, drops bead 0
+and sets bead 2^R; it is admissible for each r = 1..2^R whose shift
+leaves position 2^R empty.  The sign of a parent's dimension follows the
+core's sign up to a parity computable from the hook set alone, which is
+the engine behind all the signed counting downstream.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .binary_arith import sign_parity, top_two_bits
-from .beta_sets import BetaSet, first_column_hooks, shift, to_partition
-from .partitions import DimClass, Partition, dim_mod4
+from .beta_sets import first_column_hooks, mask_of, move_bead, parts_of, shift_mask
+from .errors import SizeLimitError
+from .partitions import ENUMERATION_LIMIT, DimClass, Partition, dim_mod4
 
 
 class ParentRecord(NamedTuple):
@@ -26,50 +28,48 @@ class ParentRecord(NamedTuple):
     affected: int  # first-column hook length of the added hook
 
 
-def _check_core(core: Partition, r_power: int) -> int:
+def _hook_additions(core: int, t: int) -> Iterator[tuple[str, int, int, int]]:
+    """(kind, param, affected, parent abacus) for each t-hook added to a core.
+
+    `core` is canonical with every bead below t.  Kind I comes first,
+    largest bead first, then kind II by increasing shift.
+    """
+    for x in reversed(range(core.bit_length())):
+        if core >> x & 1:
+            yield "I", x, x + t, move_bead(core, x, x + t)
+    for r in range(1, t + 1):
+        shifted = shift_mask(core, r)
+        if not shifted >> t & 1:
+            yield "II", r, t, move_bead(shifted, 0, t)
+
+
+def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
+    """Both kinds together: exactly 2^r_power records, refused with
+    SizeLimitError when the parents would pass ENUMERATION_LIMIT."""
     if r_power < 1:
         raise ValueError(f"r_power must be at least 1, got {r_power}")
     t = 1 << r_power
     if core.size >= t:
         raise ValueError(f"core size {core.size} must be below 2^{r_power} = {t}")
-    return t
+    if core.size + t > ENUMERATION_LIMIT:
+        raise SizeLimitError(f"parents of size {core.size} + 2^{r_power} exceed "
+                             f"the enumeration bound {ENUMERATION_LIMIT}")
+    return [ParentRecord(Partition(parts_of(x)), core, r_power, kind, param, affected)
+            for kind, param, affected, x in _hook_additions(mask_of(core), t)]
 
 
 def type1_parents(core: Partition, r_power: int) -> list[ParentRecord]:
-    """Parents made by bumping one first-column hook of the core by 2^r_power.
-
-    One record per element of the core's hook set, largest first.
-    """
-    t = _check_core(core, r_power)
-    hooks = first_column_hooks(core)
-    out = []
-    for x in hooks.elements:
-        raised = BetaSet(tuple(e for e in hooks.elements if e != x) + (x + t,))
-        out.append(ParentRecord(to_partition(raised), core, r_power, "I", x, x + t))
-    return out
+    """Kind I: bump one first-column hook by 2^r_power, largest first."""
+    return [rec for rec in all_parents(core, r_power) if rec.kind == "I"]
 
 
 def type2_parents(core: Partition, r_power: int) -> list[ParentRecord]:
-    """Parents made by shifting the core's hook set, then inserting 2^r_power.
+    """Kind II: shift by r = 1..2^r_power, then insert 2^r_power.
 
-    Shifts r = 1..2^r_power are admissible whenever the shifted set misses
-    2^r_power; that leaves exactly 2^r_power - len(hooks) records.
+    Shifts that already hold 2^r_power are skipped, which leaves exactly
+    2^r_power - len(hooks) records.
     """
-    t = _check_core(core, r_power)
-    hooks = first_column_hooks(core)
-    out = []
-    for r in range(1, t + 1):
-        shifted = shift(hooks, r)
-        if t in shifted:
-            continue
-        combined = BetaSet((t,) + tuple(e for e in shifted.elements if e != 0))
-        out.append(ParentRecord(to_partition(combined), core, r_power, "II", r, t))
-    return out
-
-
-def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
-    """Both kinds together: exactly 2^r_power records."""
-    return type1_parents(core, r_power) + type2_parents(core, r_power)
+    return [rec for rec in all_parents(core, r_power) if rec.kind == "II"]
 
 
 def split_type2(records: Iterable[ParentRecord]) -> tuple[list[ParentRecord], list[ParentRecord]]:
@@ -84,13 +84,18 @@ def split_type2(records: Iterable[ParentRecord]) -> tuple[list[ParentRecord], li
     return low, high
 
 
+def _bead(x: int, h: int) -> int:
+    # negative positions read as empty
+    return h >= 0 and x >> h & 1
+
+
 def count_between(p: Partition, h: int, r_power: int) -> int:
     """First-column hooks of p strictly between h - 2^r_power and h."""
-    hooks = first_column_hooks(p)
-    if h not in hooks:
+    x = mask_of(p)
+    if not _bead(x, h):
         raise ValueError(f"{h} is not a first-column hook of {p}")
-    lo = h - (1 << r_power)
-    return sum(1 for y in hooks.elements if lo < y < h)
+    lo = max(h - (1 << r_power) + 1, 0)
+    return ((x & ((1 << h) - 1)) >> lo).bit_count()
 
 
 def _flip_product_parity(rec: ParentRecord) -> int:
@@ -114,11 +119,11 @@ def sign_flip_parity(rec: ParentRecord) -> int:
     """
     h = rec.affected
     half = 1 << (rec.r_power - 1)
-    hooks = first_column_hooks(rec.parent)
+    x = mask_of(rec.parent)
     eta = count_between(rec.parent, h, rec.r_power)
-    eta -= h - half in hooks
-    eta += h + half in hooks
-    eta += h - 3 * half in hooks
+    eta -= _bead(x, h - half)
+    eta += _bead(x, h + half)
+    eta += _bead(x, h - 3 * half)
     eta &= 1
     assert eta == _flip_product_parity(rec), f"flip parity routes disagree on {rec}"
     return eta

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterable, Iterator, NamedTuple
 
-from .binary_arith import factorial_sign_parity
+from .binary_arith import _FACPAR, _SGNPAR, _V2, _grow_tables
 from .errors import SizeLimitError
 
 DIM_EXACT_LIMIT = 60
@@ -84,16 +83,7 @@ def conjugate(p: Partition) -> Partition:
     >>> conjugate(Partition((4, 3, 3, 1))).parts
     (4, 3, 3, 1)
     """
-    parts = p.parts
-    if not parts:
-        return Partition(())
-    out = []
-    rows = len(parts)
-    for col in range(1, parts[0] + 1):
-        while rows and parts[rows - 1] < col:
-            rows -= 1
-        out.append(rows)
-    return Partition(out)
+    return Partition(_column_heights(p))
 
 
 def _column_heights(p: Partition) -> list[int]:
@@ -177,31 +167,11 @@ class DimClass(NamedTuple):
         return 1 if self.sign == 1 else 3
 
 
-# Lookup tables indexed by small positive integers, grown on demand:
-# _V2[d] is the 2-adic valuation, _SGNPAR[d] the mod-4 sign parity of the
-# odd part, _FACPAR[d] the sign parity of the odd part of d factorial.
-_V2: list[int] = [0]
-_SGNPAR: list[int] = [0]
-_FACPAR: list[int] = [0]
-_TABLE_LOCK = threading.Lock()
-
-
-def _ensure_tables(n: int) -> None:
-    if n < len(_V2):
-        return
-    with _TABLE_LOCK:
-        for i in range(len(_V2), n + 1):
-            low = (i & -i).bit_length()
-            _V2.append(low - 1)
-            _SGNPAR.append((i >> low) & 1)
-            _FACPAR.append(factorial_sign_parity(i))
-
-
 def _dim_mod4_beta(p: Partition) -> DimClass:
     # determinant form on the first-column hooks h_i = parts[i] + k - 1 - i:
     # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!)
     n = p.size
-    _ensure_tables(n)
+    _grow_tables(n)
     parts = p.parts
     k = len(parts)
     hooks = [parts[i] + k - 1 - i for i in range(k)]
@@ -224,7 +194,7 @@ def _dim_mod4_beta(p: Partition) -> DimClass:
 def _dim_mod4_hooks(p: Partition) -> DimClass:
     # quotient form: dim = n! / prod of all hook lengths
     n = p.size
-    _ensure_tables(n)
+    _grow_tables(n)
     val = n - n.bit_count()
     par = _FACPAR[n]
     vt = _V2

@@ -208,3 +208,10 @@ def test_status_honesty(oracle):
     assert value == oracle["reports"][13].delta
     assert enumeration.delta(11) == (8, EXACT)
     assert enumeration.delta(12) == (0, EXACT)
+
+
+@criterion("15 odd-stream signed sum equals the oracle's delta up to 40")
+def test_odd_stream_delta(oracle):
+    for n, report in oracle["reports"].items():
+        signed = sum(dim_mod4(p).sign for p in enumeration.enumerate_odd_partitions(n))
+        assert signed == report.delta, n

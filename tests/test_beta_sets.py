@@ -72,6 +72,47 @@ def test_shift_preserves_partition(parts, r):
     assert len(shifted) == len(p) + r
 
 
+elements_st = st.lists(st.integers(min_value=0, max_value=40), max_size=8, unique=True)
+
+
+@given(elements_st)
+def test_beta_set_mask_is_its_abacus(elements):
+    assert BetaSet(elements).mask == sum(1 << x for x in elements)
+
+
+@given(elements_st, st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=41),
+    st.floats(), st.text(max_size=2), st.none(), st.tuples(st.integers())))
+def test_membership_is_false_off_the_set(elements, probe):
+    x = BetaSet(elements)
+    assert all(e in x for e in elements)
+    assert probe not in x
+
+
+@given(elements_st, st.integers(min_value=0, max_value=9))
+def test_shift_is_the_plain_set_shift(elements, r):
+    assert set(shift(BetaSet(elements), r)) == {e + r for e in elements} | set(range(r))
+
+
+@given(elements_st)
+def test_normalize_is_the_plain_set_rule(elements):
+    # while 0 is present, drop it and move every other element down one
+    x = set(elements)
+    while 0 in x:
+        x = {e - 1 for e in x if e}
+    assert set(normalize(BetaSet(elements))) == x
+
+
+@given(elements_st, st.integers(min_value=0, max_value=45), st.integers(min_value=1, max_value=8))
+def test_remove_hook_is_the_plain_set_move(elements, h, t):
+    x = BetaSet(elements)
+    if h in elements and h >= t and h - t not in elements:
+        assert set(remove_hook(x, h, t)) == set(elements) - {h} | {h - t}
+    else:
+        with pytest.raises(HookRemovalError):
+            remove_hook(x, h, t)
+
+
 def test_normalize_and_equivalent():
     x = BetaSet((6, 3, 1, 0))
     assert normalize(x).elements == (4, 1)

@@ -1,8 +1,11 @@
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dimlab import binary_arith
 from dimlab.binary_arith import (
     BinaryStats,
     adjacent_ones,
@@ -141,3 +144,32 @@ def test_sparse_rows_are_unbalanced():
         c1, c3 = binom_mod4_counts(n)
         assert c3 == 0
         assert c1 == 2 ** bin(n).count("1")
+
+
+def test_tables_grow_consistently_under_threads():
+    # more threads than cores race to grow the shared tables; a lost or
+    # doubled append would misalign some index
+    ba = binary_arith
+    top = len(ba._FACPAR) + 3000
+
+    def grow(first):
+        for n in range(first, top, 37):
+            ba._grow_tables(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(len(ba._FACPAR) + k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    size = len(ba._FACPAR)
+    assert size >= top - 37
+    assert len(ba._V2) == len(ba._SGNPAR) == len(ba._V2FACT) == size
+    for i in range(1, size):
+        assert ba._V2[i] == v2(i) and ba._SGNPAR[i] == sign_parity(i)
+        assert ba._V2FACT[i] == i - i.bit_count() and ba._FACPAR[i] == factorial_sign_parity(i)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import dimlab
 from dimlab import enumeration
@@ -174,6 +175,21 @@ def test_parents_core_too_large(capsys):
     code, _, err = run(capsys, "parents", "2,2", "--r", "2")
     assert code == 2
     assert "core size" in err
+
+
+def test_parents_refuses_huge_r_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "parents", "-", "--r", "40")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "80" in err
+
+
+def test_parents_lists_all_parents_below_the_bound(capsys):
+    code, out, _ = run(capsys, "parents", "-", "--r", "6", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 64
 
 
 def test_parents_csv_blank_prediction_for_tiny_parents(capsys):

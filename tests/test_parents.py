@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dimlab.beta_sets import first_column_hooks, parity_gap, t_core
 from dimlab.enumeration import enumerate_odd_partitions
+from dimlab.errors import SizeLimitError
 from dimlab.parents import (
     all_parents,
     count_between,
@@ -64,6 +66,14 @@ def test_core_validation():
         all_parents(Partition((1,)), 0)
 
 
+def test_parents_past_the_enumeration_bound_are_refused():
+    assert len(all_parents(Partition((16,)), 6)) == 64  # parents of size 80
+    with pytest.raises(SizeLimitError):
+        all_parents(Partition((17,)), 6)
+    with pytest.raises(SizeLimitError):
+        type2_parents(Partition(()), 40)
+
+
 def test_parents_of_odd_cores_are_odd():
     for m in range(0, 8):
         for mu in enumerate_odd_partitions(m):
@@ -108,6 +118,38 @@ def test_count_between():
     assert count_between(p, 4, 2) == 2
     with pytest.raises(ValueError):
         count_between(p, 2, 1)
+    with pytest.raises(ValueError):
+        count_between(p, -1, 1)
+
+
+partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=8).map(
+    lambda parts: Partition(tuple(sorted(parts, reverse=True))))
+
+
+@given(partitions_st, st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=6))
+@example(Partition((2, 2, 1)), 0, 3)  # window (-4, 4) starts below 0
+def test_count_between_is_the_brute_count(p, i, r_power):
+    hooks = first_column_hooks(p).elements
+    if not hooks:
+        return
+    h = hooks[i % len(hooks)]
+    lo = h - (1 << r_power)
+    assert count_between(p, h, r_power) == sum(1 for y in hooks if lo < y < h)
+
+
+SMALL_CORES = {r: [mu for m in range(1 << r) for mu in enumerate_partitions(m)]
+               for r in range(1, 5)}
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda r: st.tuples(st.sampled_from(SMALL_CORES[r]), st.just(r))))
+def test_every_parent_reduces_to_its_core(core_and_r):
+    mu, r = core_and_r
+    recs = all_parents(mu, r)
+    assert len(recs) == 1 << r
+    for rec in recs:
+        assert t_core(rec.parent, 1 << r) == mu
+        assert rec.affected in first_column_hooks(rec.parent)
 
 
 def test_eta_matches_sign_flip_definition():
