@@ -10,9 +10,16 @@ Subcommands
     bench --max-n N       throughput of the odd stream vs the full sweep
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141
-(128 + SIGPIPE) when the reader closes stdout early.  The
-environment variable DIMLAB_ORACLE_BOUND overrides the default oracle
-bound; --oracle-bound overrides both.
+(128 + SIGPIPE) when the reader closes stdout early.
+
+The oracle bound B (default 40) caps two routes by n: the brute-force
+sweep over all p(n) partitions that verify replays the formulas
+against, and the signed odd-stream walk that counts and alt fall back
+to for delta when n starts "11" in binary with three or more ones (it
+visits the 2^(sum of bit positions) odd partitions of n).  Past B such
+an n is refused with exit 2.  The environment variable
+DIMLAB_ORACLE_BOUND overrides the default; --oracle-bound overrides
+both.
 """
 
 from __future__ import annotations
@@ -78,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--oracle-bound", type=_positive_int, default=None, metavar="B",
-        help="largest n the brute-force sweep may touch (default from "
-             "DIMLAB_ORACLE_BOUND or 40)",
+        help="largest n the brute-force sweep and the odd-stream delta "
+             "fallback may take (default from DIMLAB_ORACLE_BOUND or 40)",
     )
     shared.add_argument(
         "--header", action="store_true",
@@ -215,9 +222,9 @@ def _verify_suites(max_n: int, bound: int):
     bad = []
     for n, rep in oracle.items():
         value, status = enumeration.delta(n, bound)
-        if status == enumeration.EXACT and value != rep.delta:
-            bad.append(f"n={n}: formula {value} oracle {rep.delta}")
-    yield "signed count (proved cases)", bad
+        if value != rep.delta:
+            bad.append(f"n={n}: delta {value} ({status}) oracle {rep.delta}")
+    yield "signed count (formula or odd-stream fallback)", bad
 
     bad = []
     for n, rep in oracle.items():
@@ -248,8 +255,8 @@ def _verify_suites(max_n: int, bound: int):
         if alternating.a_circ(n) != rep.a_circ:
             bad.append(f"n={n}: a_circ {alternating.a_circ(n)} oracle {rep.a_circ}")
         value, status = alternating.delta_circ(n, bound)
-        if status == enumeration.EXACT and value != rep.delta_circ:
-            bad.append(f"n={n}: delta_circ {value} oracle {rep.delta_circ}")
+        if value != rep.delta_circ:
+            bad.append(f"n={n}: delta_circ {value} ({status}) oracle {rep.delta_circ}")
     yield "alternating closed forms", bad
 
 

@@ -5,8 +5,12 @@ the binary expansion, the residue-2 count satisfies a two-branch
 recursion on the leading binary digit, and the signed difference
 a1 - a3 recurses whenever the two leading digits are "10".  Inputs whose
 binary expansion starts "11" and carries three or more ones have no
-proved formula; for those the signed difference falls back to a
-brute-force sweep and says so in its status flag.
+proved formula; for those the signed difference falls back to a signed
+walk over the odd-partition stream and says so in its status flag.  The
+walk visits only the a(n) odd abaci and carries each dimension's sign
+down from its core with the parent-sign step of `parents`, so it builds
+no partition and computes no dimension.  The brute-force sweep over all
+p(n) partitions stays as the independent oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Iterator
 from .beta_sets import parts_of
 from .binary_arith import bit_positions, is_sparse
 from .errors import SizeLimitError
-from .parents import _hook_additions
+from .parents import _flip_parity, _hook_additions, _sign_step
 from .partitions import Partition, dim_mod4, enumerate_partitions
 
 DEFAULT_ORACLE_BOUND = 40
@@ -37,7 +41,7 @@ class CountReport:
     a1, a2, a3 count residues 1, 2, 3; a = a1 + a3 is the odd count,
     delta = a1 - a3, and m4 = a + a2 counts dimensions not divisible
     by 4.  source is "formula", "oracle", or "mixed" when a formula
-    report needed oracle help for delta.
+    report took delta from the odd-stream fallback.
     """
 
     n: int
@@ -113,17 +117,23 @@ def _delta(n: int, bound: int) -> tuple[int, str]:
         value, status = _delta(m, bound)
         return (4 * value, status)
     # leading binary digits "11" with more ones behind them: no proved
-    # formula exists, so fall back to exhaustive classification
+    # formula exists, so fall back to the signed odd stream, whose a(n)
+    # leaves carry their signs down from the cores
     if n > bound:
         raise SizeLimitError(
             f"delta({n}) has no closed form (leading 11 with extra ones) "
             f"and exceeds the oracle bound {bound}"
         )
-    return (oracle_counts(n, bound).delta, FALLBACK)
+    return (sum(1 - 2 * parity for _, parity in _odd_abaci(n)), FALLBACK)
 
 
 def delta(n: int, oracle_bound: int | None = None) -> tuple[int, str]:
     """Signed count a1(n) - a3(n) and how it was obtained.
+
+    The status is EXACT for a proved formula and FALLBACK for the signed
+    odd-stream walk, which answers a leading-"11" n only up to
+    `oracle_bound` (default DEFAULT_ORACLE_BOUND) and raises
+    SizeLimitError past it.
 
     >>> delta(5)
     (4, 'exact-formula')
@@ -225,18 +235,22 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    for x in _odd_abaci(n):
+    for x, _ in _odd_abaci(n):
         yield Partition(parts_of(x))
 
 
-def _odd_abaci(n: int) -> Iterator[int]:
+def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
+    # (abacus, sign parity) for each odd partition of n, the parity being 1
+    # when the dimension is 3 mod 4.  A parent's parity is its core's XOR
+    # the step of predict_parent_sign; below size 4 every odd dimension is 1.
     if n == 0:
-        yield 0
+        yield 0, 0
         return
-    r = n.bit_length() - 1
-    for core in _odd_abaci(n - (1 << r)):
-        for *_, parent in _hook_additions(core, 1 << r):
-            yield parent
+    t = 1 << (n.bit_length() - 1)
+    for core, parity in _odd_abaci(n - t):
+        for *_, h, parent in _hook_additions(core, t):
+            yield parent, (parity ^ _sign_step(n, h, _flip_parity(parent, h, t))
+                           if n > 3 else 0)
 
 
 @cache
@@ -267,7 +281,7 @@ def oracle_counts(n: int, oracle_bound: int | None = None) -> CountReport:
 
 def formula_counts(n: int, oracle_bound: int | None = None) -> CountReport:
     """Assemble a CountReport from the closed forms; source becomes
-    "mixed" when delta needed the oracle."""
+    "mixed" when delta needed the odd-stream fallback."""
     _, status = delta(n, oracle_bound)
     a1, a3 = a1_a3(n, oracle_bound)
     two = a2(n)

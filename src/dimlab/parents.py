@@ -6,7 +6,9 @@ first-column hook of mu.  Kind II shifts the abacus by r, drops bead 0
 and sets bead 2^R; it is admissible for each r = 1..2^R whose shift
 leaves position 2^R empty.  The sign of a parent's dimension follows the
 core's sign up to a parity computable from the hook set alone, which is
-the engine behind all the signed counting downstream.
+the engine behind all the signed counting downstream.  `_flip_parity`
+and `_sign_step` compute that parity on the parent's abacus int, so the
+odd stream carries signs down without building a partition.
 """
 
 from __future__ import annotations
@@ -89,13 +91,35 @@ def _bead(x: int, h: int) -> int:
     return h >= 0 and x >> h & 1
 
 
+def _between(x: int, h: int, t: int) -> int:
+    # beads of abacus x strictly between h - t and h
+    lo = max(h - t + 1, 0)
+    return ((x & ((1 << h) - 1)) >> lo).bit_count()
+
+
 def count_between(p: Partition, h: int, r_power: int) -> int:
     """First-column hooks of p strictly between h - 2^r_power and h."""
     x = mask_of(p)
     if not _bead(x, h):
         raise ValueError(f"{h} is not a first-column hook of {p}")
-    lo = max(h - (1 << r_power) + 1, 0)
-    return ((x & ((1 << h) - 1)) >> lo).bit_count()
+    return _between(x, h, 1 << r_power)
+
+
+def _flip_parity(x: int, h: int, t: int) -> int:
+    # eta mod 2 for the parent abacus x whose added t-hook has first-column
+    # hook h >= t: the window count, less the bead at h - t/2, plus the
+    # beads at h + t/2 and h - 3t/2 (absent when that is negative)
+    half = t >> 1
+    eta = _between(x, h, t) ^ x >> (h - half) ^ x >> (h + half)
+    if h >= 3 * half:
+        eta ^= x >> (h - 3 * half)
+    return eta & 1
+
+
+def _sign_step(n: int, h: int, eta: int) -> int:
+    # parity relating the core's sign to the sign of its parent of size n
+    # (n > 3) whose added hook has first-column hook h
+    return (top_two_bits(n) + top_two_bits(h) + eta) & 1
 
 
 def _flip_product_parity(rec: ParentRecord) -> int:
@@ -114,17 +138,10 @@ def _flip_product_parity(rec: ParentRecord) -> int:
 def sign_flip_parity(rec: ParentRecord) -> int:
     """Parity of sign flips between the core's dimension and the parent's.
 
-    Counted by window and membership tests on the parent's hook set; in
+    Counted by window and membership tests on the parent's abacus; in
     debug mode the defining product of odd-part signs is asserted equal.
     """
-    h = rec.affected
-    half = 1 << (rec.r_power - 1)
-    x = mask_of(rec.parent)
-    eta = count_between(rec.parent, h, rec.r_power)
-    eta -= _bead(x, h - half)
-    eta += _bead(x, h + half)
-    eta += _bead(x, h - 3 * half)
-    eta &= 1
+    eta = _flip_parity(mask_of(rec.parent), rec.affected, 1 << rec.r_power)
     assert eta == _flip_product_parity(rec), f"flip parity routes disagree on {rec}"
     return eta
 
@@ -134,8 +151,7 @@ def predict_parent_sign(rec: ParentRecord, core_sign: int) -> int:
     n = rec.parent.size
     if n <= 3:
         raise ValueError(f"prediction needs a parent of size above 3, got {n}")
-    exponent = top_two_bits(n) + top_two_bits(rec.affected) + sign_flip_parity(rec)
-    return core_sign if exponent % 2 == 0 else -core_sign
+    return -core_sign if _sign_step(n, rec.affected, sign_flip_parity(rec)) else core_sign
 
 
 def signed_sum(records: Iterable[ParentRecord], core: Partition) -> int:

@@ -208,15 +208,13 @@ def _dim_mod4_hooks(p: Partition) -> DimClass:
 def dim_mod4(p: Partition) -> DimClass:
     """Valuation and odd-part sign of dim_exact(p), without big integers.
 
-    Computed from the first-column hook set; in debug mode the independent
-    hook-product route is asserted to agree.
+    Computed from the first-column hook set.  The hook-product route
+    `_dim_mod4_hooks` is kept as the reference the tests compare against.
 
     >>> dim_mod4(Partition((2, 2)))
     DimClass(v2=1, sign=1)
     """
-    out = _dim_mod4_beta(p)
-    assert out == _dim_mod4_hooks(p), f"dim_mod4 routes disagree on {p}"
-    return out
+    return _dim_mod4_beta(p)
 
 
 def enumerate_partitions(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[Partition]:

@@ -23,7 +23,13 @@ from dimlab.parents import (
     type1_parents,
     type2_parents,
 )
-from dimlab.partitions import conjugate, dim_mod4, enumerate_partitions
+from dimlab.partitions import (
+    _dim_mod4_beta,
+    _dim_mod4_hooks,
+    conjugate,
+    dim_mod4,
+    enumerate_partitions,
+)
 
 ORACLE_MAX = 40
 ORACLE_BUDGET_SECONDS = 120.0
@@ -52,7 +58,17 @@ def oracle():
     start = time.perf_counter()
     reports = {n: enumeration.oracle_counts(n) for n in range(1, ORACLE_MAX + 1)}
     elapsed = time.perf_counter() - start
-    return {"reports": reports, "elapsed": elapsed}
+    # the oracle's dim_mod4 runs the beta route only; replay the same inputs
+    # through the hook-product route, outside the timed sweep
+    checked = 0
+    route_mismatches = []
+    for n in range(0, ORACLE_MAX + 1):
+        for p in enumerate_partitions(n):
+            checked += 1
+            if _dim_mod4_beta(p) != _dim_mod4_hooks(p):
+                route_mismatches.append(p)
+    return {"reports": reports, "elapsed": elapsed,
+            "route_checked": checked, "route_mismatches": route_mismatches}
 
 
 @criterion("01 odd count matches the oracle up to 40 inside the time budget")
@@ -203,9 +219,14 @@ def test_binomial_balance():
 
 @criterion("14 fallback statuses are honest about what was proved")
 def test_status_honesty(oracle):
-    value, status = enumeration.delta(13)
-    assert status == FALLBACK
-    assert value == oracle["reports"][13].delta
+    # leading binary digits "11" with three or more ones: no formula
+    open_cases = [n for n in range(2, ORACLE_MAX + 1)
+                  if n >> (n.bit_length() - 2) == 0b11 and n.bit_count() >= 3]
+    assert open_cases == [7, 13, 14, 15, *range(25, 32)]
+    for n in open_cases:
+        value, status = enumeration.delta(n)
+        assert status == FALLBACK, n
+        assert value == oracle["reports"][n].delta, n
     assert enumeration.delta(11) == (8, EXACT)
     assert enumeration.delta(12) == (0, EXACT)
 
@@ -215,3 +236,19 @@ def test_odd_stream_delta(oracle):
     for n, report in oracle["reports"].items():
         signed = sum(dim_mod4(p).sign for p in enumeration.enumerate_odd_partitions(n))
         assert signed == report.delta, n
+
+
+@criterion("16 both dim_mod4 routes agree on every partition up to 40")
+def test_dim_mod4_routes_agree_up_to_40(oracle):
+    assert oracle["route_checked"] == 215_308  # p(0) + p(1) + ... + p(40)
+    assert oracle["route_mismatches"] == []
+
+
+@criterion("17 every carried sign equals its leaf's dimension sign up to 40")
+def test_carried_signs_per_leaf():
+    for n in range(0, ORACLE_MAX + 1):
+        leaves = list(enumeration._odd_abaci(n))
+        partitions = list(enumeration.enumerate_odd_partitions(n))
+        assert len(leaves) == len(partitions) == enumeration.count_odd(n), n
+        for (_, parity), p in zip(leaves, partitions):
+            assert (-1 if parity else 1) == dim_mod4(p).sign, (n, p)

@@ -87,7 +87,7 @@ def test_delta_values_and_statuses():
 
 def test_delta_fallback_is_honest():
     # 13 has binary form 1101: leading "11" plus an extra one, so the
-    # recursion cannot reach it and the oracle is consulted
+    # recursion cannot reach it and the signed odd stream answers
     value, status = delta(13)
     assert status == FALLBACK
     assert value == oracle_counts(13).delta

@@ -1,0 +1,39 @@
+"""The committed delta table for the open case (leading binary "11").
+
+tests/data/make_leading_11_delta.py wrote the table from two routes; here
+the fallback of `delta` is replayed against it where that is cheap, and
+the overlap with the benchmark's reference is checked.
+"""
+
+import json
+from pathlib import Path
+
+from dimlab.enumeration import FALLBACK, count_odd, delta
+
+ROOT = Path(__file__).resolve().parents[1]
+TABLE = json.loads((ROOT / "tests" / "data" / "leading_11_delta.json").read_text())
+ROWS = {row["n"]: row for row in TABLE["rows"]}
+
+
+def test_table_covers_the_open_case_of_bit_lengths_6_and_7():
+    want = [n for n in range(32, 128)
+            if n >> (n.bit_length() - 2) == 0b11 and n.bit_count() >= 3]
+    assert sorted(ROWS) == want
+    for n, row in ROWS.items():
+        assert row["a"] == count_odd(n)
+        assert (row["a"] + row["delta"]) % 2 == 0
+        assert {"walk", "per_leaf"} <= set(row["routes"]) <= set(TABLE["routes"])
+
+
+def test_table_agrees_with_the_benchmark_reference():
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    overlap = {int(n): d for n, d in reference["leading_11_delta"].items()}
+    assert sorted(overlap) == list(range(49, 64))
+    for n, d in overlap.items():
+        assert ROWS[n]["delta"] == d
+        assert "perfbench_reference" in ROWS[n]["routes"]
+
+
+def test_fallback_reproduces_the_table_up_to_63():
+    for n in range(49, 64):
+        assert delta(n, oracle_bound=63) == (ROWS[n]["delta"], FALLBACK)

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dimlab.beta_sets import first_column_hooks, parity_gap, t_core
+from dimlab.beta_sets import first_column_hooks, mask_of, parity_gap, t_core
 from dimlab.enumeration import enumerate_odd_partitions
 from dimlab.errors import SizeLimitError
 from dimlab.parents import (
+    _flip_parity,
+    _flip_product_parity,
     all_parents,
     count_between,
     predict_parent_sign,
@@ -159,6 +161,19 @@ def test_eta_matches_sign_flip_definition():
         for mu in enumerate_partitions(m):
             for rec in all_parents(mu, 3):
                 assert sign_flip_parity(rec) in (0, 1)
+
+
+def test_flip_parity_matches_the_defining_product():
+    # the mask helper against the product of odd-part signs, called directly
+    # so that the comparison survives python -O
+    checked = 0
+    for r, cores in SMALL_CORES.items():
+        for mu in cores:
+            for rec in all_parents(mu, r):
+                eta = _flip_parity(mask_of(rec.parent), rec.affected, 1 << r)
+                assert eta == _flip_product_parity(rec), rec
+                checked += 1
+    assert checked == sum(len(cores) << r for r, cores in SMALL_CORES.items())
 
 
 def test_predicted_sign_matches_dimensions():
