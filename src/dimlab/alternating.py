@@ -19,8 +19,6 @@ from .partitions import Partition, conjugate, dim_mod4, enumerate_partitions
 
 DEFAULT_ALT_ORACLE_BOUND = 36
 
-ALT_CSV_HEADER = "n,a_circ,a1_circ,a3_circ,delta_circ,m2_hat,source"
-
 
 @dataclasses.dataclass(frozen=True)
 class AltReport:
@@ -39,11 +37,6 @@ class AltReport:
             raise ValueError(f"a_circ {self.a_circ} != a1_circ + a3_circ")
         if self.delta_circ != self.a1_circ - self.a3_circ:
             raise ValueError(f"delta_circ {self.delta_circ} != a1_circ - a3_circ")
-
-
-def to_alt_csv_row(report: AltReport) -> str:
-    r = report
-    return f"{r.n},{r.a_circ},{r.a1_circ},{r.a3_circ},{r.delta_circ},{r.m2_hat},{r.source}"
 
 
 def is_self_conjugate(p: Partition) -> bool:

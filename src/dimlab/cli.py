@@ -9,6 +9,12 @@ Subcommands
     alt <n>               alternating-group counts for one n
     bench --max-n N       throughput of the odd stream vs the full sweep
 
+Each subcommand builds its output as rows of named values, plus the
+lines it prints as text and, where its JSON is shaped differently, the
+JSON document; one emitter writes whichever --format asks for.  CSV
+lines end in "\\n", --header prints the keys of the first row, and an
+absent value is written as an empty field.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141
 (128 + SIGPIPE) when the reader closes stdout early.
 
@@ -17,9 +23,9 @@ sweep over all p(n) partitions that verify replays the formulas
 against, and the signed odd-stream walk that counts and alt fall back
 to for delta when n starts "11" in binary with three or more ones (it
 visits the 2^(sum of bit positions) odd partitions of n).  Past B such
-an n is refused with exit 2.  The environment variable
-DIMLAB_ORACLE_BOUND overrides the default; --oracle-bound overrides
-both.
+an n is refused with exit 2.  Only counts, verify and alt take
+--oracle-bound and read the environment variable DIMLAB_ORACLE_BOUND,
+which overrides the default; --oracle-bound overrides both.
 """
 
 from __future__ import annotations
@@ -27,12 +33,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import alternating, enumeration
 from .binary_arith import is_sparse
@@ -60,7 +65,10 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _default_bound() -> int:
+def _oracle_bound(args: argparse.Namespace) -> int:
+    """--oracle-bound, else DIMLAB_ORACLE_BOUND, else the default."""
+    if args.oracle_bound is not None:
+        return args.oracle_bound
     raw = os.environ.get("DIMLAB_ORACLE_BOUND")
     if raw is None:
         return DEFAULT_ORACLE_BOUND
@@ -78,90 +86,96 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dimlab",
         description="Partition counts by dimension residue mod 4, with verification tools.",
     )
+    # Every subcommand takes -h from this parent instead of adding its own:
+    # argparse builds a help formatter for each add_argument, so a help
+    # action per subparser costs more than this parser, and the parser is
+    # built on every call.
     shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("-h", "--help", action="help", help="show this help message and exit")
     shared.add_argument(
         "--format", choices=("csv", "json", "text"), default="text",
         help="output encoding (default text)",
     )
     shared.add_argument(
-        "--oracle-bound", type=_positive_int, default=None, metavar="B",
-        help="largest n the brute-force sweep and the odd-stream delta "
-             "fallback may take (default from DIMLAB_ORACLE_BOUND or 40)",
-    )
-    shared.add_argument(
         "--header", action="store_true",
         help="with --format csv, print the schema header line first",
+    )
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument(
+        "--oracle-bound", type=_positive_int, default=None, metavar="B",
+        help="largest n for the brute-force sweep of verify and the odd-stream "
+             "delta fallback of counts and alt (default from DIMLAB_ORACLE_BOUND, "
+             "else 40)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_counts = sub.add_parser("counts", parents=[shared], help="residue-class counts for n")
+    def command(name, run, summary, *extra):
+        cmd = sub.add_parser(name, parents=[shared, *extra], add_help=False, help=summary)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    p_counts = command("counts", _cmd_counts, "residue-class counts for n", bounded)
     p_counts.add_argument("n", type=_positive_int)
 
-    p_verify = sub.add_parser("verify", parents=[shared], help="formula-vs-oracle checks")
+    p_verify = command("verify", _cmd_verify, "formula-vs-oracle checks", bounded)
     p_verify.add_argument("--max-n", type=_positive_int, required=True, metavar="N")
 
-    p_tower = sub.add_parser("tower", parents=[shared], help="2-core tower of a partition")
+    p_tower = command("tower", _cmd_tower, "2-core tower of a partition")
     p_tower.add_argument("partition", type=_partition_arg, help="comma form, e.g. 6,5,4,2,1,1")
 
-    p_parents = sub.add_parser("parents", parents=[shared], help="hook-addition parents of a core")
+    p_parents = command("parents", _cmd_parents, "hook-addition parents of a core")
     p_parents.add_argument("partition", type=_partition_arg, help="the core, comma form")
     p_parents.add_argument("--r", type=_positive_int, required=True, metavar="R",
                            help="hooks have length 2^R")
 
-    p_alt = sub.add_parser("alt", parents=[shared], help="alternating-group counts for n")
+    p_alt = command("alt", _cmd_alt, "alternating-group counts for n", bounded)
     p_alt.add_argument("n", type=_positive_int)
 
-    p_bench = sub.add_parser("bench", parents=[shared], help="odd stream vs full sweep timing")
+    p_bench = command("bench", _cmd_bench, "odd stream vs full sweep timing")
     p_bench.add_argument("--max-n", type=_positive_int, required=True, metavar="N")
 
     return parser
 
 
-def _emit_report(fields: dict, header: str, fmt: str, want_header: bool) -> None:
-    if fmt == "json":
-        print(json.dumps(fields))
-    elif fmt == "csv":
-        if want_header:
-            print(header)
-        print(",".join(str(v) for v in fields.values()))
+def _emit(args: argparse.Namespace, rows: list[dict], text: Iterable[str],
+          doc: object = None) -> None:
+    """Write rows as CSV, doc (rows when None) as JSON, or the text lines."""
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        if args.header:
+            writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
+    elif args.format == "json":
+        print(json.dumps(rows if doc is None else doc))
     else:
-        for key, value in fields.items():
-            print(f"{key} = {value}")
+        for line in text:
+            print(line)
 
 
-def _cmd_counts(args: argparse.Namespace, bound: int) -> int:
-    report = enumeration.formula_counts(args.n, bound)
-    _emit_report(dataclasses.asdict(report), enumeration.CSV_HEADER, args.format, args.header)
+def _cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    fields = dataclasses.asdict(enumeration.formula_counts(args.n, _oracle_bound(args)))
+    _emit(args, [fields], (f"{key} = {value}" for key, value in fields.items()), fields)
     return 0
 
 
-def _cmd_alt(args: argparse.Namespace, bound: int) -> int:
-    report = alternating.formula_alt_counts(args.n, bound)
-    _emit_report(dataclasses.asdict(report), alternating.ALT_CSV_HEADER, args.format, args.header)
+def _cmd_alt(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    fields = dataclasses.asdict(alternating.formula_alt_counts(args.n, _oracle_bound(args)))
+    _emit(args, [fields], (f"{key} = {value}" for key, value in fields.items()), fields)
     return 0
 
 
-def _cmd_tower(args: argparse.Namespace) -> int:
+def _cmd_tower(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     t = tower(args.partition)
     weights = row_weights(t)
-    if args.format == "json":
-        print(json.dumps({
-            "partition": str(args.partition),
-            "rows": [[str(node) for node in row] for row in t.rows],
-            "weights": list(weights),
-        }))
-    elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        if args.header:
-            writer.writerow(["partition", "weights", "depth"])
-        writer.writerow([str(args.partition), ",".join(map(str, weights)), t.depth])
-        sys.stdout.write(out.getvalue())
-    else:
-        for line in render_tower(t):
-            print(line)
-        print("w = " + ",".join(map(str, weights)))
+    joined = ",".join(map(str, weights))
+    doc = {
+        "partition": str(args.partition),
+        "rows": [[str(node) for node in row] for row in t.rows],
+        "weights": list(weights),
+    }
+    rows = [{"partition": str(args.partition), "weights": joined, "depth": t.depth}]
+    _emit(args, rows, [*render_tower(t), "w = " + joined], doc)
     return 0
 
 
@@ -169,7 +183,7 @@ def _cmd_parents(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     core = args.partition
     if core.size >= 1 << args.r:
         parser.error(f"core size {core.size} must be below 2^{args.r} = {1 << args.r}")
-    rows = []
+    rows, text = [], []
     core_sign = dim_mod4(core).sign
     for rec in all_parents(core, args.r):
         eta = sign_flip_parity(rec)
@@ -184,22 +198,10 @@ def _cmd_parents(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             "predicted": predicted,
             "actual": actual,
         })
-    if args.format == "json":
-        print(json.dumps(rows))
-    elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        if args.header:
-            writer.writerow(["parent", "kind", "param", "affected", "eta", "predicted", "actual"])
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row.values()])
-        sys.stdout.write(out.getvalue())
-    else:
-        for row in rows:
-            pred = "?" if row["predicted"] is None else f"{row['predicted']:+d}"
-            print(f"kind {row['kind']}  param {row['param']:>3}  affected {row['affected']:>3}  "
-                  f"eta {row['eta']}  predicted {pred}  actual {row['actual']:+d}  "
-                  f"parent {row['parent']}")
+        pred = "?" if predicted is None else f"{predicted:+d}"
+        text.append(f"kind {rec.kind}  param {rec.param:>3}  affected {rec.affected:>3}  "
+                    f"eta {eta}  predicted {pred}  actual {actual:+d}  parent {rec.parent}")
+    _emit(args, rows, text)
     return 0
 
 
@@ -260,29 +262,22 @@ def _verify_suites(max_n: int, bound: int):
     yield "alternating closed forms", bad
 
 
-def _cmd_verify(args: argparse.Namespace, bound: int, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    bound = _oracle_bound(args)
     if args.max_n > bound:
         parser.error(f"--max-n {args.max_n} exceeds the oracle bound {bound}")
     suites = [{"name": name, "ok": not bad, "mismatches": bad}
               for name, bad in _verify_suites(args.max_n, bound)]
     failures = sum(len(suite["mismatches"]) for suite in suites)
-    if args.format == "json":
-        print(json.dumps({"max_n": args.max_n, "mismatches": failures, "suites": suites}))
-    elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        if args.header:
-            writer.writerow(["suite", "ok", "mismatches"])
-        for suite in suites:
-            writer.writerow([suite["name"], suite["ok"], len(suite["mismatches"])])
-        sys.stdout.write(out.getvalue())
-    else:
-        for suite in suites:
-            print(f"{'ok' if suite['ok'] else 'FAIL'} {suite['name']}")
-            for line in suite["mismatches"]:
-                print(f"  {line}")
-        verdict = "FAIL" if failures else "ok"
-        print(f"verify: {verdict} up to n={args.max_n} ({failures} mismatches)")
+    rows = [{"suite": suite["name"], "ok": suite["ok"], "mismatches": len(suite["mismatches"])}
+            for suite in suites]
+    text = []
+    for suite in suites:
+        text.append(f"{'ok' if suite['ok'] else 'FAIL'} {suite['name']}")
+        text += (f"  {line}" for line in suite["mismatches"])
+    text.append(f"verify: {'FAIL' if failures else 'ok'} up to n={args.max_n} "
+                f"({failures} mismatches)")
+    _emit(args, rows, text, {"max_n": args.max_n, "mismatches": failures, "suites": suites})
     return 1 if failures else 0
 
 
@@ -308,17 +303,8 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         {"method": "full-sweep", "items": all_items, "seconds": round(all_seconds, 4),
          "rate": round(all_items / all_seconds) if all_seconds else None},
     ]
-    if args.format == "json":
-        print(json.dumps(rows))
-    elif args.format == "csv":
-        if args.header:
-            print("method,items,seconds,rate")
-        for row in rows:
-            print(",".join(str(v) for v in row.values()))
-    else:
-        for row in rows:
-            print(f"{row['method']}: {row['items']} partitions in {row['seconds']}s "
-                  f"({row['rate']}/s)")
+    _emit(args, rows, (f"{row['method']}: {row['items']} partitions in {row['seconds']}s "
+                       f"({row['rate']}/s)" for row in rows))
     return 0
 
 
@@ -339,20 +325,7 @@ def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        bound = args.oracle_bound if args.oracle_bound is not None else _default_bound()
-        if args.command == "counts":
-            return _cmd_counts(args, bound)
-        if args.command == "verify":
-            return _cmd_verify(args, bound, parser)
-        if args.command == "tower":
-            return _cmd_tower(args)
-        if args.command == "parents":
-            return _cmd_parents(args, parser)
-        if args.command == "alt":
-            return _cmd_alt(args, bound)
-        if args.command == "bench":
-            return _cmd_bench(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args, parser)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code
@@ -362,7 +335,6 @@ def _run(argv: Sequence[str] | None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -27,8 +27,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .beta_sets import (core_height, interleave, mask_of, normalize_mask, parity_split,
-                        parts_of, t_core_mask)
+from .beta_sets import core_height, interleave, mask_of, normalize_mask, parity_split, parts_of
 from .partitions import Partition
 
 
@@ -48,17 +47,7 @@ def _split(x: int) -> tuple[int, int, int]:
     """2-quotient masks and 2-core height of the canonical abacus x."""
     x0, x1 = parity_split(x)
     height = core_height(x0.bit_count(), x1.bit_count())
-    assert t_core_mask(x, 2) == mask_of(staircase(height)), \
-        f"parity census core disagrees with removal on {parts_of(x)}"
     return normalize_mask(x0), normalize_mask(x1), height
-
-
-def _join(q0: int, q1: int, height: int) -> int:
-    """Inverse of _split."""
-    x = interleave(q0, q1, height)
-    assert _split(x) == (q0, q1, height), \
-        f"combine does not invert the quotient and core on {parts_of(x)}"
-    return x
 
 
 def _rows(x: int) -> Iterator[list[int]]:
@@ -92,7 +81,8 @@ def two_core(p: Partition) -> Partition:
     """The staircase left after removing 2-hooks greedily.
 
     Only the parity census of the hook set matters: e even elements slide
-    down to {0, 2, ..., 2e-2} and o odd ones to {1, 3, ..., 2o-1}.
+    down to {0, 2, ..., 2e-2} and o odd ones to {1, 3, ..., 2o-1}.  The
+    tests compare it with `t_core(p, 2)`, which removes 2-hooks until none remain.
     """
     return staircase(_split(mask_of(p))[2])
 
@@ -106,7 +96,7 @@ def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     """
     if not is_two_core(core):
         raise ValueError(f"{core} is not a staircase")
-    return Partition(parts_of(_join(mask_of(q0), mask_of(q1), len(core))))
+    return Partition(parts_of(interleave(mask_of(q0), mask_of(q1), len(core))))
 
 
 class CoreTower:
@@ -165,7 +155,8 @@ def tower(p: Partition) -> CoreTower:
 def tower_to_partition(t: CoreTower) -> Partition:
     level = [mask_of(node) for node in t.rows[-1]]
     for row in reversed(t.rows[:-1]):
-        level = [_join(level[2 * j], level[2 * j + 1], len(node)) for j, node in enumerate(row)]
+        level = [interleave(level[2 * j], level[2 * j + 1], len(node))
+                 for j, node in enumerate(row)]
     return Partition(parts_of(level[0]))
 
 

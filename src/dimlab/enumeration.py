@@ -31,9 +31,6 @@ DEFAULT_ORACLE_BOUND = 40
 EXACT = "exact-formula"
 FALLBACK = "oracle-fallback"
 
-CSV_HEADER = "n,a,a1,a2,a3,delta,m4,source"
-
-
 @dataclasses.dataclass(frozen=True)
 class CountReport:
     """Counts of partitions of n by dimension residue class mod 4.
@@ -62,11 +59,6 @@ class CountReport:
             raise ValueError(f"m4 = {self.m4} but a + a2 = {self.a + self.a2}")
         if self.source not in ("formula", "oracle", "mixed"):
             raise ValueError(f"unknown source {self.source!r}")
-
-
-def to_csv_row(report: CountReport) -> str:
-    r = report
-    return f"{r.n},{r.a},{r.a1},{r.a2},{r.a3},{r.delta},{r.m4},{r.source}"
 
 
 def count_odd(n: int) -> int:
@@ -144,10 +136,7 @@ def delta(n: int, oracle_bound: int | None = None) -> tuple[int, str]:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    out = _delta(n, DEFAULT_ORACLE_BOUND if oracle_bound is None else oracle_bound)
-    if n > 0 and is_sparse(n):
-        assert out[0] == delta_sparse(n), f"sparse closed form disagrees at {n}"
-    return out
+    return _delta(n, DEFAULT_ORACLE_BOUND if oracle_bound is None else oracle_bound)
 
 
 def a1_a3(n: int, oracle_bound: int | None = None) -> tuple[int, int]:
@@ -186,14 +175,10 @@ def a2(n: int) -> int:
     m = n - (1 << r)
     half = 1 << (r - 1)
     if m < half:
-        out = (1 << r) * a2(m) + comb(half, 2) * count_odd(m)
-    else:
-        scaled, rem = divmod((comb(half, 3) + half) * count_odd(m), half)
-        assert rem == 0, f"inexact division in a2({n})"
-        out = (1 << r) * a2(m) + scaled
-    if is_sparse(n):
-        assert out == a2_sparse(n), f"sparse shortcut disagrees at {n}"
-    return out
+        return (1 << r) * a2(m) + comb(half, 2) * count_odd(m)
+    scaled, rem = divmod((comb(half, 3) + half) * count_odd(m), half)
+    assert rem == 0, f"inexact division in a2({n})"
+    return (1 << r) * a2(m) + scaled
 
 
 def a2_sparse(n: int) -> int:

@@ -72,11 +72,6 @@ class Partition:
         return bool(self.parts)
 
 
-def make_partition(parts: Iterable[int]) -> Partition:
-    """Validate and build a Partition from any iterable of parts."""
-    return Partition(parts)
-
-
 def conjugate(p: Partition) -> Partition:
     """Transpose of the Ferrers diagram: column lengths become rows.
 

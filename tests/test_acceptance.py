@@ -11,9 +11,9 @@ import time
 import pytest
 
 from dimlab import alternating, enumeration
-from dimlab.beta_sets import first_column_hooks, parity_gap, to_partition
+from dimlab.beta_sets import first_column_hooks, parity_gap, t_core, to_partition
 from dimlab.binary_arith import binom_mod4_counts, is_sparse, odd_sign_factorial, sign_parity
-from dimlab.core_towers import classify_by_tower, tower, tower_to_partition
+from dimlab.core_towers import classify_by_tower, tower, tower_to_partition, two_core
 from dimlab.enumeration import EXACT, FALLBACK
 from dimlab.parents import (
     all_parents,
@@ -181,11 +181,14 @@ def test_tower_classification():
             assert classify_by_tower(p) == want, p
 
 
-@criterion("11 hook-set and tower bijections round-trip up to 24")
+@criterion("11 bijections round-trip and census 2-cores equal hook removal up to 24")
 def test_bijections():
+    # every node of a tower over a partition of n <= 24 is itself such a
+    # partition, so the 2-core check covers every split the towers make
     for n in range(0, 25):
         for p in enumerate_partitions(n):
             assert to_partition(first_column_hooks(p)) == p
+            assert two_core(p) == t_core(p, 2), p
             t = tower(p)
             assert t.size == n
             assert tower_to_partition(t) == p

@@ -6,7 +6,6 @@ from math import prod
 import pytest
 
 from dimlab.alternating import (
-    ALT_CSV_HEADER,
     DEFAULT_ALT_ORACLE_BOUND,
     AltReport,
     a1_a3_circ,
@@ -16,7 +15,6 @@ from dimlab.alternating import (
     formula_alt_counts,
     hat_m2,
     is_self_conjugate,
-    to_alt_csv_row,
 )
 from dimlab.binary_arith import odd_sign
 from dimlab.enumeration import EXACT, FALLBACK
@@ -118,11 +116,6 @@ def test_report_invariants():
         AltReport(9, 9, 5, 3, 2, 2, "formula")
     with pytest.raises(ValueError, match="delta_circ"):
         AltReport(9, 8, 5, 3, 0, 2, "formula")
-
-
-def test_csv_row():
-    assert to_alt_csv_row(formula_alt_counts(9)) == "9,8,5,3,2,2,formula"
-    assert ALT_CSV_HEADER == "n,a_circ,a1_circ,a3_circ,delta_circ,m2_hat,source"
 
 
 def test_diagonal_hooks_carry_the_odd_sign():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -6,9 +7,13 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import dimlab
 from dimlab import enumeration
+from dimlab.alternating import AltReport
 from dimlab.cli import main
+from dimlab.enumeration import CountReport
 
 
 def run(capsys, *argv):
@@ -21,6 +26,7 @@ def test_counts_csv_row(capsys):
     code, out, _ = run(capsys, "counts", "6", "--format", "csv")
     assert code == 0
     assert out == "6,8,8,2,0,8,10,formula\n"
+    assert run(capsys, "counts", "11", "--format", "csv")[1] == "11,16,12,20,4,8,36,formula\n"
 
 
 def test_counts_csv_header(capsys):
@@ -206,6 +212,12 @@ def test_alt_csv_row(capsys):
     code, out, _ = run(capsys, "alt", "9", "--format", "csv")
     assert code == 0
     assert out == "9,8,5,3,2,2,formula\n"
+    code, out, _ = run(capsys, "alt", "9", "--format", "csv", "--header")
+    assert code == 0
+    assert out.splitlines() == [
+        "n,a_circ,a1_circ,a3_circ,delta_circ,m2_hat,source",
+        "9,8,5,3,2,2,formula",
+    ]
 
 
 def test_bench_small(capsys):
@@ -233,6 +245,54 @@ def test_env_var_junk(capsys, monkeypatch):
     code, _, err = run(capsys, "counts", "6")
     assert code == 2
     assert "DIMLAB_ORACLE_BOUND" in err
+    # the commands that take no oracle bound do not read it
+    assert run(capsys, "tower", "3,1")[0] == 0
+    assert run(capsys, "parents", "1", "--r", "2")[0] == 0
+    assert run(capsys, "bench", "--max-n", "4")[0] == 0
+
+
+def test_oracle_bound_only_where_it_is_used(capsys):
+    assert run(capsys, "tower", "3,1", "--oracle-bound", "5")[0] == 2
+    assert run(capsys, "parents", "1", "--r", "2", "--oracle-bound", "5")[0] == 2
+    assert run(capsys, "bench", "--max-n", "4", "--oracle-bound", "5")[0] == 2
+    assert run(capsys, "counts", "6", "--oracle-bound", "5")[0] == 0
+    assert run(capsys, "alt", "6", "--oracle-bound", "5")[0] == 0
+    assert run(capsys, "verify", "--max-n", "5", "--oracle-bound", "5")[0] == 0
+
+
+# every subcommand, with the keys its CSV rows carry
+COMMANDS = {
+    "counts": (["counts", "13"], [f.name for f in dataclasses.fields(CountReport)]),
+    "alt": (["alt", "9"], [f.name for f in dataclasses.fields(AltReport)]),
+    "tower": (["tower", "6,5,4,2,1,1"], ["partition", "weights", "depth"]),
+    "parents": (["parents", "-", "--r", "2"],
+                ["parent", "kind", "param", "affected", "eta", "predicted", "actual"]),
+    "verify": (["verify", "--max-n", "6"], ["suite", "ok", "mismatches"]),
+    "bench": (["bench", "--max-n", "6"], ["method", "items", "seconds", "rate"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_writes_every_format(capsys, command, fmt):
+    argv, keys = COMMANDS[command]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out and "\r" not in out
+    if fmt == "json":
+        doc = json.loads(out)
+        if command in ("counts", "alt"):
+            assert list(doc) == keys
+        elif isinstance(doc, list):
+            assert [list(row) for row in doc] == [keys] * len(doc)
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(len(row) == len(keys) for row in rows)
+        code, out, _ = run(capsys, *argv, "--format", fmt, "--header")
+        assert code == 0 and "\r" not in out
+        header, *body = csv.reader(io.StringIO(out))
+        assert header == keys
+        assert len(body) == len(rows)
 
 
 def test_repeat_runs_are_identical(capsys):

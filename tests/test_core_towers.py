@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from dimlab.beta_sets import t_core
 from dimlab.core_towers import (
     CoreTower,
     classify_by_tower,
@@ -68,14 +69,21 @@ def test_combine_round_trips():
         for p in enumerate_partitions(n):
             q0, q1 = two_quotient(p)
             assert combine(q0, q1, two_core(p)) == p
+    # the other direction: any two components over any staircase split back
+    small = [q for m in range(0, 5) for q in enumerate_partitions(m)]
     for h in range(5):
         assert combine(EMPTY, EMPTY, staircase(h)) == staircase(h)
+        for q0 in small:
+            for q1 in small:
+                p = combine(q0, q1, staircase(h))
+                assert (two_quotient(p), two_core(p)) == ((q0, q1), staircase(h))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=30), max_size=12))
 def test_combine_inverts_quotient_and_core(parts):
     p = Partition(tuple(sorted(parts, reverse=True)))
     assert combine(*two_quotient(p), two_core(p)) == p
+    assert two_core(p) == t_core(p, 2)
 
 
 def test_combine_rejects_non_staircase_core():

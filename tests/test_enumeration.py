@@ -2,13 +2,10 @@
 exact big-integer dimensions of all partitions of n, independently of the
 formulas under test."""
 
-import csv
-import io
-
 import pytest
+from hypothesis import given, strategies as st
 
 from dimlab.enumeration import (
-    CSV_HEADER,
     DEFAULT_ORACLE_BOUND,
     EXACT,
     FALLBACK,
@@ -24,7 +21,6 @@ from dimlab.enumeration import (
     formula_counts,
     m4,
     oracle_counts,
-    to_csv_row,
 )
 from dimlab.binary_arith import bit_positions, is_sparse
 from dimlab.errors import SizeLimitError
@@ -106,6 +102,34 @@ def test_delta_sparse():
     for n in range(1, 40):
         if is_sparse(n):
             assert delta_sparse(n) == delta(n)[0], n
+
+
+# x & ~(x << 1) keeps the lowest bit of each run of ones: a sparse n > 0
+SPARSE = st.integers(min_value=1, max_value=2**200 - 1).map(lambda x: x & ~(x << 1))
+
+
+@given(SPARSE)
+def test_delta_recursion_meets_the_sparse_closed_form(n):
+    assert delta(n) == (delta_sparse(n), EXACT)
+
+
+@st.composite
+def sparse_below_the_count_cap(draw):
+    # a sparse n whose bit positions sum below 64, built top bit first
+    top = draw(st.integers(min_value=0, max_value=63))
+    n, total, pos = 1 << top, top, top - 2
+    while pos >= 0:
+        if total + pos < 64 and draw(st.booleans()):
+            n, total, pos = n | 1 << pos, total + pos, pos - 2
+        else:
+            pos -= 1
+    return n
+
+
+@given(sparse_below_the_count_cap())
+def test_a2_recursion_meets_the_sparse_shortcut(n):
+    assert is_sparse(n) and sum(bit_positions(n)) < 64
+    assert a2(n) == a2_sparse(n)
 
 
 def test_a1_a3():
@@ -211,13 +235,6 @@ def test_report_invariants_are_enforced():
         CountReport(6, 8, 8, 2, 0, 8, 11, "formula")
     with pytest.raises(ValueError, match="source"):
         CountReport(6, 8, 8, 2, 0, 8, 10, "guess")
-
-
-def test_csv_round_trip():
-    rep = formula_counts(11)
-    row = next(csv.reader(io.StringIO(to_csv_row(rep))))
-    assert row == ["11", "16", "12", "20", "4", "8", "36", "formula"]
-    assert CSV_HEADER.split(",") == ["n", "a", "a1", "a2", "a3", "delta", "m4", "source"]
 
 
 def test_sources():

@@ -13,7 +13,6 @@ from dimlab.partitions import (
     hook_length,
     hook_lengths,
     is_hook_partition,
-    make_partition,
 )
 from dimlab.partitions import _dim_mod4_beta, _dim_mod4_hooks
 
@@ -59,7 +58,7 @@ def test_from_text_round_trip():
 
 @given(st.lists(st.integers(min_value=1, max_value=30), min_size=0, max_size=8))
 def test_from_text_inverts_str(parts):
-    p = make_partition(sorted(parts, reverse=True))
+    p = Partition(sorted(parts, reverse=True))
     assert Partition.from_text(str(p)) == p
 
 
