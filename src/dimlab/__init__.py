@@ -1,188 +1,49 @@
 """Exact counts of standard Young tableau dimensions by residue mod 4.
 
-The package splits into small layers: bit-level statistics of integers
-(binary_arith), partitions and their dimensions (partitions), hook sets
-and t-cores (beta_sets), hook-addition parents with sign propagation
-(parents), towers of 2-cores (core_towers), the counting formulas with
-a brute-force oracle (enumeration), the alternating-group transfer
-(alternating), and a CLI (cli).
+The package namespace holds the counts the paper states and the reports
+that collect them: `count_odd`, `a2`, `delta`, `m4`, the odd-partition
+stream, the alternating-group transfer (`a_circ`, `delta_circ`,
+`hat_m2`) and the brute-force oracles that check them.  The layers
+underneath (binary_arith, partitions, beta_sets, parents, core_towers)
+and the CLI (cli) are imported from their modules.
 """
 
-from .binary_arith import (
-    BinaryStats,
-    adjacent_ones,
-    binary_stats,
-    binom_mod4_counts,
-    bit_positions,
-    factorial_sign_parity,
-    is_sparse,
-    odd_sign,
-    odd_sign_factorial,
-    sign_parity,
-    top_two_bits,
-    v2,
-)
-from .partitions import (
-    DIM_EXACT_LIMIT,
-    DimClass,
-    ENUMERATION_LIMIT,
-    Partition,
-    conjugate,
-    diagonal_hooks,
-    dim_exact,
-    dim_mod4,
-    enumerate_partitions,
-    hook_length,
-    hook_lengths,
-    is_hook_partition,
-)
-from .beta_sets import (
-    BetaSet,
-    equivalent,
-    first_column_hooks,
-    normalize,
-    parity_gap,
-    remove_hook,
-    shift,
-    t_core,
-    to_partition,
-)
-from .parents import (
-    ParentRecord,
-    all_parents,
-    count_between,
-    predict_parent_sign,
-    sign_flip_parity,
-    signed_sum,
-    split_type2,
-    type1_parents,
-    type2_parents,
-)
-from .core_towers import (
-    CoreTower,
-    classify_by_tower,
-    combine,
-    count_row_fillings,
-    is_two_core,
-    render_tower,
-    row_weights,
-    staircase,
-    tower,
-    tower_to_partition,
-    truncate,
-    two_core,
-    two_quotient,
-)
-from .enumeration import (
-    CountReport,
-    DEFAULT_ORACLE_BOUND,
-    EXACT,
-    FALLBACK,
-    a1_a3,
-    a2,
-    a2_sparse,
-    count_odd,
-    delta,
-    delta_sparse,
-    enumerate_odd_partitions,
-    formula_counts,
-    m4,
-    oracle_counts,
-)
 from .alternating import (
     AltReport,
-    DEFAULT_ALT_ORACLE_BOUND,
-    a1_a3_circ,
     a_circ,
     alternating_oracle,
     delta_circ,
     formula_alt_counts,
     hat_m2,
-    is_self_conjugate,
 )
-from .errors import HookRemovalError, SizeLimitError
+from .enumeration import (
+    CountReport,
+    a2,
+    count_odd,
+    delta,
+    enumerate_odd_partitions,
+    formula_counts,
+    m4,
+    oracle_counts,
+)
+from .errors import SizeLimitError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AltReport",
-    "BetaSet",
-    "BinaryStats",
-    "CoreTower",
     "CountReport",
-    "DEFAULT_ALT_ORACLE_BOUND",
-    "DEFAULT_ORACLE_BOUND",
-    "DIM_EXACT_LIMIT",
-    "DimClass",
-    "ENUMERATION_LIMIT",
-    "EXACT",
-    "FALLBACK",
-    "HookRemovalError",
-    "ParentRecord",
-    "Partition",
     "SizeLimitError",
-    "a1_a3",
-    "a1_a3_circ",
     "a2",
-    "a2_sparse",
     "a_circ",
-    "adjacent_ones",
-    "all_parents",
     "alternating_oracle",
-    "binary_stats",
-    "binom_mod4_counts",
-    "bit_positions",
-    "classify_by_tower",
-    "combine",
-    "conjugate",
-    "count_between",
     "count_odd",
-    "count_row_fillings",
     "delta",
     "delta_circ",
-    "delta_sparse",
-    "diagonal_hooks",
-    "dim_exact",
-    "dim_mod4",
     "enumerate_odd_partitions",
-    "enumerate_partitions",
-    "equivalent",
-    "factorial_sign_parity",
-    "first_column_hooks",
     "formula_alt_counts",
     "formula_counts",
     "hat_m2",
-    "hook_length",
-    "hook_lengths",
-    "is_hook_partition",
-    "is_self_conjugate",
-    "is_sparse",
-    "is_two_core",
     "m4",
-    "normalize",
-    "odd_sign",
-    "odd_sign_factorial",
     "oracle_counts",
-    "parity_gap",
-    "predict_parent_sign",
-    "remove_hook",
-    "render_tower",
-    "row_weights",
-    "shift",
-    "sign_flip_parity",
-    "sign_parity",
-    "signed_sum",
-    "split_type2",
-    "staircase",
-    "t_core",
-    "to_partition",
-    "top_two_bits",
-    "tower",
-    "tower_to_partition",
-    "truncate",
-    "two_core",
-    "two_quotient",
-    "type1_parents",
-    "type2_parents",
-    "v2",
 ]

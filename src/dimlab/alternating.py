@@ -15,7 +15,7 @@ from functools import cache
 
 from .enumeration import DEFAULT_ORACLE_BOUND, EXACT, count_odd, delta
 from .errors import SizeLimitError
-from .partitions import Partition, conjugate, dim_mod4, enumerate_partitions
+from .partitions import conjugate, dim_mod4, enumerate_partitions
 
 DEFAULT_ALT_ORACLE_BOUND = 36
 
@@ -37,10 +37,6 @@ class AltReport:
             raise ValueError(f"a_circ {self.a_circ} != a1_circ + a3_circ")
         if self.delta_circ != self.a1_circ - self.a3_circ:
             raise ValueError(f"delta_circ {self.delta_circ} != a1_circ - a3_circ")
-
-
-def is_self_conjugate(p: Partition) -> bool:
-    return p == conjugate(p)
 
 
 def hat_m2(n: int) -> int:

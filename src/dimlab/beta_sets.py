@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import HookRemovalError
 from .partitions import Partition
 
 
@@ -93,33 +92,6 @@ def to_partition(x: BetaSet) -> Partition:
     (5, 3, 2, 1, 1)
     """
     return Partition(parts_of(x.mask))
-
-
-def normalize(x: BetaSet) -> BetaSet:
-    """The canonical representative of x's shift class."""
-    return _view(normalize_mask(x.mask))
-
-
-def equivalent(x: BetaSet, y: BetaSet) -> bool:
-    """True when x and y describe the same partition."""
-    return normalize_mask(x.mask) == normalize_mask(y.mask)
-
-
-def remove_hook(x: BetaSet, h: int, t: int) -> BetaSet:
-    """Remove a t-hook: replace element h by h - t.
-
-    Valid only when h is present, h >= t, and h - t is absent; each failed
-    clause raises HookRemovalError saying which one.
-    """
-    if t < 1:
-        raise ValueError(f"hook size must be positive, got {t}")
-    if h not in x:
-        raise HookRemovalError(f"{h} is not an element of {x}")
-    if h < t:
-        raise HookRemovalError(f"element {h} is smaller than the hook size {t}")
-    if h - t in x:
-        raise HookRemovalError(f"{h - t} is already in {x}; no {t}-hook at {h}")
-    return _view(move_bead(x.mask, h, h - t))
 
 
 def t_core(p: Partition, t: int) -> Partition:
@@ -227,6 +199,10 @@ def interleave(q0: int, q1: int, height: int) -> int:
 
 def parity_gap(x: BetaSet) -> int:
     """Number of even elements minus number of odd elements.
+
+    Paper fact (acceptance criterion 08): the kind-II parents with shift
+    at most 2^(R-1) of an odd core with k first-column hooks have signed
+    dimension sum 2 * (-1)^k * parity_gap of the core's hooks.
 
     >>> parity_gap(BetaSet((13, 12, 8, 5, 3, 1, 0)))
     -1

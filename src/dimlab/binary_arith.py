@@ -10,7 +10,6 @@ digits of n, so none of this ever touches big integers.
 from __future__ import annotations
 
 import threading
-from typing import NamedTuple
 
 
 def v2(n: int) -> int:
@@ -22,19 +21,6 @@ def v2(n: int) -> int:
     if n <= 0:
         raise ValueError(f"v2 is defined for positive integers, got {n}")
     return (n & -n).bit_length() - 1
-
-
-def adjacent_ones(n: int) -> int:
-    """Number of positions where two consecutive binary digits are both 1.
-
-    >>> adjacent_ones(7)   # 111
-    2
-    >>> adjacent_ones(42)  # 101010
-    0
-    """
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    return (n & (n >> 1)).bit_count()
 
 
 def top_two_bits(n: int) -> int:
@@ -54,27 +40,6 @@ def bit_positions(n: int) -> frozenset[int]:
     return frozenset(i for i in range(n.bit_length()) if (n >> i) & 1)
 
 
-class BinaryStats(NamedTuple):
-    n: int
-    v2: int
-    ones: int
-    adjacent: int
-    top_two: int
-    bits: frozenset[int]
-
-
-def binary_stats(n: int) -> BinaryStats:
-    """All binary statistics of n in one pass.
-
-    >>> binary_stats(12).v2, binary_stats(12).ones
-    (2, 2)
-    """
-    if n <= 0:
-        raise ValueError(f"binary_stats is defined for positive integers, got {n}")
-    return BinaryStats(n, v2(n), n.bit_count(), adjacent_ones(n),
-                       top_two_bits(n), bit_positions(n))
-
-
 def sign_parity(n: int) -> int:
     """0 if the odd part of n is 1 mod 4, 1 if it is 3 mod 4."""
     if n <= 0:
@@ -85,7 +50,9 @@ def sign_parity(n: int) -> int:
 def odd_sign(n: int) -> int:
     """Sign encoding of the odd part of n mod 4: +1 for 1, -1 for 3.
 
-    Multiplicative: odd_sign(m * n) == odd_sign(m) * odd_sign(n).
+    Multiplicative: odd_sign(m * n) == odd_sign(m) * odd_sign(n).  The
+    paper's a1/a3 split is this sign of the dimension; for a self-conjugate
+    shape only its diagonal hooks can change it (tests/test_alternating.py).
 
     >>> odd_sign(12), odd_sign(20)
     (-1, 1)
@@ -94,25 +61,21 @@ def odd_sign(n: int) -> int:
 
 
 def factorial_sign_parity(n: int) -> int:
-    """Parity form of odd_sign_factorial, for cheap accumulation."""
+    """Sign parity of the odd part of n!, in O(1) bit operations.
+
+    0 when the odd part of n! is 1 mod 4, 1 when it is 3 mod 4.  This is
+    the XOR of sign_parity(r) for r = 1..n, but computed from the binary
+    digits of n alone: the number of adjacent 1-digit pairs of n plus the
+    digit count of n//4, mod 2.
+
+    >>> factorial_sign_parity(4)   # 24 = 8 * 3
+    1
+    >>> factorial_sign_parity(7)   # 5040 = 16 * 315, 315 = 4*78+3
+    1
+    """
     if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
     return ((n & (n >> 1)).bit_count() + (n >> 2).bit_count()) & 1
-
-
-def odd_sign_factorial(n: int) -> int:
-    """Sign of the odd part of n! mod 4, in O(1) bit operations.
-
-    Equals the product of odd_sign(r) for r = 1..n, but computed from the
-    binary digits of n alone: -1 raised to (number of adjacent 1-digit pairs
-    of n, plus the digit count of n//4).
-
-    >>> odd_sign_factorial(4)   # 24 = 8 * 3
-    -1
-    >>> odd_sign_factorial(7)   # 5040 = 16 * 315, 315 = 4*78+3
-    -1
-    """
-    return -1 if factorial_sign_parity(n) else 1
 
 
 def is_sparse(n: int) -> bool:
@@ -153,6 +116,8 @@ def _grow_tables(n: int) -> None:
 def binom_mod4_counts(n: int) -> tuple[int, int]:
     """How many entries of row n of Pascal's triangle are 1 and 3 mod 4.
 
+    Paper fact (acceptance criterion 13): the two counts are equal when n
+    has two adjacent 1-digits, and every odd entry is 1 mod 4 otherwise.
     Residues come from valuation and sign arithmetic on factorials, never
     from the binomial values themselves: C(n,k) is odd exactly when the
     factorial valuations n - ones(n) cancel, and then its mod-4 residue is

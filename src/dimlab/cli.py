@@ -7,13 +7,15 @@ Subcommands
     parents <partition> --r R   list hook-addition parents with sign data;
                           refused when |partition| + 2^R exceeds 80
     alt <n>               alternating-group counts for one n
-    bench --max-n N       throughput of the odd stream vs the full sweep
 
 Each subcommand builds its output as rows of named values, plus the
 lines it prints as text and, where its JSON is shaped differently, the
 JSON document; one emitter writes whichever --format asks for.  CSV
 lines end in "\\n", --header prints the keys of the first row, and an
 absent value is written as an empty field.
+
+The parser is built once per process and reused by every call of main.
+Timing lives in the benchmark (python3 perfbench/run.py), not here.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141
 (128 + SIGPIPE) when the reader closes stdout early.
@@ -33,10 +35,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
-import time
 from typing import Iterable, Sequence
 
 from . import alternating, enumeration
@@ -45,7 +47,7 @@ from .core_towers import render_tower, row_weights, tower
 from .enumeration import DEFAULT_ORACLE_BOUND
 from .errors import SizeLimitError
 from .parents import all_parents, sign_flip_parity, predict_parent_sign
-from .partitions import Partition, dim_mod4, ENUMERATION_LIMIT, enumerate_partitions
+from .partitions import Partition, dim_mod4
 
 
 def _positive_int(text: str) -> int:
@@ -81,17 +83,14 @@ def _oracle_bound(args: argparse.Namespace) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimlab",
-        description="Partition counts by dimension residue mod 4, with verification tools.",
+        description="Partition counts by dimension residue mod 4, with verification tools. "
+                    "Every subcommand takes --format csv|json|text and --header.",
     )
-    # Every subcommand takes -h from this parent instead of adding its own:
-    # argparse builds a help formatter for each add_argument, so a help
-    # action per subparser costs more than this parser, and the parser is
-    # built on every call.
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("-h", "--help", action="help", help="show this help message and exit")
     shared.add_argument(
         "--format", choices=("csv", "json", "text"), default="text",
         help="output encoding (default text)",
@@ -111,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, summary, *extra):
-        cmd = sub.add_parser(name, parents=[shared, *extra], add_help=False, help=summary)
+        cmd = sub.add_parser(name, parents=[shared, *extra], help=summary)
         cmd.set_defaults(run=run)
         return cmd
 
@@ -131,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_alt = command("alt", _cmd_alt, "alternating-group counts for n", bounded)
     p_alt.add_argument("n", type=_positive_int)
-
-    p_bench = command("bench", _cmd_bench, "odd stream vs full sweep timing")
-    p_bench.add_argument("--max-n", type=_positive_int, required=True, metavar="N")
 
     return parser
 
@@ -279,33 +275,6 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 f"({failures} mismatches)")
     _emit(args, rows, text, {"max_n": args.max_n, "mismatches": failures, "suites": suites})
     return 1 if failures else 0
-
-
-def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.max_n > ENUMERATION_LIMIT:
-        parser.error(f"--max-n {args.max_n} exceeds the enumeration limit {ENUMERATION_LIMIT}")
-    start = time.perf_counter()
-    odd_items = sum(1 for n in range(1, args.max_n + 1)
-                    for _ in enumeration.enumerate_odd_partitions(n))
-    odd_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    all_items = 0
-    for n in range(1, args.max_n + 1):
-        for p in enumerate_partitions(n):
-            dim_mod4(p)
-            all_items += 1
-    all_seconds = time.perf_counter() - start
-
-    rows = [
-        {"method": "odd-stream", "items": odd_items, "seconds": round(odd_seconds, 4),
-         "rate": round(odd_items / odd_seconds) if odd_seconds else None},
-        {"method": "full-sweep", "items": all_items, "seconds": round(all_seconds, 4),
-         "rate": round(all_items / all_seconds) if all_seconds else None},
-    ]
-    _emit(args, rows, (f"{row['method']}: {row['items']} partitions in {row['seconds']}s "
-                       f"({row['rate']}/s)" for row in rows))
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

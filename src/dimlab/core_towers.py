@@ -160,16 +160,6 @@ def tower_to_partition(t: CoreTower) -> Partition:
     return Partition(parts_of(level[0]))
 
 
-def truncate(t: CoreTower, depth: int) -> CoreTower:
-    """Keep the first `depth` rows, trimming any all-empty tail."""
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    rows = list(t.rows[:depth])
-    while len(rows) > 1 and not any(node.size for node in rows[-1]):
-        rows.pop()
-    return CoreTower(tuple(rows))
-
-
 def row_weights(t: CoreTower) -> tuple[int, ...]:
     return tuple(sum(node.size for node in row) for row in t.rows)
 
@@ -201,6 +191,10 @@ def classify_by_tower(p: Partition) -> str:
 
 def count_row_fillings(k: int, weight: int) -> int:
     """How many ways row k can carry the given total weight (0 <= w <= 3).
+
+    Paper fact: count_odd(n) is the product over rows k of the fillings
+    of weight n's binary digit k, and a2(n) sums the same product with one
+    digit 1 at R moved to weight 2 more in row R - 1.
 
     Weight 2 forces two nodes of size one (no 2-core has size two), and
     weight 3 is either a single (2,1) or three nodes of size one.

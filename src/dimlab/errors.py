@@ -3,7 +3,3 @@
 
 class SizeLimitError(ValueError):
     """An input is larger than the configured bound for exact computation."""
-
-
-class HookRemovalError(ValueError):
-    """A requested hook removal is not available on the given beta-set."""

@@ -13,12 +13,12 @@ odd stream carries signs down without building a partition.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .binary_arith import sign_parity, top_two_bits
 from .beta_sets import first_column_hooks, mask_of, move_bead, parts_of, shift_mask
 from .errors import SizeLimitError
-from .partitions import ENUMERATION_LIMIT, DimClass, Partition, dim_mod4
+from .partitions import ENUMERATION_LIMIT, Partition
 
 
 class ParentRecord(NamedTuple):
@@ -60,49 +60,10 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
             for kind, param, affected, x in _hook_additions(mask_of(core), t)]
 
 
-def type1_parents(core: Partition, r_power: int) -> list[ParentRecord]:
-    """Kind I: bump one first-column hook by 2^r_power, largest first."""
-    return [rec for rec in all_parents(core, r_power) if rec.kind == "I"]
-
-
-def type2_parents(core: Partition, r_power: int) -> list[ParentRecord]:
-    """Kind II: shift by r = 1..2^r_power, then insert 2^r_power.
-
-    Shifts that already hold 2^r_power are skipped, which leaves exactly
-    2^r_power - len(hooks) records.
-    """
-    return [rec for rec in all_parents(core, r_power) if rec.kind == "II"]
-
-
-def split_type2(records: Iterable[ParentRecord]) -> tuple[list[ParentRecord], list[ParentRecord]]:
-    """Split kind-II records into shifts r <= 2^(R-1) and shifts above."""
-    low: list[ParentRecord] = []
-    high: list[ParentRecord] = []
-    for rec in records:
-        if rec.kind != "II":
-            raise ValueError(f"expected kind II records, got kind {rec.kind}")
-        half = 1 << (rec.r_power - 1)
-        (low if rec.param <= half else high).append(rec)
-    return low, high
-
-
-def _bead(x: int, h: int) -> int:
-    # negative positions read as empty
-    return h >= 0 and x >> h & 1
-
-
 def _between(x: int, h: int, t: int) -> int:
     # beads of abacus x strictly between h - t and h
     lo = max(h - t + 1, 0)
     return ((x & ((1 << h) - 1)) >> lo).bit_count()
-
-
-def count_between(p: Partition, h: int, r_power: int) -> int:
-    """First-column hooks of p strictly between h - 2^r_power and h."""
-    x = mask_of(p)
-    if not _bead(x, h):
-        raise ValueError(f"{h} is not a first-column hook of {p}")
-    return _between(x, h, 1 << r_power)
 
 
 def _flip_parity(x: int, h: int, t: int) -> int:
@@ -152,19 +113,3 @@ def predict_parent_sign(rec: ParentRecord, core_sign: int) -> int:
         raise ValueError(f"prediction needs a parent of size above 3, got {n}")
     return -core_sign if _sign_step(n, rec.affected, sign_flip_parity(rec)) else core_sign
 
-
-def signed_sum(records: Iterable[ParentRecord], core: Partition) -> int:
-    """Sum of the parents' dimension signs, normalized by the core's sign.
-
-    Every record must belong to the given core and every parent must have
-    odd dimension.
-    """
-    total = 0
-    for rec in records:
-        if rec.core != core:
-            raise ValueError(f"record {rec} does not belong to core {core}")
-        cls: DimClass = dim_mod4(rec.parent)
-        if cls.v2 != 0:
-            raise ValueError(f"parent {rec.parent} has even dimension")
-        total += cls.sign
-    return total * dim_mod4(core).sign

@@ -117,7 +117,11 @@ def hook_lengths(p: Partition) -> list[int]:
 
 
 def diagonal_hooks(p: Partition) -> list[int]:
-    """Hook lengths of the diagonal cells (i, i)."""
+    """Hook lengths of the diagonal cells (i, i).
+
+    Paper fact: a self-conjugate shape's other hooks pair up, so these
+    decide the sign of its dimension's odd part (tests/test_alternating.py).
+    """
     heights = _column_heights(p)
     out = []
     for i, row in enumerate(p.parts, 1):
@@ -238,7 +242,11 @@ def enumerate_partitions(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[Par
 
 
 def is_hook_partition(p: Partition) -> bool:
-    """True for shapes (n) and (a+1, 1, ..., 1): one row plus one column."""
+    """True for shapes (n) and (a+1, 1, ..., 1): one row plus one column.
+
+    Paper fact: at n = 2^k the partitions of dimension 2 mod 4 are hooks
+    or two rows over a tail of 2s and 1s (tests/test_alternating.py).
+    """
     if not p.parts:
         return False
     return all(part == 1 for part in p.parts[1:])

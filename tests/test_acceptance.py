@@ -12,17 +12,10 @@ import pytest
 
 from dimlab import alternating, enumeration
 from dimlab.beta_sets import first_column_hooks, parity_gap, t_core, to_partition
-from dimlab.binary_arith import binom_mod4_counts, is_sparse, odd_sign_factorial, sign_parity
+from dimlab.binary_arith import binom_mod4_counts, factorial_sign_parity, is_sparse, sign_parity
 from dimlab.core_towers import classify_by_tower, tower, tower_to_partition, two_core
 from dimlab.enumeration import EXACT, FALLBACK
-from dimlab.parents import (
-    all_parents,
-    predict_parent_sign,
-    signed_sum,
-    split_type2,
-    type1_parents,
-    type2_parents,
-)
+from dimlab.parents import all_parents, predict_parent_sign
 from dimlab.partitions import (
     _dim_mod4_beta,
     _dim_mod4_hooks,
@@ -153,13 +146,21 @@ def test_signed_sums():
                 continue
             for mu in enumeration.enumerate_odd_partitions(m):
                 k = len(first_column_hooks(mu))
-                t1 = signed_sum(type1_parents(mu, r), mu)
-                assert t1 == (0 if k % 2 == 0 else 1), (mu, r)
-                t2 = signed_sum(type2_parents(mu, r), mu)
+                core_sign = dim_mod4(mu).sign
+                # signed sums, normalized by the core's sign, by kind and shift
+                sums = {"I": 0, "II low": 0, "II high": 0}
+                for rec in all_parents(mu, r):
+                    cls = dim_mod4(rec.parent)
+                    assert cls.v2 == 0, rec
+                    group = "I" if rec.kind == "I" else (
+                        "II low" if rec.param <= half else "II high")
+                    sums[group] += cls.sign * core_sign
+                assert sums["I"] == (0 if k % 2 == 0 else 1), (mu, r)
+                t2 = sums["II low"] + sums["II high"]
                 assert t2 == (2 if k % 2 == 0 else 1) - 2 * (-1) ** m, (mu, r)
-                low, high = split_type2(type2_parents(mu, r))
-                assert signed_sum(low, mu) == 2 * (-1) ** k * parity_gap(first_column_hooks(mu))
-                assert signed_sum(high, mu) == (0 if k % 2 == 0 else 1)
+                gap = parity_gap(first_column_hooks(mu))
+                assert sums["II low"] == 2 * (-1) ** k * gap, (mu, r)
+                assert sums["II high"] == (0 if k % 2 == 0 else 1), (mu, r)
 
 
 @criterion("09 factorial odd-part sign closed form up to 100000 in one second")
@@ -168,7 +169,7 @@ def test_factorial_sign():
     parity = 0
     for n in range(1, 100001):
         parity ^= sign_parity(n)
-        assert odd_sign_factorial(n) == (-1 if parity else 1), n
+        assert factorial_sign_parity(n) == parity, n
     assert time.perf_counter() - start < 1.0
 
 

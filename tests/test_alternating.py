@@ -14,13 +14,13 @@ from dimlab.alternating import (
     delta_circ,
     formula_alt_counts,
     hat_m2,
-    is_self_conjugate,
 )
 from dimlab.binary_arith import odd_sign
 from dimlab.enumeration import EXACT, FALLBACK
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import (
     Partition,
+    conjugate,
     diagonal_hooks,
     dim_mod4,
     enumerate_partitions,
@@ -123,7 +123,7 @@ def test_diagonal_hooks_carry_the_odd_sign():
     # factors, so only the diagonal can affect the sign of the odd part
     for n in range(1, 23):
         for p in enumerate_partitions(n):
-            if is_self_conjugate(p):
+            if p == conjugate(p):
                 assert odd_sign(prod(hook_lengths(p))) == odd_sign(
                     prod(diagonal_hooks(p))
                 )
@@ -153,7 +153,7 @@ def test_residue_two_shapes_at_powers_of_two(k):
 def test_residue_two_self_conjugate_shapes_past_powers(k):
     n = (1 << k) + 1
     for p in enumerate_partitions(n):
-        if is_self_conjugate(p) and dim_mod4(p).v2 == 1:
+        if p == conjugate(p) and dim_mod4(p).v2 == 1:
             d = diagonal_hooks(p)
             assert d[0] == n or (len(d) == 3 and d[2] == 1), p
 
@@ -163,7 +163,7 @@ def test_residue_two_self_conjugate_sign_is_plus(k):
     n = 1 << k
     hits = 0
     for p in enumerate_partitions(n):
-        if is_self_conjugate(p) and dim_mod4(p).v2 == 1:
+        if p == conjugate(p) and dim_mod4(p).v2 == 1:
             hits += 1
             assert dim_mod4(p).sign == 1, p
     assert hits == hat_m2(n)

@@ -6,23 +6,20 @@ from hypothesis import given, strategies as st
 from dimlab.beta_sets import (
     BetaSet,
     core_height,
-    equivalent,
     first_column_hooks,
     interleave,
     mask_of,
-    normalize,
+    move_bead,
     normalize_mask,
     parity_gap,
     parity_split,
     parts_of,
-    remove_hook,
     shift,
     shift_mask,
     t_core,
     t_core_mask,
     to_partition,
 )
-from dimlab.errors import HookRemovalError
 from dimlab.partitions import Partition, dim_mod4, enumerate_partitions
 
 
@@ -94,54 +91,44 @@ def test_shift_is_the_plain_set_shift(elements, r):
     assert set(shift(BetaSet(elements), r)) == {e + r for e in elements} | set(range(r))
 
 
+def abacus(elements):
+    return sum(1 << e for e in elements)
+
+
 @given(elements_st)
 def test_normalize_is_the_plain_set_rule(elements):
     # while 0 is present, drop it and move every other element down one
     x = set(elements)
     while 0 in x:
         x = {e - 1 for e in x if e}
-    assert set(normalize(BetaSet(elements))) == x
+    assert normalize_mask(abacus(elements)) == abacus(x)
 
 
-@given(elements_st, st.integers(min_value=0, max_value=45), st.integers(min_value=1, max_value=8))
-def test_remove_hook_is_the_plain_set_move(elements, h, t):
-    x = BetaSet(elements)
+@given(elements_st, st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=8))
+def test_remove_hook_is_the_plain_set_move(elements, i, t):
+    # a t-hook at bead h is removable when h >= t and h - t is empty
+    h = elements[i % len(elements)] if elements else 0
     if h in elements and h >= t and h - t not in elements:
-        assert set(remove_hook(x, h, t)) == set(elements) - {h} | {h - t}
-    else:
-        with pytest.raises(HookRemovalError):
-            remove_hook(x, h, t)
+        assert move_bead(abacus(elements), h, h - t) == abacus(set(elements) - {h} | {h - t})
 
 
 def test_normalize_and_equivalent():
-    x = BetaSet((6, 3, 1, 0))
-    assert normalize(x).elements == (4, 1)
-    assert equivalent(x, BetaSet((4, 1)))
-    assert equivalent(shift(x, 4), x)
-    assert not equivalent(x, BetaSet((6, 3, 1)))
+    # two abaci describe the same partition when they normalize alike
+    x = abacus((6, 3, 1, 0))
+    assert normalize_mask(x) == abacus((4, 1))
+    assert normalize_mask(shift_mask(x, 4)) == normalize_mask(x)
+    assert normalize_mask(abacus((6, 3, 1))) != normalize_mask(x)
 
 
 def test_remove_hook_chain():
-    x = BetaSet((10, 8, 7, 5, 2))
-    x = remove_hook(x, 8, 5)
-    assert x.elements == (10, 7, 5, 3, 2)
-    x = remove_hook(x, 5, 5)
-    assert x.elements == (10, 7, 3, 2, 0)
-    x = remove_hook(x, 10, 5)
-    assert x.elements == (7, 5, 3, 2, 0)
-    assert to_partition(x).parts == (3, 2, 1, 1)
-
-
-def test_remove_hook_errors():
-    x = BetaSet((4, 3, 2))
-    with pytest.raises(HookRemovalError, match="not an element"):
-        remove_hook(x, 5, 2)
-    with pytest.raises(HookRemovalError, match="smaller"):
-        remove_hook(x, 2, 3)
-    with pytest.raises(HookRemovalError, match="already in"):
-        remove_hook(x, 4, 1)
-    with pytest.raises(ValueError):
-        remove_hook(x, 4, 0)
+    x = abacus((10, 8, 7, 5, 2))
+    x = move_bead(x, 8, 3)
+    assert x == abacus((10, 7, 5, 3, 2))
+    x = move_bead(x, 5, 0)
+    assert x == abacus((10, 7, 3, 2, 0))
+    x = move_bead(x, 10, 5)
+    assert x == abacus((7, 5, 3, 2, 0))
+    assert parts_of(x) == (3, 2, 1, 1)
 
 
 def test_t_core_examples():

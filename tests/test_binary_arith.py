@@ -7,15 +7,11 @@ from hypothesis import given, strategies as st
 
 from dimlab import binary_arith
 from dimlab.binary_arith import (
-    BinaryStats,
-    adjacent_ones,
-    binary_stats,
     binom_mod4_counts,
     bit_positions,
     factorial_sign_parity,
     is_sparse,
     odd_sign,
-    odd_sign_factorial,
     sign_parity,
     top_two_bits,
     v2,
@@ -33,13 +29,6 @@ def test_v2_rejects_zero():
         v2(0)
 
 
-def test_adjacent_ones():
-    assert adjacent_ones(0b111) == 2
-    assert adjacent_ones(0b101010) == 0
-    assert adjacent_ones(0b110110) == 2
-    assert adjacent_ones(0) == 0
-
-
 def test_top_two_bits():
     # single-bit numbers score 1, otherwise 1 plus the second bit
     assert top_two_bits(1) == 1
@@ -55,13 +44,6 @@ def test_bit_positions():
     assert bit_positions(42) == {1, 3, 5}
     assert bit_positions(1) == {0}
     assert sum(bit_positions(44)) == 10
-
-
-def test_binary_stats_bundle():
-    s = binary_stats(44)  # 0b101100
-    assert s == BinaryStats(
-        n=44, v2=2, ones=3, adjacent=1, top_two=1, bits=frozenset({2, 3, 5})
-    )
 
 
 def test_odd_sign_values():
@@ -98,9 +80,7 @@ def test_factorial_sign_closed_form():
     for n in range(1, 20001):
         parity ^= sign_parity(n)
         assert factorial_sign_parity(n) == parity
-    assert odd_sign_factorial(4) == -1
-    assert odd_sign_factorial(7) == -1
-    assert odd_sign_factorial(1) == 1
+    assert [factorial_sign_parity(n) for n in (0, 1, 4, 7)] == [0, 0, 1, 1]
 
 
 def test_factorial_valuation_is_n_minus_ones():

@@ -220,19 +220,6 @@ def test_alt_csv_row(capsys):
     ]
 
 
-def test_bench_small(capsys):
-    code, out, _ = run(capsys, "bench", "--max-n", "8", "--format", "csv", "--header")
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["method", "items", "seconds", "rate"]
-    assert rows[1][0] == "odd-stream" and rows[1][1] == "37"
-    assert rows[2][0] == "full-sweep" and rows[2][1] == "66"
-
-
-def test_bench_rejects_huge_n(capsys):
-    assert run(capsys, "bench", "--max-n", "500")[0] == 2
-
-
 def test_env_var_sets_bound(capsys, monkeypatch):
     monkeypatch.setenv("DIMLAB_ORACLE_BOUND", "9")
     assert run(capsys, "verify", "--max-n", "10")[0] == 2
@@ -248,13 +235,11 @@ def test_env_var_junk(capsys, monkeypatch):
     # the commands that take no oracle bound do not read it
     assert run(capsys, "tower", "3,1")[0] == 0
     assert run(capsys, "parents", "1", "--r", "2")[0] == 0
-    assert run(capsys, "bench", "--max-n", "4")[0] == 0
 
 
 def test_oracle_bound_only_where_it_is_used(capsys):
     assert run(capsys, "tower", "3,1", "--oracle-bound", "5")[0] == 2
     assert run(capsys, "parents", "1", "--r", "2", "--oracle-bound", "5")[0] == 2
-    assert run(capsys, "bench", "--max-n", "4", "--oracle-bound", "5")[0] == 2
     assert run(capsys, "counts", "6", "--oracle-bound", "5")[0] == 0
     assert run(capsys, "alt", "6", "--oracle-bound", "5")[0] == 0
     assert run(capsys, "verify", "--max-n", "5", "--oracle-bound", "5")[0] == 0
@@ -268,8 +253,23 @@ COMMANDS = {
     "parents": (["parents", "-", "--r", "2"],
                 ["parent", "kind", "param", "affected", "eta", "predicted", "actual"]),
     "verify": (["verify", "--max-n", "6"], ["suite", "ok", "mismatches"]),
-    "bench": (["bench", "--max-n", "6"], ["method", "items", "seconds", "rate"]),
 }
+
+
+def test_help_lists_format_for_every_command(capsys):
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert "--format" in out and all(command in out for command in COMMANDS)
+    for command in COMMANDS:
+        code, out, err = run(capsys, command, "-h")
+        assert (code, err) == (0, ""), command
+        assert out.startswith(f"usage: dimlab {command}") and "--format" in out, command
+
+
+def test_bench_is_gone(capsys):
+    code, out, err = run(capsys, "bench", "--max-n", "4")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'bench'" in err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])

@@ -13,7 +13,6 @@ from dimlab.core_towers import (
     staircase,
     tower,
     tower_to_partition,
-    truncate,
     two_core,
     two_quotient,
 )
@@ -129,17 +128,6 @@ def test_flip_is_conjugation():
     for n in range(0, 13):
         for p in enumerate_partitions(n):
             assert tower(p).flip() == tower(conjugate(p))
-
-
-def test_truncate():
-    t = tower(P(6, 5, 4, 2, 1, 1))
-    assert truncate(t, 10) == t
-    assert truncate(t, 3).depth == 3
-    assert row_weights(truncate(t, 3)) == (3, 0, 2)
-    # an all-empty tail is trimmed off
-    assert truncate(tower(P(3, 3, 3)), 2).depth == 1
-    with pytest.raises(ValueError):
-        truncate(t, 0)
 
 
 def test_classification_agrees_with_residue():

@@ -5,18 +5,23 @@ from dimlab.beta_sets import first_column_hooks, mask_of, parity_gap, t_core
 from dimlab.enumeration import enumerate_odd_partitions
 from dimlab.errors import SizeLimitError
 from dimlab.parents import (
+    _between,
     _flip_parity,
     _flip_product_parity,
     all_parents,
-    count_between,
     predict_parent_sign,
     sign_flip_parity,
-    signed_sum,
-    split_type2,
-    type1_parents,
-    type2_parents,
 )
-from dimlab.partitions import Partition, dim_exact, dim_mod4, enumerate_partitions
+from dimlab.partitions import Partition, dim_mod4, enumerate_partitions
+
+
+def kinds(mu, r):
+    """all_parents(mu, r) split into kind I, kind II with shift <= 2^(r-1), and the rest."""
+    half = 1 << (r - 1)
+    recs = all_parents(mu, r)
+    return ([rec for rec in recs if rec.kind == "I"],
+            [rec for rec in recs if rec.kind == "II" and rec.param <= half],
+            [rec for rec in recs if rec.kind == "II" and rec.param > half])
 
 
 def test_parents_of_single_box():
@@ -38,9 +43,9 @@ def test_parent_counts_match_hook_set_size():
         for mu in enumerate_partitions(m):
             for r in (3, 4):
                 k = len(first_column_hooks(mu))
-                assert len(type1_parents(mu, r)) == k
-                assert len(type2_parents(mu, r)) == (1 << r) - k
                 recs = all_parents(mu, r)
+                assert sum(rec.kind == "I" for rec in recs) == k
+                assert sum(rec.kind == "II" for rec in recs) == (1 << r) - k
                 assert len({rec.parent for rec in recs}) == 1 << r
 
 
@@ -73,7 +78,7 @@ def test_parents_past_the_enumeration_bound_are_refused():
     with pytest.raises(SizeLimitError):
         all_parents(Partition((17,)), 6)
     with pytest.raises(SizeLimitError):
-        type2_parents(Partition(()), 40)
+        all_parents(Partition(()), 40)
 
 
 def test_parents_of_odd_cores_are_odd():
@@ -93,7 +98,7 @@ def test_type1_affected_avoids_half_shift():
         half = 1 << (r - 1)
         for m in range(0, half):
             for mu in enumerate_odd_partitions(m):
-                for rec in type1_parents(mu, r):
+                for rec in kinds(mu, r)[0]:
                     assert rec.affected - half not in first_column_hooks(rec.parent)
 
 
@@ -103,25 +108,15 @@ def test_type2_split_and_admissible_shifts():
         half = 1 << (r - 1)
         for m in range(0, half):
             for mu in enumerate_odd_partitions(m):
-                low, high = split_type2(type2_parents(mu, r))
+                _, low, high = kinds(mu, r)
                 assert [rec.param for rec in low] == list(range(1, half + 1))
                 assert len(high) == half - len(first_column_hooks(mu))
 
 
-def test_split_type2_rejects_type1():
-    recs = type1_parents(Partition((1,)), 2)
-    with pytest.raises(ValueError):
-        split_type2(recs)
-
-
 def test_count_between():
-    p = Partition((2, 2, 1))  # hook set {4, 3, 1}
-    assert count_between(p, 4, 1) == 1
-    assert count_between(p, 4, 2) == 2
-    with pytest.raises(ValueError):
-        count_between(p, 2, 1)
-    with pytest.raises(ValueError):
-        count_between(p, -1, 1)
+    x = mask_of(Partition((2, 2, 1)))  # hook set {4, 3, 1}
+    assert _between(x, 4, 2) == 1
+    assert _between(x, 4, 4) == 2
 
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=8).map(
@@ -136,7 +131,7 @@ def test_count_between_is_the_brute_count(p, i, r_power):
         return
     h = hooks[i % len(hooks)]
     lo = h - (1 << r_power)
-    assert count_between(p, h, r_power) == sum(1 for y in hooks if lo < y < h)
+    assert _between(mask_of(p), h, 1 << r_power) == sum(1 for y in hooks if lo < y < h)
 
 
 SMALL_CORES = {r: [mu for m in range(1 << r) for mu in enumerate_partitions(m)]
@@ -192,27 +187,20 @@ def test_predict_rejects_tiny_parents():
         predict_parent_sign(rec, 1)
 
 
+def signed(recs, core):
+    """Sum of the parents' dimension signs, normalized by the core's sign."""
+    return dim_mod4(core).sign * sum(dim_mod4(rec.parent).sign for rec in recs)
+
+
 def test_signed_sums_match_closed_forms():
     for r in (2, 3):
         half = 1 << (r - 1)
         for m in range(0, half):
             for mu in enumerate_odd_partitions(m):
                 k = len(first_column_hooks(mu))
-                assert signed_sum(type1_parents(mu, r), mu) == (0 if k % 2 == 0 else 1)
-                want = (2 if k % 2 == 0 else 1) - 2 * (-1) ** m
-                assert signed_sum(type2_parents(mu, r), mu) == want
-                low, high = split_type2(type2_parents(mu, r))
+                type1, low, high = kinds(mu, r)
+                assert signed(type1, mu) == (0 if k % 2 == 0 else 1)
+                assert signed(low + high, mu) == (2 if k % 2 == 0 else 1) - 2 * (-1) ** m
                 gap = parity_gap(first_column_hooks(mu))
-                assert signed_sum(low, mu) == 2 * (-1) ** k * gap
-                assert signed_sum(high, mu) == (0 if k % 2 == 0 else 1)
-
-
-def test_signed_sum_rejects_foreign_and_even_records():
-    mu = Partition((1,))
-    recs = all_parents(mu, 2)
-    with pytest.raises(ValueError, match="belong"):
-        signed_sum(recs, Partition((2,)))
-    even_core = Partition((2, 1))
-    assert dim_exact(Partition((6, 1))) == 6
-    with pytest.raises(ValueError, match="even"):
-        signed_sum(type1_parents(even_core, 2), even_core)
+                assert signed(low, mu) == 2 * (-1) ** k * gap
+                assert signed(high, mu) == (0 if k % 2 == 0 else 1)
