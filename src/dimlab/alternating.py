@@ -5,19 +5,23 @@ self-conjugate partition splits into two irreducibles of half its
 dimension, and a conjugate pair collapses to a single irreducible.  The
 counts by residue therefore follow from the partition counts, with a
 correction term for self-conjugate partitions whose dimension is twice
-an odd number.
+an odd number.  The oracle does no walk of its own: it reads the
+brute-force sweep of `enumeration`, which tallies those self-conjugate
+shapes beside the residue counts, under the same bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from functools import cache
 
-from .enumeration import DEFAULT_ORACLE_BOUND, EXACT, count_odd, delta
+from .enumeration import (DEFAULT_ORACLE_BOUND, EXACT, _oracle_sweep, _split_signed,
+                          clear_caches, count_odd, delta)
 from .errors import SizeLimitError
-from .partitions import conjugate, dim_mod4, enumerate_partitions
 
-DEFAULT_ALT_ORACLE_BOUND = 36
+# The oracle has no bound or cache of its own.  DEFAULT_ALT_ORACLE_BOUND and
+# clear_caches (the enumeration one, imported above) stay only because the
+# benchmark in perfbench/ reads them.
+DEFAULT_ALT_ORACLE_BOUND = DEFAULT_ORACLE_BOUND
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,6 +43,14 @@ class AltReport:
             raise ValueError(f"delta_circ {self.delta_circ} != a1_circ - a3_circ")
 
 
+def _power_base(n: int) -> int:
+    # n or n - 1, whichever is a power of two >= 4; 0 when neither is
+    for base in (n, n - 1):
+        if base >= 4 and base & (base - 1) == 0:
+            return base
+    return 0
+
+
 def hat_m2(n: int) -> int:
     """Self-conjugate partitions of n whose dimension is 2 mod 4.
 
@@ -53,10 +65,8 @@ def hat_m2(n: int) -> int:
         raise ValueError(f"n must be positive, got {n}")
     if n == 3:
         return 1
-    for base in (n, n - 1):
-        if base >= 4 and base & (base - 1) == 0:
-            return 1 << (base.bit_length() - 3)
-    return 0
+    base = _power_base(n)
+    return 1 << (base.bit_length() - 3) if base else 0
 
 
 def a_circ(n: int) -> int:
@@ -95,9 +105,9 @@ def delta_circ(n: int, oracle_bound: int | None = None) -> tuple[int, str]:
         return (1, EXACT)
     if n == 3:
         return (3, EXACT)
-    for base, off in ((n, 0), (n - 1, -2)):
-        if base >= 4 and base & (base - 1) == 0:
-            return ((1 << (base.bit_length() - 2)) + off, EXACT)
+    base = _power_base(n)
+    if base:
+        return ((1 << (base.bit_length() - 2)) - (0 if base == n else 2), EXACT)
     value, status = delta(n, oracle_bound)
     half, rem = divmod(value, 2)
     if rem:
@@ -106,67 +116,41 @@ def delta_circ(n: int, oracle_bound: int | None = None) -> tuple[int, str]:
 
 
 def a1_a3_circ(n: int, oracle_bound: int | None = None) -> tuple[int, int]:
-    a = a_circ(n)
-    value, _ = delta_circ(n, oracle_bound)
-    if (a + value) % 2:
-        raise RuntimeError(f"parity violation at n={n}: a_circ={a}, delta_circ={value}")
-    return (a + value) // 2, (a - value) // 2
+    return _split_signed(n, a_circ(n), delta_circ(n, oracle_bound)[0])
 
 
 def formula_alt_counts(n: int, oracle_bound: int | None = None) -> AltReport:
-    _, status = delta_circ(n, oracle_bound)
-    a1, a3 = a1_a3_circ(n, oracle_bound)
+    """Assemble an AltReport from the closed forms; source becomes
+    "mixed" when delta_circ took the symmetric-group odd-stream fallback,
+    which answers only up to `oracle_bound` (default DEFAULT_ORACLE_BOUND)
+    and raises SizeLimitError past it."""
+    value, status = delta_circ(n, oracle_bound)
+    a1, a3 = _split_signed(n, a_circ(n), value)
     return AltReport(
-        n=n, a_circ=a1 + a3, a1_circ=a1, a3_circ=a3, delta_circ=a1 - a3,
+        n=n, a_circ=a1 + a3, a1_circ=a1, a3_circ=a3, delta_circ=value,
         m2_hat=hat_m2(n), source="formula" if status == EXACT else "mixed",
     )
 
 
-@cache
-def _alt_sweep(n: int) -> tuple[int, int, int]:
-    ones = 0
-    threes = 0
-    twice_odd = 0
-    for p in enumerate_partitions(n):
-        conj = conjugate(p)
-        if p == conj:
-            cls = dim_mod4(p)
-            assert cls.v2 >= 1, f"self-conjugate {p} has odd dimension"
-            if cls.v2 == 1:
-                twice_odd += 1
-                # both halves are odd with the sign the even dimension carried
-                if cls.sign == 1:
-                    ones += 2
-                else:
-                    threes += 2
-        elif p.parts < conj.parts:
-            cls = dim_mod4(p)
-            if cls.v2 == 0:
-                if cls.sign == 1:
-                    ones += 1
-                else:
-                    threes += 1
-    return ones, threes, twice_odd
-
-
 def alternating_oracle(n: int, oracle_bound: int | None = None) -> AltReport:
-    """Walk all partitions of n and tally alternating-group degrees.
+    """Alternating-group degrees by residue, read off the brute-force sweep.
 
-    Self-conjugate shapes contribute two irreducibles of half the
-    dimension; unordered conjugate pairs contribute one of the full
-    dimension.  No group computation happens, only partition walks.
+    The sweep is the one `enumeration.oracle_counts` runs, with the same
+    bound (default DEFAULT_ORACLE_BOUND); past it SizeLimitError is
+    raised.  No group computation happens, only the partition walk.
     """
-    bound = DEFAULT_ALT_ORACLE_BOUND if oracle_bound is None else oracle_bound
+    bound = DEFAULT_ORACLE_BOUND if oracle_bound is None else oracle_bound
     if n < 3:
         raise ValueError(f"the oracle starts at n=3, got {n}")
     if n > bound:
         raise SizeLimitError(f"alternating sweep of n={n} exceeds the bound {bound}")
-    ones, threes, twice_odd = _alt_sweep(n)
+    c1, _, c3, plus, minus = _oracle_sweep(n)
+    # Restriction to A_n: conjugate shapes share a dimension, so the c1 and
+    # c3 odd shapes (none self-conjugate once n >= 2) pair off into c1/2 and
+    # c3/2 irreducibles; a self-conjugate shape of dimension 2 mod 4 splits
+    # into two odd halves carrying the sign of its odd part.
+    ones, threes = c1 // 2 + 2 * plus, c3 // 2 + 2 * minus
     return AltReport(
         n=n, a_circ=ones + threes, a1_circ=ones, a3_circ=threes,
-        delta_circ=ones - threes, m2_hat=twice_odd, source="oracle",
+        delta_circ=ones - threes, m2_hat=plus + minus, source="oracle",
     )
-
-
-def clear_caches() -> None:
-    _alt_sweep.cache_clear()

@@ -22,12 +22,13 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141
 
 The oracle bound B (default 40) caps two routes by n: the brute-force
 sweep over all p(n) partitions that verify replays the formulas
-against, and the signed odd-stream walk that counts and alt fall back
-to for delta when n starts "11" in binary with three or more ones (it
-visits the 2^(sum of bit positions) odd partitions of n).  Past B such
-an n is refused with exit 2.  Only counts, verify and alt take
---oracle-bound and read the environment variable DIMLAB_ORACLE_BOUND,
-which overrides the default; --oracle-bound overrides both.
+against, the alternating-group suite included, and the signed
+odd-stream walk that counts and alt fall back to for delta when n
+starts "11" in binary with three or more ones (it visits the 2^(sum of
+bit positions) odd partitions of n).  Past B such an n is refused with
+exit 2.  Only counts, verify and alt take --oracle-bound and read the
+environment variable DIMLAB_ORACLE_BOUND, which overrides the default;
+--oracle-bound overrides both.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     bounded = argparse.ArgumentParser(add_help=False)
     bounded.add_argument(
         "--oracle-bound", type=_positive_int, default=None, metavar="B",
-        help="largest n for the brute-force sweep of verify and the odd-stream "
-             "delta fallback of counts and alt (default from DIMLAB_ORACLE_BOUND, "
-             "else 40)",
+        help="largest n for the brute-force sweep of verify, its alternating "
+             "suite included, and the odd-stream delta fallback of counts and alt "
+             "(default from DIMLAB_ORACLE_BOUND, else 40)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -246,8 +247,8 @@ def _verify_suites(max_n: int, bound: int):
     yield "leading-11 values", bad
 
     bad = []
-    for n in range(3, min(max_n, alternating.DEFAULT_ALT_ORACLE_BOUND) + 1):
-        rep = alternating.alternating_oracle(n)
+    for n in range(3, max_n + 1):
+        rep = alternating.alternating_oracle(n, bound)
         if alternating.hat_m2(n) != rep.m2_hat:
             bad.append(f"n={n}: hat_m2 {alternating.hat_m2(n)} oracle {rep.m2_hat}")
         if alternating.a_circ(n) != rep.a_circ:

@@ -10,7 +10,8 @@ walk over the odd-partition stream and says so in its status flag.  The
 walk visits only the a(n) odd abaci and carries each dimension's sign
 down from its core with the parent-sign step of `parents`, so it builds
 no partition and computes no dimension.  The brute-force sweep over all
-p(n) partitions stays as the independent oracle.
+p(n) partitions stays as the independent oracle, for the symmetric group
+and, through its self-conjugate tally, for the alternating group.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .beta_sets import parts_of
 from .binary_arith import bit_positions, is_sparse
 from .errors import SizeLimitError
 from .parents import _flip_parity, _hook_additions, _sign_step
-from .partitions import Partition, dim_mod4, enumerate_partitions
+from .partitions import Partition, conjugate, dim_mod4, enumerate_partitions
 
 DEFAULT_ORACLE_BOUND = 40
 
@@ -139,17 +140,20 @@ def delta(n: int, oracle_bound: int | None = None) -> tuple[int, str]:
     return _delta(n, DEFAULT_ORACLE_BOUND if oracle_bound is None else oracle_bound)
 
 
+def _split_signed(n: int, a: int, value: int) -> tuple[int, int]:
+    # (a + value) / 2 and (a - value) / 2: the residue-1 and residue-3
+    # counts from an odd count and its signed difference
+    if (a + value) % 2:
+        raise RuntimeError(f"parity violation at n={n}: odd count {a}, signed count {value}")
+    one, three = (a + value) // 2, (a - value) // 2
+    if one < 0 or three < 0:
+        raise RuntimeError(f"negative count at n={n}: {one} and {three}")
+    return one, three
+
+
 def a1_a3(n: int, oracle_bound: int | None = None) -> tuple[int, int]:
     """The residue-1 and residue-3 counts, from the odd count and delta."""
-    a = count_odd(n)
-    value, _ = delta(n, oracle_bound)
-    if (a + value) % 2:
-        raise RuntimeError(f"parity violation at n={n}: a={a}, delta={value}")
-    a1 = (a + value) // 2
-    a3 = (a - value) // 2
-    if a3 < 0 or a1 < 0:
-        raise RuntimeError(f"negative count at n={n}: a1={a1}, a3={a3}")
-    return a1, a3
+    return _split_signed(n, count_odd(n), delta(n, oracle_bound)[0])
 
 
 @cache
@@ -239,13 +243,19 @@ def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
 
 
 @cache
-def _oracle_sweep(n: int) -> tuple[int, int, int]:
-    tally = [0, 0, 0]  # residues 1, 2, 3
+def _oracle_sweep(n: int) -> tuple[int, int, int, int, int]:
+    # residues 1, 2, 3, then the self-conjugate shapes of dimension 2 mod 4
+    # whose odd part is 1 and 3 mod 4: the alternating oracle reads those
+    tally = [0, 0, 0, 0, 0]
     for p in enumerate_partitions(n):
         cls = dim_mod4(p)
         residue = cls.residue
         if residue:
             tally[residue - 1] += 1
+        if p and len(p) == p[0] and p == conjugate(p):
+            assert n < 2 or cls.v2 >= 1, f"self-conjugate {p} has odd dimension"
+            if cls.v2 == 1:
+                tally[3 if cls.sign == 1 else 4] += 1
     return tuple(tally)
 
 
@@ -257,7 +267,7 @@ def oracle_counts(n: int, oracle_bound: int | None = None) -> CountReport:
         raise ValueError(f"n must be non-negative, got {n}")
     if n > bound:
         raise SizeLimitError(f"oracle sweep of n={n} exceeds the bound {bound}")
-    c1, c2, c3 = _oracle_sweep(n)
+    c1, c2, c3, _, _ = _oracle_sweep(n)
     return CountReport(
         n=n, a=c1 + c3, a1=c1, a2=c2, a3=c3,
         delta=c1 - c3, m4=c1 + c2 + c3, source="oracle",
@@ -267,8 +277,8 @@ def oracle_counts(n: int, oracle_bound: int | None = None) -> CountReport:
 def formula_counts(n: int, oracle_bound: int | None = None) -> CountReport:
     """Assemble a CountReport from the closed forms; source becomes
     "mixed" when delta needed the odd-stream fallback."""
-    _, status = delta(n, oracle_bound)
-    a1, a3 = a1_a3(n, oracle_bound)
+    value, status = delta(n, oracle_bound)
+    a1, a3 = _split_signed(n, count_odd(n), value)
     two = a2(n)
     return CountReport(
         n=n, a=a1 + a3, a1=a1, a2=two, a3=a3,

@@ -196,12 +196,13 @@ def test_bijections():
             assert tower(conjugate(p)) == t.flip()
 
 
-@criterion("12 alternating-group counts match the restriction oracle up to 30")
-def test_alternating_counts():
+@criterion("12 alternating-group counts match the restriction oracle up to 40")
+def test_alternating_counts(oracle):
     assert alternating.a_circ(3) == 3
     assert alternating.delta_circ(8) == (4, EXACT)
     assert alternating.delta_circ(9) == (2, EXACT)
-    for n in range(3, 31):
+    # the fixture has run the shared sweep for every n, so these are cache reads
+    for n in range(3, max(oracle["reports"]) + 1):
         rep = alternating.alternating_oracle(n)
         got = alternating.formula_alt_counts(n)
         assert (got.a_circ, got.a1_circ, got.a3_circ, got.delta_circ, got.m2_hat) == (

@@ -6,7 +6,6 @@ from math import prod
 import pytest
 
 from dimlab.alternating import (
-    DEFAULT_ALT_ORACLE_BOUND,
     AltReport,
     a1_a3_circ,
     a_circ,
@@ -16,7 +15,7 @@ from dimlab.alternating import (
     hat_m2,
 )
 from dimlab.binary_arith import odd_sign
-from dimlab.enumeration import EXACT, FALLBACK
+from dimlab.enumeration import DEFAULT_ORACLE_BOUND, EXACT, FALLBACK
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import (
     Partition,
@@ -58,6 +57,36 @@ def test_oracle_matches_frozen_table(n, a, one, three, diff, twice):
         a, one, three, diff, twice,
     )
     assert rep.source == "oracle"
+
+
+def _pair_by_pair(n: int) -> tuple[int, int, int]:
+    # the reference route: each unordered conjugate pair restricts to one
+    # irreducible of its dimension, each self-conjugate shape to two of half
+    ones = threes = twice_odd = 0
+    for p in enumerate_partitions(n):
+        conj = conjugate(p)
+        cls = dim_mod4(p)
+        if p == conj:
+            # the oracle's derivation rests on this; its assert is gone under -O
+            assert cls.v2 >= 1, f"self-conjugate {p} has odd dimension"
+            if cls.v2 == 1:
+                twice_odd += 1
+                if cls.sign == 1:
+                    ones += 2
+                else:
+                    threes += 2
+        elif p.parts < conj.parts and cls.v2 == 0:
+            if cls.sign == 1:
+                ones += 1
+            else:
+                threes += 1
+    return ones, threes, twice_odd
+
+
+def test_oracle_matches_the_pair_by_pair_walk():
+    for n in range(3, 31):
+        rep = alternating_oracle(n)
+        assert (rep.a1_circ, rep.a3_circ, rep.m2_hat) == _pair_by_pair(n), n
 
 
 def test_hat_m2_values():
@@ -106,7 +135,7 @@ def test_oracle_bounds():
     with pytest.raises(ValueError):
         alternating_oracle(2)
     with pytest.raises(SizeLimitError):
-        alternating_oracle(DEFAULT_ALT_ORACLE_BOUND + 1)
+        alternating_oracle(DEFAULT_ORACLE_BOUND + 1)
     with pytest.raises(SizeLimitError):
         alternating_oracle(9, oracle_bound=8)
 

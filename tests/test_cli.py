@@ -10,7 +10,7 @@ import time
 import pytest
 
 import dimlab
-from dimlab import enumeration
+from dimlab import alternating, enumeration
 from dimlab.alternating import AltReport
 from dimlab.cli import main
 from dimlab.enumeration import CountReport
@@ -119,6 +119,18 @@ def test_verify_reports_mismatches_in_every_format(capsys, monkeypatch):
     assert code == 1
     assert rows[0] == ["odd-count formula", "False", "3"]
     assert sum(int(row[2]) for row in rows) == data["mismatches"]
+
+
+def test_verify_runs_the_alternating_suite_up_to_max_n(capsys, monkeypatch):
+    right = alternating.hat_m2
+    monkeypatch.setattr(alternating, "hat_m2", lambda n: right(n) + (n == 37))
+    code, out, _ = run(capsys, "verify", "--max-n", "37")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == ["FAIL alternating closed forms"]
+    at = lines.index(failed[0])
+    assert lines[at + 1].startswith("  n=37: hat_m2 1 oracle 0")
 
 
 def test_closed_stdout_exits_quietly():
