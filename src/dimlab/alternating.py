@@ -115,10 +115,6 @@ def delta_circ(n: int, oracle_bound: int | None = None) -> tuple[int, str]:
     return (half, status)
 
 
-def a1_a3_circ(n: int, oracle_bound: int | None = None) -> tuple[int, int]:
-    return _split_signed(n, a_circ(n), delta_circ(n, oracle_bound)[0])
-
-
 def formula_alt_counts(n: int, oracle_bound: int | None = None) -> AltReport:
     """Assemble an AltReport from the closed forms; source becomes
     "mixed" when delta_circ took the symmetric-group odd-stream fallback,

@@ -18,6 +18,7 @@ the int helpers.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 from .partitions import Partition
@@ -32,7 +33,7 @@ class BetaSet:
     __slots__ = ("elements", "mask")
 
     def __init__(self, elements: Iterable[int] = ()):
-        elems = tuple(sorted((int(x) for x in elements), reverse=True))
+        elems = tuple(sorted(map(operator.index, elements), reverse=True))
         mask = 0
         for x in elems:
             if x < 0:

@@ -23,6 +23,7 @@ boundary.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterator
@@ -99,14 +100,14 @@ def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     return Partition(parts_of(interleave(mask_of(q0), mask_of(q1), len(core))))
 
 
+@dataclass(frozen=True, slots=True)
 class CoreTower:
     """Rows of 2-cores; row k has 2^k entries, children of node j are 2j, 2j+1."""
 
-    __slots__ = ("rows",)
-
     rows: tuple[tuple[Partition, ...], ...]
 
-    def __init__(self, rows: tuple[tuple[Partition, ...], ...]):
+    def __post_init__(self) -> None:
+        rows = self.rows
         if not rows:
             raise ValueError("a tower needs at least one row")
         for k, row in enumerate(rows):
@@ -119,31 +120,17 @@ class CoreTower:
             raise ValueError("trailing all-empty row; trim before constructing")
         object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CoreTower is immutable")
-
     @property
     def depth(self) -> int:
         return len(self.rows)
 
     @property
     def size(self) -> int:
-        return sum((1 << k) * sum(node.size for node in row) for k, row in enumerate(self.rows))
+        return sum(w << k for k, w in enumerate(row_weights(self)))
 
     def flip(self) -> "CoreTower":
         """Mirror every row; this is what conjugation does to the tower."""
         return CoreTower(tuple(tuple(reversed(row)) for row in self.rows))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoreTower):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"CoreTower({self.rows!r})"
 
 
 def tower(p: Partition) -> CoreTower:
@@ -167,24 +154,20 @@ def row_weights(t: CoreTower) -> tuple[int, ...]:
 def classify_by_tower(p: Partition) -> str:
     """Residue class of the dimension, read off the tower's row weights.
 
-    "odd" when the weights reproduce the binary digits of n exactly;
-    "two_mod_4" when exactly one digit 1 at position R is traded for an
-    extra 2 at position R-1; "other" covers everything divisible by 4.
+    "odd" when every row weighs at most 1; "two_mod_4" when exactly one
+    row j weighs 2 or 3, row j + 1 is empty or absent and every other row
+    weighs at most 1; "other" covers everything divisible by 4.
     """
+    # The size identity sum(w[k] * 2^k) = n makes an all-0/1 weight vector
+    # n's binary digits, and the one heavy row j with row j + 1 empty is
+    # those digits with a 1 at j + 1 traded for an extra 2 at j.
     w = [sum(h * (h + 1) // 2 for h in heights) for heights in _rows(mask_of(p))]
-    n = p.size
-    depth = max(len(w), n.bit_length())
-    ww = list(w) + [0] * (depth - len(w))
-    bb = [(n >> i) & 1 for i in range(depth)]
-    if ww == bb:
+    heavy = [k for k, weight in enumerate(w) if weight > 1]
+    if not heavy:
         return "odd"
-    for r in range(1, depth):
-        if bb[r] != 1:
-            continue
-        want = list(bb)
-        want[r] = 0
-        want[r - 1] += 2
-        if ww == want:
+    if len(heavy) == 1:
+        j = heavy[0]
+        if w[j] <= 3 and (j + 1 == len(w) or w[j + 1] == 0):
             return "two_mod_4"
     return "other"
 

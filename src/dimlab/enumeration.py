@@ -151,11 +151,6 @@ def _split_signed(n: int, a: int, value: int) -> tuple[int, int]:
     return one, three
 
 
-def a1_a3(n: int, oracle_bound: int | None = None) -> tuple[int, int]:
-    """The residue-1 and residue-3 counts, from the odd count and delta."""
-    return _split_signed(n, count_odd(n), delta(n, oracle_bound)[0])
-
-
 @cache
 def a2(n: int) -> int:
     """Number of partitions of n with dimension exactly 2 mod 4.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator, NamedTuple
 
 from .binary_arith import _FACPAR, _SGNPAR, _V2, _grow_tables
@@ -22,7 +23,7 @@ class Partition:
     __slots__ = ("parts", "size")
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))
         prev = None
         for p in parts:
             if p < 1:
@@ -94,18 +95,6 @@ def _column_heights(p: Partition) -> list[int]:
     return heights
 
 
-def hook_length(p: Partition, i: int, j: int) -> int:
-    """Hook length of the cell in row i, column j (both 1-indexed).
-
-    >>> hook_length(Partition((4, 3, 3, 1)), 1, 2)
-    5
-    """
-    if not (1 <= i <= len(p.parts)) or not (1 <= j <= p.parts[i - 1]):
-        raise IndexError(f"cell ({i},{j}) is outside the diagram of {p}")
-    col_height = sum(1 for part in p.parts if part >= j)
-    return (p.parts[i - 1] - j) + (col_height - i) + 1
-
-
 def hook_lengths(p: Partition) -> list[int]:
     """All hook lengths, row-major."""
     heights = _column_heights(p)
@@ -166,30 +155,6 @@ class DimClass(NamedTuple):
         return 1 if self.sign == 1 else 3
 
 
-def _dim_mod4_beta(p: Partition) -> DimClass:
-    # determinant form on the first-column hooks h_i = parts[i] + k - 1 - i:
-    # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!)
-    n = p.size
-    _grow_tables(n)
-    parts = p.parts
-    k = len(parts)
-    hooks = [parts[i] + k - 1 - i for i in range(k)]
-    val = n - n.bit_count()
-    par = _FACPAR[n]
-    vt = _V2
-    st = _SGNPAR
-    ft = _FACPAR
-    for i in range(k):
-        hi = hooks[i]
-        val -= hi - hi.bit_count()
-        par ^= ft[hi]
-        for j in range(i + 1, k):
-            d = hi - hooks[j]
-            val += vt[d]
-            par ^= st[d]
-    return DimClass(val, -1 if par else 1)
-
-
 def _dim_mod4_hooks(p: Partition) -> DimClass:
     # quotient form: dim = n! / prod of all hook lengths
     n = p.size
@@ -213,19 +178,41 @@ def dim_mod4(p: Partition) -> DimClass:
     >>> dim_mod4(Partition((2, 2)))
     DimClass(v2=1, sign=1)
     """
-    return _dim_mod4_beta(p)
+    # determinant form on the first-column hooks h_i = parts[i] + k - 1 - i:
+    # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!)
+    n = p.size
+    _grow_tables(n)
+    parts = p.parts
+    k = len(parts)
+    hooks = [parts[i] + k - 1 - i for i in range(k)]
+    val = n - n.bit_count()
+    par = _FACPAR[n]
+    vt = _V2
+    st = _SGNPAR
+    ft = _FACPAR
+    for i in range(k):
+        hi = hooks[i]
+        val -= hi - hi.bit_count()
+        par ^= ft[hi]
+        for j in range(i + 1, k):
+            d = hi - hooks[j]
+            val += vt[d]
+            par ^= st[d]
+    return DimClass(val, -1 if par else 1)
 
 
-def enumerate_partitions(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse-lexicographic order, (n) first.
+
+    Refuses n > ENUMERATION_LIMIT with SizeLimitError.
 
     >>> [str(p) for p in enumerate_partitions(4)]
     ['4', '3,1', '2,2', '2,1,1', '1,1,1,1']
     """
     if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
-    if n > limit:
-        raise SizeLimitError(f"n = {n} exceeds the enumeration bound {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise SizeLimitError(f"n = {n} exceeds the enumeration bound {ENUMERATION_LIMIT}")
     buf: list[int] = []
 
     def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:

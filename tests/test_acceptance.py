@@ -17,7 +17,6 @@ from dimlab.core_towers import classify_by_tower, tower, tower_to_partition, two
 from dimlab.enumeration import EXACT, FALLBACK
 from dimlab.parents import all_parents, predict_parent_sign
 from dimlab.partitions import (
-    _dim_mod4_beta,
     _dim_mod4_hooks,
     conjugate,
     dim_mod4,
@@ -51,14 +50,14 @@ def oracle():
     start = time.perf_counter()
     reports = {n: enumeration.oracle_counts(n) for n in range(1, ORACLE_MAX + 1)}
     elapsed = time.perf_counter() - start
-    # the oracle's dim_mod4 runs the beta route only; replay the same inputs
+    # the oracle's dim_mod4 runs the first-column route only; replay the same inputs
     # through the hook-product route, outside the timed sweep
     checked = 0
     route_mismatches = []
     for n in range(0, ORACLE_MAX + 1):
         for p in enumerate_partitions(n):
             checked += 1
-            if _dim_mod4_beta(p) != _dim_mod4_hooks(p):
+            if dim_mod4(p) != _dim_mod4_hooks(p):
                 route_mismatches.append(p)
     return {"reports": reports, "elapsed": elapsed,
             "route_checked": checked, "route_mismatches": route_mismatches}

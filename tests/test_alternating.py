@@ -7,7 +7,6 @@ import pytest
 
 from dimlab.alternating import (
     AltReport,
-    a1_a3_circ,
     a_circ,
     alternating_oracle,
     delta_circ,
@@ -122,8 +121,9 @@ def test_delta_circ_values_and_statuses():
 
 
 def test_a1_a3_circ():
-    assert a1_a3_circ(9) == (5, 3)
-    assert a1_a3_circ(4) == (3, 1)
+    for n, want in ((9, (5, 3)), (4, (3, 1))):
+        report = formula_alt_counts(n)
+        assert (report.a1_circ, report.a3_circ) == want
 
 
 def test_sources():

@@ -39,6 +39,11 @@ def test_beta_set_rejects_bad_input():
         BetaSet((-1, 2))
 
 
+def test_beta_set_refuses_non_integral_elements():
+    with pytest.raises(TypeError):
+        BetaSet((3.9, 1))
+
+
 def test_first_column_hooks_examples():
     assert first_column_hooks(Partition((2, 2, 2))).elements == (4, 3, 2)
     assert first_column_hooks(Partition((6, 5, 5, 4, 2))).elements == (10, 8, 7, 5, 2)

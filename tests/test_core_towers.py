@@ -130,12 +130,30 @@ def test_flip_is_conjugation():
             assert tower(p).flip() == tower(conjugate(p))
 
 
+def residue_class(p):
+    v2 = dim_mod4(p).v2
+    return "odd" if v2 == 0 else ("two_mod_4" if v2 == 1 else "other")
+
+
 def test_classification_agrees_with_residue():
     for n in range(0, 17):
         for p in enumerate_partitions(n):
-            cls = dim_mod4(p)
-            want = "odd" if cls.v2 == 0 else ("two_mod_4" if cls.v2 == 1 else "other")
-            assert classify_by_tower(p) == want, p
+            assert classify_by_tower(p) == residue_class(p), p
+
+
+@st.composite
+def partitions_up_to(draw, most):
+    parts, room = [], draw(st.integers(min_value=0, max_value=most))
+    while room:
+        part = draw(st.integers(min_value=1, max_value=room))
+        parts.append(part)
+        room -= part
+    return Partition(tuple(sorted(parts, reverse=True)))
+
+
+@given(partitions_up_to(80))
+def test_classification_agrees_with_residue_up_to_80(p):
+    assert classify_by_tower(p) == residue_class(p)
 
 
 def test_count_row_fillings():
@@ -148,13 +166,14 @@ def test_count_row_fillings():
 
 
 def test_tower_validation():
-    with pytest.raises(ValueError, match="at least one row"):
+    # each check's whole message
+    with pytest.raises(ValueError, match="^a tower needs at least one row$"):
         CoreTower(())
-    with pytest.raises(ValueError, match="expected 2"):
+    with pytest.raises(ValueError, match="^row 1 has 1 entries, expected 2$"):
         CoreTower(((EMPTY,), (P(1),)))
-    with pytest.raises(ValueError, match="not a 2-core"):
+    with pytest.raises(ValueError, match="^row 0 entry 2 is not a 2-core$"):
         CoreTower(((P(2),),))
-    with pytest.raises(ValueError, match="trailing"):
+    with pytest.raises(ValueError, match="^trailing all-empty row; trim before constructing$"):
         CoreTower(((P(1),), (EMPTY, EMPTY)))
     # a lone all-empty row is fine: it is the tower of the empty partition
     assert CoreTower(((EMPTY,),)).size == 0
@@ -165,5 +184,7 @@ def test_tower_identity():
     b = tower(P(3, 3, 3))
     assert a == b and hash(a) == hash(b)
     assert a != tower(P(2, 2))
+    assert len({a, b, tower(P(2, 2))}) == 2
     with pytest.raises(AttributeError):
         a.rows = ()
+    assert repr(a).startswith("CoreTower(rows=(")

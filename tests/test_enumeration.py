@@ -10,7 +10,6 @@ from dimlab.enumeration import (
     EXACT,
     FALLBACK,
     CountReport,
-    a1_a3,
     a2,
     a2_sparse,
     clear_caches,
@@ -133,10 +132,9 @@ def test_a2_recursion_meets_the_sparse_shortcut(n):
 
 
 def test_a1_a3():
-    assert a1_a3(2) == (2, 0)
-    assert a1_a3(5) == (4, 0)
-    assert a1_a3(6) == (8, 0)
-    assert a1_a3(13) == (16, 16)
+    for n, want in ((2, (2, 0)), (5, (4, 0)), (6, (8, 0)), (13, (16, 16))):
+        report = formula_counts(n)
+        assert (report.a1, report.a3) == want
 
 
 def test_a2_values():
@@ -174,14 +172,15 @@ def test_explicit_closed_forms_where_applicable():
         bits = sorted(bit_positions(n), reverse=True)
         if len(bits) < 2 or bits[0] <= bits[1] + 1:
             continue
-        one, three = a1_a3(n)
+        report = formula_counts(n)
+        one, three = report.a1, report.a3
         if n % 2 == 0:
             assert one == three == count_odd(n) // 2, n
         else:
-            m = n - (1 << bits[0])
+            m = formula_counts(n - (1 << bits[0]))
             tail = 1 << sum(bits[1:])
-            assert one == 4 * a1_a3(m)[0] + ((1 << (bits[0] - 1)) - 2) * tail, n
-            assert three == 4 * a1_a3(m)[1] + ((1 << (bits[0] - 1)) - 2) * tail, n
+            assert one == 4 * m.a1 + ((1 << (bits[0] - 1)) - 2) * tail, n
+            assert three == 4 * m.a3 + ((1 << (bits[0] - 1)) - 2) * tail, n
 
 
 def test_odd_stream_small_cases():

@@ -10,11 +10,10 @@ from dimlab.partitions import (
     dim_exact,
     dim_mod4,
     enumerate_partitions,
-    hook_length,
     hook_lengths,
     is_hook_partition,
 )
-from dimlab.partitions import _dim_mod4_beta, _dim_mod4_hooks
+from dimlab.partitions import _dim_mod4_hooks
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
 
@@ -44,6 +43,14 @@ def test_partition_rejects_bad_shapes():
         Partition((3, 0))
     with pytest.raises(ValueError):
         Partition((-1,))
+
+
+def test_non_integral_parts_are_refused():
+    # int() would truncate 2.7 to 2 and read the string "31" as parts 3, 1
+    with pytest.raises(TypeError):
+        Partition((2.7, 1))
+    with pytest.raises(TypeError):
+        Partition("31")
 
 
 def test_from_text_round_trip():
@@ -77,12 +84,7 @@ def test_conjugate_is_involution():
 def test_hook_lengths_table():
     p = Partition((3, 2))
     assert hook_lengths(p) == [4, 3, 1, 2, 1]
-    assert hook_length(p, 1, 1) == 4
-    assert hook_length(Partition((4, 3, 3, 1)), 1, 2) == 5
-    with pytest.raises(IndexError):
-        hook_length(p, 2, 3)
-    with pytest.raises(IndexError):
-        hook_length(p, 3, 1)
+    assert hook_lengths(Partition((4, 3, 3, 1)))[1] == 5
 
 
 def test_hook_count_equals_size():
@@ -90,8 +92,10 @@ def test_hook_count_equals_size():
         for p in enumerate_partitions(n):
             hooks = hook_lengths(p)
             assert len(hooks) == n
+            columns = conjugate(p).parts
+            # arm + leg + 1 of each cell, row-major
             assert hooks == [
-                hook_length(p, i, j)
+                (row - j) + (columns[j - 1] - i) + 1
                 for i, row in enumerate(p.parts, 1)
                 for j in range(1, row + 1)
             ]
@@ -150,7 +154,7 @@ def test_dim_mod4_matches_exact():
 def test_dim_mod4_routes_agree():
     for n in range(0, 17):
         for p in enumerate_partitions(n):
-            assert _dim_mod4_beta(p) == _dim_mod4_hooks(p)
+            assert dim_mod4(p) == _dim_mod4_hooks(p)
 
 
 def test_enumerate_partitions_counts():
@@ -163,7 +167,6 @@ def test_enumerate_partitions_order_and_bounds():
     assert four == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     with pytest.raises(SizeLimitError):
         next(enumerate_partitions(81))
-    assert next(enumerate_partitions(81, limit=81)).parts == (81,)
 
 
 def test_is_hook_partition():
