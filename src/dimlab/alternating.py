@@ -7,16 +7,15 @@ counts by residue therefore follow from the partition counts, with a
 correction term for self-conjugate partitions whose dimension is twice
 an odd number.  The oracle does no walk of its own: it reads the
 brute-force sweep of `enumeration`, which tallies those self-conjugate
-shapes beside the residue counts, under the same bound.
+shapes beside the residue counts, through the same bound gate.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .enumeration import (DEFAULT_ORACLE_BOUND, EXACT, _oracle_sweep, _split_signed,
-                          clear_caches, count_odd, delta)
-from .errors import SizeLimitError
+from .enumeration import (DEFAULT_ORACLE_BOUND, EXACT, _split_signed, _sweep, clear_caches,
+                          count_odd, delta)
 
 # The oracle has no bound or cache of its own.  DEFAULT_ALT_ORACLE_BOUND and
 # clear_caches (the enumeration one, imported above) stay only because the
@@ -86,7 +85,7 @@ def a_circ(n: int) -> int:
     return 2 * hat_m2(n) + count_odd(n) // 2
 
 
-def delta_circ(n: int, oracle_bound: int | None = None) -> tuple[int, str]:
+def delta_circ(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> tuple[int, str]:
     """Signed residue count a1_circ - a3_circ with a status flag.
 
     Closed for n = 3 and for n a power of two or one more than one;
@@ -115,11 +114,11 @@ def delta_circ(n: int, oracle_bound: int | None = None) -> tuple[int, str]:
     return (half, status)
 
 
-def formula_alt_counts(n: int, oracle_bound: int | None = None) -> AltReport:
+def formula_alt_counts(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> AltReport:
     """Assemble an AltReport from the closed forms; source becomes
     "mixed" when delta_circ took the symmetric-group odd-stream fallback,
-    which answers only up to `oracle_bound` (default DEFAULT_ORACLE_BOUND)
-    and raises SizeLimitError past it."""
+    which answers only up to `oracle_bound` and raises SizeLimitError
+    past it."""
     value, status = delta_circ(n, oracle_bound)
     a1, a3 = _split_signed(n, a_circ(n), value)
     return AltReport(
@@ -128,19 +127,16 @@ def formula_alt_counts(n: int, oracle_bound: int | None = None) -> AltReport:
     )
 
 
-def alternating_oracle(n: int, oracle_bound: int | None = None) -> AltReport:
+def alternating_oracle(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> AltReport:
     """Alternating-group degrees by residue, read off the brute-force sweep.
 
-    The sweep is the one `enumeration.oracle_counts` runs, with the same
-    bound (default DEFAULT_ORACLE_BOUND); past it SizeLimitError is
-    raised.  No group computation happens, only the partition walk.
+    The sweep is the one `enumeration.oracle_counts` runs, behind the same
+    gate: past `oracle_bound` SizeLimitError is raised.  No group
+    computation happens, only the partition walk.
     """
-    bound = DEFAULT_ORACLE_BOUND if oracle_bound is None else oracle_bound
     if n < 3:
         raise ValueError(f"the oracle starts at n=3, got {n}")
-    if n > bound:
-        raise SizeLimitError(f"alternating sweep of n={n} exceeds the bound {bound}")
-    c1, _, c3, plus, minus = _oracle_sweep(n)
+    c1, _, c3, plus, minus = _sweep(n, oracle_bound)
     # Restriction to A_n: conjugate shapes share a dimension, so the c1 and
     # c3 odd shapes (none self-conjugate once n >= 2) pair off into c1/2 and
     # c3/2 irreducibles; a self-conjugate shape of dimension 2 mod 4 splits

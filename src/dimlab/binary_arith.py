@@ -91,12 +91,11 @@ def is_sparse(n: int) -> bool:
 
 # Lookup tables indexed by small non-negative integers, grown on demand:
 # _V2[d] is the 2-adic valuation of d and _SGNPAR[d] the sign parity of its
-# odd part; _V2FACT[d] and _FACPAR[d] are the same two facts for d factorial.
+# odd part; _FACPAR[d] is the sign parity of the odd part of d factorial.
 # Readers index concurrently; growth is serialized by the lock, and
 # _FACPAR is appended last so its length bounds every table.
 _V2: list[int] = [0]
 _SGNPAR: list[int] = [0]
-_V2FACT: list[int] = [0]
 _FACPAR: list[int] = [0]
 _TABLE_LOCK = threading.Lock()
 
@@ -109,7 +108,6 @@ def _grow_tables(n: int) -> None:
             low = (i & -i).bit_length()
             _V2.append(low - 1)
             _SGNPAR.append((i >> low) & 1)
-            _V2FACT.append(i - i.bit_count())
             _FACPAR.append(factorial_sign_parity(i))
 
 
@@ -118,10 +116,10 @@ def binom_mod4_counts(n: int) -> tuple[int, int]:
 
     Paper fact (acceptance criterion 13): the two counts are equal when n
     has two adjacent 1-digits, and every odd entry is 1 mod 4 otherwise.
-    Residues come from valuation and sign arithmetic on factorials, never
-    from the binomial values themselves: C(n,k) is odd exactly when the
-    factorial valuations n - ones(n) cancel, and then its mod-4 residue is
-    the product of the three factorial signs.
+    Residues come from bit and sign arithmetic, never from the binomial
+    values themselves: by Lucas's theorem C(n,k) is odd exactly when the
+    binary digits of k are a subset of those of n, and then its mod-4
+    residue is the product of the three factorial signs.
 
     >>> binom_mod4_counts(3)
     (2, 2)
@@ -131,13 +129,11 @@ def binom_mod4_counts(n: int) -> tuple[int, int]:
     if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
     _grow_tables(n)
-    vt = _V2FACT
     pt = _FACPAR
-    vn = vt[n]
     pn = pt[n]
     ones = threes = 0
     for k in range(n + 1):
-        if vt[k] + vt[n - k] == vn:
+        if k & ~n == 0:
             if pn ^ pt[k] ^ pt[n - k]:
                 threes += 1
             else:

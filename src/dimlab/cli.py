@@ -20,15 +20,14 @@ Timing lives in the benchmark (python3 perfbench/run.py), not here.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141
 (128 + SIGPIPE) when the reader closes stdout early.
 
-The oracle bound B (default 40) caps two routes by n: the brute-force
-sweep over all p(n) partitions that verify replays the formulas
-against, the alternating-group suite included, and the signed
-odd-stream walk that counts and alt fall back to for delta when n
-starts "11" in binary with three or more ones (it visits the 2^(sum of
-bit positions) odd partitions of n).  Past B such an n is refused with
-exit 2.  Only counts, verify and alt take --oracle-bound and read the
-environment variable DIMLAB_ORACLE_BOUND, which overrides the default;
---oracle-bound overrides both.
+The oracle bound B (default 40, set with --oracle-bound) caps two
+routes by n: the brute-force sweep over all p(n) partitions that verify
+replays the formulas against, the alternating-group suite included, and
+the signed odd-stream walk that counts and alt fall back to for delta
+when n starts "11" in binary with three or more ones (it visits the
+2^(sum of bit positions) odd partitions of n).  Past B such an n is
+refused with exit 2.  Only counts, verify and alt take --oracle-bound.
+A refusal names an n past 64 bits by its bit length.
 """
 
 from __future__ import annotations
@@ -46,14 +45,14 @@ from . import alternating, enumeration
 from .binary_arith import is_sparse
 from .core_towers import render_tower, row_weights, tower
 from .enumeration import DEFAULT_ORACLE_BOUND
-from .errors import SizeLimitError
+from .errors import SizeLimitError, size_text
 from .parents import all_parents, sign_flip_parity, predict_parent_sign
-from .partitions import Partition, dim_mod4
+from .partitions import Partition, _natural, dim_mod4
 
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _natural(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
@@ -66,22 +65,6 @@ def _partition_arg(text: str) -> Partition:
         return Partition.from_text(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _oracle_bound(args: argparse.Namespace) -> int:
-    """--oracle-bound, else DIMLAB_ORACLE_BOUND, else the default."""
-    if args.oracle_bound is not None:
-        return args.oracle_bound
-    raw = os.environ.get("DIMLAB_ORACLE_BOUND")
-    if raw is None:
-        return DEFAULT_ORACLE_BOUND
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(f"DIMLAB_ORACLE_BOUND must be an integer, got {raw!r}")
-    if value < 1:
-        raise SystemExit(f"DIMLAB_ORACLE_BOUND must be positive, got {value}")
-    return value
 
 
 @functools.cache
@@ -102,10 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bounded = argparse.ArgumentParser(add_help=False)
     bounded.add_argument(
-        "--oracle-bound", type=_positive_int, default=None, metavar="B",
+        "--oracle-bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND, metavar="B",
         help="largest n for the brute-force sweep of verify, its alternating "
              "suite included, and the odd-stream delta fallback of counts and alt "
-             "(default from DIMLAB_ORACLE_BOUND, else 40)",
+             f"(default {DEFAULT_ORACLE_BOUND})",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -151,13 +134,13 @@ def _emit(args: argparse.Namespace, rows: list[dict], text: Iterable[str],
 
 
 def _cmd_counts(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    fields = dataclasses.asdict(enumeration.formula_counts(args.n, _oracle_bound(args)))
+    fields = dataclasses.asdict(enumeration.formula_counts(args.n, args.oracle_bound))
     _emit(args, [fields], (f"{key} = {value}" for key, value in fields.items()), fields)
     return 0
 
 
 def _cmd_alt(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    fields = dataclasses.asdict(alternating.formula_alt_counts(args.n, _oracle_bound(args)))
+    fields = dataclasses.asdict(alternating.formula_alt_counts(args.n, args.oracle_bound))
     _emit(args, [fields], (f"{key} = {value}" for key, value in fields.items()), fields)
     return 0
 
@@ -260,9 +243,10 @@ def _verify_suites(max_n: int, bound: int):
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    bound = _oracle_bound(args)
+    bound = args.oracle_bound
     if args.max_n > bound:
-        parser.error(f"--max-n {args.max_n} exceeds the oracle bound {bound}")
+        parser.error(f"--max-n of {size_text(args.max_n)} is past the oracle bound of "
+                     f"{size_text(bound)}")
     suites = [{"name": name, "ok": not bad, "mismatches": bad}
               for name, bad in _verify_suites(args.max_n, bound)]
     failures = sum(len(suite["mismatches"]) for suite in suites)

@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .beta_sets import parts_of
 from .binary_arith import bit_positions, is_sparse
-from .errors import SizeLimitError
+from .errors import SizeLimitError, size_text
 from .parents import _flip_parity, _hook_additions, _sign_step
 from .partitions import Partition, conjugate, dim_mod4, enumerate_partitions
 
@@ -76,7 +76,8 @@ def count_odd(n: int) -> int:
         raise ValueError(f"n must be non-negative, got {n}")
     exponent = sum(bit_positions(n))
     if exponent >= 64:
-        raise SizeLimitError(f"odd-partition count of {n} needs 2^{exponent}, past the 64-bit line")
+        raise SizeLimitError(
+            f"odd-partition count of {size_text(n)} needs 2^{exponent}, past the 64-bit line")
     return 1 << exponent
 
 
@@ -114,19 +115,18 @@ def _delta(n: int, bound: int) -> tuple[int, str]:
     # leaves carry their signs down from the cores
     if n > bound:
         raise SizeLimitError(
-            f"delta({n}) has no closed form (leading 11 with extra ones) "
-            f"and exceeds the oracle bound {bound}"
-        )
+            f"delta of {size_text(n)} has no closed form (leading 11 with extra ones), and its "
+            f"walk over 2^{sum(bit_positions(n))} odd partitions is past the oracle bound of "
+            f"{size_text(bound)}")
     return (sum(1 - 2 * parity for _, parity in _odd_abaci(n)), FALLBACK)
 
 
-def delta(n: int, oracle_bound: int | None = None) -> tuple[int, str]:
+def delta(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> tuple[int, str]:
     """Signed count a1(n) - a3(n) and how it was obtained.
 
     The status is EXACT for a proved formula and FALLBACK for the signed
     odd-stream walk, which answers a leading-"11" n only up to
-    `oracle_bound` (default DEFAULT_ORACLE_BOUND) and raises
-    SizeLimitError past it.
+    `oracle_bound` and raises SizeLimitError past it.
 
     >>> delta(5)
     (4, 'exact-formula')
@@ -137,7 +137,7 @@ def delta(n: int, oracle_bound: int | None = None) -> tuple[int, str]:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return _delta(n, DEFAULT_ORACLE_BOUND if oracle_bound is None else oracle_bound)
+    return _delta(n, oracle_bound)
 
 
 def _split_signed(n: int, a: int, value: int) -> tuple[int, int]:
@@ -254,22 +254,27 @@ def _oracle_sweep(n: int) -> tuple[int, int, int, int, int]:
     return tuple(tally)
 
 
-def oracle_counts(n: int, oracle_bound: int | None = None) -> CountReport:
+def _sweep(n: int, bound: int) -> tuple[int, int, int, int, int]:
+    # the one gate in front of the p(n) sweep, for both of its readers
+    if n > bound:
+        raise SizeLimitError(f"the oracle sweep of all partitions of {size_text(n)} "
+                             f"is past the oracle bound of {size_text(bound)}")
+    return _oracle_sweep(n)
+
+
+def oracle_counts(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> CountReport:
     """Classify every partition of n by brute force; fields all carry
     source "oracle"."""
-    bound = DEFAULT_ORACLE_BOUND if oracle_bound is None else oracle_bound
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if n > bound:
-        raise SizeLimitError(f"oracle sweep of n={n} exceeds the bound {bound}")
-    c1, c2, c3, _, _ = _oracle_sweep(n)
+    c1, c2, c3, _, _ = _sweep(n, oracle_bound)
     return CountReport(
         n=n, a=c1 + c3, a1=c1, a2=c2, a3=c3,
         delta=c1 - c3, m4=c1 + c2 + c3, source="oracle",
     )
 
 
-def formula_counts(n: int, oracle_bound: int | None = None) -> CountReport:
+def formula_counts(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> CountReport:
     """Assemble a CountReport from the closed forms; source becomes
     "mixed" when delta needed the odd-stream fallback."""
     value, status = delta(n, oracle_bound)

@@ -13,6 +13,15 @@ DIM_EXACT_LIMIT = 60
 ENUMERATION_LIMIT = 80
 
 
+def _natural(text: str) -> int:
+    # ASCII digits only, around optional whitespace: int() would also take
+    # signs, underscores and digits of other scripts
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal number")
+    return int(digits)
+
+
 class Partition:
     """A weakly decreasing tuple of positive integers.
 
@@ -36,12 +45,14 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        """Parse "4,3,3,1"; "-" or "" gives the empty partition."""
+        """Parse "4,3,3,1"; "-" or "" gives the empty partition.
+
+        Each part is ASCII digits, with whitespace around it ignored."""
         text = text.strip()
         if text in ("-", ""):
             return cls(())
         try:
-            return cls(int(piece) for piece in text.split(","))
+            return cls(_natural(piece) for piece in text.split(","))
         except ValueError as exc:
             raise ValueError(f"bad partition text {text!r}: {exc}") from None
 

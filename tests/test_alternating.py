@@ -14,7 +14,7 @@ from dimlab.alternating import (
     hat_m2,
 )
 from dimlab.binary_arith import odd_sign
-from dimlab.enumeration import DEFAULT_ORACLE_BOUND, EXACT, FALLBACK
+from dimlab.enumeration import DEFAULT_ORACLE_BOUND, EXACT, FALLBACK, oracle_counts
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import (
     Partition,
@@ -134,6 +134,12 @@ def test_sources():
 def test_oracle_bounds():
     with pytest.raises(ValueError):
         alternating_oracle(2)
+    # one gate in front of the one sweep: both readers refuse alike
+    with pytest.raises(SizeLimitError) as sym:
+        oracle_counts(41)
+    with pytest.raises(SizeLimitError) as alt:
+        alternating_oracle(41)
+    assert str(alt.value) == str(sym.value)
     with pytest.raises(SizeLimitError):
         alternating_oracle(DEFAULT_ORACLE_BOUND + 1)
     with pytest.raises(SizeLimitError):

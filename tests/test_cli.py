@@ -61,11 +61,55 @@ def test_counts_rejects_bad_n(capsys):
     assert run(capsys, "counts", "six")[0] == 2
 
 
+@pytest.mark.parametrize("text", ["+6", "1_0", "\u0666", " +6 "])
+def test_numbers_are_ascii_digits_only(capsys, text):
+    # int() would take a sign, an underscore or an Arabic-Indic six
+    code, out, err = run(capsys, "counts", text)
+    assert (code, out) == (2, "")
+    assert "not an integer" in err
+    assert run(capsys, "parents", "-", "--r", text)[0] == 2
+    assert run(capsys, "verify", "--max-n", "4", "--oracle-bound", text)[0] == 2
+    assert run(capsys, "counts", " 6 ")[0] == 0
+
+
+@pytest.mark.parametrize("text", ["1_0,+2", "3,\u0661", "+3", "3,-1", "3,1_", "²"])
+def test_partition_text_is_ascii_digits_only(capsys, text):
+    code, out, err = run(capsys, "tower", text)
+    assert (code, out) == (2, "")
+    assert "bad partition text" in err
+
+
 def test_counts_past_oracle_bound(capsys):
     # 55 needs the oracle for delta but lies beyond the default bound
     code, out, err = run(capsys, "counts", "55")
     assert code == 2
     assert "error:" in err
+    # the flag raises the bound past the default
+    code, out, err = run(capsys, "counts", "55", "--oracle-bound", "55", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["source"] == "mixed"
+
+
+@pytest.mark.parametrize("n, bits", [(2**1000 + 1, 1001), ((3 << 1022) | 1, 1024)],
+                         ids=["2^1000+1", "leading-11"])
+def test_refusals_name_a_big_n_by_its_bit_length(capsys, n, bits):
+    # a 2^1000 + 1 passes the odd count's 64-bit line; a leading-"11" n of
+    # 1024 bits has no closed form and is past the oracle bound
+    code, out, err = run(capsys, "counts", str(n))
+    assert (code, out) == (2, "")
+    assert f"a {bits}-bit number" in err
+    assert str(n) not in err and len(err) < 200
+    code, _, err = run(capsys, "verify", "--max-n", str(n))
+    assert code == 2
+    assert f"--max-n of a {bits}-bit number is past the oracle bound of 40" in err
+    assert len(err) < 400
+
+
+def test_walk_refusal_names_its_cost(capsys):
+    # 55 = 110111 in binary: the walk would visit 2^(0+1+2+4+5) leaves
+    err = run(capsys, "counts", "55")[2]
+    assert err == ("error: delta of 55 has no closed form (leading 11 with extra ones), "
+                   "and its walk over 2^12 odd partitions is past the oracle bound of 40\n")
 
 
 def test_verify_clean(capsys):
@@ -232,21 +276,18 @@ def test_alt_csv_row(capsys):
     ]
 
 
-def test_env_var_sets_bound(capsys, monkeypatch):
-    monkeypatch.setenv("DIMLAB_ORACLE_BOUND", "9")
-    assert run(capsys, "verify", "--max-n", "10")[0] == 2
-    # the command-line flag wins over the environment
-    assert run(capsys, "verify", "--max-n", "10", "--oracle-bound", "12")[0] == 0
+@pytest.mark.parametrize("value", ["9", "soon"])
+def test_env_var_is_ignored(capsys, monkeypatch, value):
+    # --oracle-bound is the one way to set the bound
+    monkeypatch.setenv("DIMLAB_ORACLE_BOUND", value)
+    assert run(capsys, "counts", "6")[0] == 0
+    assert run(capsys, "verify", "--max-n", "10")[0] == 0
 
 
-def test_env_var_junk(capsys, monkeypatch):
-    monkeypatch.setenv("DIMLAB_ORACLE_BOUND", "soon")
-    code, _, err = run(capsys, "counts", "6")
-    assert code == 2
-    assert "DIMLAB_ORACLE_BOUND" in err
-    # the commands that take no oracle bound do not read it
-    assert run(capsys, "tower", "3,1")[0] == 0
-    assert run(capsys, "parents", "1", "--r", "2")[0] == 0
+def test_oracle_bound_help_shows_the_default(capsys):
+    for command in ("counts", "verify", "alt"):
+        out = run(capsys, command, "-h")[1]
+        assert f"(default {enumeration.DEFAULT_ORACLE_BOUND})" in " ".join(out.split())
 
 
 def test_oracle_bound_only_where_it_is_used(capsys):

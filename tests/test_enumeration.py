@@ -2,9 +2,12 @@
 exact big-integer dimensions of all partitions of n, independently of the
 formulas under test."""
 
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
+from dimlab import alternating
 from dimlab.enumeration import (
     DEFAULT_ORACLE_BOUND,
     EXACT,
@@ -217,8 +220,17 @@ def test_oracle_counts_frozen_rows():
         assert rep == CountReport(n, a, one, two, three, diff, not4, "oracle")
 
 
+def test_oracle_bound_default_is_in_the_signatures():
+    routes = (delta, formula_counts, oracle_counts, alternating.delta_circ,
+              alternating.formula_alt_counts, alternating.alternating_oracle)
+    for route in routes:
+        default = inspect.signature(route).parameters["oracle_bound"].default
+        assert default == DEFAULT_ORACLE_BOUND, route
+
+
 def test_oracle_bound():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="^the oracle sweep of all partitions of 41 is "
+                                             "past the oracle bound of 40$"):
         oracle_counts(DEFAULT_ORACLE_BOUND + 1)
     with pytest.raises(SizeLimitError):
         oracle_counts(5, oracle_bound=3)

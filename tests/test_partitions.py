@@ -63,6 +63,22 @@ def test_from_text_round_trip():
         Partition.from_text("1,3")
 
 
+def test_from_text_takes_ascii_digits_only():
+    assert Partition.from_text(" 3 , 1 ") == Partition((3, 1))
+    for text in ("1_0,2", "+2", "3,-1", "\u0666", "3,\u0661", "\u00b2", "3,,1", "3.0"):
+        with pytest.raises(ValueError, match="bad partition text"):
+            Partition.from_text(text)
+
+
+@given(st.text(st.sampled_from("0123456789,- +_\t\u0666\u00b2"), max_size=12) | st.text())
+def test_from_text_refuses_or_round_trips(text):
+    try:
+        p = Partition.from_text(text)
+    except ValueError:
+        return
+    assert Partition.from_text(str(p)) == p
+
+
 @given(st.lists(st.integers(min_value=1, max_value=30), min_size=0, max_size=8))
 def test_from_text_inverts_str(parts):
     p = Partition(sorted(parts, reverse=True))
