@@ -134,6 +134,17 @@ def parts_of(x: int) -> tuple[int, ...]:
     return tuple(reversed(parts))
 
 
+def conjugate_mask(x: int) -> int:
+    """The canonical abacus of the conjugate: the gaps of x within its width, read top down.
+
+    >>> bin(conjugate_mask(0b11100))  # (2, 2, 2) -> (3, 3)
+    '0b11000'
+    """
+    width = x.bit_length()
+    gaps = ~x & ((1 << width) - 1)
+    return int(format(gaps, f"0{width}b")[::-1], 2) if width else 0
+
+
 def normalize_mask(x: int) -> int:
     """Drop the beads packed at the bottom, which stand for parts of size 0."""
     return x >> ((x + 1) & ~x).bit_length() - 1

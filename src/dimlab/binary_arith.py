@@ -37,7 +37,12 @@ def bit_positions(n: int) -> frozenset[int]:
     """Set of positions of the 1-digits in the binary expansion of n."""
     if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
-    return frozenset(i for i in range(n.bit_length()) if (n >> i) & 1)
+    positions = []
+    while n:
+        low = n & -n
+        positions.append(low.bit_length() - 1)
+        n ^= low
+    return frozenset(positions)
 
 
 def sign_parity(n: int) -> int:
@@ -118,8 +123,9 @@ def binom_mod4_counts(n: int) -> tuple[int, int]:
     has two adjacent 1-digits, and every odd entry is 1 mod 4 otherwise.
     Residues come from bit and sign arithmetic, never from the binomial
     values themselves: by Lucas's theorem C(n,k) is odd exactly when the
-    binary digits of k are a subset of those of n, and then its mod-4
-    residue is the product of the three factorial signs.
+    binary digits of k are a subset of those of n, so only those
+    2^(ones of n) values of k are visited, and then the mod-4 residue is
+    the product of the three factorial signs.
 
     >>> binom_mod4_counts(3)
     (2, 2)
@@ -128,14 +134,14 @@ def binom_mod4_counts(n: int) -> tuple[int, int]:
     """
     if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
-    _grow_tables(n)
-    pt = _FACPAR
-    pn = pt[n]
+    pn = factorial_sign_parity(n)
     ones = threes = 0
-    for k in range(n + 1):
-        if k & ~n == 0:
-            if pn ^ pt[k] ^ pt[n - k]:
-                threes += 1
-            else:
-                ones += 1
-    return ones, threes
+    k = n
+    while True:
+        if pn ^ factorial_sign_parity(k) ^ factorial_sign_parity(n - k):
+            threes += 1
+        else:
+            ones += 1
+        if not k:
+            return ones, threes
+        k = (k - 1) & n

@@ -187,7 +187,9 @@ def _cmd_parents(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def _verify_suites(max_n: int, bound: int):
     """Yield (suite name, list of mismatch descriptions) pairs."""
-    oracle = {n: enumeration.oracle_counts(n, bound) for n in range(1, max_n + 1)}
+    # largest first: a sweep refused for its size is refused before any other runs
+    oracle = {n: enumeration.oracle_counts(n, bound) for n in range(max_n, 0, -1)}
+    oracle = dict(sorted(oracle.items()))
 
     bad = [f"n={n}: formula {enumeration.count_odd(n)} oracle {rep.a}"
            for n, rep in oracle.items() if enumeration.count_odd(n) != rep.a]

@@ -11,7 +11,12 @@ walk visits only the a(n) odd abaci and carries each dimension's sign
 down from its core with the parent-sign step of `parents`, so it builds
 no partition and computes no dimension.  The brute-force sweep over all
 p(n) partitions stays as the independent oracle, for the symmetric group
-and, through its self-conjugate tally, for the alternating group.
+and, through its self-conjugate tally, for the alternating group.  It
+shares only the abacus and the lookup tables of `binary_arith` with the
+formulas and the walk: it places the rows of each partition bottom row
+first, so every row's first-column hook is known when the row goes in,
+and carries the determinant-form terms of the dimension down the search,
+each added once for all the partitions that share the rows placed so far.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from functools import cache
 from math import comb
 from typing import Iterator
 
-from .beta_sets import parts_of
-from .binary_arith import bit_positions, is_sparse
+from .beta_sets import conjugate_mask, parts_of
+from .binary_arith import _FACPAR, _SGNPAR, _V2, _grow_tables, bit_positions, is_sparse
 from .errors import SizeLimitError, size_text
 from .parents import _flip_parity, _hook_additions, _sign_step
-from .partitions import Partition, conjugate, dim_mod4, enumerate_partitions
+from .partitions import ENUMERATION_LIMIT, Partition
 
 DEFAULT_ORACLE_BOUND = 40
 
@@ -237,20 +242,60 @@ def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
                            if n > 3 else 0)
 
 
+def _classified(n: int) -> Iterator[tuple[int, int, int]]:
+    # (abacus, v2, sign parity) of the dimension of every partition of n, in
+    # the determinant form of dim_mod4 over the first-column hooks h:
+    # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!).  Rows go in bottom
+    # first, parts weakly rising: the row at height r with part p has hook
+    # p + r whatever goes above it, so a placed hook adds its own factorial
+    # and its differences to the hooks below it once, for every partition
+    # above that prefix.  A part p of at most half of what remains leaves
+    # room for rows above; p = remaining closes the shape.
+    if n > ENUMERATION_LIMIT:
+        raise SizeLimitError(f"n = {n} exceeds the enumeration bound {ENUMERATION_LIMIT}")
+    if n == 0:
+        yield 0, 0, 0
+        return
+    _grow_tables(n)
+    fact = _FACPAR
+    # a difference's valuation above bit 8 and its sign parity below: the
+    # parities of at most 80 differences sum to less than 256, so one sum
+    # over the hooks below gives both, as s >> 8 and s & 1
+    pair = [v << 8 | sign for v, sign in zip(_V2, _SGNPAR)]
+    # a prefix: its hooks bottom first, its top part, what remains, abacus, v2, parity
+    stack = [((), 1, n, 0, n - n.bit_count(), fact[n])]
+    pop, push = stack.pop, stack.append
+    while stack:
+        hooks, low, remaining, x, val, par = pop()
+        r = len(hooks)
+        for p in range(low, remaining // 2 + 1):
+            h = p + r
+            s = 0
+            for y in hooks:
+                s += pair[h - y]
+            push((hooks + (h,), p, remaining - p, x | 1 << h,
+                  val - h + h.bit_count() + (s >> 8), par ^ fact[h] ^ (s & 1)))
+        h = remaining + r
+        s = 0
+        for y in hooks:
+            s += pair[h - y]
+        yield x | 1 << h, val - h + h.bit_count() + (s >> 8), par ^ fact[h] ^ (s & 1)
+
+
 @cache
 def _oracle_sweep(n: int) -> tuple[int, int, int, int, int]:
     # residues 1, 2, 3, then the self-conjugate shapes of dimension 2 mod 4
-    # whose odd part is 1 and 3 mod 4: the alternating oracle reads those
+    # whose odd part is 1 and 3 mod 4: the alternating oracle reads those.
+    # A shape is square (as many rows as its first part) when its abacus is
+    # twice as wide as it has beads.
     tally = [0, 0, 0, 0, 0]
-    for p in enumerate_partitions(n):
-        cls = dim_mod4(p)
-        residue = cls.residue
-        if residue:
-            tally[residue - 1] += 1
-        if p and len(p) == p[0] and p == conjugate(p):
-            assert n < 2 or cls.v2 >= 1, f"self-conjugate {p} has odd dimension"
-            if cls.v2 == 1:
-                tally[3 if cls.sign == 1 else 4] += 1
+    for x, v, par in _classified(n):
+        if v == 0:
+            tally[2 * par] += 1
+        elif v == 1:
+            tally[1] += 1
+            if x.bit_length() == 2 * x.bit_count() and x == conjugate_mask(x):
+                tally[3 + par] += 1
     return tuple(tally)
 
 

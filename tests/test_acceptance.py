@@ -11,12 +11,14 @@ import time
 import pytest
 
 from dimlab import alternating, enumeration
-from dimlab.beta_sets import first_column_hooks, parity_gap, t_core, to_partition
+from dimlab.beta_sets import first_column_hooks, parity_gap, parts_of, t_core, to_partition
 from dimlab.binary_arith import binom_mod4_counts, factorial_sign_parity, is_sparse, sign_parity
 from dimlab.core_towers import classify_by_tower, tower, tower_to_partition, two_core
 from dimlab.enumeration import EXACT, FALLBACK
 from dimlab.parents import all_parents, predict_parent_sign
 from dimlab.partitions import (
+    DimClass,
+    Partition,
     _dim_mod4_hooks,
     conjugate,
     dim_mod4,
@@ -50,17 +52,20 @@ def oracle():
     start = time.perf_counter()
     reports = {n: enumeration.oracle_counts(n) for n in range(1, ORACLE_MAX + 1)}
     elapsed = time.perf_counter() - start
-    # the oracle's dim_mod4 runs the first-column route only; replay the same inputs
-    # through the hook-product route, outside the timed sweep
-    checked = 0
+    # the sweep classifies each leaf of its own walk from the terms carried
+    # down to it; replay the same leaves through both Partition routes,
+    # outside the timed sweep
+    masks = set()
     route_mismatches = []
     for n in range(0, ORACLE_MAX + 1):
-        for p in enumerate_partitions(n):
-            checked += 1
-            if dim_mod4(p) != _dim_mod4_hooks(p):
-                route_mismatches.append(p)
+        for x, v, parity in enumeration._classified(n):
+            masks.add(x)
+            p = Partition(parts_of(x))
+            walked = DimClass(v, -1 if parity else 1)
+            if p.size != n or walked != _dim_mod4_hooks(p) or walked != dim_mod4(p):
+                route_mismatches.append((n, x))
     return {"reports": reports, "elapsed": elapsed,
-            "route_checked": checked, "route_mismatches": route_mismatches}
+            "route_checked": len(masks), "route_mismatches": route_mismatches}
 
 
 @criterion("01 odd count matches the oracle up to 40 inside the time budget")
@@ -242,8 +247,9 @@ def test_odd_stream_delta(oracle):
         assert signed == report.delta, n
 
 
-@criterion("16 both dim_mod4 routes agree on every partition up to 40")
+@criterion("16 the sweep's walk and both dim_mod4 routes agree on every partition up to 40")
 def test_dim_mod4_routes_agree_up_to_40(oracle):
+    # distinct leaves, each of the size it was walked for: every partition once
     assert oracle["route_checked"] == 215_308  # p(0) + p(1) + ... + p(40)
     assert oracle["route_mismatches"] == []
 

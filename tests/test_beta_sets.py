@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from dimlab.beta_sets import (
     BetaSet,
+    conjugate_mask,
     core_height,
     first_column_hooks,
     interleave,
@@ -20,7 +21,7 @@ from dimlab.beta_sets import (
     t_core_mask,
     to_partition,
 )
-from dimlab.partitions import Partition, dim_mod4, enumerate_partitions
+from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions
 
 
 def test_beta_set_basics():
@@ -213,6 +214,12 @@ def test_mask_round_trip(p):
     assert x == sum(1 << h for h in first_column_hooks(p))
     assert parts_of(x) == p.parts
     assert normalize_mask(x) == x
+
+
+def test_conjugate_mask_is_the_conjugate():
+    for n in range(21):
+        for p in enumerate_partitions(n):
+            assert conjugate_mask(mask_of(p)) == mask_of(conjugate(p)), p
 
 
 @given(masks_st, st.integers(min_value=0, max_value=9))

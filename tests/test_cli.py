@@ -200,6 +200,15 @@ def test_verify_needs_bound(capsys):
     assert run(capsys, "verify", "--max-n", "10", "--oracle-bound", "9")[0] == 2
 
 
+def test_verify_past_the_enumeration_limit_exits_promptly(capsys):
+    # the largest sweep runs first, so the refusal comes before any sweep
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--max-n", "81", "--oracle-bound", "81")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    assert "exceeds the enumeration bound 80" in err
+
+
 def test_tower_text(capsys):
     code, out, _ = run(capsys, "tower", "6,5,4,2,1,1")
     assert code == 0

@@ -26,7 +26,7 @@ from dimlab.enumeration import (
 )
 from dimlab.binary_arith import bit_positions, is_sparse
 from dimlab.errors import SizeLimitError
-from dimlab.partitions import Partition, dim_exact, enumerate_partitions
+from dimlab.partitions import ENUMERATION_LIMIT, Partition, dim_exact, enumerate_partitions
 
 # columns: n, a, a1, a2, a3, delta, m4
 FROZEN = [
@@ -235,6 +235,11 @@ def test_oracle_bound():
     with pytest.raises(SizeLimitError):
         oracle_counts(5, oracle_bound=3)
     assert oracle_counts(5, oracle_bound=5).a == 4
+
+
+def test_sweep_refuses_past_the_enumeration_limit():
+    with pytest.raises(SizeLimitError, match=f"enumeration bound {ENUMERATION_LIMIT}$"):
+        oracle_counts(ENUMERATION_LIMIT + 1, oracle_bound=100)
 
 
 def test_report_invariants_are_enforced():
