@@ -37,7 +37,7 @@ def staircase(height: int) -> Partition:
     """The 2-core with the given number of rows: (h, h-1, ..., 1), built once."""
     if height < 0:
         raise ValueError(f"height must be non-negative, got {height}")
-    return Partition(tuple(range(height, 0, -1)))
+    return Partition._trusted(tuple(range(height, 0, -1)))
 
 
 def is_two_core(p: Partition) -> bool:
@@ -75,7 +75,7 @@ def two_quotient(p: Partition) -> tuple[Partition, Partition]:
     ((1, 1), (2,))
     """
     q0, q1, _ = _split(mask_of(p))
-    return Partition(parts_of(q0)), Partition(parts_of(q1))
+    return Partition._trusted(parts_of(q0)), Partition._trusted(parts_of(q1))
 
 
 def two_core(p: Partition) -> Partition:
@@ -97,7 +97,7 @@ def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     """
     if not is_two_core(core):
         raise ValueError(f"{core} is not a staircase")
-    return Partition(parts_of(interleave(mask_of(q0), mask_of(q1), len(core))))
+    return Partition._trusted(parts_of(interleave(mask_of(q0), mask_of(q1), len(core))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +144,7 @@ def tower_to_partition(t: CoreTower) -> Partition:
     for row in reversed(t.rows[:-1]):
         level = [interleave(level[2 * j], level[2 * j + 1], len(node))
                  for j, node in enumerate(row)]
-    return Partition(parts_of(level[0]))
+    return Partition._trusted(parts_of(level[0]))
 
 
 def row_weights(t: CoreTower) -> tuple[int, ...]:

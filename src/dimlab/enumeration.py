@@ -27,7 +27,8 @@ from math import comb
 from typing import Iterator
 
 from .beta_sets import conjugate_mask, parts_of
-from .binary_arith import _FACPAR, _SGNPAR, _V2, _grow_tables, bit_positions, is_sparse
+from .binary_arith import (_FACPAR, _SGNPAR, _V2, _grow_tables, bit_positions, is_sparse,
+                           top_two_bits)
 from .errors import SizeLimitError, size_text
 from .parents import _flip_parity, _hook_additions, _sign_step
 from .partitions import ENUMERATION_LIMIT, Partition
@@ -219,13 +220,15 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     2^r + m are precisely the partitions obtained from odd partitions
     of m by adding one hook of length 2^r.  Even-dimension partitions
     are never touched, so the stream scales with the odd count, not
-    with p(n).  The walk runs on abacus ints and builds one Partition per
-    partition yielded.
+    with p(n).  The walk runs on abacus ints and builds one unchecked
+    Partition per partition yielded.  The delta fallback carries the signs
+    down the walk; the tests read them with `dim_mod4` (hook product off the
+    abacus), `_dim_mod4_hooks` (on the diagram) and the sweep's determinant form.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     for x, _ in _odd_abaci(n):
-        yield Partition(parts_of(x))
+        yield Partition._trusted(parts_of(x))
 
 
 def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
@@ -236,15 +239,17 @@ def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
         yield 0, 0
         return
     t = 1 << (n.bit_length() - 1)
+    top = top_two_bits(n)
     for core, parity in _odd_abaci(n - t):
-        for *_, h, parent in _hook_additions(core, t):
-            yield parent, (parity ^ _sign_step(n, h, _flip_parity(parent, h, t))
+        for _, _, h, parent in _hook_additions(core, t):
+            yield parent, (parity ^ _sign_step(top, h, _flip_parity(parent, h, t))
                            if n > 3 else 0)
 
 
 def _classified(n: int) -> Iterator[tuple[int, int, int]]:
     # (abacus, v2, sign parity) of the dimension of every partition of n, in
-    # the determinant form of dim_mod4 over the first-column hooks h:
+    # the determinant form over the first-column hooks h, where dim_mod4 and
+    # _dim_mod4_hooks use the hook-product form:
     # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!).  Rows go in bottom
     # first, parts weakly rising: the row at height r with part p has hook
     # p + r whatever goes above it, so a placed hook adds its own factorial

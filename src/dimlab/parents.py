@@ -56,7 +56,7 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
     if core.size + t > ENUMERATION_LIMIT:
         raise SizeLimitError(f"parents of size {core.size} + 2^{r_power} exceed "
                              f"the enumeration bound {ENUMERATION_LIMIT}")
-    return [ParentRecord(Partition(parts_of(x)), core, r_power, kind, param, affected)
+    return [ParentRecord(Partition._trusted(parts_of(x)), core, r_power, kind, param, affected)
             for kind, param, affected, x in _hook_additions(mask_of(core), t)]
 
 
@@ -77,10 +77,10 @@ def _flip_parity(x: int, h: int, t: int) -> int:
     return eta & 1
 
 
-def _sign_step(n: int, h: int, eta: int) -> int:
-    # parity relating the core's sign to the sign of its parent of size n
-    # (n > 3) whose added hook has first-column hook h
-    return (top_two_bits(n) + top_two_bits(h) + eta) & 1
+def _sign_step(top: int, h: int, eta: int) -> int:
+    # parity relating the core's sign to its parent's, for a parent of size
+    # n > 3 with top = top_two_bits(n) whose added hook has first-column hook h
+    return (top + top_two_bits(h) + eta) & 1
 
 
 def _flip_product_parity(rec: ParentRecord) -> int:
@@ -111,5 +111,6 @@ def predict_parent_sign(rec: ParentRecord, core_sign: int) -> int:
     n = rec.parent.size
     if n <= 3:
         raise ValueError(f"prediction needs a parent of size above 3, got {n}")
-    return -core_sign if _sign_step(n, rec.affected, sign_flip_parity(rec)) else core_sign
+    step = _sign_step(top_two_bits(n), rec.affected, sign_flip_parity(rec))
+    return -core_sign if step else core_sign
 

@@ -1,4 +1,7 @@
-"""Integer partitions, hook lengths, and tableau dimensions exact and mod 4."""
+"""Integer partitions, their abacus, hook lengths, and tableau dimensions exact and mod 4.
+
+`Partition(...)` and `from_text` check their input; `Partition._trusted` builds the package's own.
+"""
 
 from __future__ import annotations
 
@@ -42,6 +45,15 @@ class Partition:
             prev = p
         self.parts = parts
         self.size = sum(parts)
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        # for parts the package built itself, a weakly decreasing tuple of
+        # positive ints by construction: the checks of __init__ are skipped
+        p = object.__new__(cls)
+        p.parts = parts
+        p.size = sum(parts)
+        return p
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -90,7 +102,7 @@ def conjugate(p: Partition) -> Partition:
     >>> conjugate(Partition((4, 3, 3, 1))).parts
     (4, 3, 3, 1)
     """
-    return Partition(_column_heights(p))
+    return Partition._trusted(tuple(_column_heights(p)))
 
 
 def _column_heights(p: Partition) -> list[int]:
@@ -180,36 +192,45 @@ def _dim_mod4_hooks(p: Partition) -> DimClass:
     return DimClass(val, -1 if par else 1)
 
 
+def mask_of(p: Partition) -> int:
+    """The canonical beta-set of p as an abacus: bit h per first-column hook h.
+
+    >>> bin(mask_of(Partition((2, 2, 2))))
+    '0b11100'
+    """
+    k = len(p.parts)
+    return sum([1 << (part + k - 1 - i) for i, part in enumerate(p.parts)])
+
+
 def dim_mod4(p: Partition) -> DimClass:
     """Valuation and odd-part sign of dim_exact(p), without big integers.
 
-    Computed from the first-column hook set.  The hook-product route
-    `_dim_mod4_hooks` is kept as the reference the tests compare against.
+    Hook-product form read off the abacus: the row whose first-column
+    hook is h has the hooks h - g, one per empty position g < h, so the
+    cells of hook length d are counted by one mask operation and cost one
+    lookup per table.  The same form on the diagram, `_dim_mod4_hooks`,
+    is kept as the reference the tests compare against; the oracle sweep
+    `enumeration._classified` uses the determinant form on the
+    first-column hooks.
 
     >>> dim_mod4(Partition((2, 2)))
     DimClass(v2=1, sign=1)
     """
-    # determinant form on the first-column hooks h_i = parts[i] + k - 1 - i:
-    # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!)
+    # dim = n! / prod of all hook lengths.  As many cells have hook d as
+    # beads of the abacus have an empty position d below them.
     n = p.size
     _grow_tables(n)
-    parts = p.parts
-    k = len(parts)
-    hooks = [parts[i] + k - 1 - i for i in range(k)]
+    x = mask_of(p)
+    width = x.bit_length()
+    empty = (1 << width) - 1 ^ x
+    vt, st = _V2, _SGNPAR
     val = n - n.bit_count()
     par = _FACPAR[n]
-    vt = _V2
-    st = _SGNPAR
-    ft = _FACPAR
-    for i in range(k):
-        hi = hooks[i]
-        val -= hi - hi.bit_count()
-        par ^= ft[hi]
-        for j in range(i + 1, k):
-            d = hi - hooks[j]
-            val += vt[d]
-            par ^= st[d]
-    return DimClass(val, -1 if par else 1)
+    for d in range(1, width):
+        cells = (x & empty << d).bit_count()
+        val -= vt[d] * cells
+        par += st[d] * cells
+    return DimClass(val, -1 if par & 1 else 1)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -236,7 +257,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             buf.pop()
 
     for parts in rec(n, n):
-        yield Partition(parts)
+        yield Partition._trusted(parts)
 
 
 def is_hook_partition(p: Partition) -> bool:

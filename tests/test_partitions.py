@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import (
@@ -171,6 +171,33 @@ def test_dim_mod4_routes_agree():
     for n in range(0, 17):
         for p in enumerate_partitions(n):
             assert dim_mod4(p) == _dim_mod4_hooks(p)
+
+
+@st.composite
+def blocks_up_to(draw, most):
+    # a few part sizes, each repeated: long columns and runs of equal parts
+    parts, room = [], draw(st.integers(min_value=0, max_value=most))
+    while room:
+        part = draw(st.integers(min_value=1, max_value=room))
+        count = draw(st.integers(min_value=1, max_value=room // part))
+        parts += [part] * count
+        room -= part * count
+    return Partition(tuple(sorted(parts, reverse=True)))
+
+
+@given(blocks_up_to(150))
+@example(Partition((150,)))
+@example(Partition((1,) * 150))
+@example(Partition((10,) * 15))
+@example(Partition((60, 30) + (1,) * 60))
+def test_dim_mod4_matches_both_references_up_to_150(p):
+    # past the sweep's 40 and the enumeration bound: the diagram's hook
+    # product and the exact dimension, read mod 4 through its odd part
+    cls = dim_mod4(p)
+    assert cls == _dim_mod4_hooks(p)
+    f = dim_exact(p, limit=p.size)
+    assert f % (1 << cls.v2) == 0 and (f >> cls.v2) % 2 == 1
+    assert (1 if (f >> cls.v2) % 4 == 1 else -1) == cls.sign
 
 
 def test_enumerate_partitions_counts():
