@@ -120,6 +120,14 @@ class CoreTower:
             raise ValueError("trailing all-empty row; trim before constructing")
         object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[Partition, ...], ...]) -> "CoreTower":
+        # for rows the package built itself, tuples of staircases of the right
+        # lengths with a nonempty last row by construction: __post_init__ is skipped
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     @property
     def depth(self) -> int:
         return len(self.rows)
@@ -130,13 +138,13 @@ class CoreTower:
 
     def flip(self) -> "CoreTower":
         """Mirror every row; this is what conjugation does to the tower."""
-        return CoreTower(tuple(tuple(reversed(row)) for row in self.rows))
+        return CoreTower._trusted(tuple(row[::-1] for row in self.rows))
 
 
 def tower(p: Partition) -> CoreTower:
     """The full tower of 2-cores over p, trailing empty rows trimmed."""
     rows = tuple(tuple(map(staircase, heights)) for heights in _rows(mask_of(p)))
-    return CoreTower(rows or ((staircase(0),),))
+    return CoreTower._trusted(rows or ((staircase(0),),))
 
 
 def tower_to_partition(t: CoreTower) -> Partition:

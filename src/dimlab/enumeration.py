@@ -31,9 +31,12 @@ from .binary_arith import (_FACPAR, _SGNPAR, _V2, _grow_tables, bit_positions, i
                            top_two_bits)
 from .errors import SizeLimitError, size_text
 from .parents import _flip_parity, _hook_additions, _sign_step
-from .partitions import ENUMERATION_LIMIT, Partition
+from .partitions import ENUMERATION_LIMIT, DimClass, Partition
 
 DEFAULT_ORACLE_BOUND = 40
+
+# the class of an odd dimension whose odd part is 1 and 3 mod 4, by sign parity
+_ODD_CLASSES = (DimClass(0, 1), DimClass(0, -1))
 
 EXACT = "exact-formula"
 FALLBACK = "oracle-fallback"
@@ -221,14 +224,17 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     of m by adding one hook of length 2^r.  Even-dimension partitions
     are never touched, so the stream scales with the odd count, not
     with p(n).  The walk runs on abacus ints and builds one unchecked
-    Partition per partition yielded.  The delta fallback carries the signs
-    down the walk; the tests read them with `dim_mod4` (hook product off the
-    abacus), `_dim_mod4_hooks` (on the diagram) and the sweep's determinant form.
+    Partition per partition yielded.  It carries each sign down from the
+    core by the parent-sign step, and each leaf carries the class that step
+    gave it, which `dim_mod4` returns without computing.  The tests check
+    those classes against `_dim_mod4_hooks` (on the diagram), `dim_mod4` of
+    the checked twin `Partition(leaf.parts)` (off the abacus) and the
+    sweep's determinant form.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    for x, _ in _odd_abaci(n):
-        yield Partition._trusted(parts_of(x))
+    for x, parity in _odd_abaci(n):
+        yield Partition._trusted(parts_of(x), _ODD_CLASSES[parity])
 
 
 def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
@@ -240,9 +246,13 @@ def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
         return
     t = 1 << (n.bit_length() - 1)
     top = top_two_bits(n)
+    # top_two_bits(h) off the record: h = t for kind II, and h = x + t with
+    # x < t for kind I, whose second digit is set when 2x >= t, i.e. 2h >= 3t
+    cut = 3 * t
     for core, parity in _odd_abaci(n - t):
         for _, _, h, parent in _hook_additions(core, t):
-            yield parent, (parity ^ _sign_step(top, h, _flip_parity(parent, h, t))
+            yield parent, (parity ^ _sign_step(top, 1 + (h << 1 >= cut),
+                                               _flip_parity(parent, h, t))
                            if n > 3 else 0)
 
 

@@ -77,10 +77,11 @@ def _flip_parity(x: int, h: int, t: int) -> int:
     return eta & 1
 
 
-def _sign_step(top: int, h: int, eta: int) -> int:
+def _sign_step(top: int, top_h: int, eta: int) -> int:
     # parity relating the core's sign to its parent's, for a parent of size
-    # n > 3 with top = top_two_bits(n) whose added hook has first-column hook h
-    return (top + top_two_bits(h) + eta) & 1
+    # n > 3 with top = top_two_bits(n) whose added hook has first-column hook h,
+    # top_h = top_two_bits(h) and eta = _flip_parity of the parent at h
+    return (top + top_h + eta) & 1
 
 
 def _flip_product_parity(rec: ParentRecord) -> int:
@@ -111,6 +112,6 @@ def predict_parent_sign(rec: ParentRecord, core_sign: int) -> int:
     n = rec.parent.size
     if n <= 3:
         raise ValueError(f"prediction needs a parent of size above 3, got {n}")
-    step = _sign_step(top_two_bits(n), rec.affected, sign_flip_parity(rec))
+    step = _sign_step(top_two_bits(n), top_two_bits(rec.affected), sign_flip_parity(rec))
     return -core_sign if step else core_sign
 

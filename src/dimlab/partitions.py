@@ -1,6 +1,7 @@
 """Integer partitions, their abacus, hook lengths, and tableau dimensions exact and mod 4.
 
-`Partition(...)` and `from_text` check their input; `Partition._trusted` builds the package's own.
+`Partition(...)` and `from_text` check their input; `Partition._trusted` builds the package's own,
+and may give it the dimension class a walk already derived.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Partition:
     parts, with "-" standing for the empty partition.
     """
 
-    __slots__ = ("parts", "size")
+    __slots__ = ("parts", "size", "_dim")
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(map(operator.index, parts))
@@ -45,14 +46,18 @@ class Partition:
             prev = p
         self.parts = parts
         self.size = sum(parts)
+        self._dim = None
 
     @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+    def _trusted(cls, parts: tuple[int, ...], dim: "DimClass | None" = None) -> "Partition":
         # for parts the package built itself, a weakly decreasing tuple of
-        # positive ints by construction: the checks of __init__ are skipped
+        # positive ints by construction: the checks of __init__ are skipped.
+        # dim is the DimClass a walk already derived, which dim_mod4 returns;
+        # it takes no part in equality, hashing or repr
         p = object.__new__(cls)
         p.parts = parts
         p.size = sum(parts)
+        p._dim = dim
         return p
 
     @classmethod
@@ -213,9 +218,17 @@ def dim_mod4(p: Partition) -> DimClass:
     `enumeration._classified` uses the determinant form on the
     first-column hooks.
 
+    A leaf of `enumerate_odd_partitions` carries the class that the
+    walk's parent-sign step gave it, and that class is returned as it
+    is.  The tests therefore take their reference side from
+    `_dim_mod4_hooks` or from the checked twin `Partition(leaf.parts)`,
+    which carries nothing.
+
     >>> dim_mod4(Partition((2, 2)))
     DimClass(v2=1, sign=1)
     """
+    if p._dim is not None:
+        return p._dim
     # dim = n! / prod of all hook lengths.  As many cells have hook d as
     # beads of the abacus have an empty position d below them.
     n = p.size

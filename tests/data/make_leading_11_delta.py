@@ -11,8 +11,10 @@ proved there.  Each row is computed by two routes, which must agree:
 
 - "walk": the carried-sign odd stream that `delta` falls back to, the
   sum of 1 - 2 * parity over `enumeration._odd_abaci(n)`;
-- "per_leaf": the sum of `dim_mod4(p).sign` over the partitions that
-  `enumerate_odd_partitions(n)` yields, each dimension computed afresh.
+- "per_leaf": the sum of `dim_mod4(Partition(p.parts)).sign` over the
+  partitions p that `enumerate_odd_partitions(n)` yields, each dimension
+  computed afresh on the checked twin of the leaf (a leaf itself carries
+  the class that the walk gave it, which `dim_mod4` would return).
 
 Rows for 49..63 must also equal the leading-"11" table of
 perfbench/reference.json, which is read here and never written.  The
@@ -31,7 +33,7 @@ ROOT = HERE.parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from dimlab import enumeration  # noqa: E402
-from dimlab.partitions import dim_mod4  # noqa: E402
+from dimlab.partitions import Partition, dim_mod4  # noqa: E402
 
 OUT = HERE / "leading_11_delta.json"
 REFERENCE = ROOT / "perfbench" / "reference.json"
@@ -43,7 +45,7 @@ def walk_delta(n: int) -> int:
 
 
 def per_leaf_delta(n: int) -> int:
-    return sum(dim_mod4(p).sign for p in enumeration.enumerate_odd_partitions(n))
+    return sum(dim_mod4(Partition(p.parts)).sign for p in enumeration.enumerate_odd_partitions(n))
 
 
 def row(n: int, reference: dict[int, int]) -> dict:
@@ -75,7 +77,8 @@ def main() -> None:
         "routes": {
             "walk": "sum of 1 - 2 * parity over enumeration._odd_abaci(n), signs "
                     "carried from each core by the parent-sign step",
-            "per_leaf": "sum of dim_mod4(p).sign over enumerate_odd_partitions(n)",
+            "per_leaf": "sum of dim_mod4(Partition(p.parts)).sign over the leaves p of "
+                        "enumerate_odd_partitions(n), each recomputed on its checked twin",
             "perfbench_reference": "equal to leading_11_delta in perfbench/reference.json",
         },
     }

@@ -133,7 +133,8 @@ def test_sign_prediction():
         r = n.bit_length() - 1
         m = n - (1 << r)
         for mu in enumeration.enumerate_odd_partitions(m):
-            mu_sign = dim_mod4(mu).sign
+            # the checked twin carries no class: the core's sign is computed
+            mu_sign = dim_mod4(Partition(mu.parts)).sign
             for rec in all_parents(mu, r):
                 assert predict_parent_sign(rec, mu_sign) == dim_mod4(rec.parent).sign, rec
                 checked += 1
@@ -150,7 +151,7 @@ def test_signed_sums():
                 continue
             for mu in enumeration.enumerate_odd_partitions(m):
                 k = len(first_column_hooks(mu))
-                core_sign = dim_mod4(mu).sign
+                core_sign = dim_mod4(Partition(mu.parts)).sign
                 # signed sums, normalized by the core's sign, by kind and shift
                 sums = {"I": 0, "II low": 0, "II high": 0}
                 for rec in all_parents(mu, r):
@@ -243,7 +244,10 @@ def test_status_honesty(oracle):
 @criterion("15 odd-stream signed sum equals the oracle's delta up to 40")
 def test_odd_stream_delta(oracle):
     for n, report in oracle["reports"].items():
-        signed = sum(dim_mod4(p).sign for p in enumeration.enumerate_odd_partitions(n))
+        # each leaf's sign computed afresh on its checked twin, not read
+        # from the class the walk gave it
+        signed = sum(dim_mod4(Partition(p.parts)).sign
+                     for p in enumeration.enumerate_odd_partitions(n))
         assert signed == report.delta, n
 
 
@@ -261,4 +265,4 @@ def test_carried_signs_per_leaf():
         partitions = list(enumeration.enumerate_odd_partitions(n))
         assert len(leaves) == len(partitions) == enumeration.count_odd(n), n
         for (_, parity), p in zip(leaves, partitions):
-            assert (-1 if parity else 1) == dim_mod4(p).sign, (n, p)
+            assert (-1 if parity else 1) == dim_mod4(Partition(p.parts)).sign, (n, p)

@@ -177,7 +177,8 @@ def test_predicted_sign_matches_dimensions():
         for lam in enumerate_odd_partitions(n):
             mu = t_core(lam, 1 << r)
             rec = next(x for x in all_parents(mu, r) if x.parent == lam)
-            assert predict_parent_sign(rec, dim_mod4(mu).sign) == dim_mod4(lam).sign
+            twin = Partition(lam.parts)  # a streamed leaf's checked twin carries no class
+            assert predict_parent_sign(rec, dim_mod4(mu).sign) == dim_mod4(twin).sign
 
 
 def test_predict_rejects_tiny_parents():
@@ -188,8 +189,11 @@ def test_predict_rejects_tiny_parents():
 
 
 def signed(recs, core):
-    """Sum of the parents' dimension signs, normalized by the core's sign."""
-    return dim_mod4(core).sign * sum(dim_mod4(rec.parent).sign for rec in recs)
+    """Sum of the parents' dimension signs, normalized by the core's sign.
+
+    The core's sign is computed on its checked twin, which carries no class.
+    """
+    return dim_mod4(Partition(core.parts)).sign * sum(dim_mod4(rec.parent).sign for rec in recs)
 
 
 def test_signed_sums_match_closed_forms():

@@ -1,16 +1,21 @@
 """Partitions built inside the package skip the checks of Partition(...).
 
 Each one must pass them anyway: a leaf equals the partition that the
-public, checking constructor builds from its parts, size included.
+public, checking constructor builds from its parts, size included.  A
+leaf of the odd stream also carries the dimension class its walk derived,
+which must equal the class computed afresh on that checked twin.  Towers
+built inside the package skip the checks of CoreTower(...) the same way.
 """
 
 from hypothesis import given, strategies as st
 
 from dimlab.beta_sets import BetaSet, mask_of, parts_of, shift_mask, t_core, to_partition
-from dimlab.core_towers import combine, staircase, tower, tower_to_partition, two_core, two_quotient
-from dimlab.enumeration import enumerate_odd_partitions
+from dimlab.core_towers import (CoreTower, combine, staircase, tower, tower_to_partition, two_core,
+                                two_quotient)
+from dimlab.enumeration import count_odd, enumerate_odd_partitions
 from dimlab.parents import all_parents
-from dimlab.partitions import Partition, conjugate, enumerate_partitions
+from dimlab.partitions import (DimClass, Partition, _dim_mod4_hooks, conjugate, dim_mod4,
+                               enumerate_partitions)
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))))
@@ -46,6 +51,39 @@ def test_streamed_leaves_pass_the_checks(n):
     for leaf in enumerate_partitions(min(n, 20)):
         assert_checked(leaf)
     assert_checked(staircase(n))
+
+
+def test_streamed_classes_match_their_checked_twins():
+    # past the oracle bound of 40, every n below 64 whose stream is at most
+    # 2^10 leaves: 41-45 and 48-51 among them
+    sizes = [n for n in range(64) if count_odd(n) <= 1 << 10]
+    assert max(sizes) == 51
+    leaves = 0
+    for n in sizes:
+        for leaf in enumerate_odd_partitions(n):
+            twin = Partition(leaf.parts)
+            carried = dim_mod4(leaf)
+            assert leaf._dim is carried and carried.v2 == 0, leaf
+            assert carried == dim_mod4(twin) == _dim_mod4_hooks(twin), leaf
+            leaves += 1
+    assert leaves == sum(map(count_odd, sizes))
+
+
+def test_a_carried_class_is_not_part_of_the_partition():
+    for leaf in enumerate_odd_partitions(13):
+        twin = Partition(leaf.parts)
+        assert twin._dim is None
+        assert leaf == twin and twin == leaf and hash(leaf) == hash(twin)
+        assert repr(leaf) == repr(twin) and len({leaf, twin}) == 1
+    assert Partition._trusted((2, 1)) == Partition._trusted((2, 1), DimClass(1, 1))
+
+
+def test_trusted_towers_pass_the_checks():
+    for n in range(21):
+        for p in enumerate_partitions(n):
+            t = tower(p)
+            assert t == CoreTower(t.rows), p
+            assert t.flip() == CoreTower(t.flip().rows), p
 
 
 @given(partitions_st, st.integers(min_value=0, max_value=64))
