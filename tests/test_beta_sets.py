@@ -180,15 +180,15 @@ def test_t_core_order_independent():
 
 
 def test_parity_gap_examples():
-    assert parity_gap(BetaSet((13, 12, 8, 5, 3, 1, 0))) == -1
-    assert parity_gap(BetaSet(())) == 0
-    assert parity_gap(BetaSet((2, 0))) == 2
+    assert parity_gap(0b11000100101011) == -1  # {13, 12, 8, 5, 3, 1, 0}
+    assert parity_gap(0) == 0
+    assert parity_gap(0b101) == 2  # {2, 0}
 
 
 @given(st.lists(st.integers(min_value=0, max_value=40), max_size=8, unique=True))
 def test_parity_gap_shift_rule(elements):
-    x = BetaSet(tuple(elements))
-    assert parity_gap(shift(x, 1)) == 1 - parity_gap(x)
+    x = sum(1 << e for e in elements)
+    assert parity_gap(shift_mask(x, 1)) == 1 - parity_gap(x)
 
 
 def test_parity_gap_of_odd_partitions():
@@ -198,8 +198,8 @@ def test_parity_gap_of_odd_partitions():
         for p in enumerate_partitions(n):
             if dim_mod4(p).v2 != 0:
                 continue
-            hooks = first_column_hooks(p)
-            want = (1 - (-1) ** n) if len(hooks) % 2 == 0 else (-1) ** n
+            hooks = mask_of(p)
+            want = (1 - (-1) ** n) if hooks.bit_count() % 2 == 0 else (-1) ** n
             assert parity_gap(hooks) == want, p
 
 

@@ -6,14 +6,16 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import dimlab
 from dimlab import alternating, enumeration
 from dimlab.alternating import AltReport
-from dimlab.cli import main
+from dimlab.cli import build_parser, main
 from dimlab.enumeration import CountReport
+from dimlab.partitions import Partition
 
 
 def run(capsys, *argv):
@@ -77,6 +79,26 @@ def test_partition_text_is_ascii_digits_only(capsys, text):
     code, out, err = run(capsys, "tower", text)
     assert (code, out) == (2, "")
     assert "bad partition text" in err
+
+
+def test_a_number_past_the_digit_limit_names_it(capsys):
+    # Python refuses to convert more than sys.get_int_max_str_digits() digits
+    limit = sys.get_int_max_str_digits()
+    text = "7" * 5001
+    code, out, err = run(capsys, "counts", text)
+    assert (code, out) == (2, "")
+    assert f"a 5001-digit number is past Python's int conversion limit of {limit} digits" in err
+    assert len(err) < 300
+    with pytest.raises(ValueError, match=f"5001-digit number .* limit of {limit} digits") as exc:
+        Partition.from_text("3," + text)
+    assert len(str(exc.value)) < 300
+
+
+def test_long_bad_text_is_cut_in_the_message(capsys):
+    code, _, err = run(capsys, "counts", "x" * 5000)
+    assert code == 2
+    assert "not an integer: 'xxxx" in err and "(5000 characters)" in err
+    assert len(err) < 300
 
 
 def test_counts_past_oracle_bound(capsys):
@@ -255,6 +277,19 @@ def test_parents_refuses_huge_r_at_once(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "80" in err
+
+
+def test_parents_refuses_a_huge_r_without_building_two_to_the_r(capsys):
+    build_parser()  # built once per process; not part of the refusal
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "parents", "1", "--r", str(10**8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: parents of size 1 + 2^100000000 exceed the enumeration bound 80\n"
+    assert peak < 1 << 20
 
 
 def test_parents_lists_all_parents_below_the_bound(capsys):

@@ -1,13 +1,15 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from dimlab.beta_sets import first_column_hooks, mask_of, parity_gap, t_core
+from dimlab.binary_arith import sign_parity
 from dimlab.enumeration import enumerate_odd_partitions
 from dimlab.errors import SizeLimitError
 from dimlab.parents import (
     _between,
     _flip_parity,
-    _flip_product_parity,
     all_parents,
     predict_parent_sign,
     sign_flip_parity,
@@ -79,6 +81,19 @@ def test_parents_past_the_enumeration_bound_are_refused():
         all_parents(Partition((17,)), 6)
     with pytest.raises(SizeLimitError):
         all_parents(Partition(()), 40)
+
+
+def test_a_huge_r_is_refused_without_building_two_to_the_r():
+    # 2^(10^8) alone would take about 12 MiB; the refusal compares bit lengths
+    core = Partition((3, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=r"2\^100000000 exceed"):
+            all_parents(core, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parents_of_odd_cores_are_odd():
@@ -158,6 +173,19 @@ def test_eta_matches_sign_flip_definition():
                 assert sign_flip_parity(rec) in (0, 1)
 
 
+def _flip_product_parity(rec):
+    # the defining product: the parity of the product over x in
+    # hooks(parent) - {h} of odd_sign(|h - x|) / odd_sign(|h - 2^R - x|)
+    h = rec.affected
+    t = 1 << rec.r_power
+    par = 0
+    for x in first_column_hooks(rec.parent).elements:
+        if x == h:
+            continue
+        par ^= sign_parity(abs(h - x)) ^ sign_parity(abs(h - t - x))
+    return par
+
+
 def test_flip_parity_matches_the_defining_product():
     # the mask helper against the product of odd-part signs, called directly
     # so that the comparison survives python -O
@@ -205,6 +233,6 @@ def test_signed_sums_match_closed_forms():
                 type1, low, high = kinds(mu, r)
                 assert signed(type1, mu) == (0 if k % 2 == 0 else 1)
                 assert signed(low + high, mu) == (2 if k % 2 == 0 else 1) - 2 * (-1) ** m
-                gap = parity_gap(first_column_hooks(mu))
+                gap = parity_gap(mask_of(mu))
                 assert signed(low, mu) == 2 * (-1) ** k * gap
                 assert signed(high, mu) == (0 if k % 2 == 0 else 1)

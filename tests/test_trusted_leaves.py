@@ -14,8 +14,7 @@ from dimlab.core_towers import (CoreTower, combine, staircase, tower, tower_to_p
                                 two_quotient)
 from dimlab.enumeration import count_odd, enumerate_odd_partitions
 from dimlab.parents import all_parents
-from dimlab.partitions import (DimClass, Partition, _dim_mod4_hooks, conjugate, dim_mod4,
-                               enumerate_partitions)
+from dimlab.partitions import DimClass, Partition, conjugate, dim_mod4, enumerate_partitions
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))))
@@ -64,7 +63,7 @@ def test_streamed_classes_match_their_checked_twins():
             twin = Partition(leaf.parts)
             carried = dim_mod4(leaf)
             assert leaf._dim is carried and carried.v2 == 0, leaf
-            assert carried == dim_mod4(twin) == _dim_mod4_hooks(twin), leaf
+            assert carried == dim_mod4(twin), leaf
             leaves += 1
     assert leaves == sum(map(count_odd, sizes))
 
