@@ -136,7 +136,7 @@ def alternating_oracle(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> AltR
     """
     if n < 3:
         raise ValueError(f"the oracle starts at n=3, got {n}")
-    c1, _, c3, plus, minus = _sweep(n, oracle_bound)
+    c1, _, c3, plus, minus = _sweep(n, n, oracle_bound)[n]
     # Restriction to A_n: conjugate shapes share a dimension, so the c1 and
     # c3 odd shapes (none self-conjugate once n >= 2) pair off into c1/2 and
     # c3/2 irreducibles; a self-conjugate shape of dimension 2 mod 4 splits

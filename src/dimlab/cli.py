@@ -161,13 +161,14 @@ def _cmd_tower(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_parents(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    core = args.partition
-    # compared by bit length: 2^R itself is built only once R is known small
-    if core.size.bit_length() > args.r:
-        parser.error(f"core size {core.size} must be below 2^{args.r} = {1 << args.r}")
-    recs = all_parents(core, args.r)
+    try:
+        recs = all_parents(args.partition, args.r)
+    except SizeLimitError:  # a ValueError too, but a size refusal, not a usage error
+        raise
+    except ValueError as exc:
+        parser.error(str(exc))
     rows, text = [], []
-    core_sign = dim_mod4(core).sign
+    core_sign = dim_mod4(args.partition).sign
     for rec in recs:
         eta = sign_flip_parity(rec)
         actual = dim_mod4(rec.parent).sign
@@ -190,9 +191,9 @@ def _cmd_parents(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def _verify_suites(max_n: int, bound: int):
     """Yield (suite name, list of mismatch descriptions) pairs."""
-    # largest first: a sweep refused for its size is refused before any other runs
-    oracle = {n: enumeration.oracle_counts(n, bound) for n in range(max_n, 0, -1)}
-    oracle = dict(sorted(oracle.items()))
+    # one walk sweeps 1..max_n, refused past the bound before it starts
+    enumeration._sweep(1, max_n, bound)
+    oracle = {n: enumeration.oracle_counts(n, bound) for n in range(1, max_n + 1)}
 
     bad = [f"n={n}: formula {enumeration.count_odd(n)} oracle {rep.a}"
            for n, rep in oracle.items() if enumeration.count_odd(n) != rep.a]

@@ -17,6 +17,8 @@ formulas and the walk: it places the rows of each partition bottom row
 first, so every row's first-column hook is known when the row goes in,
 and carries the determinant-form terms of the dimension down the search,
 each added once for all the partitions that share the rows placed so far.
+Every node of that search is a partition itself, so one walk sweeps a
+range of sizes, placing each partition once, and keeps a tally per size.
 """
 
 from __future__ import annotations
@@ -256,70 +258,77 @@ def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
                            if n > 3 else 0)
 
 
-def _classified(n: int) -> Iterator[tuple[int, int, int]]:
-    # (abacus, v2, sign parity) of the dimension of every partition of n, in
-    # the determinant form over the first-column hooks h,
-    # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!), so that it checks the
-    # hook product of dim_mod4 without sharing its formula.  Rows go in bottom
-    # first, parts weakly rising: the row at height r with part p has hook
-    # p + r whatever goes above it, so a placed hook adds its own factorial
-    # and its differences to the hooks below it once, for every partition
-    # above that prefix.  A part p of at most half of what remains leaves
-    # room for rows above; p = remaining closes the shape.
-    if n > ENUMERATION_LIMIT:
-        raise SizeLimitError(f"n = {n} exceeds the enumeration bound {ENUMERATION_LIMIT}")
-    if n == 0:
-        yield 0, 0, 0
-        return
-    _grow_tables(n)
+def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
+    # (size, abacus, v2, sign parity) of the dimension of every partition of a
+    # size in [lo, hi], in the determinant form over the first-column hooks h,
+    # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!), which checks the hook
+    # product of dim_mod4 without sharing its formula.  Rows go in bottom first,
+    # parts weakly rising: the row at height r with part p has hook p + r
+    # whatever goes above it, so a placed hook adds its factorial and its
+    # differences to the hooks below it once, for every partition above it.
+    # Each node is a partition, its terms carried without the n! term, which is
+    # added per size.  A part of at most half the room left below hi makes a
+    # node; a larger one closes the shape, placed only when it lands in range.
+    if hi > ENUMERATION_LIMIT:
+        raise SizeLimitError(f"n = {hi} exceeds the enumeration bound {ENUMERATION_LIMIT}")
+    _grow_tables(hi)
     fact = _FACPAR
-    # a difference's valuation above bit 8 and its sign parity below: the
-    # parities of at most 80 differences sum to less than 256, so one sum
-    # over the hooks below gives both, as s >> 8 and s & 1
+    vfact = [k - k.bit_count() for k in range(hi + 1)]
+    # a difference's valuation above bit 8, its sign parity below.  Field h (16
+    # bits) of a node's `diffs` sums these over its hooks y for h - y, distinct
+    # and below 80: at most v2(79!) = 74 and 79, so no field carries into the
+    # next.  Placing hook h adds row[h], its differences to every higher field.
     pair = [v << 8 | sign for v, sign in zip(_V2, _SGNPAR)]
-    # a prefix: its hooks bottom first, its top part, what remains, abacus, v2, parity
-    stack = [((), 1, n, 0, n - n.bit_count(), fact[n])]
+    row = [sum(pair[d] << 16 * (h + d) for d in range(1, hi + 1 - h)) for h in range(hi + 1)]
+    # a node: its difference fields, its top part, size, row count, abacus, v2, parity
+    stack = [(0, 1, 0, 0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        hooks, low, remaining, x, val, par = pop()
-        r = len(hooks)
-        for p in range(low, remaining // 2 + 1):
+        diffs, low, k, r, x, val, par = pop()
+        if k >= lo:
+            yield k, x, val + vfact[k], par ^ fact[k]
+        room = hi - k
+        half = room >> 1
+        for p in range(low, half + 1):
             h = p + r
-            s = 0
-            for y in hooks:
-                s += pair[h - y]
-            push((hooks + (h,), p, remaining - p, x | 1 << h,
-                  val - h + h.bit_count() + (s >> 8), par ^ fact[h] ^ (s & 1)))
-        h = remaining + r
-        s = 0
-        for y in hooks:
-            s += pair[h - y]
-        yield x | 1 << h, val - h + h.bit_count() + (s >> 8), par ^ fact[h] ^ (s & 1)
+            s = diffs >> 16 * h & 0xFFFF
+            push((diffs + row[h], p, k + p, r + 1, x | 1 << h,
+                  val - vfact[h] + (s >> 8), par ^ fact[h] ^ (s & 1)))
+        # the closing parts: past half, at least the top part, landing in range
+        first = lo - k if lo - k > half else half + 1
+        if first < low:
+            first = low
+        for p in range(first, room + 1):
+            h = p + r
+            s = diffs >> 16 * h & 0xFFFF
+            size = k + p
+            yield (size, x | 1 << h, val - vfact[h] + (s >> 8) + vfact[size],
+                   par ^ fact[h] ^ (s & 1) ^ fact[size])
 
 
-@cache
-def _oracle_sweep(n: int) -> tuple[int, int, int, int, int]:
-    # residues 1, 2, 3, then the self-conjugate shapes of dimension 2 mod 4
-    # whose odd part is 1 and 3 mod 4: the alternating oracle reads those.
-    # A shape is square (as many rows as its first part) when its abacus is
-    # twice as wide as it has beads.
-    tally = [0, 0, 0, 0, 0]
-    for x, v, par in _classified(n):
-        if v == 0:
-            tally[2 * par] += 1
-        elif v == 1:
-            tally[1] += 1
-            if x.bit_length() == 2 * x.bit_count() and x == conjugate_mask(x):
-                tally[3 + par] += 1
-    return tuple(tally)
+# the sweep's tally per size: residues 1, 2, 3, then the self-conjugate shapes
+# of dimension 2 mod 4 whose odd part is 1 and 3 mod 4, for the alternating oracle
+_tallies: dict[int, tuple[int, int, int, int, int]] = {}
 
 
-def _sweep(n: int, bound: int) -> tuple[int, int, int, int, int]:
-    # the one gate in front of the p(n) sweep, for both of its readers
-    if n > bound:
-        raise SizeLimitError(f"the oracle sweep of all partitions of {size_text(n)} "
+def _sweep(lo: int, hi: int, bound: int) -> dict[int, tuple[int, int, int, int, int]]:
+    # the one gate in front of the p(n) sweep; one walk tallies [lo, hi] unless
+    # it all is.  A shape is square (as many rows as its first part) when its
+    # abacus is twice as wide as it has beads.
+    if hi > bound:
+        raise SizeLimitError(f"the oracle sweep of all partitions of {size_text(hi)} "
                              f"is past the oracle bound of {size_text(bound)}")
-    return _oracle_sweep(n)
+    if not all(k in _tallies for k in range(lo, hi + 1)):
+        tally = [[0, 0, 0, 0, 0] for _ in range(hi + 1)]
+        for k, x, v, par in _classified(lo, hi):
+            if v == 0:
+                tally[k][2 * par] += 1
+            elif v == 1:
+                tally[k][1] += 1
+                if x.bit_length() == 2 * x.bit_count() and x == conjugate_mask(x):
+                    tally[k][3 + par] += 1
+        _tallies.update((k, tuple(tally[k])) for k in range(lo, hi + 1))
+    return _tallies
 
 
 def oracle_counts(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> CountReport:
@@ -327,7 +336,7 @@ def oracle_counts(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> CountRepo
     source "oracle"."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    c1, c2, c3, _, _ = _sweep(n, oracle_bound)
+    c1, c2, c3, _, _ = _sweep(n, n, oracle_bound)[n]
     return CountReport(
         n=n, a=c1 + c3, a1=c1, a2=c2, a3=c3,
         delta=c1 - c3, m4=c1 + c2 + c3, source="oracle",
@@ -351,4 +360,4 @@ def clear_caches() -> None:
     """Drop all memoized counting state (mainly for cold-start timing)."""
     _delta.cache_clear()
     a2.cache_clear()
-    _oracle_sweep.cache_clear()
+    _tallies.clear()

@@ -207,9 +207,9 @@ def dim_mod4(p: Partition) -> DimClass:
 
     The hook-product form n! / prod of hook lengths, read one lookup per
     table for each hook of `hook_lengths`, the same hooks `dim_exact`
-    multiplies.  The oracle sweep `enumeration._classified` uses the
-    determinant form on the first-column hooks instead, so the two check
-    each other.
+    multiplies.  The oracle sweep `enumeration._classified`, which walks
+    every partition of a range of sizes once, uses the determinant form
+    on the first-column hooks instead, so the two check each other.
 
     A leaf of `enumerate_odd_partitions` carries the class that the
     walk's parent-sign step gave it, and that class is returned as it

@@ -52,18 +52,17 @@ def oracle():
     start = time.perf_counter()
     reports = {n: enumeration.oracle_counts(n) for n in range(1, ORACLE_MAX + 1)}
     elapsed = time.perf_counter() - start
-    # the sweep classifies each leaf of its own walk from the terms carried
-    # down to it; replay the same leaves through dim_mod4 of a checked
-    # Partition, outside the timed sweep
+    # the sweep classifies each partition of its walk from the terms carried
+    # down to it; replay one walk over every size up to ORACLE_MAX through
+    # dim_mod4 of a checked Partition, outside the timed sweep
     masks = set()
     route_mismatches = []
-    for n in range(0, ORACLE_MAX + 1):
-        for x, v, parity in enumeration._classified(n):
-            masks.add(x)
-            p = Partition(parts_of(x))
-            walked = DimClass(v, -1 if parity else 1)
-            if p.size != n or walked != dim_mod4(p):
-                route_mismatches.append((n, x))
+    for n, x, v, parity in enumeration._classified(0, ORACLE_MAX):
+        masks.add(x)
+        p = Partition(parts_of(x))
+        walked = DimClass(v, -1 if parity else 1)
+        if p.size != n or walked != dim_mod4(p):
+            route_mismatches.append((n, x))
     return {"reports": reports, "elapsed": elapsed,
             "route_checked": len(masks), "route_mismatches": route_mismatches}
 

@@ -15,6 +15,7 @@ from dimlab import alternating, enumeration
 from dimlab.alternating import AltReport
 from dimlab.cli import build_parser, main
 from dimlab.enumeration import CountReport
+from dimlab.errors import SizeLimitError
 from dimlab.partitions import Partition
 
 
@@ -141,6 +142,26 @@ def test_verify_clean(capsys):
     assert sum(1 for line in lines if line.startswith("ok ")) == 8
     assert not any(line.startswith("FAIL") for line in lines)
     assert lines[-1] == "verify: ok up to n=10 (0 mismatches)"
+
+
+def test_verify_sweeps_its_whole_range_in_one_walk(capsys, monkeypatch):
+    walks = []
+    walk = enumeration._classified
+
+    def counted(lo, hi):
+        walks.append((lo, hi))
+        return walk(lo, hi)
+
+    monkeypatch.setattr(enumeration, "_classified", counted)
+    enumeration.clear_caches()
+    code, out, _ = run(capsys, "verify", "--max-n", "20")
+    assert code == 0 and out.endswith("verify: ok up to n=20 (0 mismatches)\n")
+    assert walks == [(1, 20)]
+    # a range past the bound is refused before any walk
+    enumeration.clear_caches()
+    with pytest.raises(SizeLimitError, match="past the oracle bound of 40$"):
+        enumeration._sweep(1, 41, 40)
+    assert walks == [(1, 20)]
 
 
 def test_verify_json(capsys):

@@ -7,7 +7,7 @@ import inspect
 import pytest
 from hypothesis import given, strategies as st
 
-from dimlab import alternating
+from dimlab import alternating, enumeration
 from dimlab.enumeration import (
     DEFAULT_ORACLE_BOUND,
     EXACT,
@@ -26,7 +26,8 @@ from dimlab.enumeration import (
 )
 from dimlab.binary_arith import bit_positions, is_sparse
 from dimlab.errors import SizeLimitError
-from dimlab.partitions import ENUMERATION_LIMIT, Partition, dim_exact, enumerate_partitions
+from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, dim_exact, dim_mod4,
+                               enumerate_partitions, mask_of)
 
 # columns: n, a, a1, a2, a3, delta, m4
 FROZEN = [
@@ -240,6 +241,35 @@ def test_oracle_bound():
 def test_sweep_refuses_past_the_enumeration_limit():
     with pytest.raises(SizeLimitError, match=f"enumeration bound {ENUMERATION_LIMIT}$"):
         oracle_counts(ENUMERATION_LIMIT + 1, oracle_bound=100)
+
+
+def test_range_walk_places_every_partition_once_with_its_class():
+    # the reference class of each partition of k <= 18, from its checked twin
+    want = {(k, mask_of(p)): dim_mod4(Partition(p.parts))
+            for k in range(19) for p in enumerate_partitions(k)}
+    for lo in range(19):
+        for hi in range(lo, 19):
+            walked = [((k, x), DimClass(v, -1 if par else 1))
+                      for k, x, v, par in enumeration._classified(lo, hi)]
+            assert sorted(walked) == sorted(
+                item for item in want.items() if lo <= item[0][0] <= hi), (lo, hi)
+
+
+def test_one_range_sweep_tallies_as_the_per_size_sweeps():
+    clear_caches()
+    together = dict(enumeration._sweep(1, 30, 30))
+    assert sorted(together) == list(range(1, 31))
+    for n in range(1, 31):
+        clear_caches()
+        assert enumeration._sweep(n, n, 30) == {n: together[n]}, n
+    clear_caches()
+
+
+def test_range_walk_refuses_past_the_enumeration_limit_before_it_starts():
+    # with lo = 0 the walk's first item would be the empty partition
+    walk = enumeration._classified(0, ENUMERATION_LIMIT + 1)
+    with pytest.raises(SizeLimitError, match=f"enumeration bound {ENUMERATION_LIMIT}$"):
+        next(walk)
 
 
 def test_report_invariants_are_enforced():
