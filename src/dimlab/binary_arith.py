@@ -4,12 +4,15 @@ Every positive integer factors as 2^v * u with u odd, and u is congruent to
 either 1 or 3 mod 4.  Encoding that residue as a sign +1/-1 makes it
 multiplicative, which is what the dimension formulas downstream exploit.
 The sign of the odd part of n! has a closed form in terms of the binary
-digits of n, so none of this ever touches big integers.
+digits of n, so none of this ever touches big integers.  `dim_mod4` and the
+oracle sweep read all three facts per hook from the immutable `_tables`.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import cache
+from itertools import accumulate
+from operator import xor
 
 
 def v2(n: int) -> int:
@@ -94,26 +97,14 @@ def is_sparse(n: int) -> bool:
     return (n & (n >> 1)) == 0
 
 
-# Lookup tables indexed by small non-negative integers, grown on demand:
-# _V2[d] is the 2-adic valuation of d and _SGNPAR[d] the sign parity of its
-# odd part; _FACPAR[d] is the sign parity of the odd part of d factorial.
-# Readers index concurrently; growth is serialized by the lock, and
-# _FACPAR is appended last so its length bounds every table.
-_V2: list[int] = [0]
-_SGNPAR: list[int] = [0]
-_FACPAR: list[int] = [0]
-_TABLE_LOCK = threading.Lock()
-
-
-def _grow_tables(n: int) -> None:
-    if n < len(_FACPAR):
-        return
-    with _TABLE_LOCK:
-        for i in range(len(_FACPAR), n + 1):
-            low = (i & -i).bit_length()
-            _V2.append(low - 1)
-            _SGNPAR.append((i >> low) & 1)
-            _FACPAR.append(factorial_sign_parity(i))
+@cache
+def _tables(size: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    # v2(d), sign_parity(d) and factorial_sign_parity(d), the running XOR of
+    # sign_parity, for every d < size, d = 0 reading 0.  Callers ask for the
+    # power of two above the largest d they read: at most twice what they read
+    lows = [(d & -d).bit_length() for d in range(size)]
+    signs = tuple([d >> low & 1 for d, low in zip(range(size), lows)])
+    return (0, *[low - 1 for low in lows[1:]]), signs, tuple(accumulate(signs, xor))
 
 
 def binom_mod4_counts(n: int) -> tuple[int, int]:

@@ -3,7 +3,7 @@
 Subcommands
     counts <n>            residue-class counts for one n (formula-first)
     verify --max-n N      formula-vs-oracle checks up to N, exit 1 on mismatch
-    tower <partition>     render the 2-core tower and its row weights
+    tower <partition>     render the 2-core tower and its row weights, |partition| <= 10000
     parents <partition> --r R   list hook-addition parents with sign data;
                           refused when |partition| + 2^R exceeds 80
     alt <n>               alternating-group counts for one n
@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 from . import alternating, enumeration
 from .binary_arith import is_sparse
-from .core_towers import render_tower, row_weights, tower
+from .core_towers import TOWER_LIMIT, render_tower, row_weights, tower
 from .enumeration import DEFAULT_ORACLE_BOUND
 from .errors import SizeLimitError, quoted, size_text
 from .parents import all_parents, sign_flip_parity, predict_parent_sign
@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, run, summary, *extra):
         cmd = sub.add_parser(name, parents=[shared, *extra], help=summary)
-        cmd.set_defaults(run=run)
+        # a command refuses through its own parser, whose usage line names it
+        cmd.set_defaults(run=run, parser=cmd)
         return cmd
 
     # counts and alt look their report up in its module at each call, so
@@ -110,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=_positive_int, required=True, metavar="N")
 
     p_tower = command("tower", _cmd_tower, "2-core tower of a partition")
-    p_tower.add_argument("partition", type=_partition_arg, help="comma form, e.g. 6,5,4,2,1,1")
+    p_tower.add_argument("partition", type=_partition_arg,
+                         help=f"comma form, e.g. 6,5,4,2,1,1; refused past size {TOWER_LIMIT}")
 
     p_parents = command("parents", _cmd_parents, "hook-addition parents of a core")
     p_parents.add_argument("partition", type=_partition_arg, help="the core, comma form")
@@ -139,14 +141,14 @@ def _emit(args: argparse.Namespace, rows: list[dict], text: Iterable[str],
             print(line)
 
 
-def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     # counts and alt: one report dataclass, its fields in every format
     fields = dataclasses.asdict(args.report(args.n, args.oracle_bound))
     _emit(args, [fields], (f"{key} = {value}" for key, value in fields.items()), fields)
     return 0
 
 
-def _cmd_tower(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_tower(args: argparse.Namespace) -> int:
     t = tower(args.partition)
     weights = row_weights(t)
     joined = ",".join(map(str, weights))
@@ -160,13 +162,13 @@ def _cmd_tower(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_parents(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_parents(args: argparse.Namespace) -> int:
     try:
         recs = all_parents(args.partition, args.r)
     except SizeLimitError:  # a ValueError too, but a size refusal, not a usage error
         raise
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     rows, text = [], []
     core_sign = dim_mod4(args.partition).sign
     for rec in recs:
@@ -248,11 +250,11 @@ def _verify_suites(max_n: int, bound: int):
     yield "alternating closed forms", bad
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     bound = args.oracle_bound
     if args.max_n > bound:
-        parser.error(f"--max-n of {size_text(args.max_n)} is past the oracle bound of "
-                     f"{size_text(bound)}")
+        args.parser.error(f"--max-n of {size_text(args.max_n)} is past the oracle bound of "
+                          f"{size_text(bound)}")
     suites = [{"name": name, "ok": not bad, "mismatches": bad}
               for name, bad in _verify_suites(args.max_n, bound)]
     failures = sum(len(suite["mismatches"]) for suite in suites)
@@ -282,10 +284,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.run(args, parser)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

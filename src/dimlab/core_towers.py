@@ -29,7 +29,11 @@ from math import comb
 from typing import Iterator
 
 from .beta_sets import core_height, interleave, mask_of, normalize_mask, parity_split, parts_of
+from .errors import SizeLimitError, size_text
 from .partitions import Partition
+
+# the largest |p| `tower` builds: its abacus has |p| + len(p) bits, its rows ~2|p| nodes
+TOWER_LIMIT = 10_000
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +146,10 @@ class CoreTower:
 
 
 def tower(p: Partition) -> CoreTower:
-    """The full tower of 2-cores over p, trailing empty rows trimmed."""
+    """The full tower of 2-cores over p, trailing empty rows trimmed; |p| <= TOWER_LIMIT."""
+    if p.size > TOWER_LIMIT:
+        raise SizeLimitError(f"|p| = {size_text(p.size)} exceeds the tower bound "
+                             f"TOWER_LIMIT = {TOWER_LIMIT}")
     rows = tuple(tuple(map(staircase, heights)) for heights in _rows(mask_of(p)))
     return CoreTower._trusted(rows or ((staircase(0),),))
 

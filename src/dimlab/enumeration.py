@@ -12,8 +12,9 @@ down from its core with the parent-sign step of `parents`, so it builds
 no partition and computes no dimension.  The brute-force sweep over all
 p(n) partitions stays as the independent oracle, for the symmetric group
 and, through its self-conjugate tally, for the alternating group.  It
-shares only the abacus and the lookup tables of `binary_arith` with the
-formulas and the walk: it places the rows of each partition bottom row
+shares only the abacus with the formulas and the walk, and with `dim_mod4`
+only the tables of `binary_arith._tables`, asked for the power of two
+above its largest n.  It places the rows of each partition bottom row
 first, so every row's first-column hook is known when the row goes in,
 and carries the determinant-form terms of the dimension down the search,
 each added once for all the partitions that share the rows placed so far.
@@ -29,8 +30,7 @@ from math import comb
 from typing import Iterator
 
 from .beta_sets import conjugate_mask, parts_of
-from .binary_arith import (_FACPAR, _SGNPAR, _V2, _grow_tables, bit_positions, is_sparse,
-                           top_two_bits)
+from .binary_arith import _tables, bit_positions, is_sparse, top_two_bits
 from .errors import SizeLimitError, size_text
 from .parents import _flip_parity, _hook_additions, _sign_step
 from .partitions import ENUMERATION_LIMIT, DimClass, Partition
@@ -129,6 +129,7 @@ def _delta(n: int, bound: int) -> tuple[int, str]:
             f"delta of {size_text(n)} has no closed form (leading 11 with extra ones), and its "
             f"walk over 2^{sum(bit_positions(n))} odd partitions is past the oracle bound of "
             f"{size_text(bound)}")
+    count_odd(n)  # whatever the bound, a walk over 2^64 leaves or more stops at the 64-bit line
     return (sum(1 - 2 * parity for _, parity in _odd_abaci(n)), FALLBACK)
 
 
@@ -271,14 +272,13 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
     # node; a larger one closes the shape, placed only when it lands in range.
     if hi > ENUMERATION_LIMIT:
         raise SizeLimitError(f"n = {hi} exceeds the enumeration bound {ENUMERATION_LIMIT}")
-    _grow_tables(hi)
-    fact = _FACPAR
+    v2s, signs, fact = _tables(1 << hi.bit_length())
     vfact = [k - k.bit_count() for k in range(hi + 1)]
     # a difference's valuation above bit 8, its sign parity below.  Field h (16
     # bits) of a node's `diffs` sums these over its hooks y for h - y, distinct
     # and below 80: at most v2(79!) = 74 and 79, so no field carries into the
     # next.  Placing hook h adds row[h], its differences to every higher field.
-    pair = [v << 8 | sign for v, sign in zip(_V2, _SGNPAR)]
+    pair = [v << 8 | sign for v, sign in zip(v2s, signs)]
     row = [sum(pair[d] << 16 * (h + d) for d in range(1, hi + 1 - h)) for h in range(hi + 1)]
     # a node: its difference fields, its top part, size, row count, abacus, v2, parity
     stack = [(0, 1, 0, 0, 0, 0, 0)]

@@ -1,10 +1,10 @@
 """Integer partitions, their abacus, hook lengths, and tableau dimensions exact and mod 4.
 
 `dim_exact` and `dim_mod4` both read the hook product n! / prod of hook
-lengths off `hook_lengths`: one exactly, one through the lookup tables
-of `binary_arith`.  `Partition(...)` and `from_text` check their input;
-`Partition._trusted` builds the package's own, and may give it the
-dimension class a walk already derived.
+lengths off `hook_lengths`: one exactly, one through the tables of
+`binary_arith._tables`.  `Partition(...)` and `from_text` check their
+input; `Partition._trusted` builds the package's own, and may give it
+the dimension class a walk already derived.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import operator
 import sys
 from typing import Iterable, Iterator, NamedTuple
 
-from .binary_arith import _FACPAR, _SGNPAR, _V2, _grow_tables
+from .binary_arith import _tables
 from .errors import SizeLimitError, quoted
 
 DIM_EXACT_LIMIT = 60
@@ -205,11 +205,12 @@ def mask_of(p: Partition) -> int:
 def dim_mod4(p: Partition) -> DimClass:
     """Valuation and odd-part sign of dim_exact(p), without big integers.
 
-    The hook-product form n! / prod of hook lengths, read one lookup per
-    table for each hook of `hook_lengths`, the same hooks `dim_exact`
-    multiplies.  The oracle sweep `enumeration._classified`, which walks
-    every partition of a range of sizes once, uses the determinant form
-    on the first-column hooks instead, so the two check each other.
+    The hook-product form n! / prod of hook lengths: the valuation and sign
+    of n! and of each hook of `hook_lengths`, the hooks `dim_exact`
+    multiplies, read from `binary_arith._tables` at the power of two above
+    n.  The oracle sweep `enumeration._classified`, which walks every
+    partition of a range of sizes once, uses the determinant form on the
+    first-column hooks instead, so the two check each other.
 
     A leaf of `enumerate_odd_partitions` carries the class that the
     walk's parent-sign step gave it, and that class is returned as it
@@ -222,10 +223,9 @@ def dim_mod4(p: Partition) -> DimClass:
     if p._dim is not None:
         return p._dim
     n = p.size
-    _grow_tables(n)
+    vt, st, ft = _tables(1 << n.bit_length())
     val = n - n.bit_count()
-    par = _FACPAR[n]
-    vt, st = _V2, _SGNPAR
+    par = ft[n]
     for h in hook_lengths(p):
         val -= vt[h]
         par ^= st[h]

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,30 +124,32 @@ def test_sparse_rows_are_unbalanced():
         assert c1 == 2 ** bin(n).count("1")
 
 
-def test_tables_grow_consistently_under_threads():
-    # more threads than cores race to grow the shared tables; a lost or
-    # doubled append would misalign some index
-    ba = binary_arith
-    top = len(ba._FACPAR) + 3000
+@pytest.mark.parametrize("size", [1, 2, 64, 4096])
+def test_tables_match_the_functions(size):
+    v2s, signs, facts = binary_arith._tables(size)
+    assert len(v2s) == len(signs) == len(facts) == size
+    assert (v2s[0], signs[0], facts[0]) == (0, 0, factorial_sign_parity(0))
+    for d in range(1, size):
+        assert (v2s[d], signs[d]) == (v2(d), sign_parity(d))
+        assert facts[d] == factorial_sign_parity(d)
 
-    def grow(first):
-        for n in range(first, top, 37):
-            ba._grow_tables(n)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=grow, args=(len(ba._FACPAR) + k,)) for k in range(8)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    size = len(ba._FACPAR)
-    assert size >= top - 37
-    assert len(ba._V2) == len(ba._SGNPAR) == size
-    for i in range(1, size):
-        assert ba._V2[i] == v2(i) and ba._SGNPAR[i] == sign_parity(i)
-        assert ba._FACPAR[i] == factorial_sign_parity(i)
+def test_sweep_reads_no_table_past_twice_its_range(monkeypatch):
+    # a big dim_mod4 builds a big table; a later sweep must not read it
+    from dimlab import enumeration
+    from dimlab.partitions import Partition, dim_mod4
+
+    dim_mod4(Partition((5000,)))
+    asked = []
+
+    def spy(size):
+        asked.append(size)
+        return binary_arith._tables(size)
+
+    monkeypatch.setattr(enumeration, "_tables", spy)
+    for lo, hi in [(1, 1), (5, 17), (28, 28)]:
+        # a cold sweep, leaving the tallies other tests warmed in place
+        monkeypatch.setattr(enumeration, "_tallies", {})
+        enumeration._sweep(lo, hi, hi)
+        assert asked and max(asked) <= 2 * hi, (lo, hi, asked)
+        asked.clear()

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -9,11 +10,13 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dimlab
 from dimlab import alternating, enumeration
 from dimlab.alternating import AltReport
 from dimlab.cli import build_parser, main
+from dimlab.core_towers import TOWER_LIMIT
 from dimlab.enumeration import CountReport
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import Partition
@@ -135,6 +138,18 @@ def test_walk_refusal_names_its_cost(capsys):
                    "and its walk over 2^12 odd partitions is past the oracle bound of 40\n")
 
 
+@pytest.mark.parametrize("command", ["counts", "alt"])
+def test_a_walk_past_64_bits_is_refused_whatever_the_bound(capsys, command):
+    # 3 * 10^19 starts "11" in binary with 23 ones: its walk would visit 2^886
+    # leaves, and a bound above it does not make that walk possible
+    n = 3 * 10**19
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(n), "--oracle-bound", str(10**20))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: odd-partition count of a 65-bit number needs 2^886, past the 64-bit line\n"
+
+
 def test_verify_clean(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "10")
     assert code == 0
@@ -243,6 +258,16 @@ def test_verify_needs_bound(capsys):
     assert run(capsys, "verify", "--max-n", "10", "--oracle-bound", "9")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "--max-n", "50"], ["parents", "3", "--r", "1"]],
+                         ids=["verify", "parents"])
+def test_command_refusals_name_their_command(capsys, argv):
+    # a refusal the command makes after parsing shows that command's usage
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: dimlab {argv[0]} ")
+    assert f"dimlab {argv[0]}: error: " in err
+
+
 def test_verify_past_the_enumeration_limit_exits_promptly(capsys):
     # the largest sweep runs first, so the refusal comes before any sweep
     start = time.perf_counter()
@@ -272,6 +297,25 @@ def test_tower_csv_quotes_commas(capsys):
         ["partition", "weights", "depth"],
         ["6,5,4,2,1,1", "3,0,2,1", "4"],
     ]
+
+
+@pytest.mark.parametrize("text", [str(TOWER_LIMIT), ",".join(["1"] * TOWER_LIMIT)],
+                         ids=["row", "column"])
+def test_tower_builds_up_to_its_bound(capsys, text):
+    code, out, err = run(capsys, "tower", text, "--format", "csv")
+    assert (code, err) == (0, "")
+    weights = [int(w) for w in next(csv.reader(io.StringIO(out)))[1].split(",")]
+    assert sum(w << k for k, w in enumerate(weights)) == TOWER_LIMIT
+
+
+@pytest.mark.parametrize("text", [str(TOWER_LIMIT + 1), ",".join(["1"] * (TOWER_LIMIT + 1)),
+                                  str(10**20)], ids=["row", "column", "huge"])
+def test_tower_refuses_past_its_bound_before_building(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tower", text)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: |p| = ") and f"TOWER_LIMIT = {TOWER_LIMIT}" in err
 
 
 def test_parents_text(capsys):
@@ -417,3 +461,30 @@ def test_repeat_runs_are_identical(capsys):
     first = run(capsys, "counts", "12", "--format", "json")
     second = run(capsys, "counts", "12", "--format", "json")
     assert first == second
+
+
+# small enough for every route, or so big that every route refuses it
+_numbers = st.one_of(st.integers(0, 40), st.integers(10**20, 10**30)).map(str)
+_partition_texts = st.one_of(
+    st.lists(st.one_of(st.integers(1, 40), st.integers(10**20, 10**30)), max_size=4)
+    .map(lambda parts: ",".join(map(str, sorted(parts, reverse=True))) or "-"),
+    st.sampled_from(["-", "", "3,,1", "1,3", "x", "0", "-1"]))
+_flags = st.one_of(
+    st.sampled_from([["--header"], ["-h"], ["--format", "csv"], ["--format", "json"],
+                     ["--format", "text"], ["--format", "xml"]]),
+    st.tuples(st.sampled_from(["--max-n", "--r", "--oracle-bound"]), _numbers).map(list))
+
+
+# no deadline: a cold verify --max-n 40 sweeps 215,308 partitions
+@settings(deadline=None)
+@given(st.sampled_from(["counts", "verify", "tower", "parents", "alt", "bench", "-h"]),
+       st.lists(st.one_of(_numbers, _partition_texts), max_size=2),
+       st.lists(_flags, max_size=3))
+def test_fuzzed_command_lines_exit_0_or_2(command, positional, flags):
+    argv = [command, *positional, *(word for flag in flags for word in flag)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue(), argv

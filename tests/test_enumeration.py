@@ -293,3 +293,25 @@ def test_clear_caches_keeps_answers_stable():
     before = formula_counts(14)
     clear_caches()
     assert formula_counts(14) == before
+
+
+def _report_or_refusal(report, n):
+    try:
+        return report(n)
+    except SizeLimitError as exc:
+        assert "64-bit line" in str(exc) or "oracle bound" in str(exc), str(exc)
+        return None
+
+
+@given(st.integers(min_value=1, max_value=2**200))
+def test_reports_hold_their_invariants_or_refuse(n):
+    # no oracle: each report is checked against the other formulas only
+    rep = _report_or_refusal(formula_counts, n)
+    if rep is not None:
+        assert rep.a1 + rep.a3 == count_odd(n)
+        assert (rep.a + rep.delta) % 2 == 0
+        assert rep.m4 == rep.a + rep.a2
+    alt = _report_or_refusal(alternating.formula_alt_counts, n)
+    if alt is not None:
+        assert (alt.a_circ + alt.delta_circ) % 2 == 0
+        assert alt.a1_circ - alt.a3_circ == alt.delta_circ
