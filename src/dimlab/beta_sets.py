@@ -195,17 +195,3 @@ def interleave(q0: int, q1: int, height: int) -> int:
     b1 = shift_mask(q1, evens + d - q1.bit_count())
     # binary digits read in base 4 move bit i to bit 2i
     return normalize_mask(int(format(b0, "b"), 4) | int(format(b1, "b"), 4) << 1)
-
-
-def parity_gap(x: int) -> int:
-    """Number of beads of abacus x at even positions minus those at odd ones.
-
-    Paper fact (acceptance criterion 08): the kind-II parents with shift
-    at most 2^(R-1) of an odd core with k first-column hooks have signed
-    dimension sum 2 * (-1)^k * parity_gap of the core's abacus.
-
-    >>> parity_gap(0b11000100101011)  # {13, 12, 8, 5, 3, 1, 0}
-    -1
-    """
-    digits = format(x, "b")[::-1]
-    return digits[::2].count("1") - digits[1::2].count("1")

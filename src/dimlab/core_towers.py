@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Iterator
 
 from .beta_sets import core_height, interleave, mask_of, normalize_mask, parity_split, parts_of
@@ -185,30 +184,6 @@ def classify_by_tower(p: Partition) -> str:
         if w[j] <= 3 and (j + 1 == len(w) or w[j + 1] == 0):
             return "two_mod_4"
     return "other"
-
-
-def count_row_fillings(k: int, weight: int) -> int:
-    """How many ways row k can carry the given total weight (0 <= w <= 3).
-
-    Paper fact: count_odd(n) is the product over rows k of the fillings
-    of weight n's binary digit k, and a2(n) sums the same product with one
-    digit 1 at R moved to weight 2 more in row R - 1.
-
-    Weight 2 forces two nodes of size one (no 2-core has size two), and
-    weight 3 is either a single (2,1) or three nodes of size one.
-    """
-    if k < 0:
-        raise ValueError(f"row index must be non-negative, got {k}")
-    nodes = 1 << k
-    if weight == 0:
-        return 1
-    if weight == 1:
-        return nodes
-    if weight == 2:
-        return comb(nodes, 2)
-    if weight == 3:
-        return comb(nodes, 3) + nodes
-    raise ValueError(f"row weight {weight} out of supported range 0..3")
 
 
 def render_tower(t: CoreTower) -> list[str]:

@@ -107,20 +107,23 @@ def delta_sparse(n: int) -> int:
 
 @cache
 def _delta(n: int, bound: int) -> tuple[int, str]:
-    if n <= 2:
-        return ((1, 1, 2)[n], EXACT)
-    r = n.bit_length() - 1
-    m = n - (1 << r)
-    half = 1 << (r - 1)
-    if m == 0:
-        return (0, EXACT)
-    if m == half:
-        return ({3: 2, 6: 8}.get(n, 0), EXACT)
-    if m < half:
+    # each leading "10" over an odd rest m scales delta(m) by 4; a loop keeps long n off the stack
+    scale = 1
+    while True:
+        if n <= 2:
+            return (scale * (1, 1, 2)[n], EXACT)
+        r = n.bit_length() - 1
+        m = n - (1 << r)
+        half = 1 << (r - 1)
+        if m == 0:
+            return (0, EXACT)
+        if m == half:
+            return (scale * {3: 2, 6: 8}.get(n, 0), EXACT)
+        if m >= half:
+            break
         if m % 2 == 0:
             return (0, EXACT)
-        value, status = _delta(m, bound)
-        return (4 * value, status)
+        n, scale = m, 4 * scale
     # leading binary digits "11" with more ones behind them: no proved
     # formula exists, so fall back to the signed odd stream, whose a(n)
     # leaves carry their signs down from the cores
@@ -130,7 +133,7 @@ def _delta(n: int, bound: int) -> tuple[int, str]:
             f"walk over 2^{sum(bit_positions(n))} odd partitions is past the oracle bound of "
             f"{size_text(bound)}")
     count_odd(n)  # whatever the bound, a walk over 2^64 leaves or more stops at the 64-bit line
-    return (sum(1 - 2 * parity for _, parity in _odd_abaci(n)), FALLBACK)
+    return (scale * sum(1 - 2 * parity for _, parity in _odd_abaci(n)), FALLBACK)
 
 
 def delta(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> tuple[int, str]:
@@ -180,16 +183,20 @@ def a2(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if n <= 1:
-        return 0
-    r = n.bit_length() - 1
-    m = n - (1 << r)
-    half = 1 << (r - 1)
-    if m < half:
-        return (1 << r) * a2(m) + comb(half, 2) * count_odd(m)
-    scaled, rem = divmod((comb(half, 3) + half) * count_odd(m), half)
-    assert rem == 0, f"inexact division in a2({n})"
-    return (1 << r) * a2(m) + scaled
+    # a2(2^r + m) = 2^r * a2(m) + term, unrolled so that a long n stays off the stack
+    total, scale = 0, 1
+    while n > 1:
+        r = n.bit_length() - 1
+        m = n - (1 << r)
+        half = 1 << (r - 1)
+        if m < half:
+            term = comb(half, 2) * count_odd(m)
+        else:
+            term, rem = divmod((comb(half, 3) + half) * count_odd(m), half)
+            assert rem == 0, f"inexact division in a2({n})"
+        total += scale * term
+        n, scale = m, scale << r
+    return total
 
 
 def a2_sparse(n: int) -> int:

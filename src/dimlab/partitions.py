@@ -142,21 +142,6 @@ def hook_lengths(p: Partition) -> list[int]:
     return out
 
 
-def diagonal_hooks(p: Partition) -> list[int]:
-    """Hook lengths of the diagonal cells (i, i).
-
-    Paper fact: a self-conjugate shape's other hooks pair up, so these
-    decide the sign of its dimension's odd part (tests/test_alternating.py).
-    """
-    heights = _column_heights(p)
-    out = []
-    for i, row in enumerate(p.parts, 1):
-        if row < i:
-            break
-        out.append(row - i + heights[i - 1] - i + 1)
-    return out
-
-
 def dim_exact(p: Partition, limit: int = DIM_EXACT_LIMIT) -> int:
     """Number of standard Young tableaux of shape p, by the hook formula.
 
@@ -257,14 +242,3 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
     for parts in rec(n, n):
         yield Partition._trusted(parts)
-
-
-def is_hook_partition(p: Partition) -> bool:
-    """True for shapes (n) and (a+1, 1, ..., 1): one row plus one column.
-
-    Paper fact: at n = 2^k the partitions of dimension 2 mod 4 are hooks
-    or two rows over a tail of 2s and 1s (tests/test_alternating.py).
-    """
-    if not p.parts:
-        return False
-    return all(part == 1 for part in p.parts[1:])

@@ -11,9 +11,8 @@ import time
 import pytest
 
 from dimlab import alternating, enumeration
-from dimlab.beta_sets import (first_column_hooks, mask_of, parity_gap, parts_of, t_core,
-                              to_partition)
-from dimlab.binary_arith import binom_mod4_counts, factorial_sign_parity, is_sparse, sign_parity
+from dimlab.beta_sets import first_column_hooks, mask_of, parts_of, t_core, to_partition
+from dimlab.binary_arith import factorial_sign_parity, is_sparse, sign_parity
 from dimlab.core_towers import classify_by_tower, tower, tower_to_partition, two_core
 from dimlab.enumeration import EXACT, FALLBACK
 from dimlab.parents import all_parents, predict_parent_sign
@@ -24,6 +23,7 @@ from dimlab.partitions import (
     dim_mod4,
     enumerate_partitions,
 )
+from paper_facts import binom_mod4_counts, parity_gap
 
 ORACLE_MAX = 40
 ORACLE_BUDGET_SECONDS = 120.0

@@ -13,18 +13,17 @@ from dimlab.alternating import (
     formula_alt_counts,
     hat_m2,
 )
-from dimlab.binary_arith import odd_sign
+from dimlab.binary_arith import sign_parity
 from dimlab.enumeration import DEFAULT_ORACLE_BOUND, EXACT, FALLBACK, oracle_counts
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import (
     Partition,
     conjugate,
-    diagonal_hooks,
     dim_mod4,
     enumerate_partitions,
     hook_lengths,
-    is_hook_partition,
 )
+from paper_facts import diagonal_hooks
 
 # columns: n, a_circ, a1_circ, a3_circ, delta_circ, m2_hat
 ALT_FROZEN = [
@@ -159,7 +158,7 @@ def test_diagonal_hooks_carry_the_odd_sign():
     for n in range(1, 23):
         for p in enumerate_partitions(n):
             if p == conjugate(p):
-                assert odd_sign(prod(hook_lengths(p))) == odd_sign(
+                assert sign_parity(prod(hook_lengths(p))) == sign_parity(
                     prod(diagonal_hooks(p))
                 )
 
@@ -181,7 +180,8 @@ def test_residue_two_shapes_at_powers_of_two(k):
     n = 1 << k
     for p in enumerate_partitions(n):
         if dim_mod4(p).v2 == 1:
-            assert is_hook_partition(p) or _two_rows_then_tail(p, k), p
+            # a hook: one row over a column of 1s
+            assert set(p.parts[1:]) <= {1} or _two_rows_then_tail(p, k), p
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -12,7 +12,6 @@ from dimlab.beta_sets import (
     mask_of,
     move_bead,
     normalize_mask,
-    parity_gap,
     parity_split,
     parts_of,
     shift,
@@ -22,6 +21,7 @@ from dimlab.beta_sets import (
     to_partition,
 )
 from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions
+from paper_facts import parity_gap
 
 
 def test_beta_set_basics():

@@ -5,15 +5,14 @@ from hypothesis import given, strategies as st
 
 from dimlab import binary_arith
 from dimlab.binary_arith import (
-    binom_mod4_counts,
     bit_positions,
     factorial_sign_parity,
     is_sparse,
-    odd_sign,
     sign_parity,
     top_two_bits,
     v2,
 )
+from paper_facts import binom_mod4_counts
 
 
 def test_v2_values():
@@ -45,31 +44,29 @@ def test_bit_positions():
 
 
 def test_odd_sign_values():
-    # sign of the odd part mod 4
-    assert odd_sign(12) == -1  # odd part 3
-    assert odd_sign(20) == 1  # odd part 5
-    assert odd_sign(1) == 1
-    assert odd_sign(7) == -1
-    assert [odd_sign(n) for n in range(1, 9)] == [1, 1, -1, 1, 1, -1, -1, 1]
+    # sign parity of the odd part mod 4: 1 when it is 3 mod 4
+    assert sign_parity(12) == 1  # odd part 3
+    assert sign_parity(20) == 0  # odd part 5
+    assert sign_parity(1) == 0
+    assert sign_parity(7) == 1
+    assert [sign_parity(n) for n in range(1, 9)] == [0, 0, 1, 0, 0, 1, 1, 0]
 
 
 def test_odd_sign_matches_definition():
     for n in range(1, 4000):
         odd = n >> v2(n)
-        want = 1 if odd % 4 == 1 else -1
-        assert odd_sign(n) == want
-        assert sign_parity(n) == (0 if want == 1 else 1)
+        assert sign_parity(n) == (0 if odd % 4 == 1 else 1)
 
 
 def test_odd_sign_multiplicative():
     for a in range(1, 400):
         for b in range(a, 400):
-            assert odd_sign(a * b) == odd_sign(a) * odd_sign(b)
+            assert sign_parity(a * b) == sign_parity(a) ^ sign_parity(b)
 
 
 @given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=10**9))
 def test_odd_sign_multiplicative_random(a, b):
-    assert odd_sign(a * b) == odd_sign(a) * odd_sign(b)
+    assert sign_parity(a * b) == sign_parity(a) ^ sign_parity(b)
 
 
 def test_factorial_sign_closed_form():
@@ -126,12 +123,19 @@ def test_sparse_rows_are_unbalanced():
 
 @pytest.mark.parametrize("size", [1, 2, 64, 4096])
 def test_tables_match_the_functions(size):
+    # the tables are built from v2, sign_parity and factorial_sign_parity, so
+    # they are checked against what those functions compute by definition: the
+    # 2s divided out, the odd part mod 4, and the running XOR of the sign column
     v2s, signs, facts = binary_arith._tables(size)
     assert len(v2s) == len(signs) == len(facts) == size
-    assert (v2s[0], signs[0], facts[0]) == (0, 0, factorial_sign_parity(0))
+    assert (v2s[0], signs[0], facts[0]) == (0, 0, 0)
+    running = 0
     for d in range(1, size):
-        assert (v2s[d], signs[d]) == (v2(d), sign_parity(d))
-        assert facts[d] == factorial_sign_parity(d)
+        odd, twos = d, 0
+        while odd % 2 == 0:
+            odd, twos = odd // 2, twos + 1
+        running ^= signs[d]
+        assert (v2s[d], signs[d], facts[d]) == (twos, int(odd % 4 == 3), running), d
 
 
 def test_sweep_reads_no_table_past_twice_its_range(monkeypatch):

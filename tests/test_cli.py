@@ -150,6 +150,28 @@ def test_a_walk_past_64_bits_is_refused_whatever_the_bound(capsys, command):
     assert err == "error: odd-partition count of a 65-bit number needs 2^886, past the 64-bit line\n"
 
 
+# 2001 bits holding 1001 ones, 603 digits: the recursions of delta and a2 once
+# took one stack frame per leading "10" and per binary one, past Python's limit
+LONG_SPARSE = sum(4**k for k in range(1001))
+
+
+@pytest.mark.parametrize("command", ["counts", "alt"])
+def test_a_long_sparse_n_is_refused_not_crashed(capsys, command):
+    enumeration.clear_caches()  # no cached rest may shorten the descent
+    code, out, err = run(capsys, command, str(LONG_SPARSE))
+    assert (code, out) == (2, "")
+    assert err == ("error: odd-partition count of a 2001-bit number needs 2^1001000, "
+                   "past the 64-bit line\n")
+
+
+def test_a_long_sparse_n_has_an_exact_delta_and_a_refused_a2():
+    enumeration.clear_caches()
+    assert enumeration.delta(LONG_SPARSE) == (enumeration.delta_sparse(LONG_SPARSE),
+                                              enumeration.EXACT)
+    with pytest.raises(SizeLimitError, match="past the 64-bit line"):
+        enumeration.a2(LONG_SPARSE)
+
+
 def test_verify_clean(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "10")
     assert code == 0

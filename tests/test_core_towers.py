@@ -6,7 +6,6 @@ from dimlab.core_towers import (
     CoreTower,
     classify_by_tower,
     combine,
-    count_row_fillings,
     is_two_core,
     render_tower,
     row_weights,
@@ -154,15 +153,6 @@ def partitions_up_to(draw, most):
 @given(partitions_up_to(80))
 def test_classification_agrees_with_residue_up_to_80(p):
     assert classify_by_tower(p) == residue_class(p)
-
-
-def test_count_row_fillings():
-    assert [count_row_fillings(0, w) for w in range(4)] == [1, 1, 0, 1]
-    assert [count_row_fillings(3, w) for w in range(4)] == [1, 8, 28, 64]
-    with pytest.raises(ValueError):
-        count_row_fillings(-1, 0)
-    with pytest.raises(ValueError):
-        count_row_fillings(2, 4)
 
 
 def test_tower_validation():

@@ -37,3 +37,20 @@ def test_table_agrees_with_the_benchmark_reference():
 def test_fallback_reproduces_the_table_up_to_63():
     for n in range(49, 64):
         assert delta(n, oracle_bound=63) == (ROWS[n]["delta"], FALLBACK)
+
+
+def test_prefix_1110_stabilises_conjecture():
+    """Conjecture, not a theorem: delta(7 * 2^s + m) == delta(7 * 2^(s-1) + m)
+    for 0 <= m < 2^(s-2), checked at s = 2, 3 and 4.
+
+    No proof is known.  These are the 7 pairs whose n the committed table
+    (n >= 49) or a cheap walk (n <= 40) reaches, e.g. (113, 57) -> 32 and
+    (114, 58) -> -64.
+    """
+    def value(n):
+        return ROWS[n]["delta"] if n >= 49 else delta(n)[0]
+
+    for s in (2, 3, 4):
+        for m in range(1 << (s - 2)):
+            big, small = (7 << s) + m, (7 << (s - 1)) + m
+            assert value(big) == value(small), (big, small)

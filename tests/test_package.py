@@ -1,12 +1,15 @@
-"""The package namespace holds the names README documents and no others."""
+"""The package namespace holds the names README documents and no others, and
+src/dimlab holds only code that the package or its benchmark runs."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
 
 import dimlab
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PUBLIC = [
     "AltReport",
@@ -37,3 +40,55 @@ def test_public_surface_is_the_documented_one():
     for name in PUBLIC:
         assert callable(getattr(dimlab, name)), name
         assert name in documented, name
+
+
+def _package_modules():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "dimlab").glob("*.py"))}
+
+
+def _benchmark_text():
+    return "\n".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
+
+
+def _referenced(node):
+    # every name the code under node reads, bare or as an attribute
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_is_run_by_the_package_or_the_benchmark():
+    # a fact only the tests check belongs in the tests (tests/paper_facts.py)
+    modules = _package_modules()
+    benchmark = _benchmark_text()
+    unused = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            # a reference from the definition's own body, as in a recursion, does not count
+            used = any(node.name in _referenced(other)
+                       for body in modules.values() for other in body.body if other is not node)
+            if not used and not re.search(rf"\b{node.name}\b", benchmark):
+                unused.append(f"{module}.{node.name}")
+    assert unused == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the one exception is a name the benchmark reads through the module,
+    # such as alternating.clear_caches
+    benchmark = _benchmark_text()
+    unread = []
+    for module, tree in _package_modules().items():
+        if module == "__init__":
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        for name in sorted(imported - _referenced(tree)):
+            if not re.search(rf"\b{module}\.{name}\b", benchmark):
+                unread.append(f"{module}: {name}")
+    assert unread == []

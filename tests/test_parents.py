@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dimlab.beta_sets import first_column_hooks, mask_of, parity_gap, t_core
+from dimlab.beta_sets import first_column_hooks, mask_of, t_core
 from dimlab.binary_arith import sign_parity
 from dimlab.enumeration import enumerate_odd_partitions
 from dimlab.errors import SizeLimitError
@@ -15,6 +15,7 @@ from dimlab.parents import (
     sign_flip_parity,
 )
 from dimlab.partitions import Partition, dim_mod4, enumerate_partitions
+from paper_facts import parity_gap
 
 
 def kinds(mu, r):
@@ -175,7 +176,7 @@ def test_eta_matches_sign_flip_definition():
 
 def _flip_product_parity(rec):
     # the defining product: the parity of the product over x in
-    # hooks(parent) - {h} of odd_sign(|h - x|) / odd_sign(|h - 2^R - x|)
+    # hooks(parent) - {h} of the odd-part signs of |h - x| and |h - 2^R - x|
     h = rec.affected
     t = 1 << rec.r_power
     par = 0

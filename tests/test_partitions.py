@@ -6,12 +6,10 @@ from dimlab.partitions import (
     DimClass,
     Partition,
     conjugate,
-    diagonal_hooks,
     dim_exact,
     dim_mod4,
     enumerate_partitions,
     hook_lengths,
-    is_hook_partition,
 )
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
@@ -116,12 +114,6 @@ def test_hook_count_equals_size():
             ]
 
 
-def test_diagonal_hooks():
-    assert diagonal_hooks(Partition((4, 3, 3, 1))) == [7, 3, 1]
-    assert diagonal_hooks(Partition((1,))) == [1]
-    assert diagonal_hooks(Partition(())) == []
-
-
 def test_dim_exact_values():
     assert dim_exact(Partition((3, 2))) == 5
     assert dim_exact(Partition(())) == 1
@@ -202,14 +194,6 @@ def test_enumerate_partitions_order_and_bounds():
     assert four == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     with pytest.raises(SizeLimitError):
         next(enumerate_partitions(81))
-
-
-def test_is_hook_partition():
-    assert is_hook_partition(Partition((5, 1, 1)))
-    assert is_hook_partition(Partition((1, 1)))
-    assert is_hook_partition(Partition((4,)))
-    assert not is_hook_partition(Partition((3, 2)))
-    assert not is_hook_partition(Partition(()))
 
 
 def test_ordering_and_hashing():
