@@ -21,51 +21,25 @@ from __future__ import annotations
 
 import operator
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .partitions import Partition, mask_of
 
 
 class BetaSet:
-    """Distinct non-negative integers, kept sorted in descending order.
+    """Distinct non-negative integers, checked once and kept as the abacus `mask`."""
 
-    `mask` is the same set as an abacus, the form every move works on.
-    """
-
-    __slots__ = ("elements", "mask")
+    __slots__ = ("mask",)
 
     def __init__(self, elements: Iterable[int] = ()):
-        elems = tuple(sorted(map(operator.index, elements), reverse=True))
         mask = 0
-        for x in elems:
+        for x in map(operator.index, elements):
             if x < 0:
                 raise ValueError(f"beta-set elements must be non-negative, got {x}")
             if mask >> x & 1:
                 raise ValueError(f"beta-set elements must be distinct, got {x} twice")
             mask |= 1 << x
-        self.elements = elems
         self.mask = mask
-
-    def __contains__(self, x: object) -> bool:
-        return isinstance(x, int) and x >= 0 and bool(self.mask >> x & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BetaSet) and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(x) for x in self.elements) + "}"
-
-    def __repr__(self) -> str:
-        return f"BetaSet({self.elements!r})"
 
 
 def _view(x: int) -> BetaSet:
@@ -75,8 +49,8 @@ def _view(x: int) -> BetaSet:
 def first_column_hooks(p: Partition) -> BetaSet:
     """The canonical beta-set of p: hook lengths of the first column.
 
-    >>> first_column_hooks(Partition((2, 2, 2))).elements
-    (4, 3, 2)
+    >>> bin(first_column_hooks(Partition((2, 2, 2))).mask)
+    '0b11100'
     """
     return _view(mask_of(p))
 

@@ -26,7 +26,9 @@ replays the formulas against, the alternating-group suite included, and
 the signed odd-stream walk that counts and alt fall back to for delta
 when n starts "11" in binary with three or more ones (it visits the
 2^(sum of bit positions) odd partitions of n).  Past B such an n is
-refused with exit 2.  Only counts, verify and alt take --oracle-bound.
+refused with exit 2, and so, whatever B, is one whose walk would visit
+more than 2^22 odd partitions (enumeration.WALK_CEILING).  Only counts,
+verify and alt take --oracle-bound.
 A refusal names an n past 64 bits by its bit length.
 """
 
@@ -44,7 +46,7 @@ from typing import Iterable, Sequence
 from . import alternating, enumeration
 from .binary_arith import is_sparse
 from .core_towers import TOWER_LIMIT, render_tower, row_weights, tower
-from .enumeration import DEFAULT_ORACLE_BOUND
+from .enumeration import DEFAULT_ORACLE_BOUND, WALK_CEILING
 from .errors import SizeLimitError, quoted, size_text
 from .parents import all_parents, sign_flip_parity, predict_parent_sign
 from .partitions import Partition, _natural, dim_mod4
@@ -90,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND, metavar="B",
         help="largest n for the brute-force sweep of verify, its alternating "
              "suite included, and the odd-stream delta fallback of counts and alt "
-             f"(default {DEFAULT_ORACLE_BOUND})",
+             f"(default {DEFAULT_ORACLE_BOUND}); the fallback also refuses a walk over "
+             f"more than 2^{WALK_CEILING} odd partitions",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

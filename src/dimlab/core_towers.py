@@ -135,14 +135,6 @@ class CoreTower:
     def depth(self) -> int:
         return len(self.rows)
 
-    @property
-    def size(self) -> int:
-        return sum(w << k for k, w in enumerate(row_weights(self)))
-
-    def flip(self) -> "CoreTower":
-        """Mirror every row; this is what conjugation does to the tower."""
-        return CoreTower._trusted(tuple(row[::-1] for row in self.rows))
-
 
 def tower(p: Partition) -> CoreTower:
     """The full tower of 2-cores over p, trailing empty rows trimmed; |p| <= TOWER_LIMIT."""

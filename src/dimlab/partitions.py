@@ -94,20 +94,8 @@ class Partition:
     def __hash__(self) -> int:
         return hash(self.parts)
 
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
-
     def __len__(self) -> int:
         return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
 
 
 def conjugate(p: Partition) -> Partition:
@@ -166,15 +154,6 @@ class DimClass(NamedTuple):
 
     v2: int
     sign: int
-
-    @property
-    def residue(self) -> int:
-        """The dimension mod 4: one of 0, 1, 2, 3."""
-        if self.v2 >= 2:
-            return 0
-        if self.v2 == 1:
-            return 2
-        return 1 if self.sign == 1 else 3
 
 
 def mask_of(p: Partition) -> int:

@@ -13,7 +13,7 @@ import pytest
 from dimlab import alternating, enumeration
 from dimlab.beta_sets import first_column_hooks, mask_of, parts_of, t_core, to_partition
 from dimlab.binary_arith import factorial_sign_parity, is_sparse, sign_parity
-from dimlab.core_towers import classify_by_tower, tower, tower_to_partition, two_core
+from dimlab.core_towers import classify_by_tower, row_weights, tower, tower_to_partition, two_core
 from dimlab.enumeration import EXACT, FALLBACK
 from dimlab.parents import all_parents, predict_parent_sign
 from dimlab.partitions import (
@@ -149,7 +149,7 @@ def test_signed_sums():
             if (1 << r) + m > 28:
                 continue
             for mu in enumeration.enumerate_odd_partitions(m):
-                k = len(first_column_hooks(mu))
+                k = first_column_hooks(mu).mask.bit_count()
                 core_sign = dim_mod4(Partition(mu.parts)).sign
                 # signed sums, normalized by the core's sign, by kind and shift
                 sums = {"I": 0, "II low": 0, "II high": 0}
@@ -195,9 +195,9 @@ def test_bijections():
             assert to_partition(first_column_hooks(p)) == p
             assert two_core(p) == t_core(p, 2), p
             t = tower(p)
-            assert t.size == n
+            assert sum(w << k for k, w in enumerate(row_weights(t))) == n
             assert tower_to_partition(t) == p
-            assert tower(conjugate(p)) == t.flip()
+            assert tower(conjugate(p)).rows == tuple(row[::-1] for row in t.rows)
 
 
 @criterion("12 alternating-group counts match the restriction oracle up to 40")

@@ -147,7 +147,35 @@ def test_a_walk_past_64_bits_is_refused_whatever_the_bound(capsys, command):
     code, out, err = run(capsys, command, str(n), "--oracle-bound", str(10**20))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == "error: odd-partition count of a 65-bit number needs 2^886, past the 64-bit line\n"
+    assert err == ("error: delta of a 65-bit number has no closed form (leading 11 with extra "
+                   "ones), and its walk over 2^886 odd partitions is past the walk's ceiling "
+                   "of 2^22\n")
+
+
+@pytest.mark.parametrize("n, exponent", [(2047, 55), (222, 23)])
+def test_a_walk_past_the_ceiling_is_refused_under_its_own_bound(capsys, n, exponent):
+    # 2047 = 11111111111 once ran for ever; 222 = 11011110 is one past the ceiling
+    enumeration.clear_caches()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "counts", str(n), "--oracle-bound", str(n))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.endswith(f"its walk over 2^{exponent} odd partitions is past the walk's "
+                        f"ceiling of 2^{enumeration.WALK_CEILING}\n")
+
+
+def test_the_walk_ceiling_admits_its_own_exponent(monkeypatch):
+    # 55 = 110111 walks 2^12 leaves: a ceiling of 12 lets it through, 11 does not
+    for ceiling, answers in ((12, True), (11, False)):
+        monkeypatch.setattr(enumeration, "WALK_CEILING", ceiling)
+        enumeration.clear_caches()
+        try:
+            assert enumeration.delta(55, 55) == (0, enumeration.FALLBACK)
+        except SizeLimitError as exc:
+            assert not answers and "the walk's ceiling of 2^11" in str(exc)
+        else:
+            assert answers
+    enumeration.clear_caches()
 
 
 # 2001 bits holding 1001 ones, 603 digits: the recursions of delta and a2 once

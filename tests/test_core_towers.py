@@ -99,19 +99,19 @@ def test_tower_of_a_medium_partition():
     ]
     assert row_weights(t) == (3, 0, 2, 1)
     assert t.depth == 4
-    assert t.size == 19
+    assert sum(w << k for k, w in enumerate(row_weights(t))) == 19
 
 
 def test_tower_of_self_conjugate_partition_is_palindromic():
     t = tower(P(3, 3, 3))
     assert render_tower(t) == ["1", "- | -", "1 | - | - | 1"]
-    assert t.flip() == t
+    assert tuple(row[::-1] for row in t.rows) == t.rows
 
 
 def test_tower_of_empty_partition():
     t = tower(EMPTY)
     assert t.depth == 1
-    assert t.size == 0
+    assert row_weights(t) == (0,)
     assert render_tower(t) == ["-"]
 
 
@@ -119,14 +119,16 @@ def test_tower_round_trip():
     for n in range(0, 15):
         for p in enumerate_partitions(n):
             t = tower(p)
-            assert t.size == n
+            # the size identity: row k weighs 2^k
+            assert sum(w << k for k, w in enumerate(row_weights(t))) == n
             assert tower_to_partition(t) == p
 
 
 def test_flip_is_conjugation():
     for n in range(0, 13):
         for p in enumerate_partitions(n):
-            assert tower(p).flip() == tower(conjugate(p))
+            t = tower(p)
+            assert tuple(row[::-1] for row in t.rows) == tower(conjugate(p)).rows
 
 
 def residue_class(p):
@@ -166,7 +168,7 @@ def test_tower_validation():
     with pytest.raises(ValueError, match="^trailing all-empty row; trim before constructing$"):
         CoreTower(((P(1),), (EMPTY, EMPTY)))
     # a lone all-empty row is fine: it is the tower of the empty partition
-    assert CoreTower(((EMPTY,),)).size == 0
+    assert row_weights(CoreTower(((EMPTY,),))) == (0,)
 
 
 def test_tower_identity():

@@ -18,6 +18,12 @@ from dimlab.partitions import Partition, dim_mod4, enumerate_partitions
 from paper_facts import parity_gap
 
 
+def column_hooks(p):
+    """The first-column hooks of p, largest first."""
+    x = first_column_hooks(p).mask
+    return [h for h in reversed(range(x.bit_length())) if x >> h & 1]
+
+
 def kinds(mu, r):
     """all_parents(mu, r) split into kind I, kind II with shift <= 2^(r-1), and the rest."""
     half = 1 << (r - 1)
@@ -45,7 +51,7 @@ def test_parent_counts_match_hook_set_size():
     for m in range(0, 8):
         for mu in enumerate_partitions(m):
             for r in (3, 4):
-                k = len(first_column_hooks(mu))
+                k = len(column_hooks(mu))
                 recs = all_parents(mu, r)
                 assert sum(rec.kind == "I" for rec in recs) == k
                 assert sum(rec.kind == "II" for rec in recs) == (1 << r) - k
@@ -66,7 +72,7 @@ def test_parent_sizes_and_affected_hook():
     for mu in enumerate_partitions(4):
         for rec in all_parents(mu, 3):
             assert rec.parent.size == 12
-            assert rec.affected in first_column_hooks(rec.parent)
+            assert rec.affected in column_hooks(rec.parent)
 
 
 def test_core_validation():
@@ -115,7 +121,7 @@ def test_type1_affected_avoids_half_shift():
         for m in range(0, half):
             for mu in enumerate_odd_partitions(m):
                 for rec in kinds(mu, r)[0]:
-                    assert rec.affected - half not in first_column_hooks(rec.parent)
+                    assert rec.affected - half not in column_hooks(rec.parent)
 
 
 def test_type2_split_and_admissible_shifts():
@@ -126,7 +132,7 @@ def test_type2_split_and_admissible_shifts():
             for mu in enumerate_odd_partitions(m):
                 _, low, high = kinds(mu, r)
                 assert [rec.param for rec in low] == list(range(1, half + 1))
-                assert len(high) == half - len(first_column_hooks(mu))
+                assert len(high) == half - len(column_hooks(mu))
 
 
 def test_count_between():
@@ -142,7 +148,7 @@ partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=8).map
 @given(partitions_st, st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=6))
 @example(Partition((2, 2, 1)), 0, 3)  # window (-4, 4) starts below 0
 def test_count_between_is_the_brute_count(p, i, r_power):
-    hooks = first_column_hooks(p).elements
+    hooks = column_hooks(p)
     if not hooks:
         return
     h = hooks[i % len(hooks)]
@@ -162,7 +168,7 @@ def test_every_parent_reduces_to_its_core(core_and_r):
     assert len(recs) == 1 << r
     for rec in recs:
         assert t_core(rec.parent, 1 << r) == mu
-        assert rec.affected in first_column_hooks(rec.parent)
+        assert rec.affected in column_hooks(rec.parent)
 
 
 def test_eta_matches_sign_flip_definition():
@@ -180,7 +186,7 @@ def _flip_product_parity(rec):
     h = rec.affected
     t = 1 << rec.r_power
     par = 0
-    for x in first_column_hooks(rec.parent).elements:
+    for x in column_hooks(rec.parent):
         if x == h:
             continue
         par ^= sign_parity(abs(h - x)) ^ sign_parity(abs(h - t - x))
@@ -230,7 +236,7 @@ def test_signed_sums_match_closed_forms():
         half = 1 << (r - 1)
         for m in range(0, half):
             for mu in enumerate_odd_partitions(m):
-                k = len(first_column_hooks(mu))
+                k = len(column_hooks(mu))
                 type1, low, high = kinds(mu, r)
                 assert signed(type1, mu) == (0 if k % 2 == 0 else 1)
                 assert signed(low + high, mu) == (2 if k % 2 == 0 else 1) - 2 * (-1) ** m
