@@ -85,7 +85,7 @@ def a_circ(n: int) -> int:
     return 2 * hat_m2(n) + count_odd(n) // 2
 
 
-def delta_circ(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> tuple[int, str]:
+def delta_circ(n: int) -> tuple[int, str]:
     """Signed residue count a1_circ - a3_circ with a status flag.
 
     Closed for n = 3 and for n a power of two or one more than one;
@@ -107,19 +107,18 @@ def delta_circ(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> tuple[int, s
     base = _power_base(n)
     if base:
         return ((1 << (base.bit_length() - 2)) - (0 if base == n else 2), EXACT)
-    value, status = delta(n, oracle_bound)
+    value, status = delta(n)
     half, rem = divmod(value, 2)
     if rem:
         raise RuntimeError(f"odd symmetric-group delta {value} at n={n}")
     return (half, status)
 
 
-def formula_alt_counts(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> AltReport:
+def formula_alt_counts(n: int) -> AltReport:
     """Assemble an AltReport from the closed forms; source becomes
     "mixed" when delta_circ took the symmetric-group odd-stream fallback,
-    which answers only up to `oracle_bound` and raises SizeLimitError
-    past it."""
-    value, status = delta_circ(n, oracle_bound)
+    which raises SizeLimitError past its walk's ceiling."""
+    value, status = delta_circ(n)
     a1, a3 = _split_signed(n, a_circ(n), value)
     return AltReport(
         n=n, a_circ=a1 + a3, a1_circ=a1, a3_circ=a3, delta_circ=value,

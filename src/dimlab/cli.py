@@ -20,16 +20,15 @@ Timing lives in the benchmark (python3 perfbench/run.py), not here.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141
 (128 + SIGPIPE) when the reader closes stdout early.
 
-The oracle bound B (default 40, set with --oracle-bound) caps two
-routes by n: the brute-force sweep over all p(n) partitions that verify
-replays the formulas against, the alternating-group suite included, and
-the signed odd-stream walk that counts and alt fall back to for delta
-when n starts "11" in binary with three or more ones (it visits the
-2^(sum of bit positions) odd partitions of n).  Past B such an n is
-refused with exit 2, and so, whatever B, is one whose walk would visit
-more than 2^22 odd partitions (enumeration.WALK_CEILING).  Only counts,
-verify and alt take --oracle-bound.
-A refusal names an n past 64 bits by its bit length.
+Each costly route has one limit, and passing it exits 2.  The oracle
+bound B (default 40, set with verify's --oracle-bound) caps the
+brute-force sweep over all p(n) partitions that verify replays the
+formulas against, the alternating-group suite included.  The signed
+odd-stream walk that counts and alt fall back to for delta, when n starts
+"11" in binary with three or more ones, visits the 2^(sum of bit
+positions) odd partitions of n and is refused past 2^22 of them
+(enumeration.WALK_CEILING).  A refusal names an n past 64 bits by its
+bit length.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Iterable, Sequence
 from . import alternating, enumeration
 from .binary_arith import is_sparse
 from .core_towers import TOWER_LIMIT, render_tower, row_weights, tower
-from .enumeration import DEFAULT_ORACLE_BOUND, WALK_CEILING
+from .enumeration import DEFAULT_ORACLE_BOUND
 from .errors import SizeLimitError, quoted, size_text
 from .parents import all_parents, sign_flip_parity, predict_parent_sign
 from .partitions import Partition, _natural, dim_mod4
@@ -87,31 +86,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--header", action="store_true",
         help="with --format csv, print the schema header line first",
     )
-    bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument(
-        "--oracle-bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND, metavar="B",
-        help="largest n for the brute-force sweep of verify, its alternating "
-             "suite included, and the odd-stream delta fallback of counts and alt "
-             f"(default {DEFAULT_ORACLE_BOUND}); the fallback also refuses a walk over "
-             f"more than 2^{WALK_CEILING} odd partitions",
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, *extra):
-        cmd = sub.add_parser(name, parents=[shared, *extra], help=summary)
+    def command(name, run, summary):
+        cmd = sub.add_parser(name, parents=[shared], help=summary)
         # a command refuses through its own parser, whose usage line names it
         cmd.set_defaults(run=run, parser=cmd)
         return cmd
 
     # counts and alt look their report up in its module at each call, so
     # the cached parser sees a rebinding there (the benchmark's tracer)
-    p_counts = command("counts", _cmd_report, "residue-class counts for n", bounded)
-    p_counts.set_defaults(report=lambda n, bound: enumeration.formula_counts(n, bound))
+    p_counts = command("counts", _cmd_report, "residue-class counts for n")
+    p_counts.set_defaults(report=lambda n: enumeration.formula_counts(n))
     p_counts.add_argument("n", type=_positive_int)
 
-    p_verify = command("verify", _cmd_verify, "formula-vs-oracle checks", bounded)
+    p_verify = command("verify", _cmd_verify, "formula-vs-oracle checks")
     p_verify.add_argument("--max-n", type=_positive_int, required=True, metavar="N")
+    p_verify.add_argument(
+        "--oracle-bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND, metavar="B",
+        help="largest n for the brute-force sweep, its alternating suite included "
+             f"(default {DEFAULT_ORACLE_BOUND})",
+    )
 
     p_tower = command("tower", _cmd_tower, "2-core tower of a partition")
     p_tower.add_argument("partition", type=_partition_arg,
@@ -122,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_parents.add_argument("--r", type=_positive_int, required=True, metavar="R",
                            help="hooks have length 2^R")
 
-    p_alt = command("alt", _cmd_report, "alternating-group counts for n", bounded)
-    p_alt.set_defaults(report=lambda n, bound: alternating.formula_alt_counts(n, bound))
+    p_alt = command("alt", _cmd_report, "alternating-group counts for n")
+    p_alt.set_defaults(report=lambda n: alternating.formula_alt_counts(n))
     p_alt.add_argument("n", type=_positive_int)
 
     return parser
@@ -146,7 +142,7 @@ def _emit(args: argparse.Namespace, rows: list[dict], text: Iterable[str],
 
 def _cmd_report(args: argparse.Namespace) -> int:
     # counts and alt: one report dataclass, its fields in every format
-    fields = dataclasses.asdict(args.report(args.n, args.oracle_bound))
+    fields = dataclasses.asdict(args.report(args.n))
     _emit(args, [fields], (f"{key} = {value}" for key, value in fields.items()), fields)
     return 0
 
@@ -214,7 +210,7 @@ def _verify_suites(max_n: int, bound: int):
 
     bad = []
     for n, rep in oracle.items():
-        value, status = enumeration.delta(n, bound)
+        value, status = enumeration.delta(n)
         if value != rep.delta:
             bad.append(f"n={n}: delta {value} ({status}) oracle {rep.delta}")
     yield "signed count (formula or odd-stream fallback)", bad
@@ -247,7 +243,7 @@ def _verify_suites(max_n: int, bound: int):
             bad.append(f"n={n}: hat_m2 {alternating.hat_m2(n)} oracle {rep.m2_hat}")
         if alternating.a_circ(n) != rep.a_circ:
             bad.append(f"n={n}: a_circ {alternating.a_circ(n)} oracle {rep.a_circ}")
-        value, status = alternating.delta_circ(n, bound)
+        value, status = alternating.delta_circ(n)
         if value != rep.delta_circ:
             bad.append(f"n={n}: delta_circ {value} ({status}) oracle {rep.delta_circ}")
     yield "alternating closed forms", bad

@@ -36,9 +36,9 @@ from .parents import _flip_parity, _hook_additions, _sign_step
 from .partitions import ENUMERATION_LIMIT, DimClass, Partition
 
 DEFAULT_ORACLE_BOUND = 40
-# the fallback walks at most 2^WALK_CEILING odd partitions, whatever the oracle
-# bound: about 8 s at the 1.7-2 us a leaf that n = 123 (2^19 leaves) takes on
-# a 2-core Xeon with Python 3.11
+# the fallback walks at most 2^WALK_CEILING odd partitions, its one limit: the
+# costliest n it admits, 220 = 11011100, took 9.3 s (2.2 us a leaf, best of
+# 3) on a 2-core Xeon with Python 3.11
 WALK_CEILING = 22
 
 # the class of an odd dimension whose odd part is 1 and 3 mod 4, by sign parity
@@ -110,7 +110,7 @@ def delta_sparse(n: int) -> int:
 
 
 @cache
-def _delta(n: int, bound: int) -> tuple[int, str]:
+def _delta(n: int) -> tuple[int, str]:
     # each leading "10" over an odd rest m scales delta(m) by 4; a loop keeps long n off the stack
     scale = 1
     while True:
@@ -132,22 +132,19 @@ def _delta(n: int, bound: int) -> tuple[int, str]:
     # formula exists, so fall back to the signed odd stream, whose a(n)
     # leaves carry their signs down from the cores
     exponent = sum(bit_positions(n))
-    refusal = (f"delta of {size_text(n)} has no closed form (leading 11 with extra ones), and "
-               f"its walk over 2^{exponent} odd partitions is past")
-    if n > bound:
-        raise SizeLimitError(f"{refusal} the oracle bound of {size_text(bound)}")
     if exponent > WALK_CEILING:
-        raise SizeLimitError(f"{refusal} the walk's ceiling of 2^{WALK_CEILING}")
+        raise SizeLimitError(
+            f"delta of {size_text(n)} has no closed form (leading 11 with extra ones), and its "
+            f"walk over 2^{exponent} odd partitions is past the walk's ceiling of 2^{WALK_CEILING}")
     return (scale * sum(1 - 2 * parity for _, parity in _odd_abaci(n)), FALLBACK)
 
 
-def delta(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> tuple[int, str]:
+def delta(n: int) -> tuple[int, str]:
     """Signed count a1(n) - a3(n) and how it was obtained.
 
     The status is EXACT for a proved formula and FALLBACK for the signed
-    odd-stream walk, which answers a leading-"11" n only up to
-    `oracle_bound` and over at most 2^WALK_CEILING odd partitions, and
-    raises SizeLimitError past either.
+    odd-stream walk, which answers a leading-"11" n whose walk visits at
+    most 2^WALK_CEILING odd partitions and raises SizeLimitError past that.
 
     >>> delta(5)
     (4, 'exact-formula')
@@ -158,7 +155,7 @@ def delta(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> tuple[int, str]:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return _delta(n, oracle_bound)
+    return _delta(n)
 
 
 def _split_signed(n: int, a: int, value: int) -> tuple[int, int]:
@@ -356,10 +353,10 @@ def oracle_counts(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> CountRepo
     )
 
 
-def formula_counts(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> CountReport:
+def formula_counts(n: int) -> CountReport:
     """Assemble a CountReport from the closed forms; source becomes
     "mixed" when delta needed the odd-stream fallback."""
-    value, status = delta(n, oracle_bound)
+    value, status = delta(n)
     a1, a3 = _split_signed(n, count_odd(n), value)
     two = a2(n)
     return CountReport(

@@ -23,7 +23,6 @@ from .partitions import ENUMERATION_LIMIT, Partition
 
 class ParentRecord(NamedTuple):
     parent: Partition
-    core: Partition
     r_power: int  # the added hook has length 2**r_power
     kind: str  # "I" bumps an existing element, "II" shifts then inserts
     param: int  # kind I: the bumped element; kind II: the shift amount
@@ -58,7 +57,7 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
         raise SizeLimitError(f"parents of size {core.size} + 2^{r_power} exceed "
                              f"the enumeration bound {ENUMERATION_LIMIT}")
     t = 1 << r_power
-    return [ParentRecord(Partition._trusted(parts_of(x)), core, r_power, kind, param, affected)
+    return [ParentRecord(Partition._trusted(parts_of(x)), r_power, kind, param, affected)
             for kind, param, affected, x in _hook_additions(mask_of(core), t)]
 
 

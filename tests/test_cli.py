@@ -106,21 +106,28 @@ def test_long_bad_text_is_cut_in_the_message(capsys):
 
 
 def test_counts_past_oracle_bound(capsys):
-    # 55 needs the oracle for delta but lies beyond the default bound
-    code, out, err = run(capsys, "counts", "55")
-    assert code == 2
-    assert "error:" in err
-    # the flag raises the bound past the default
-    code, out, err = run(capsys, "counts", "55", "--oracle-bound", "55", "--format", "json")
+    # 55 needs the walk for delta and lies past the oracle bound, which bounds
+    # only the sweep
+    code, out, err = run(capsys, "counts", "55", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["source"] == "mixed"
+
+
+@pytest.mark.parametrize("command, key, value", [("counts", "delta", 32),
+                                                 ("alt", "delta_circ", 16)])
+def test_the_walk_answers_past_the_oracle_bound_by_default(capsys, command, key, value):
+    # 57 = 111001: the first leading-"11" n with a nonzero delta, walked over 2^14 leaves
+    code, out, err = run(capsys, command, "57", "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["source"], data[key]) == ("mixed", value)
 
 
 @pytest.mark.parametrize("n, bits", [(2**1000 + 1, 1001), ((3 << 1022) | 1, 1024)],
                          ids=["2^1000+1", "leading-11"])
 def test_refusals_name_a_big_n_by_its_bit_length(capsys, n, bits):
     # a 2^1000 + 1 passes the odd count's 64-bit line; a leading-"11" n of
-    # 1024 bits has no closed form and is past the oracle bound
+    # 1024 bits has no closed form and is past the walk's ceiling
     code, out, err = run(capsys, "counts", str(n))
     assert (code, out) == (2, "")
     assert f"a {bits}-bit number" in err
@@ -132,19 +139,19 @@ def test_refusals_name_a_big_n_by_its_bit_length(capsys, n, bits):
 
 
 def test_walk_refusal_names_its_cost(capsys):
-    # 55 = 110111 in binary: the walk would visit 2^(0+1+2+4+5) leaves
-    err = run(capsys, "counts", "55")[2]
-    assert err == ("error: delta of 55 has no closed form (leading 11 with extra ones), "
-                   "and its walk over 2^12 odd partitions is past the oracle bound of 40\n")
+    # 222 = 11011110 in binary: the walk would visit 2^(1+2+3+4+6+7) leaves
+    err = run(capsys, "counts", "222")[2]
+    assert err == ("error: delta of 222 has no closed form (leading 11 with extra ones), "
+                   "and its walk over 2^23 odd partitions is past the walk's ceiling of 2^22\n")
 
 
 @pytest.mark.parametrize("command", ["counts", "alt"])
 def test_a_walk_past_64_bits_is_refused_whatever_the_bound(capsys, command):
     # 3 * 10^19 starts "11" in binary with 23 ones: its walk would visit 2^886
-    # leaves, and a bound above it does not make that walk possible
+    # leaves, and only the walk's ceiling stands in front of it
     n = 3 * 10**19
     start = time.perf_counter()
-    code, out, err = run(capsys, command, str(n), "--oracle-bound", str(10**20))
+    code, out, err = run(capsys, command, str(n))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == ("error: delta of a 65-bit number has no closed form (leading 11 with extra "
@@ -157,7 +164,7 @@ def test_a_walk_past_the_ceiling_is_refused_under_its_own_bound(capsys, n, expon
     # 2047 = 11111111111 once ran for ever; 222 = 11011110 is one past the ceiling
     enumeration.clear_caches()
     start = time.perf_counter()
-    code, out, err = run(capsys, "counts", str(n), "--oracle-bound", str(n))
+    code, out, err = run(capsys, "counts", str(n))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.endswith(f"its walk over 2^{exponent} odd partitions is past the walk's "
@@ -170,7 +177,7 @@ def test_the_walk_ceiling_admits_its_own_exponent(monkeypatch):
         monkeypatch.setattr(enumeration, "WALK_CEILING", ceiling)
         enumeration.clear_caches()
         try:
-            assert enumeration.delta(55, 55) == (0, enumeration.FALLBACK)
+            assert enumeration.delta(55) == (0, enumeration.FALLBACK)
         except SizeLimitError as exc:
             assert not answers and "the walk's ceiling of 2^11" in str(exc)
         else:
@@ -444,16 +451,15 @@ def test_env_var_is_ignored(capsys, monkeypatch, value):
 
 
 def test_oracle_bound_help_shows_the_default(capsys):
-    for command in ("counts", "verify", "alt"):
-        out = run(capsys, command, "-h")[1]
-        assert f"(default {enumeration.DEFAULT_ORACLE_BOUND})" in " ".join(out.split())
+    out = run(capsys, "verify", "-h")[1]
+    assert f"(default {enumeration.DEFAULT_ORACLE_BOUND})" in " ".join(out.split())
 
 
 def test_oracle_bound_only_where_it_is_used(capsys):
     assert run(capsys, "tower", "3,1", "--oracle-bound", "5")[0] == 2
     assert run(capsys, "parents", "1", "--r", "2", "--oracle-bound", "5")[0] == 2
-    assert run(capsys, "counts", "6", "--oracle-bound", "5")[0] == 0
-    assert run(capsys, "alt", "6", "--oracle-bound", "5")[0] == 0
+    assert run(capsys, "counts", "6", "--oracle-bound", "5")[0] == 2
+    assert run(capsys, "alt", "6", "--oracle-bound", "5")[0] == 2
     assert run(capsys, "verify", "--max-n", "5", "--oracle-bound", "5")[0] == 0
 
 

@@ -3,6 +3,7 @@ exact big-integer dimensions of all partitions of n, independently of the
 formulas under test."""
 
 import inspect
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -90,8 +91,9 @@ def test_delta_fallback_is_honest():
     value, status = delta(13)
     assert status == FALLBACK
     assert value == oracle_counts(13).delta
-    with pytest.raises(SizeLimitError):
-        delta(13, oracle_bound=12)
+    # 222 = 11011110 walks 2^23 leaves, one power past the ceiling
+    with pytest.raises(SizeLimitError, match="walk's ceiling of 2\\^22$"):
+        delta(222)
 
 
 def test_delta_sparse():
@@ -222,11 +224,13 @@ def test_oracle_counts_frozen_rows():
 
 
 def test_oracle_bound_default_is_in_the_signatures():
-    routes = (delta, formula_counts, oracle_counts, alternating.delta_circ,
-              alternating.formula_alt_counts, alternating.alternating_oracle)
-    for route in routes:
+    for route in (oracle_counts, alternating.alternating_oracle):
         default = inspect.signature(route).parameters["oracle_bound"].default
         assert default == DEFAULT_ORACLE_BOUND, route
+    # the formula routes answer to the walk's ceiling alone
+    for route in (delta, formula_counts, alternating.delta_circ,
+                  alternating.formula_alt_counts):
+        assert "oracle_bound" not in inspect.signature(route).parameters, route
 
 
 def test_oracle_bound():
@@ -299,19 +303,22 @@ def _report_or_refusal(report, n):
     try:
         return report(n)
     except SizeLimitError as exc:
-        assert "64-bit line" in str(exc) or "oracle bound" in str(exc), str(exc)
+        assert "64-bit line" in str(exc) or "walk's ceiling" in str(exc), str(exc)
         return None
 
 
 @given(st.integers(min_value=1, max_value=2**200))
 def test_reports_hold_their_invariants_or_refuse(n):
-    # no oracle: each report is checked against the other formulas only
-    rep = _report_or_refusal(formula_counts, n)
-    if rep is not None:
-        assert rep.a1 + rep.a3 == count_odd(n)
-        assert (rep.a + rep.delta) % 2 == 0
-        assert rep.m4 == rep.a + rep.a2
-    alt = _report_or_refusal(alternating.formula_alt_counts, n)
-    if alt is not None:
-        assert (alt.a_circ + alt.delta_circ) % 2 == 0
-        assert alt.a1_circ - alt.a3_circ == alt.delta_circ
+    # no oracle: each report is checked against the other formulas only.  A
+    # ceiling of 2^10 leaves, the largest walk an n <= 40 needs, keeps every
+    # example fast; a decorator would trip Hypothesis, so the patch is a block
+    with mock.patch.object(enumeration, "WALK_CEILING", 10):
+        rep = _report_or_refusal(formula_counts, n)
+        if rep is not None:
+            assert rep.a1 + rep.a3 == count_odd(n)
+            assert (rep.a + rep.delta) % 2 == 0
+            assert rep.m4 == rep.a + rep.a2
+        alt = _report_or_refusal(alternating.formula_alt_counts, n)
+        if alt is not None:
+            assert (alt.a_circ + alt.delta_circ) % 2 == 0
+            assert alt.a1_circ - alt.a3_circ == alt.delta_circ

@@ -36,7 +36,7 @@ def test_table_agrees_with_the_benchmark_reference():
 
 def test_fallback_reproduces_the_table_up_to_63():
     for n in range(49, 64):
-        assert delta(n, oracle_bound=63) == (ROWS[n]["delta"], FALLBACK)
+        assert delta(n) == (ROWS[n]["delta"], FALLBACK)
 
 
 def test_prefix_1110_stabilises_conjecture():
