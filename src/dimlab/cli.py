@@ -25,10 +25,11 @@ bound B (default 40, set with verify's --oracle-bound) caps the
 brute-force sweep over all p(n) partitions that verify replays the
 formulas against, the alternating-group suite included.  The signed
 odd-stream walk that counts and alt fall back to for delta, when n starts
-"11" in binary with three or more ones, visits the 2^(sum of bit
-positions) odd partitions of n and is refused past 2^22 of them
-(enumeration.WALK_CEILING).  A refusal names an n past 64 bits by its
-bit length.
+"11" in binary with three or more ones, visits the odd cores below n's
+top bit t and sums the signs of each core's t parents in closed form.
+It is refused when n has more than 2^22 odd partitions
+(enumeration.WALK_CEILING), 2^(sum of bit positions) of them.  A refusal
+names an n past 64 bits by its bit length.
 """
 
 from __future__ import annotations
@@ -284,7 +285,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(argv: Sequence[str] | None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # refused by the subcommand's parser, whose usage line names it
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.run(args)
     except SystemExit as exc:
         if isinstance(exc.code, int):

@@ -8,7 +8,8 @@ leaves position 2^R empty.  The sign of a parent's dimension follows the
 core's sign up to a parity computable from the hook set alone, which is
 the engine behind all the signed counting downstream.  `_flip_parity`
 and `_sign_step` compute that parity on the parent's abacus int, so the
-odd stream carries signs down without building a partition.
+odd stream carries signs down without building a partition, and
+`_top_level_sum` adds up the signs of all 2^R parents of a core at once.
 """
 
 from __future__ import annotations
@@ -76,6 +77,36 @@ def _flip_parity(x: int, h: int, t: int) -> int:
     if h >= 3 * half:
         eta ^= x >> (h - 3 * half)
     return eta & 1
+
+
+def _top_level_sum(core: int, t: int, c: int) -> int:
+    # the sum of (-1)^_sign_step over the t parents that _hook_additions(core, t)
+    # yields, for a parent size n with c = top_two_bits(n) & 1.  Read off
+    # _flip_parity, each parent's step is one parity per position below t:
+    #   kind I, bead x moved to x + t: c + 1 + [x >= half] + (beads above x)
+    #     + core[x + half] + core[x - half];
+    #   kind II, empty j (shift t - j): c + j + (beads below j)
+    #     + (1 if j < half else core[j - half]) + core[j + half].
+    # The bead counts are a suffix and a prefix XOR scan of log2(t) shift-XORs
+    # each (Warren, Hacker's Delight, 2nd ed., 5-2), so the sum costs O(log t)
+    # operations on t-bit ints where the walk visits t parents.
+    half = t >> 1
+    full = (1 << t) - 1
+    high = full ^ ((1 << half) - 1)
+    above, below = core >> 1, core << 1
+    k = 1
+    while k < t:
+        above ^= above >> k
+        below ^= below << k
+        k <<= 1
+    # core[x + half], core[x - half] and [x >= half] at each position x < t
+    mirror = core << half ^ core >> half ^ high
+    kind_one = above ^ mirror
+    kind_two = full // 3 << 1 ^ below ^ mirror ^ full  # full // 3 << 1 marks the odd j
+    empty = full ^ core
+    total = ((empty.bit_count() - 2 * (empty & kind_two).bit_count())
+             - (core.bit_count() - 2 * (core & kind_one).bit_count()))
+    return -total if c else total
 
 
 def _sign_step(top: int, top_h: int, eta: int) -> int:

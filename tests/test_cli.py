@@ -315,10 +315,14 @@ def test_verify_needs_bound(capsys):
     assert run(capsys, "verify", "--max-n", "10", "--oracle-bound", "9")[0] == 2
 
 
-@pytest.mark.parametrize("argv", [["verify", "--max-n", "50"], ["parents", "3", "--r", "1"]],
-                         ids=["verify", "parents"])
+@pytest.mark.parametrize("argv", [["verify", "--max-n", "50"], ["parents", "3", "--r", "1"],
+                                  ["counts", "6", "--oracle-bound", "5"], ["alt", "6", "--bogus"],
+                                  ["verify", "--max-n", "5", "--bogus"]],
+                         ids=["verify", "parents", "counts-unknown-flag", "alt-unknown-flag",
+                              "verify-unknown-flag"])
 def test_command_refusals_name_their_command(capsys, argv):
-    # a refusal the command makes after parsing shows that command's usage
+    # a refusal the command makes after parsing, or of an argument it does not
+    # take, shows that command's usage
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"usage: dimlab {argv[0]} ")

@@ -1,14 +1,15 @@
 """The committed delta table for the open case (leading binary "11").
 
 tests/data/make_leading_11_delta.py wrote the table from two routes; here
-the fallback of `delta` is replayed against it where that is cheap, and
-the overlap with the benchmark's reference is checked.
+the fallback of `delta` is replayed against all of it and against the
+walk over every leaf, and the overlap with the benchmark's reference is
+checked.
 """
 
 import json
 from pathlib import Path
 
-from dimlab.enumeration import FALLBACK, count_odd, delta
+from dimlab.enumeration import FALLBACK, _odd_abaci, clear_caches, count_odd, delta
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = json.loads((ROOT / "tests" / "data" / "leading_11_delta.json").read_text())
@@ -34,9 +35,21 @@ def test_table_agrees_with_the_benchmark_reference():
         assert "perfbench_reference" in ROWS[n]["routes"]
 
 
-def test_fallback_reproduces_the_table_up_to_63():
-    for n in range(49, 64):
+def test_fallback_reproduces_the_whole_table():
+    # all 46 rows, 49..63 and 97..127
+    for n in ROWS:
         assert delta(n) == (ROWS[n]["delta"], FALLBACK)
+
+
+def test_fallback_equals_the_leaf_walk():
+    # the closed-form top level against the sum over every leaf of the walk,
+    # at each leading-"11" n <= 127 whose walk visits at most 2^16 leaves
+    ns = [n for n in range(4, 128) if n >> (n.bit_length() - 2) == 0b11
+          and n.bit_count() >= 3 and count_odd(n) <= 1 << 16]
+    assert len(ns) == 43 and ns[0] == 7 and ns[-1] == 115
+    clear_caches()
+    for n in ns:
+        assert delta(n) == (sum(1 - 2 * parity for _, parity in _odd_abaci(n)), FALLBACK), n
 
 
 def test_prefix_1110_stabilises_conjecture():

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dimlab.beta_sets import first_column_hooks, mask_of, t_core
 from dimlab.binary_arith import sign_parity
@@ -10,6 +10,9 @@ from dimlab.errors import SizeLimitError
 from dimlab.parents import (
     _between,
     _flip_parity,
+    _hook_additions,
+    _sign_step,
+    _top_level_sum,
     all_parents,
     predict_parent_sign,
     sign_flip_parity,
@@ -243,3 +246,42 @@ def test_signed_sums_match_closed_forms():
                 gap = parity_gap(mask_of(mu))
                 assert signed(low, mu) == 2 * (-1) ** k * gap
                 assert signed(high, mu) == (0 if k % 2 == 0 else 1)
+
+
+def enumerated_top_level_sum(core, t, c):
+    """The sum of (-1)^step over the t parents of core, one _flip_parity each,
+    for a parent size n with top_two_bits(n) = 2 - c."""
+    total = 0
+    for _, _, h, parent in _hook_additions(core, t):
+        top_h = 1 + (2 * h >= 3 * t)
+        total += 1 - 2 * _sign_step(2 - c, top_h, _flip_parity(parent, h, t))
+    return total
+
+
+def test_top_level_sum_matches_the_parents_on_every_odd_core():
+    checked = 0
+    for r in range(1, 6):
+        t = 1 << r
+        for m in range(t):
+            for mu in enumerate_odd_partitions(m):
+                core = mask_of(mu)
+                for c in (0, 1):
+                    assert _top_level_sum(core, t, c) == enumerated_top_level_sum(core, t, c), (
+                        mu, t, c)
+                    checked += 1
+    assert checked == 2 * 4898  # 4898 odd cores over t = 2, 4, ..., 32
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(lambda r: st.tuples(
+    st.just(1 << r),
+    # a first part and a row count of at most t / 2 keep the abacus below t
+    st.lists(st.integers(min_value=1, max_value=1 << (r - 1)), max_size=1 << (r - 1)))),
+    st.integers(min_value=0, max_value=1))
+@example((4, [2, 1]), 0)
+@example((256, [128] * 128), 1)
+def test_top_level_sum_matches_the_parents_on_any_core(t_and_parts, c):
+    t, parts = t_and_parts
+    core = mask_of(Partition(tuple(sorted(parts, reverse=True))))
+    assert core.bit_length() <= t
+    assert _top_level_sum(core, t, c) == enumerated_top_level_sum(core, t, c)
