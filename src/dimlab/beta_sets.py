@@ -11,16 +11,15 @@ The int helpers below work on the abacus form: a Python int with bit h
 set for each element h (James and Kerber, 1981).  A shift is a left
 shift, a t-hook removal moves one bit down by t, and the 2-quotient
 splits the even and odd bits.  An abacus is canonical when bit 0 is clear.
-`partitions.mask_of` builds the canonical abacus and `parts_of` reads it back.
-`BetaSet` is the validated view of an abacus: it checks its elements once
-on the way in, keeps them as `mask`, and every move below goes through
-the int helpers.
+`partitions.mask_of` builds the canonical abacus and `partitions.parts_of`
+reads it back.  `BetaSet` is the validated view of an abacus: it checks
+its elements once on the way in, keeps them as `mask`, and every move
+below goes through the int helpers.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import accumulate
 from typing import Iterable
 
 from .partitions import Partition, mask_of
@@ -68,7 +67,7 @@ def to_partition(x: BetaSet) -> Partition:
     >>> to_partition(BetaSet((9, 6, 4, 2, 1))).parts
     (5, 3, 2, 1, 1)
     """
-    return Partition._trusted(parts_of(x.mask))
+    return Partition._of_abacus(x.mask)
 
 
 def t_core(p: Partition, t: int) -> Partition:
@@ -79,21 +78,7 @@ def t_core(p: Partition, t: int) -> Partition:
     """
     if t < 1:
         raise ValueError(f"hook size must be positive, got {t}")
-    return Partition._trusted(parts_of(t_core_mask(mask_of(p), t)))
-
-
-def parts_of(x: int) -> tuple[int, ...]:
-    """Inverse of mask_of: each bead's part is the count of empty positions below it.
-
-    The binary digits split at the beads into runs of empty positions; a
-    part sums the runs below its bead.  Beads packed at the bottom stand
-    for parts of size 0 and are dropped.
-
-    >>> parts_of(0b1001010110)
-    (5, 3, 2, 1, 1)
-    """
-    runs = format(x, "b").rstrip("1").split("1")[:0:-1]
-    return (*accumulate(map(len, runs)),)[::-1]
+    return Partition._of_abacus(t_core_mask(mask_of(p), t))
 
 
 def conjugate_mask(x: int) -> int:

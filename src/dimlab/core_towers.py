@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .beta_sets import core_height, interleave, mask_of, normalize_mask, parity_split, parts_of
+from .beta_sets import core_height, interleave, mask_of, normalize_mask, parity_split
 from .errors import SizeLimitError, size_text
 from .partitions import Partition
 
@@ -78,7 +78,7 @@ def two_quotient(p: Partition) -> tuple[Partition, Partition]:
     ((1, 1), (2,))
     """
     q0, q1, _ = _split(mask_of(p))
-    return Partition._trusted(parts_of(q0)), Partition._trusted(parts_of(q1))
+    return Partition._of_abacus(q0), Partition._of_abacus(q1)
 
 
 def two_core(p: Partition) -> Partition:
@@ -100,7 +100,7 @@ def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     """
     if not is_two_core(core):
         raise ValueError(f"{core} is not a staircase")
-    return Partition._trusted(parts_of(interleave(mask_of(q0), mask_of(q1), len(core))))
+    return Partition._of_abacus(interleave(mask_of(q0), mask_of(q1), len(core)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +150,7 @@ def tower_to_partition(t: CoreTower) -> Partition:
     for row in reversed(t.rows[:-1]):
         level = [interleave(level[2 * j], level[2 * j + 1], len(node))
                  for j, node in enumerate(row)]
-    return Partition._trusted(parts_of(level[0]))
+    return Partition._of_abacus(level[0])
 
 
 def row_weights(t: CoreTower) -> tuple[int, ...]:

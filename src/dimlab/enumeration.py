@@ -7,9 +7,9 @@ a1 - a3 recurses whenever the two leading digits are "10".  Inputs whose
 binary expansion starts "11" and carries three or more ones have no
 proved formula; for those the signed difference falls back to a signed
 walk over the odd-partition stream and says so in its status flag.  The
-walk visits only the a(n - t) odd cores below n's top bit t, carrying
-each core's sign down with the parent-sign step of `parents`, and sums
-the signs of a core's t parents in closed form (`parents._top_level_sum`),
+walk reads each sign off its core's step masks (`parents._top_level_steps`).
+It visits only the a(n - t) odd cores below n's top bit t and sums the signs
+of a core's t parents by popcounts of those masks (`parents._top_level_sum`),
 so it builds no partition, visits none of the a(n) = t * a(n - t) leaves
 and computes no dimension.  The brute-force sweep over all
 p(n) partitions stays as the independent oracle, for the symmetric group
@@ -31,18 +31,18 @@ from functools import cache
 from math import comb
 from typing import Iterator
 
-from .beta_sets import conjugate_mask, parts_of
+from .beta_sets import conjugate_mask, move_bead, shift_mask
 from .binary_arith import _tables, bit_positions, is_sparse, top_two_bits
 from .errors import SizeLimitError, size_text
-from .parents import _flip_parity, _hook_additions, _sign_step, _top_level_sum
+from .parents import _top_level_steps, _top_level_sum
 from .partitions import ENUMERATION_LIMIT, DimClass, Partition
 
 DEFAULT_ORACLE_BOUND = 40
 # the fallback answers only n with at most 2^WALK_CEILING odd partitions, its
 # one limit.  That count a(n) = t * a(n - t) still bounds the work: a(n - t)
 # cores, each summing its t parents in O(log t) operations on t-bit ints.  The
-# costliest n it admits, 220 = 11011100 (2^15 cores, t = 128) and its peers
-# with 2^15 cores, took 0.15 s (best of 3) on a 2-core Xeon with Python 3.11
+# costliest it admits, 220 = 11011100 and its peers with 2^15 cores (t = 128),
+# took 0.09-0.16 s cold (best of 5, shared 2-core Xeon, Python 3.11; BENCH_20.json)
 WALK_CEILING = 22
 
 # the class of an odd dimension whose odd part is 1 and 3 mod 4, by sign parity
@@ -245,36 +245,37 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     of m by adding one hook of length 2^r.  Even-dimension partitions
     are never touched, so the stream scales with the odd count, not
     with p(n).  The walk runs on abacus ints and builds one unchecked
-    Partition per partition yielded.  It carries each sign down from the
-    core by the parent-sign step, and each leaf carries the class that step
-    gave it, which `dim_mod4` returns without computing.  The tests check
-    those classes against `dim_mod4` of the checked twin
-    `Partition(leaf.parts)`, which computes the hook product, and against
-    the sweep's determinant form.
+    Partition per partition yielded, whose parts are decoded only when
+    first read.  Each leaf carries the class that the parent-sign step,
+    read off its core's step masks, gave it, and `dim_mod4` returns that
+    class without computing.  The tests check those classes against
+    `dim_mod4` of the checked twin `Partition(leaf.parts)`, which computes
+    the hook product, and against the sweep's determinant form.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     for x, parity in _odd_abaci(n):
-        yield Partition._trusted(parts_of(x), _ODD_CLASSES[parity])
+        yield Partition._of_abacus(x, n, _ODD_CLASSES[parity])
 
 
 def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
-    # (abacus, sign parity) for each odd partition of n, the parity being 1
-    # when the dimension is 3 mod 4.  A parent's parity is its core's XOR
-    # the step of predict_parent_sign; below size 4 every odd dimension is 1.
+    # (abacus, sign parity) per odd partition of n, in _hook_additions order per
+    # core, the parity 1 when the dimension is 3 mod 4: the core's XOR the step,
+    # bit x or j of its _top_level_steps masks; below size 4 every parity is 0.
     if n == 0:
         yield 0, 0
         return
     t = 1 << (n.bit_length() - 1)
-    top = top_two_bits(n)
-    # top_two_bits(h) off the record: h = t for kind II, and h = x + t with
-    # x < t for kind I, whose second digit is set when 2x >= t, i.e. 2h >= 3t
-    cut = 3 * t
+    c = top_two_bits(n) & 1 if n > 3 else 0
     for core, parity in _odd_abaci(n - t):
-        for _, _, h, parent in _hook_additions(core, t):
-            yield parent, (parity ^ _sign_step(top, 1 + (h << 1 >= cut),
-                                               _flip_parity(parent, h, t))
-                           if n > 3 else 0)
+        one, two = _top_level_steps(core, t) if n > 3 else (0, 0)
+        parity ^= c
+        for x in range(core.bit_length() - 1, 0, -1):
+            if core >> x & 1:
+                yield move_bead(core, x, x + t), parity ^ (one >> x & 1)
+        for j in range(t - 1, -1, -1):
+            if not core >> j & 1:
+                yield move_bead(shift_mask(core, t - j), 0, t), parity ^ (two >> j & 1)
 
 
 def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:

@@ -7,9 +7,9 @@ and sets bead 2^R; it is admissible for each r = 1..2^R whose shift
 leaves position 2^R empty.  The sign of a parent's dimension follows the
 core's sign up to a parity computable from the hook set alone, which is
 the engine behind all the signed counting downstream.  `_flip_parity`
-and `_sign_step` compute that parity on the parent's abacus int, so the
-odd stream carries signs down without building a partition, and
-`_top_level_sum` adds up the signs of all 2^R parents of a core at once.
+and `_sign_step` compute that parity for one parent on its abacus int;
+`_top_level_steps` gives it for all 2^R parents of a core at once, one bit
+each, which the odd stream reads and `_top_level_sum` counts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .binary_arith import top_two_bits
-from .beta_sets import mask_of, move_bead, parts_of, shift_mask
+from .beta_sets import mask_of, move_bead, shift_mask
 from .errors import SizeLimitError
 from .partitions import ENUMERATION_LIMIT, Partition
 
@@ -58,7 +58,7 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
         raise SizeLimitError(f"parents of size {core.size} + 2^{r_power} exceed "
                              f"the enumeration bound {ENUMERATION_LIMIT}")
     t = 1 << r_power
-    return [ParentRecord(Partition._trusted(parts_of(x)), r_power, kind, param, affected)
+    return [ParentRecord(Partition._of_abacus(x, core.size + t), r_power, kind, param, affected)
             for kind, param, affected, x in _hook_additions(mask_of(core), t)]
 
 
@@ -79,17 +79,15 @@ def _flip_parity(x: int, h: int, t: int) -> int:
     return eta & 1
 
 
-def _top_level_sum(core: int, t: int, c: int) -> int:
-    # the sum of (-1)^_sign_step over the t parents that _hook_additions(core, t)
-    # yields, for a parent size n with c = top_two_bits(n) & 1.  Read off
-    # _flip_parity, each parent's step is one parity per position below t:
-    #   kind I, bead x moved to x + t: c + 1 + [x >= half] + (beads above x)
-    #     + core[x + half] + core[x - half];
-    #   kind II, empty j (shift t - j): c + j + (beads below j)
-    #     + (1 if j < half else core[j - half]) + core[j + half].
-    # The bead counts are a suffix and a prefix XOR scan of log2(t) shift-XORs
-    # each (Warren, Hacker's Delight, 2nd ed., 5-2), so the sum costs O(log t)
-    # operations on t-bit ints where the walk visits t parents.
+def _top_level_steps(core: int, t: int) -> tuple[int, int]:
+    # the _sign_step parities of the t parents _hook_additions(core, t) yields,
+    # for a parent size n with top_two_bits(n) = 2 (all flip when it is 1): bit
+    # x of the first mask for the kind I parent moving bead x, bit j of the
+    # second for the kind II parent leaving j empty.  Read off _flip_parity:
+    #   kind I: 1 + [x >= half] + (beads above x) + core[x + half] + core[x - half];
+    #   kind II: j + (beads below j) + (1 if j < half else core[j - half]) + core[j + half].
+    # The bead counts are suffix and prefix XOR scans of log2(t) shift-XORs (Warren,
+    # Hacker's Delight, 2nd ed., 5-2): O(log t) ops on t-bit ints.  full // 3 << 1 is the odd j.
     half = t >> 1
     full = (1 << t) - 1
     high = full ^ ((1 << half) - 1)
@@ -101,11 +99,13 @@ def _top_level_sum(core: int, t: int, c: int) -> int:
         k <<= 1
     # core[x + half], core[x - half] and [x >= half] at each position x < t
     mirror = core << half ^ core >> half ^ high
-    kind_one = above ^ mirror
-    kind_two = full // 3 << 1 ^ below ^ mirror ^ full  # full // 3 << 1 marks the odd j
-    empty = full ^ core
-    total = ((empty.bit_count() - 2 * (empty & kind_two).bit_count())
-             - (core.bit_count() - 2 * (core & kind_one).bit_count()))
+    return core & ~(above ^ mirror), (full ^ core) & (full // 3 << 1 ^ below ^ mirror ^ full)
+
+
+def _top_level_sum(core: int, t: int, c: int) -> int:
+    # the sum of (-1)^step over those parents, c = top_two_bits(n) & 1: t less twice the odd steps
+    one, two = _top_level_steps(core, t)
+    total = t - 2 * (one.bit_count() + two.bit_count())
     return -total if c else total
 
 

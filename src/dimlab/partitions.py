@@ -3,8 +3,8 @@
 `dim_exact` and `dim_mod4` both read the hook product n! / prod of hook
 lengths off `hook_lengths`: one exactly, one through the tables of
 `binary_arith._tables`.  `Partition(...)` and `from_text` check their
-input; `Partition._trusted` builds the package's own, and may give it
-the dimension class a walk already derived.
+input; `Partition._trusted` and `_of_abacus` build the package's own,
+from parts or an abacus, and may give it the class a walk derived.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 from .binary_arith import _tables
@@ -39,10 +40,11 @@ class Partition:
     """A weakly decreasing tuple of positive integers.
 
     The empty partition is Partition(()).  Text form is comma separated
-    parts, with "-" standing for the empty partition.
+    parts, with "-" standing for the empty partition.  One built from an
+    abacus decodes its parts (and size) from it only when first read.
     """
 
-    __slots__ = ("parts", "size", "_dim")
+    __slots__ = ("parts", "size", "_dim", "_abacus")
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(map(operator.index, parts))
@@ -64,10 +66,28 @@ class Partition:
         # dim is the DimClass a walk already derived, which dim_mod4 returns;
         # it takes no part in equality, hashing or repr
         p = object.__new__(cls)
-        p.parts = parts
-        p.size = sum(parts)
-        p._dim = dim
+        p.parts, p.size, p._dim = parts, sum(parts), dim
         return p
+
+    @classmethod
+    def _of_abacus(cls, x: int, size: int | None = None,
+                   dim: "DimClass | None" = None) -> "Partition":
+        # as _trusted; parts, and size unless given, are unset until __getattr__
+        p = object.__new__(cls)
+        p._abacus, p._dim = x, dim
+        if size is not None:
+            p.size = size
+        return p
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot, so only on a partition built from an abacus
+        if name == "parts":
+            self.parts = parts_of(self._abacus)
+        elif name == "size":
+            self.size = sum(self.parts)
+        else:
+            raise AttributeError(f"'Partition' object has no attribute {name!r}")
+        return getattr(self, name)
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -164,6 +184,20 @@ def mask_of(p: Partition) -> int:
     """
     k = len(p.parts)
     return sum([1 << (part + k - 1 - i) for i, part in enumerate(p.parts)])
+
+
+def parts_of(x: int) -> tuple[int, ...]:
+    """Inverse of mask_of: each bead's part is the count of empty positions below it.
+
+    The binary digits split at the beads into runs of empty positions; a
+    part sums the runs below its bead.  Beads packed at the bottom stand
+    for parts of size 0 and are dropped.
+
+    >>> parts_of(0b1001010110)
+    (5, 3, 2, 1, 1)
+    """
+    runs = format(x, "b").rstrip("1").split("1")[:0:-1]
+    return (*accumulate(map(len, runs)),)[::-1]
 
 
 def dim_mod4(p: Partition) -> DimClass:

@@ -13,14 +13,13 @@ from dimlab.beta_sets import (
     move_bead,
     normalize_mask,
     parity_split,
-    parts_of,
     shift,
     shift_mask,
     t_core,
     t_core_mask,
     to_partition,
 )
-from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions
+from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, parts_of
 from paper_facts import parity_gap
 
 

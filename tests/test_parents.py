@@ -12,6 +12,7 @@ from dimlab.parents import (
     _flip_parity,
     _hook_additions,
     _sign_step,
+    _top_level_steps,
     _top_level_sum,
     all_parents,
     predict_parent_sign,
@@ -248,14 +249,41 @@ def test_signed_sums_match_closed_forms():
                 assert signed(high, mu) == (0 if k % 2 == 0 else 1)
 
 
+def enumerated_steps(core, t, c):
+    """The step parity of each of the t parents of core, one _flip_parity each,
+    for a parent size n with top_two_bits(n) = 2 - c, in _hook_additions order."""
+    return [_sign_step(2 - c, 1 + (2 * h >= 3 * t), _flip_parity(parent, h, t))
+            for _, _, h, parent in _hook_additions(core, t)]
+
+
 def enumerated_top_level_sum(core, t, c):
-    """The sum of (-1)^step over the t parents of core, one _flip_parity each,
-    for a parent size n with top_two_bits(n) = 2 - c."""
-    total = 0
-    for _, _, h, parent in _hook_additions(core, t):
-        top_h = 1 + (2 * h >= 3 * t)
-        total += 1 - 2 * _sign_step(2 - c, top_h, _flip_parity(parent, h, t))
-    return total
+    """The sum of (-1)^step over the t parents of core."""
+    return sum(1 - 2 * step for step in enumerated_steps(core, t, c))
+
+
+def mask_steps(core, t, c):
+    """The bit of each parent in the masks of _top_level_steps, flipped when c
+    is 1, in _hook_additions order: bead x of kind I, empty t - shift of kind II."""
+    one, two = _top_level_steps(core, t)
+    # no bit off the beads in the kind I mask, nor off the empty positions below t in the other
+    assert one & ~core == 0 and two & core == 0 and two >> t == 0
+    return [(one >> param if kind == "I" else two >> (t - param)) & 1 ^ c
+            for kind, param, _, _ in _hook_additions(core, t)]
+
+
+def test_top_level_steps_match_each_parent_on_every_odd_core():
+    # per parent, so that two wrong bits cannot cancel in a sum: the t parents
+    # of each of the 4898 odd cores below t = 2, 4, ..., 32, for both c
+    checked = 0
+    for r in range(1, 6):
+        t = 1 << r
+        for m in range(t):
+            for mu in enumerate_odd_partitions(m):
+                core = mask_of(mu)
+                for c in (0, 1):
+                    assert mask_steps(core, t, c) == enumerated_steps(core, t, c), (mu, t, c)
+                    checked += t
+    assert checked == 2 * 151_468
 
 
 def test_top_level_sum_matches_the_parents_on_every_odd_core():
@@ -284,4 +312,6 @@ def test_top_level_sum_matches_the_parents_on_any_core(t_and_parts, c):
     t, parts = t_and_parts
     core = mask_of(Partition(tuple(sorted(parts, reverse=True))))
     assert core.bit_length() <= t
-    assert _top_level_sum(core, t, c) == enumerated_top_level_sum(core, t, c)
+    steps = enumerated_steps(core, t, c)
+    assert mask_steps(core, t, c) == steps
+    assert _top_level_sum(core, t, c) == sum(1 - 2 * step for step in steps)

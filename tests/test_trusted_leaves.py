@@ -3,18 +3,23 @@
 Each one must pass them anyway: a leaf equals the partition that the
 public, checking constructor builds from its parts, size included.  A
 leaf of the odd stream also carries the dimension class its walk derived,
-which must equal the class computed afresh on that checked twin.  Towers
-built inside the package skip the checks of CoreTower(...) the same way.
+which must equal the class computed afresh on that checked twin.  A
+partition built from an abacus decodes its parts only when they are first
+read, and then reads as its checked twin.  Towers built inside the package
+skip the checks of CoreTower(...) the same way.
 """
 
+import pytest
 from hypothesis import given, strategies as st
 
-from dimlab.beta_sets import BetaSet, mask_of, parts_of, shift_mask, t_core, to_partition
+from dimlab import partitions
+from dimlab.beta_sets import BetaSet, mask_of, shift_mask, t_core, to_partition
 from dimlab.core_towers import (CoreTower, combine, staircase, tower, tower_to_partition, two_core,
                                 two_quotient)
 from dimlab.enumeration import count_odd, enumerate_odd_partitions
 from dimlab.parents import all_parents
-from dimlab.partitions import DimClass, Partition, conjugate, dim_mod4, enumerate_partitions
+from dimlab.partitions import (DimClass, Partition, conjugate, dim_mod4, enumerate_partitions,
+                               parts_of)
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))))
@@ -93,3 +98,59 @@ def test_parts_of_drops_the_beads_packed_at_the_bottom(p, r):
 
 def test_parts_of_the_empty_abacus():
     assert parts_of(0) == ()
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The abaci that partitions decode while the test runs, in order."""
+    seen = []
+
+    def spy(x):
+        seen.append(x)
+        return parts_of(x)
+
+    monkeypatch.setattr(partitions, "parts_of", spy)
+    return seen
+
+
+def test_a_leaf_read_only_through_dim_mod4_is_never_decoded(decoded):
+    leaves = 0
+    for n in range(31):
+        for leaf in enumerate_odd_partitions(n):
+            assert dim_mod4(leaf).v2 == 0
+            leaves += 1
+    assert leaves == sum(map(count_odd, range(31)))
+    assert decoded == []
+
+
+def test_parts_are_decoded_once(decoded):
+    leaf = list(enumerate_odd_partitions(13))[5]
+    parts = leaf.parts
+    assert leaf.parts is parts and leaf.size == 13 and len(decoded) == 1
+    # built without a size, which its first read sums from the parts decoded once
+    p = to_partition(BetaSet((9, 6, 4, 2, 1)))
+    assert (p.size, p.size, p.parts, p.parts) == (12, 12, (5, 3, 2, 1, 1), (5, 3, 2, 1, 1))
+    assert decoded == [mask_of(leaf), 0b1001010110]
+
+
+@pytest.mark.parametrize("read", [str, len, hash, repr], ids=["str", "len", "hash", "repr"])
+def test_an_undecoded_leaf_reads_as_its_checked_twin(read):
+    for n in (0, 5, 13, 24):
+        twins = [Partition(leaf.parts) for leaf in enumerate_odd_partitions(n)]
+        assert [read(leaf) for leaf in enumerate_odd_partitions(n)] == list(map(read, twins))
+
+
+def test_an_undecoded_leaf_equals_its_checked_twin():
+    twins = [Partition(leaf.parts) for leaf in enumerate_odd_partitions(13)]
+    assert list(enumerate_odd_partitions(13)) == twins
+    assert twins == list(enumerate_odd_partitions(13))
+    assert list(enumerate_odd_partitions(13)) != twins[::-1]
+
+
+def test_an_unknown_attribute_is_an_attribute_error():
+    for p in (next(enumerate_odd_partitions(5)), to_partition(BetaSet((3, 1))), Partition((2, 1))):
+        with pytest.raises(AttributeError, match="'Partition' object has no attribute 'colour'"):
+            p.colour
+        assert not hasattr(p, "colour")
+    with pytest.raises(AttributeError):
+        Partition((2, 1))._abacus  # built from parts, it keeps no abacus
