@@ -67,7 +67,7 @@ def to_partition(x: BetaSet) -> Partition:
     >>> to_partition(BetaSet((9, 6, 4, 2, 1))).parts
     (5, 3, 2, 1, 1)
     """
-    return Partition._of_abacus(x.mask)
+    return Partition._of_abacus(normalize_mask(x.mask))
 
 
 def t_core(p: Partition, t: int) -> Partition:
@@ -100,11 +100,6 @@ def normalize_mask(x: int) -> int:
 def shift_mask(x: int, r: int) -> int:
     """The abacus of shift(x, r): every bead moves up r and 0..r-1 fill."""
     return (x << r) | ((1 << r) - 1)
-
-
-def move_bead(x: int, src: int, dst: int) -> int:
-    """Move the bead at src to the empty position dst; adds or removes a hook."""
-    return x ^ (1 << src | 1 << dst)
 
 
 def t_core_mask(x: int, t: int) -> int:

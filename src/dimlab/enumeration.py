@@ -7,8 +7,10 @@ a1 - a3 recurses whenever the two leading digits are "10".  Inputs whose
 binary expansion starts "11" and carries three or more ones have no
 proved formula; for those the signed difference falls back to a signed
 walk over the odd-partition stream and says so in its status flag.  The
-walk reads each sign off its core's step masks (`parents._top_level_steps`).
-It visits only the a(n - t) odd cores below n's top bit t and sums the signs
+stream takes each core's parents, each with its sign step, from
+`parents._hook_additions`, the generator behind `all_parents`, which reads
+the core's step masks (`parents._top_level_steps`) once.  The fallback visits
+only the a(n - t) odd cores below n's top bit t and sums the signs
 of a core's t parents by popcounts of those masks (`parents._top_level_sum`),
 so it builds no partition, visits none of the a(n) = t * a(n - t) leaves
 and computes no dimension.  The brute-force sweep over all
@@ -31,10 +33,10 @@ from functools import cache
 from math import comb
 from typing import Iterator
 
-from .beta_sets import conjugate_mask, move_bead, shift_mask
+from .beta_sets import conjugate_mask
 from .binary_arith import _tables, bit_positions, is_sparse, top_two_bits
 from .errors import SizeLimitError, size_text
-from .parents import _top_level_steps, _top_level_sum
+from .parents import _hook_additions, _top_level_sum
 from .partitions import ENUMERATION_LIMIT, DimClass, Partition
 
 DEFAULT_ORACLE_BOUND = 40
@@ -259,23 +261,21 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
 
 
 def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
-    # (abacus, sign parity) per odd partition of n, in _hook_additions order per
-    # core, the parity 1 when the dimension is 3 mod 4: the core's XOR the step,
-    # bit x or j of its _top_level_steps masks; below size 4 every parity is 0.
-    if n == 0:
-        yield 0, 0
+    # (abacus, sign parity) per odd partition of n, the parity 1 when the
+    # dimension is 3 mod 4: each parent _hook_additions yields for each odd
+    # core of n - t, its parity the core's XOR the parent's step, flipped when
+    # n's top two bits are "10".  That also gives parity 0 at sizes 2 and 3,
+    # but not at size 1, whose hook has length t = 1, so 0 and 1 are the base:
+    # the abaci of () and (1)
+    if n < 2:
+        yield n << 1, 0
         return
     t = 1 << (n.bit_length() - 1)
-    c = top_two_bits(n) & 1 if n > 3 else 0
+    c = top_two_bits(n) & 1
     for core, parity in _odd_abaci(n - t):
-        one, two = _top_level_steps(core, t) if n > 3 else (0, 0)
         parity ^= c
-        for x in range(core.bit_length() - 1, 0, -1):
-            if core >> x & 1:
-                yield move_bead(core, x, x + t), parity ^ (one >> x & 1)
-        for j in range(t - 1, -1, -1):
-            if not core >> j & 1:
-                yield move_bead(shift_mask(core, t - j), 0, t), parity ^ (two >> j & 1)
+        for _, _, _, x, step in _hook_additions(core, t):
+            yield x, parity ^ step
 
 
 def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:

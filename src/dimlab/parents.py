@@ -6,10 +6,11 @@ first-column hook of mu.  Kind II shifts the abacus by r, drops bead 0
 and sets bead 2^R; it is admissible for each r = 1..2^R whose shift
 leaves position 2^R empty.  The sign of a parent's dimension follows the
 core's sign up to a parity computable from the hook set alone, which is
-the engine behind all the signed counting downstream.  `_flip_parity`
-and `_sign_step` compute that parity for one parent on its abacus int;
-`_top_level_steps` gives it for all 2^R parents of a core at once, one bit
-each, which the odd stream reads and `_top_level_sum` counts.
+the engine behind all the signed counting downstream.  `_top_level_steps`
+gives that parity for all 2^R parents of a core at once, one bit each.
+`_hook_additions` yields each parent with its bit, for `all_parents` and
+the odd stream alike, and `_top_level_sum` counts the bits.  The tests
+keep a per-parent route on the parent's abacus as the reference.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .binary_arith import top_two_bits
-from .beta_sets import mask_of, move_bead, shift_mask
+from .beta_sets import mask_of
 from .errors import SizeLimitError
 from .partitions import ENUMERATION_LIMIT, Partition
 
@@ -28,21 +29,7 @@ class ParentRecord(NamedTuple):
     kind: str  # "I" bumps an existing element, "II" shifts then inserts
     param: int  # kind I: the bumped element; kind II: the shift amount
     affected: int  # first-column hook length of the added hook
-
-
-def _hook_additions(core: int, t: int) -> Iterator[tuple[str, int, int, int]]:
-    """(kind, param, affected, parent abacus) for each t-hook added to a core.
-
-    `core` is canonical with every bead below t.  Kind I comes first,
-    largest bead first, then kind II by increasing shift.
-    """
-    for x in reversed(range(core.bit_length())):
-        if core >> x & 1:
-            yield "I", x, x + t, move_bead(core, x, x + t)
-    for r in range(1, t + 1):
-        shifted = shift_mask(core, r)
-        if not shifted >> t & 1:
-            yield "II", r, t, move_bead(shifted, 0, t)
+    step: int  # the parent's bit of _top_level_steps: its sign step when top_two_bits(n) = 2
 
 
 def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
@@ -58,32 +45,19 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
         raise SizeLimitError(f"parents of size {core.size} + 2^{r_power} exceed "
                              f"the enumeration bound {ENUMERATION_LIMIT}")
     t = 1 << r_power
-    return [ParentRecord(Partition._of_abacus(x, core.size + t), r_power, kind, param, affected)
-            for kind, param, affected, x in _hook_additions(mask_of(core), t)]
-
-
-def _between(x: int, h: int, t: int) -> int:
-    # beads of abacus x strictly between h - t and h
-    lo = max(h - t + 1, 0)
-    return ((x & ((1 << h) - 1)) >> lo).bit_count()
-
-
-def _flip_parity(x: int, h: int, t: int) -> int:
-    # eta mod 2 for the parent abacus x whose added t-hook has first-column
-    # hook h >= t: the window count, less the bead at h - t/2, plus the
-    # beads at h + t/2 and h - 3t/2 (absent when that is negative)
-    half = t >> 1
-    eta = _between(x, h, t) ^ x >> (h - half) ^ x >> (h + half)
-    if h >= 3 * half:
-        eta ^= x >> (h - 3 * half)
-    return eta & 1
+    return [ParentRecord(Partition._of_abacus(x, core.size + t), r_power, kind, param, affected,
+                         step)
+            for kind, param, affected, x, step in _hook_additions(mask_of(core), t)]
 
 
 def _top_level_steps(core: int, t: int) -> tuple[int, int]:
-    # the _sign_step parities of the t parents _hook_additions(core, t) yields,
-    # for a parent size n with top_two_bits(n) = 2 (all flip when it is 1): bit
-    # x of the first mask for the kind I parent moving bead x, bit j of the
-    # second for the kind II parent leaving j empty.  Read off _flip_parity:
+    # the sign steps of the t parents _hook_additions(core, t) yields, for a
+    # parent size n with top_two_bits(n) = 2 (all flip when it is 1): bit x of
+    # the first mask for the kind I parent moving bead x, bit j of the second
+    # for the kind II parent leaving j empty.  The step is top_two_bits(n) +
+    # top_two_bits(h) + eta mod 2, h the added hook's first-column hook and eta
+    # sign_flip_parity, which the tests count per parent in a window of the
+    # parent's abacus (tests/paper_facts.py).  Here that count reads:
     #   kind I: 1 + [x >= half] + (beads above x) + core[x + half] + core[x - half];
     #   kind II: j + (beads below j) + (1 if j < half else core[j - half]) + core[j + half].
     # The bead counts are suffix and prefix XOR scans of log2(t) shift-XORs (Warren,
@@ -102,6 +76,24 @@ def _top_level_steps(core: int, t: int) -> tuple[int, int]:
     return core & ~(above ^ mirror), (full ^ core) & (full // 3 << 1 ^ below ^ mirror ^ full)
 
 
+def _hook_additions(core: int, t: int) -> Iterator[tuple[str, int, int, int, int]]:
+    """(kind, param, affected, parent abacus, step) for each t-hook added to a core.
+
+    `core` is canonical with every bead below t.  Kind I comes first,
+    largest bead first, then kind II by increasing shift.  `step` is the
+    parent's bit of the core's `_top_level_steps` masks.
+    """
+    one, two = _top_level_steps(core, t)
+    for x in range(core.bit_length() - 1, 0, -1):
+        if core >> x & 1:
+            yield "I", x, x + t, core ^ (1 << x | 1 << x + t), one >> x & 1
+    # shift by r = t - j, drop bead 0 and set bead t: admissible when j is empty
+    for j in range(t - 1, -1, -1):
+        if not core >> j & 1:
+            r = t - j
+            yield "II", r, t, core << r | (1 << r) - 2 | 1 << t, two >> j & 1
+
+
 def _top_level_sum(core: int, t: int, c: int) -> int:
     # the sum of (-1)^step over those parents, c = top_two_bits(n) & 1: t less twice the odd steps
     one, two = _top_level_steps(core, t)
@@ -109,21 +101,14 @@ def _top_level_sum(core: int, t: int, c: int) -> int:
     return -total if c else total
 
 
-def _sign_step(top: int, top_h: int, eta: int) -> int:
-    # parity relating the core's sign to its parent's, for a parent of size
-    # n > 3 with top = top_two_bits(n) whose added hook has first-column hook h,
-    # top_h = top_two_bits(h) and eta = _flip_parity of the parent at h
-    return (top + top_h + eta) & 1
-
-
 def sign_flip_parity(rec: ParentRecord) -> int:
     """Parity of sign flips between the core's dimension and the parent's.
 
-    Counted by window and membership tests on the parent's abacus.  The
-    defining product of odd-part signs is the reference route in
-    tests/test_parents.py.
+    Read off the record's step.  The window count on the parent's abacus
+    and the defining product of odd-part signs are the reference routes
+    in the tests.
     """
-    return _flip_parity(mask_of(rec.parent), rec.affected, 1 << rec.r_power)
+    return rec.step ^ (top_two_bits(rec.affected) & 1)
 
 
 def predict_parent_sign(rec: ParentRecord, core_sign: int) -> int:
@@ -131,6 +116,4 @@ def predict_parent_sign(rec: ParentRecord, core_sign: int) -> int:
     n = rec.parent.size
     if n <= 3:
         raise ValueError(f"prediction needs a parent of size above 3, got {n}")
-    step = _sign_step(top_two_bits(n), top_two_bits(rec.affected), sign_flip_parity(rec))
-    return -core_sign if step else core_sign
-
+    return -core_sign if rec.step ^ (top_two_bits(n) & 1) else core_sign

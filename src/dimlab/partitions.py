@@ -57,22 +57,23 @@ class Partition:
             prev = p
         self.parts = parts
         self.size = sum(parts)
-        self._dim = None
+        self._dim = self._abacus = None
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...], dim: "DimClass | None" = None) -> "Partition":
         # for parts the package built itself, a weakly decreasing tuple of
         # positive ints by construction: the checks of __init__ are skipped.
         # dim is the DimClass a walk already derived, which dim_mod4 returns;
-        # it takes no part in equality, hashing or repr
+        # it takes no part in equality, hashing or repr.  mask_of builds the abacus
         p = object.__new__(cls)
-        p.parts, p.size, p._dim = parts, sum(parts), dim
+        p.parts, p.size, p._dim, p._abacus = parts, sum(parts), dim, None
         return p
 
     @classmethod
     def _of_abacus(cls, x: int, size: int | None = None,
                    dim: "DimClass | None" = None) -> "Partition":
-        # as _trusted; parts, and size unless given, are unset until __getattr__
+        # as _trusted, from a canonical abacus, which mask_of returns; parts,
+        # and size unless given, are unset until __getattr__
         p = object.__new__(cls)
         p._abacus, p._dim = x, dim
         if size is not None:
@@ -179,9 +180,13 @@ class DimClass(NamedTuple):
 def mask_of(p: Partition) -> int:
     """The canonical beta-set of p as an abacus: bit h per first-column hook h.
 
+    A partition built from its abacus returns that, without decoding its parts.
+
     >>> bin(mask_of(Partition((2, 2, 2))))
     '0b11100'
     """
+    if p._abacus is not None:
+        return p._abacus
     k = len(p.parts)
     return sum([1 << (part + k - 1 - i) for i, part in enumerate(p.parts)])
 

@@ -2,8 +2,10 @@
 
 Each function restates a fact the tests check against the package: the
 parity gap of an abacus (acceptance criterion 08), the binomial residue
-tallies (criterion 13) and the diagonal hooks of a shape.  They hold no
-assert: pytest rewrites none outside test modules, and python -O strips them.
+tallies (criterion 13), the diagonal hooks of a shape, and the parent-sign
+step counted per parent on the parent's abacus, which the package reads
+off its core's step masks instead.  They hold no assert: pytest rewrites
+none outside test modules, and python -O strips them.
 """
 
 from dimlab.binary_arith import factorial_sign_parity
@@ -41,3 +43,32 @@ def diagonal_hooks(p: Partition) -> list[int]:
     """Hook lengths of the diagonal cells (i, i), top-left first."""
     cols = conjugate(p).parts
     return [row + cols[i] - 2 * i - 1 for i, row in enumerate(p.parts) if row > i]
+
+
+def _between(x: int, h: int, t: int) -> int:
+    """Beads of abacus x strictly between h - t and h."""
+    lo = max(h - t + 1, 0)
+    return ((x & ((1 << h) - 1)) >> lo).bit_count()
+
+
+def _flip_parity(x: int, h: int, t: int) -> int:
+    """eta mod 2 for the parent abacus x whose added t-hook has first-column hook h >= t.
+
+    The window count, less the bead at h - t/2, plus the beads at h + t/2
+    and h - 3t/2 (absent when that is negative).
+    """
+    half = t >> 1
+    eta = _between(x, h, t) ^ x >> (h - half) ^ x >> (h + half)
+    if h >= 3 * half:
+        eta ^= x >> (h - 3 * half)
+    return eta & 1
+
+
+def _sign_step(top: int, top_h: int, eta: int) -> int:
+    """Parity relating a core's sign to its parent's.
+
+    For a parent of size n > 3 with top = top_two_bits(n) whose added hook
+    has first-column hook h, top_h = top_two_bits(h) and eta = _flip_parity
+    of the parent at h.
+    """
+    return (top + top_h + eta) & 1

@@ -10,7 +10,6 @@ from dimlab.beta_sets import (
     first_column_hooks,
     interleave,
     mask_of,
-    move_bead,
     normalize_mask,
     parity_split,
     shift,
@@ -25,6 +24,11 @@ from paper_facts import parity_gap
 
 def abacus(elements):
     return sum(1 << e for e in elements)
+
+
+def move_bead(x, src, dst):
+    """Move the bead at src to the empty position dst; adds or removes a hook."""
+    return x ^ (1 << src | 1 << dst)
 
 
 def elements_of(x):

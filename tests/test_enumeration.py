@@ -27,9 +27,10 @@ from dimlab.enumeration import (
 )
 from dimlab.binary_arith import bit_positions, is_sparse, top_two_bits
 from dimlab.errors import SizeLimitError
-from dimlab.parents import _flip_parity, _hook_additions, _sign_step
+from dimlab.parents import _hook_additions
 from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, dim_exact, dim_mod4,
                                enumerate_partitions, mask_of)
+from paper_facts import _flip_parity, _sign_step
 
 # columns: n, a, a1, a2, a3, delta, m4
 FROZEN = [
@@ -219,7 +220,7 @@ def per_leaf_walk(n):
     return [(parent, parity ^ _sign_step(top_two_bits(n), top_two_bits(h),
                                          _flip_parity(parent, h, t)) if n > 3 else 0)
             for core, parity in per_leaf_walk(n - t)
-            for _, _, h, parent in _hook_additions(core, t)]
+            for _, _, h, parent, _ in _hook_additions(core, t)]
 
 
 def test_odd_abaci_is_the_per_leaf_walk():

@@ -4,14 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dimlab.beta_sets import first_column_hooks, mask_of, t_core
-from dimlab.binary_arith import sign_parity
+from dimlab.binary_arith import sign_parity, top_two_bits
 from dimlab.enumeration import enumerate_odd_partitions
 from dimlab.errors import SizeLimitError
 from dimlab.parents import (
-    _between,
-    _flip_parity,
     _hook_additions,
-    _sign_step,
     _top_level_steps,
     _top_level_sum,
     all_parents,
@@ -19,7 +16,7 @@ from dimlab.parents import (
     sign_flip_parity,
 )
 from dimlab.partitions import Partition, dim_mod4, enumerate_partitions
-from paper_facts import parity_gap
+from paper_facts import _between, _flip_parity, _sign_step, parity_gap
 
 
 def column_hooks(p):
@@ -175,15 +172,6 @@ def test_every_parent_reduces_to_its_core(core_and_r):
         assert rec.affected in column_hooks(rec.parent)
 
 
-def test_eta_matches_sign_flip_definition():
-    # the indicator formula and the defining product are asserted equal
-    # inside sign_flip_parity; drive it over a real sweep
-    for m in range(0, 6):
-        for mu in enumerate_partitions(m):
-            for rec in all_parents(mu, 3):
-                assert sign_flip_parity(rec) in (0, 1)
-
-
 def _flip_product_parity(rec):
     # the defining product: the parity of the product over x in
     # hooks(parent) - {h} of the odd-part signs of |h - x| and |h - 2^R - x|
@@ -198,16 +186,38 @@ def _flip_product_parity(rec):
 
 
 def test_flip_parity_matches_the_defining_product():
-    # the mask helper against the product of odd-part signs, called directly
-    # so that the comparison survives python -O
+    # the production route, read off the record's step, and the per-parent
+    # window count both against the product of odd-part signs, on every parent
     checked = 0
     for r, cores in SMALL_CORES.items():
         for mu in cores:
             for rec in all_parents(mu, r):
-                eta = _flip_parity(mask_of(rec.parent), rec.affected, 1 << r)
-                assert eta == _flip_product_parity(rec), rec
+                eta = _flip_product_parity(rec)
+                assert sign_flip_parity(rec) == eta, rec
+                assert _flip_parity(mask_of(rec.parent), rec.affected, 1 << r) == eta, rec
                 checked += 1
     assert checked == sum(len(cores) << r for r, cores in SMALL_CORES.items())
+
+
+def test_the_record_step_matches_each_parent_on_every_core():
+    # dimlab parents takes any core, not only odd ones: every parent of every
+    # core of size below t for t = 2..16, and of size 21 or less for t = 32,
+    # against the per-parent window count on the parent's own abacus
+    checked = 0
+    for r, below in ((1, 2), (2, 4), (3, 8), (4, 16), (5, 22)):
+        t = 1 << r
+        for m in range(below):
+            for mu in enumerate_partitions(m):
+                for rec in all_parents(mu, r):
+                    n, h = rec.parent.size, rec.affected
+                    eta = _flip_parity(mask_of(Partition(rec.parent.parts)), h, t)
+                    assert sign_flip_parity(rec) == eta, rec
+                    if n > 3:
+                        step = _sign_step(top_two_bits(n), top_two_bits(h), eta)
+                        assert predict_parent_sign(rec, 1) == (-1 if step else 1), rec
+                        assert predict_parent_sign(rec, -1) == (1 if step else -1), rec
+                    checked += 1
+    assert checked == 123_528
 
 
 def test_predicted_sign_matches_dimensions():
@@ -253,7 +263,7 @@ def enumerated_steps(core, t, c):
     """The step parity of each of the t parents of core, one _flip_parity each,
     for a parent size n with top_two_bits(n) = 2 - c, in _hook_additions order."""
     return [_sign_step(2 - c, 1 + (2 * h >= 3 * t), _flip_parity(parent, h, t))
-            for _, _, h, parent in _hook_additions(core, t)]
+            for _, _, h, parent, _ in _hook_additions(core, t)]
 
 
 def enumerated_top_level_sum(core, t, c):
@@ -262,13 +272,16 @@ def enumerated_top_level_sum(core, t, c):
 
 
 def mask_steps(core, t, c):
-    """The bit of each parent in the masks of _top_level_steps, flipped when c
-    is 1, in _hook_additions order: bead x of kind I, empty t - shift of kind II."""
+    """The step _hook_additions yields with each parent, flipped when c is 1:
+    its bit in the masks of _top_level_steps, bead x of kind I, empty t - shift of kind II."""
     one, two = _top_level_steps(core, t)
     # no bit off the beads in the kind I mask, nor off the empty positions below t in the other
     assert one & ~core == 0 and two & core == 0 and two >> t == 0
-    return [(one >> param if kind == "I" else two >> (t - param)) & 1 ^ c
-            for kind, param, _, _ in _hook_additions(core, t)]
+    steps = []
+    for kind, param, _, _, step in _hook_additions(core, t):
+        assert step == (one >> param if kind == "I" else two >> (t - param)) & 1
+        steps.append(step ^ c)
+    return steps
 
 
 def test_top_level_steps_match_each_parent_on_every_odd_core():

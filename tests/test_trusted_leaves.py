@@ -17,7 +17,7 @@ from dimlab.beta_sets import BetaSet, mask_of, shift_mask, t_core, to_partition
 from dimlab.core_towers import (CoreTower, combine, staircase, tower, tower_to_partition, two_core,
                                 two_quotient)
 from dimlab.enumeration import count_odd, enumerate_odd_partitions
-from dimlab.parents import all_parents
+from dimlab.parents import all_parents, sign_flip_parity
 from dimlab.partitions import (DimClass, Partition, conjugate, dim_mod4, enumerate_partitions,
                                parts_of)
 
@@ -29,6 +29,8 @@ def assert_checked(leaf):
     checked = Partition(leaf.parts)
     assert type(leaf) is Partition and type(leaf.parts) is tuple
     assert (leaf.parts, leaf.size) == (checked.parts, checked.size)
+    # a kept abacus is canonical, as mask_of returns it
+    assert mask_of(leaf) == mask_of(checked)
 
 
 @given(partitions_st, st.integers(min_value=1, max_value=9))
@@ -123,6 +125,14 @@ def test_a_leaf_read_only_through_dim_mod4_is_never_decoded(decoded):
     assert decoded == []
 
 
+def test_parents_and_their_signs_decode_no_leaf(decoded):
+    # all_parents reads a streamed core's kept abacus, and sign_flip_parity its records
+    for core in enumerate_odd_partitions(7):
+        recs = all_parents(core, 4)
+        assert len(recs) == 16 and all(sign_flip_parity(rec) in (0, 1) for rec in recs)
+    assert decoded == []
+
+
 def test_parts_are_decoded_once(decoded):
     leaf = list(enumerate_odd_partitions(13))[5]
     parts = leaf.parts
@@ -152,5 +162,4 @@ def test_an_unknown_attribute_is_an_attribute_error():
         with pytest.raises(AttributeError, match="'Partition' object has no attribute 'colour'"):
             p.colour
         assert not hasattr(p, "colour")
-    with pytest.raises(AttributeError):
-        Partition((2, 1))._abacus  # built from parts, it keeps no abacus
+    assert Partition((2, 1))._abacus is None  # built from parts, it keeps no abacus
