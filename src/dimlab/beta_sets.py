@@ -9,8 +9,8 @@ the diagram.
 
 The int helpers below work on the abacus form: a Python int with bit h
 set for each element h (James and Kerber, 1981).  A shift is a left
-shift, a t-hook removal moves one bit down by t, and the 2-quotient
-splits the even and odd bits.  An abacus is canonical when bit 0 is clear.
+shift and a t-hook removal moves one bit down by t.  An abacus is
+canonical when bit 0 is clear.
 `partitions.mask_of` builds the canonical abacus and `partitions.parts_of`
 reads it back.  `BetaSet` is the validated view of an abacus: it checks
 its elements once on the way in, keeps them as `mask`, and every move
@@ -113,39 +113,3 @@ def t_core_mask(x: int, t: int) -> int:
         if not movable:
             return normalize_mask(x)
         x ^= movable | (movable >> t)
-
-
-def parity_split(x: int) -> tuple[int, int]:
-    """The even and the odd beads of x, halved, after padding x to even size.
-
-    The halves are left unnormalized: their popcounts are the parity
-    census that core_height needs.
-
-    >>> parity_split(0b11100)  # {4, 3, 2} pads to {5, 4, 3, 0}
-    (5, 6)
-    """
-    if x.bit_count() & 1:
-        x = shift_mask(x, 1)
-    digits = format(x, "b")
-    digits = digits.zfill(len(digits) + len(digits) % 2)
-    return int(digits[1::2], 2), int(digits[::2], 2)
-
-
-def core_height(evens: int, odds: int) -> int:
-    """Rows of the 2-core of a beta-set with this many even and odd beads."""
-    d = odds - evens
-    return d if d >= 0 else -d - 1
-
-
-def interleave(q0: int, q1: int, height: int) -> int:
-    """Inverse of parity_split and core_height: the canonical abacus they came from.
-
-    q0 and q1 are shifted to the fewest beads whose census has an even
-    total and maps to `height`, then go back to the even and odd positions.
-    """
-    d = height if height % 2 == 0 else -(height + 1)
-    evens = max(q0.bit_count(), q1.bit_count() - d, -d)
-    b0 = shift_mask(q0, evens - q0.bit_count())
-    b1 = shift_mask(q1, evens + d - q1.bit_count())
-    # binary digits read in base 4 move bit i to bit 2i
-    return normalize_mask(int(format(b0, "b"), 4) | int(format(b1, "b"), 4) << 1)

@@ -18,9 +18,8 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .binary_arith import top_two_bits
-from .beta_sets import mask_of
 from .errors import SizeLimitError
-from .partitions import ENUMERATION_LIMIT, Partition
+from .partitions import ENUMERATION_LIMIT, Partition, mask_of
 
 
 class ParentRecord(NamedTuple):

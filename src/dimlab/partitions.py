@@ -4,7 +4,7 @@
 lengths off `hook_lengths`: one exactly, one through the tables of
 `binary_arith._tables`.  `Partition(...)` and `from_text` check their
 input; `Partition._trusted` and `_of_abacus` build the package's own,
-from parts or an abacus, and may give it the class a walk derived.
+from parts, or from an abacus and perhaps the class a walk derived.
 """
 
 from __future__ import annotations
@@ -60,20 +60,19 @@ class Partition:
         self._dim = self._abacus = None
 
     @classmethod
-    def _trusted(cls, parts: tuple[int, ...], dim: "DimClass | None" = None) -> "Partition":
-        # for parts the package built itself, a weakly decreasing tuple of
-        # positive ints by construction: the checks of __init__ are skipped.
-        # dim is the DimClass a walk already derived, which dim_mod4 returns;
-        # it takes no part in equality, hashing or repr.  mask_of builds the abacus
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        # for parts the package built itself, a weakly decreasing tuple of positive
+        # ints by construction: the checks of __init__ are skipped; mask_of builds the abacus
         p = object.__new__(cls)
-        p.parts, p.size, p._dim, p._abacus = parts, sum(parts), dim, None
+        p.parts, p.size, p._dim, p._abacus = parts, sum(parts), None, None
         return p
 
     @classmethod
     def _of_abacus(cls, x: int, size: int | None = None,
                    dim: "DimClass | None" = None) -> "Partition":
-        # as _trusted, from a canonical abacus, which mask_of returns; parts,
-        # and size unless given, are unset until __getattr__
+        # as _trusted, from a canonical abacus, which mask_of returns; parts, and size
+        # unless given, are unset until __getattr__.  dim, the DimClass a walk derived,
+        # is what dim_mod4 returns; equality, hashing and repr ignore it
         p = object.__new__(cls)
         p._abacus, p._dim = x, dim
         if size is not None:

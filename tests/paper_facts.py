@@ -2,12 +2,17 @@
 
 Each function restates a fact the tests check against the package: the
 parity gap of an abacus (acceptance criterion 08), the binomial residue
-tallies (criterion 13), the diagonal hooks of a shape, and the parent-sign
+tallies (criterion 13), the diagonal hooks of a shape, the parent-sign
 step counted per parent on the parent's abacus, which the package reads
-off its core's step masks instead.  They hold no assert: pytest rewrites
-none outside test modules, and python -O strips them.
+off its core's step masks instead, and the 2-quotient as a parity split
+of the abacus with its string round trips, level by level, which the
+package reads off runner bead counts instead.  They hold no assert:
+pytest rewrites none outside test modules, and python -O strips them.
 """
 
+from typing import Iterator
+
+from dimlab.beta_sets import normalize_mask, shift_mask
 from dimlab.binary_arith import factorial_sign_parity
 from dimlab.partitions import Partition, conjugate
 
@@ -72,3 +77,63 @@ def _sign_step(top: int, top_h: int, eta: int) -> int:
     of the parent at h.
     """
     return (top + top_h + eta) & 1
+
+
+def parity_split(x: int) -> tuple[int, int]:
+    """The even and the odd beads of x, halved, after padding x to even size.
+
+    The halves are left unnormalized: their popcounts are the parity
+    census that core_height needs.
+
+    >>> parity_split(0b11100)  # {4, 3, 2} pads to {5, 4, 3, 0}
+    (5, 6)
+    """
+    if x.bit_count() & 1:
+        x = shift_mask(x, 1)
+    digits = format(x, "b")
+    digits = digits.zfill(len(digits) + len(digits) % 2)
+    return int(digits[1::2], 2), int(digits[::2], 2)
+
+
+def core_height(evens: int, odds: int) -> int:
+    """Rows of the 2-core of a beta-set with this many even and odd beads."""
+    d = odds - evens
+    return d if d >= 0 else -d - 1
+
+
+def interleave(q0: int, q1: int, height: int) -> int:
+    """Inverse of parity_split and core_height: the canonical abacus they came from.
+
+    q0 and q1 are shifted to the fewest beads whose census has an even
+    total and maps to `height`, then go back to the even and odd positions.
+    """
+    d = height if height % 2 == 0 else -(height + 1)
+    evens = max(q0.bit_count(), q1.bit_count() - d, -d)
+    b0 = shift_mask(q0, evens - q0.bit_count())
+    b1 = shift_mask(q1, evens + d - q1.bit_count())
+    # binary digits read in base 4 move bit i to bit 2i
+    return normalize_mask(int(format(b0, "b"), 4) | int(format(b1, "b"), 4) << 1)
+
+
+def _split(x: int) -> tuple[int, int, int]:
+    """2-quotient masks and 2-core height of the canonical abacus x."""
+    x0, x1 = parity_split(x)
+    height = core_height(x0.bit_count(), x1.bit_count())
+    return normalize_mask(x0), normalize_mask(x1), height
+
+
+def split_rows(x: int) -> Iterator[list[int]]:
+    """Staircase heights of each tower row over the abacus x, top row first.
+
+    Each level splits every node's abacus into its 2-quotient masks.
+    """
+    level = [x]
+    while any(level):
+        heights, below = [], []
+        for y in level:
+            q0, q1, height = _split(y) if y else (0, 0, 0)
+            heights.append(height)
+            below += (q0, q1)
+        yield heights
+        level = below
+

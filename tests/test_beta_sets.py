@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 from dimlab.beta_sets import (
     BetaSet,
     conjugate_mask,
-    core_height,
     first_column_hooks,
-    interleave,
     mask_of,
     normalize_mask,
-    parity_split,
     shift,
     shift_mask,
     t_core,
@@ -19,16 +16,11 @@ from dimlab.beta_sets import (
     to_partition,
 )
 from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, parts_of
-from paper_facts import parity_gap
+from paper_facts import core_height, interleave, parity_gap, parity_split
 
 
 def abacus(elements):
     return sum(1 << e for e in elements)
-
-
-def move_bead(x, src, dst):
-    """Move the bead at src to the empty position dst; adds or removes a hook."""
-    return x ^ (1 << src | 1 << dst)
 
 
 def elements_of(x):
@@ -117,31 +109,12 @@ def test_normalize_is_the_plain_set_rule(elements):
     assert normalize_mask(abacus(elements)) == abacus(x)
 
 
-@given(elements_st, st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=8))
-def test_remove_hook_is_the_plain_set_move(elements, i, t):
-    # a t-hook at bead h is removable when h >= t and h - t is empty
-    h = elements[i % len(elements)] if elements else 0
-    if h in elements and h >= t and h - t not in elements:
-        assert move_bead(abacus(elements), h, h - t) == abacus(set(elements) - {h} | {h - t})
-
-
 def test_normalize_and_equivalent():
     # two abaci describe the same partition when they normalize alike
     x = abacus((6, 3, 1, 0))
     assert normalize_mask(x) == abacus((4, 1))
     assert normalize_mask(shift_mask(x, 4)) == normalize_mask(x)
     assert normalize_mask(abacus((6, 3, 1))) != normalize_mask(x)
-
-
-def test_remove_hook_chain():
-    x = abacus((10, 8, 7, 5, 2))
-    x = move_bead(x, 8, 3)
-    assert x == abacus((10, 7, 5, 3, 2))
-    x = move_bead(x, 5, 0)
-    assert x == abacus((10, 7, 3, 2, 0))
-    x = move_bead(x, 10, 5)
-    assert x == abacus((7, 5, 3, 2, 0))
-    assert parts_of(x) == (3, 2, 1, 1)
 
 
 def test_t_core_examples():

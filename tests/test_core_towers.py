@@ -3,7 +3,9 @@ from hypothesis import given, strategies as st
 
 from dimlab.beta_sets import t_core
 from dimlab.core_towers import (
+    TOWER_LIMIT,
     CoreTower,
+    _rows,
     classify_by_tower,
     combine,
     is_two_core,
@@ -15,7 +17,9 @@ from dimlab.core_towers import (
     two_core,
     two_quotient,
 )
-from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions
+from dimlab.errors import SizeLimitError
+from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, mask_of
+from paper_facts import split_rows
 
 EMPTY = Partition(())
 
@@ -122,6 +126,37 @@ def test_tower_round_trip():
             # the size identity: row k weighs 2^k
             assert sum(w << k for k, w in enumerate(row_weights(t))) == n
             assert tower_to_partition(t) == p
+
+
+def test_census_rows_match_the_parity_split_rows():
+    # the reference splits each node's abacus by parity, level by level
+    for n in range(0, 25):
+        for p in enumerate_partitions(n):
+            assert list(_rows(mask_of(p), n)) == list(split_rows(mask_of(p))), p
+
+
+@given(st.lists(st.integers(min_value=1, max_value=200), max_size=40))
+def test_census_rows_and_their_inverse_on_larger_partitions(parts):
+    p = Partition(tuple(sorted(parts, reverse=True)))
+    assert list(_rows(mask_of(p), p.size)) == list(split_rows(mask_of(p)))
+    assert tower_to_partition(tower(p)) == p
+
+
+@pytest.mark.parametrize("parts", [
+    (TOWER_LIMIT,),
+    (1,) * TOWER_LIMIT,
+    # a staircase of 139 rows under a long first row
+    (270, *range(139, 0, -1)),
+], ids=["one-row", "one-column", "mixed"])
+def test_round_trip_at_the_tower_limit(parts):
+    # (1,) * n has n parts, the most beads any partition of n needs at the root
+    p = Partition(parts)
+    assert p.size == TOWER_LIMIT
+    t = tower(p)
+    assert sum(w << k for k, w in enumerate(row_weights(t))) == TOWER_LIMIT
+    assert tower_to_partition(t) == p
+    with pytest.raises(SizeLimitError, match="TOWER_LIMIT = 10000"):
+        tower(Partition((parts[0] + 1, *parts[1:])))
 
 
 def test_flip_is_conjugation():

@@ -18,8 +18,7 @@ from dimlab.core_towers import (CoreTower, combine, staircase, tower, tower_to_p
                                 two_quotient)
 from dimlab.enumeration import count_odd, enumerate_odd_partitions
 from dimlab.parents import all_parents, sign_flip_parity
-from dimlab.partitions import (DimClass, Partition, conjugate, dim_mod4, enumerate_partitions,
-                               parts_of)
+from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, parts_of
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))))
@@ -81,7 +80,6 @@ def test_a_carried_class_is_not_part_of_the_partition():
         assert twin._dim is None
         assert leaf == twin and twin == leaf and hash(leaf) == hash(twin)
         assert repr(leaf) == repr(twin) and len({leaf, twin}) == 1
-    assert Partition._trusted((2, 1)) == Partition._trusted((2, 1), DimClass(1, 1))
 
 
 def test_trusted_towers_pass_the_checks():
