@@ -13,7 +13,10 @@ the core's step masks (`parents._top_level_steps`) once.  The fallback visits
 only the a(n - t) odd cores below n's top bit t and sums the signs
 of a core's t parents by popcounts of those masks (`parents._top_level_sum`),
 so it builds no partition, visits none of the a(n) = t * a(n - t) leaves
-and computes no dimension.  The brute-force sweep over all
+and computes no dimension.  A partition and its conjugate have the same
+hooks, so the same dimension, and conjugate cores have the same sum over
+their parents: the fallback visits one core of each conjugate pair and
+doubles the sum.  The brute-force sweep over all
 p(n) partitions stays as the independent oracle, for the symmetric group
 and, through its self-conjugate tally, for the alternating group.  It
 shares only the abacus with the formulas and the walk, and with `dim_mod4`
@@ -23,7 +26,10 @@ first, so every row's first-column hook is known when the row goes in,
 and carries the determinant-form terms of the dimension down the search,
 each added once for all the partitions that share the rows placed so far.
 Every node of that search is a partition itself, so one walk sweeps a
-range of sizes, placing each partition once, and keeps a tally per size.
+range of sizes and keeps a tally per size.  It places only the shapes
+whose first part is at least their row count, and counts twice each
+whose first part is larger, for its conjugate, which it skips; so it
+places about half of the partitions and counts each once.
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ from .partitions import ENUMERATION_LIMIT, DimClass, Partition
 DEFAULT_ORACLE_BOUND = 40
 # the fallback answers only n with at most 2^WALK_CEILING odd partitions, its
 # one limit.  That count a(n) = t * a(n - t) still bounds the work: a(n - t)
-# cores, each summing its t parents in O(log t) operations on t-bit ints.  The
-# costliest it admits, 220 = 11011100 and its peers with 2^15 cores (t = 128),
-# took 0.09-0.16 s cold (best of 5, shared 2-core Xeon, Python 3.11; BENCH_20.json)
+# cores, each summing its t parents in O(log t) operations on t-bit ints, of
+# which the walk visits half.  The costliest it admits, 220 = 11011100 and its
+# peers with 2^15 cores (t = 128), took 0.05-0.07 s cold (a fresh process, best
+# of 5, shared 2-core Xeon, Python 3.11; BENCH_23.json)
 WALK_CEILING = 22
 
 # the class of an odd dimension whose odd part is 1 and 3 mod 4, by sign parity
@@ -135,18 +142,20 @@ def _delta(n: int) -> tuple[int, str]:
             return (0, EXACT)
         n, scale = m, 4 * scale
     # leading binary digits "11" with more ones behind them: no proved
-    # formula exists, so fall back to the signed odd stream.  It visits the
-    # a(m) odd cores of m = n - t, t = 2^r the top bit of n, each with its
-    # sign, and sums the signs of a core's t parents in closed form, so no
-    # leaf is built
+    # formula exists, so fall back to the signed odd stream.  It visits one
+    # of each conjugate pair of the a(m) odd cores of m = n - t, t = 2^r the
+    # top bit of n, each with its sign, sums the signs of a core's t parents
+    # in closed form, so no leaf is built, and doubles the sum: a core and its
+    # conjugate share their sign and their parents' signs.  m > 2, so no core
+    # is self-conjugate
     exponent = sum(bit_positions(n))
     if exponent > WALK_CEILING:
         raise SizeLimitError(
             f"delta of {size_text(n)} has no closed form (leading 11 with extra ones), and its "
             f"walk over 2^{exponent} odd partitions is past the walk's ceiling of 2^{WALK_CEILING}")
     t, c = 1 << r, top_two_bits(n) & 1
-    return (scale * sum(_top_level_sum(core, t, c) * (1 - 2 * parity)
-                        for core, parity in _odd_abaci(m)), FALLBACK)
+    return (2 * scale * sum(_top_level_sum(core, t, c) * (1 - 2 * parity)
+                            for core, parity in _odd_abaci(m, half=True)), FALLBACK)
 
 
 def delta(n: int) -> tuple[int, str]:
@@ -260,27 +269,38 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
         yield Partition._of_abacus(x, n, _ODD_CLASSES[parity])
 
 
-def _odd_abaci(n: int) -> Iterator[tuple[int, int]]:
+def _odd_abaci(n: int, half: bool = False) -> Iterator[tuple[int, int]]:
     # (abacus, sign parity) per odd partition of n, the parity 1 when the
     # dimension is 3 mod 4: each parent _hook_additions yields for each odd
     # core of n - t, its parity the core's XOR the parent's step, flipped when
     # n's top two bits are "10".  That also gives parity 0 at sizes 2 and 3,
     # but not at size 1, whose hook has length t = 1, so 0 and 1 are the base:
-    # the abaci of () and (1)
+    # the abaci of () and (1).  With half, for n >= 2, one partition of each
+    # conjugate pair: the parents of () or (1) pair off under conjugation, none
+    # self-conjugate, so the level above the base keeps the smaller canonical
+    # abacus of each pair, and the parents of a conjugate are the conjugates
+    # of the parents, so the levels above it keep one of each pair too
     if n < 2:
         yield n << 1, 0
         return
     t = 1 << (n.bit_length() - 1)
     c = top_two_bits(n) & 1
-    for core, parity in _odd_abaci(n - t):
+    pairs = half and n - t < 2
+    for core, parity in _odd_abaci(n - t, half):
         parity ^= c
         for _, _, _, x, step in _hook_additions(core, t):
-            yield x, parity ^ step
+            if not pairs or x < conjugate_mask(x):
+                yield x, parity ^ step
 
 
-def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
-    # (size, abacus, v2, sign parity) of the dimension of every partition of a
-    # size in [lo, hi], in the determinant form over the first-column hooks h,
+def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
+    # (size, abacus, v2, sign parity, weight) of the dimension of one partition
+    # of each conjugate pair of a size in [lo, hi].  The hooks of a conjugate
+    # are the same, so it shares v2 and sign: the walk visits only shapes with
+    # first part at least their row count, weight 2 when the first part is
+    # larger (the conjugate is not visited) and 1 when they are equal or the
+    # shape is empty (the conjugate is visited in its own right, or is itself).
+    # The dimension is in the determinant form over the first-column hooks h,
     # dim = n! * prod(h_i - h_j, i < j) / prod(h_i!), which checks the hook
     # product of dim_mod4 without sharing its formula.  Rows go in bottom first,
     # parts weakly rising: the row at height r with part p has hook p + r
@@ -304,17 +324,26 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
     pop, push = stack.pop, stack.append
     while stack:
         diffs, low, k, r, x, val, par = pop()
-        if k >= lo:
-            yield k, x, val + vfact[k], par ^ fact[k]
+        if k >= lo and low >= r:
+            yield k, x, val + vfact[k], par ^ fact[k], 2 if low > r > 0 else 1
         room = hi - k
         half = room >> 1
+        # skip a child that leads to no shape with its first part at least its
+        # rows: one of part p <= r, r + 1 rows, whose next part, at most
+        # room - p, stays below the r + 2 rows it makes (more parts fall further short)
+        cut = room - r - 2
         for p in range(low, half + 1):
+            if cut < p <= r:
+                continue
             h = p + r
             s = diffs >> 16 * h & 0xFFFF
             push((diffs + row[h], p, k + p, r + 1, x | 1 << h,
                   val - vfact[h] + (s >> 8), par ^ fact[h] ^ (s & 1)))
-        # the closing parts: past half, at least the top part, landing in range
+        # the closing parts: past half, at least the top part and the r + 1
+        # rows they make, landing in range
         first = lo - k if lo - k > half else half + 1
+        if first <= r:
+            first = r + 1
         if first < low:
             first = low
         for p in range(first, room + 1):
@@ -322,7 +351,7 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
             s = diffs >> 16 * h & 0xFFFF
             size = k + p
             yield (size, x | 1 << h, val - vfact[h] + (s >> 8) + vfact[size],
-                   par ^ fact[h] ^ (s & 1) ^ fact[size])
+                   par ^ fact[h] ^ (s & 1) ^ fact[size], 1 if p == r + 1 else 2)
 
 
 # the sweep's tally per size: residues 1, 2, 3, then the self-conjugate shapes
@@ -332,19 +361,19 @@ _tallies: dict[int, tuple[int, int, int, int, int]] = {}
 
 def _sweep(lo: int, hi: int, bound: int) -> dict[int, tuple[int, int, int, int, int]]:
     # the one gate in front of the p(n) sweep; one walk tallies [lo, hi] unless
-    # it all is.  A shape is square (as many rows as its first part) when its
-    # abacus is twice as wide as it has beads.
+    # it all is.  Each shape counts with its weight; a self-conjugate one has
+    # as many rows as its first part, so weighs 1.
     if hi > bound:
         raise SizeLimitError(f"the oracle sweep of all partitions of {size_text(hi)} "
                              f"is past the oracle bound of {size_text(bound)}")
     if not all(k in _tallies for k in range(lo, hi + 1)):
         tally = [[0, 0, 0, 0, 0] for _ in range(hi + 1)]
-        for k, x, v, par in _classified(lo, hi):
+        for k, x, v, par, w in _classified(lo, hi):
             if v == 0:
-                tally[k][2 * par] += 1
+                tally[k][2 * par] += w
             elif v == 1:
-                tally[k][1] += 1
-                if x.bit_length() == 2 * x.bit_count() and x == conjugate_mask(x):
+                tally[k][1] += w
+                if w == 1 and x == conjugate_mask(x):
                     tally[k][3 + par] += 1
         _tallies.update((k, tuple(tally[k])) for k in range(lo, hi + 1))
     return _tallies

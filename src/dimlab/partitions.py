@@ -186,8 +186,10 @@ def mask_of(p: Partition) -> int:
     """
     if p._abacus is not None:
         return p._abacus
-    k = len(p.parts)
-    return sum([1 << (part + k - 1 - i) for i, part in enumerate(p.parts)])
+    x, top = 0, len(p.parts) - 1
+    for i, part in enumerate(p.parts):
+        x |= 1 << (part + top - i)
+    return x
 
 
 def parts_of(x: int) -> tuple[int, ...]:
@@ -210,9 +212,10 @@ def dim_mod4(p: Partition) -> DimClass:
     The hook-product form n! / prod of hook lengths: the valuation and sign
     of n! and of each hook of `hook_lengths`, the hooks `dim_exact`
     multiplies, read from `binary_arith._tables` at the power of two above
-    n.  The oracle sweep `enumeration._classified`, which walks every
-    partition of a range of sizes once, uses the determinant form on the
-    first-column hooks instead, so the two check each other.
+    n.  The oracle sweep `enumeration._classified`, which walks one
+    partition of each conjugate pair of a range of sizes, uses the
+    determinant form on the first-column hooks instead, so the two check
+    each other.
 
     A leaf of `enumerate_odd_partitions` carries the class that the
     walk's parent-sign step gave it, and that class is returned as it

@@ -6,14 +6,17 @@ tallies (criterion 13), the diagonal hooks of a shape, the parent-sign
 step counted per parent on the parent's abacus, which the package reads
 off its core's step masks instead, and the 2-quotient as a parity split
 of the abacus with its string round trips, level by level, which the
-package reads off runner bead counts instead.  They hold no assert:
+package reads off runner bead counts instead, and the full p(n) sweep,
+which places every partition and tests each square one for
+self-conjugacy, where the package walks one shape of each conjugate pair
+and counts it twice.  They hold no assert:
 pytest rewrites none outside test modules, and python -O strips them.
 """
 
 from typing import Iterator
 
-from dimlab.beta_sets import normalize_mask, shift_mask
-from dimlab.binary_arith import factorial_sign_parity
+from dimlab.beta_sets import conjugate_mask, normalize_mask, shift_mask
+from dimlab.binary_arith import _tables, factorial_sign_parity
 from dimlab.partitions import Partition, conjugate
 
 
@@ -137,3 +140,59 @@ def split_rows(x: int) -> Iterator[list[int]]:
         yield heights
         level = below
 
+
+
+def full_classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:
+    """(size, abacus, v2, sign parity) of every partition of a size in [lo, hi].
+
+    The determinant form over the first-column hooks h,
+    dim = n! * prod(h_i - h_j, i < j) / prod(h_i!), carried down a search
+    that places rows bottom first, parts weakly rising: the row at height r
+    with part p has hook p + r whatever goes above it, so a placed hook adds
+    its factorial and its differences to the hooks below it once, for every
+    partition above it.  Each node is a partition, its terms carried without
+    the n! term, which is added per size.  A part of at most half the room
+    left below hi makes a node; a larger one closes the shape.
+    """
+    v2s, signs, fact = _tables(1 << hi.bit_length())
+    vfact = [k - k.bit_count() for k in range(hi + 1)]
+    # a difference's valuation above bit 8, its sign parity below, summed per
+    # hook in 16-bit fields of one int
+    pair = [v << 8 | sign for v, sign in zip(v2s, signs)]
+    row = [sum(pair[d] << 16 * (h + d) for d in range(1, hi + 1 - h)) for h in range(hi + 1)]
+    stack = [(0, 1, 0, 0, 0, 0, 0)]
+    while stack:
+        diffs, low, k, r, x, val, par = stack.pop()
+        if k >= lo:
+            yield k, x, val + vfact[k], par ^ fact[k]
+        room = hi - k
+        half = room >> 1
+        for p in range(low, half + 1):
+            h = p + r
+            s = diffs >> 16 * h & 0xFFFF
+            stack.append((diffs + row[h], p, k + p, r + 1, x | 1 << h,
+                          val - vfact[h] + (s >> 8), par ^ fact[h] ^ (s & 1)))
+        for p in range(max(lo - k, half + 1, low), room + 1):
+            h = p + r
+            s = diffs >> 16 * h & 0xFFFF
+            size = k + p
+            yield (size, x | 1 << h, val - vfact[h] + (s >> 8) + vfact[size],
+                   par ^ fact[h] ^ (s & 1) ^ fact[size])
+
+
+def full_tallies(lo: int, hi: int) -> dict[int, tuple[int, int, int, int, int]]:
+    """Per size in [lo, hi]: residues 1, 2, 3, then the self-conjugate shapes
+    of dimension 2 mod 4 whose odd part is 1 and 3 mod 4.
+
+    A shape is square (as many rows as its first part) when its abacus is
+    twice as wide as it has beads; only a square shape can be self-conjugate.
+    """
+    tally = {k: [0, 0, 0, 0, 0] for k in range(lo, hi + 1)}
+    for k, x, v, par in full_classified(lo, hi):
+        if v == 0:
+            tally[k][2 * par] += 1
+        elif v == 1:
+            tally[k][1] += 1
+            if x.bit_length() == 2 * x.bit_count() and x == conjugate_mask(x):
+                tally[k][3 + par] += 1
+    return {k: tuple(counts) for k, counts in tally.items()}

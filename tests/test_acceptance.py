@@ -11,7 +11,7 @@ import time
 import pytest
 
 from dimlab import alternating, enumeration
-from dimlab.beta_sets import first_column_hooks, mask_of, t_core, to_partition
+from dimlab.beta_sets import conjugate_mask, first_column_hooks, mask_of, t_core, to_partition
 from dimlab.binary_arith import factorial_sign_parity, is_sparse, sign_parity
 from dimlab.core_towers import classify_by_tower, row_weights, tower, tower_to_partition, two_core
 from dimlab.enumeration import EXACT, FALLBACK
@@ -53,17 +53,19 @@ def oracle():
     start = time.perf_counter()
     reports = {n: enumeration.oracle_counts(n) for n in range(1, ORACLE_MAX + 1)}
     elapsed = time.perf_counter() - start
-    # the sweep classifies each partition of its walk from the terms carried
-    # down to it; replay one walk over every size up to ORACLE_MAX through
-    # dim_mod4 of a checked Partition, outside the timed sweep
+    # the sweep classifies one partition of each conjugate pair from the terms
+    # carried down to it; replay one walk over every size up to ORACLE_MAX,
+    # each shape of weight 2 with its conjugate, through dim_mod4 of a checked
+    # Partition, outside the timed sweep
     masks = set()
     route_mismatches = []
-    for n, x, v, parity in enumeration._classified(0, ORACLE_MAX):
-        masks.add(x)
-        p = Partition(parts_of(x))
+    for n, x, v, parity, weight in enumeration._classified(0, ORACLE_MAX):
         walked = DimClass(v, -1 if parity else 1)
-        if p.size != n or walked != dim_mod4(p):
-            route_mismatches.append((n, x))
+        for y in (x, conjugate_mask(x))[:weight]:
+            masks.add(y)
+            p = Partition(parts_of(y))
+            if p.size != n or walked != dim_mod4(p):
+                route_mismatches.append((n, y))
     return {"reports": reports, "elapsed": elapsed,
             "route_checked": len(masks), "route_mismatches": route_mismatches}
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -19,7 +20,7 @@ from dimlab.cli import build_parser, main
 from dimlab.core_towers import TOWER_LIMIT
 from dimlab.enumeration import CountReport
 from dimlab.errors import SizeLimitError
-from dimlab.partitions import Partition
+from dimlab.partitions import Partition, enumerate_partitions
 
 
 def run(capsys, *argv):
@@ -218,17 +219,25 @@ def test_verify_clean(capsys):
 
 def test_verify_sweeps_its_whole_range_in_one_walk(capsys, monkeypatch):
     walks = []
+    shapes = collections.Counter()
     walk = enumeration._classified
+
+    def weighed(items):
+        for k, x, v, par, weight in items:
+            shapes[k] += weight
+            yield k, x, v, par, weight
 
     def counted(lo, hi):
         walks.append((lo, hi))
-        return walk(lo, hi)
+        return weighed(walk(lo, hi))
 
     monkeypatch.setattr(enumeration, "_classified", counted)
     enumeration.clear_caches()
     code, out, _ = run(capsys, "verify", "--max-n", "20")
     assert code == 0 and out.endswith("verify: ok up to n=20 (0 mismatches)\n")
     assert walks == [(1, 20)]
+    # the one walk's weights count every partition of 1..20
+    assert shapes == {n: sum(1 for _ in enumerate_partitions(n)) for n in range(1, 21)}
     # a range past the bound is refused before any walk
     enumeration.clear_caches()
     with pytest.raises(SizeLimitError, match="past the oracle bound of 40$"):

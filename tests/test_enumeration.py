@@ -25,12 +25,13 @@ from dimlab.enumeration import (
     m4,
     oracle_counts,
 )
+from dimlab.beta_sets import conjugate_mask, normalize_mask
 from dimlab.binary_arith import bit_positions, is_sparse, top_two_bits
 from dimlab.errors import SizeLimitError
-from dimlab.parents import _hook_additions
+from dimlab.parents import _hook_additions, _top_level_sum
 from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, dim_exact, dim_mod4,
                                enumerate_partitions, mask_of)
-from paper_facts import _flip_parity, _sign_step
+from paper_facts import _flip_parity, _sign_step, full_tallies
 
 # columns: n, a, a1, a2, a3, delta, m4
 FROZEN = [
@@ -230,6 +231,38 @@ def test_odd_abaci_is_the_per_leaf_walk():
         assert list(enumeration._odd_abaci(n)) == per_leaf_walk(n), n
 
 
+@pytest.mark.parametrize("t", [1 << s for s in range(1, 7)])
+def test_parents_of_the_base_pair_off_under_conjugation(t):
+    # the level where the halved fallback halves: the parents of () and (1)
+    for base in (0, 0b10):
+        parents = [x for _, _, _, x, _ in _hook_additions(base, t)]
+        assert len(parents) == len(set(parents)) == t
+        assert all(normalize_mask(x) == x for x in parents)
+        pairs = {frozenset((x, conjugate_mask(x))) for x in parents}
+        assert len(pairs) == t // 2 and all(len(pair) == 2 for pair in pairs), base
+        assert set().union(*pairs) == set(parents), base
+
+
+def test_conjugate_cores_share_parity_and_top_level_sum():
+    # what lets the fallback double the sum over half the cores: every odd core
+    # of a size below t, for each t <= 32
+    for t in (2, 4, 8, 16, 32):
+        for k in range(t):
+            parities = dict(enumeration._odd_abaci(k))
+            for x, parity in parities.items():
+                y = conjugate_mask(x)
+                assert parities[y] == parity, (k, x)
+                assert _top_level_sum(x, t, 0) == _top_level_sum(y, t, 0), (t, x)
+
+
+def test_half_walk_keeps_one_of_each_conjugate_pair():
+    for n in range(2, 60):
+        half = list(enumeration._odd_abaci(n, half=True))
+        expanded = {y: parity for x, parity in half for y in (x, conjugate_mask(x))}
+        assert len(expanded) == 2 * len(half), n
+        assert expanded == dict(enumeration._odd_abaci(n)), n
+
+
 def test_odd_partitions_of_two_powers_are_hooks():
     for k in (2, 3, 4):
         n = 1 << k
@@ -269,15 +302,29 @@ def test_sweep_refuses_past_the_enumeration_limit():
 
 
 def test_range_walk_places_every_partition_once_with_its_class():
-    # the reference class of each partition of k <= 18, from its checked twin
+    # the reference class of each partition of k <= 18, from its checked twin;
+    # a shape of weight 2 stands for its conjugate too, which the walk skips
     want = {(k, mask_of(p)): dim_mod4(Partition(p.parts))
             for k in range(19) for p in enumerate_partitions(k)}
     for lo in range(19):
         for hi in range(lo, 19):
-            walked = [((k, x), DimClass(v, -1 if par else 1))
-                      for k, x, v, par in enumeration._classified(lo, hi)]
+            walked = [((k, y), DimClass(v, -1 if par else 1))
+                      for k, x, v, par, weight in enumeration._classified(lo, hi)
+                      for y in (x, conjugate_mask(x))[:weight]]
             assert sorted(walked) == sorted(
                 item for item in want.items() if lo <= item[0][0] <= hi), (lo, hi)
+
+
+def test_halved_sweep_tallies_as_the_full_sweep():
+    # the reference walks every partition of [0, 30] and tests each square one
+    # for self-conjugacy.  Only a range from 0 walks the empty shape, which
+    # must weigh 1
+    want = full_tallies(0, 30)
+    for lo in range(31):
+        for hi in range(lo, 31):
+            with mock.patch.object(enumeration, "_tallies", {}):
+                got = enumeration._sweep(lo, hi, 30)
+            assert got == {k: want[k] for k in range(lo, hi + 1)}, (lo, hi)
 
 
 def test_one_range_sweep_tallies_as_the_per_size_sweeps():
