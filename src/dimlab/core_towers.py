@@ -3,36 +3,33 @@
 Splitting a hook set by parity yields two smaller partitions (the
 2-quotient) plus a staircase remainder (the 2-core).  Doing this
 recursively hangs a 2-core on every node of a binary tree; row k holds
-2^k of them, and the total size satisfies
-
-    size = sum over rows of 2^k * (sum of core sizes in row k).
-
-The row weights of that tree decide the dimension's residue mod 4, which
-is why the whole structure earns its keep here.
+2^k of them.  The row weights decide the dimension's residue mod 4, and
+size = sum over rows of 2^k * (sum of core sizes in row k).
 
 Everything runs on runner bead counts of the James-Kerber abacus (*The
-Representation Theory of the Symmetric Group*, 1981), a Python int with
-bit h set for each first-column hook h.  Node j of row k is a runner,
-the positions of one residue mod 2^k, and its two children are the
-runners mod 2^(k+1) inside it; their bead counts fix the node's
-staircase.  `_rows` reads the heights off the abacus and `_parts` runs
-the counts back down from them.  Conjugating the partition mirrors
-every row.  Partitions are built only at the boundary.
+Representation Theory of the Symmetric Group*, 1981), a Python int with bit
+h set for each first-column hook h.  Node j of row k is a runner, the
+positions of one residue mod 2^k, and its two children are the runners mod
+2^(k+1) inside it; their bead counts fix the node's staircase.  `_rows`
+reads the heights off the abacus, visiting only the runners that hold a
+bead.  `_parts` runs the counts back down through the nodes with a nonzero
+height below them and packs every other runner into one abacus.  Conjugating
+the partition mirrors every row.  Partitions are built only at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import compress, count, zip_longest
 from typing import Iterator
 
+from .beta_sets import normalize_mask
 from .errors import SizeLimitError, size_text
 from .partitions import Partition, mask_of
 
-# the largest |p| `tower` builds: its rows hold up to about 2|p| nodes, and each
-# node that holds a bead costs a popcount over the abacus of at most |p| + 1 bits.
-# Cold at 10000, `tower` takes 0.01 s for (10000,) and 0.03-0.05 s for (1,) * 10000
+# the largest |p| `tower` builds: up to 2|p| row nodes, each holding a bead costs a popcount over
+# at most |p| + 1 bits.  Cold at 10000, 0.002 s for (10000,) and 0.02-0.03 s for (1,) * 10000
 TOWER_LIMIT = 10_000
 
 
@@ -51,56 +48,61 @@ def is_two_core(p: Partition) -> bool:
 def _rows(x: int, n: int) -> Iterator[list[int]]:
     """Staircase heights of each tower row over the canonical abacus x of a partition of n.
 
-    A node of row k is a runner (residue rho mod 2^k, bead count c); the
-    root holds every bead.  Child 0 is the runner at rho + 2^k * (c mod 2)
-    and child 1 the other; one popcount against a comb of period 2^(k+1)
-    counts child 0's c0 beads.  d = c - 2 * c0 - (c mod 2) is even, and the
-    height is d if d >= 0, else -d - 1.  The rows stop once their weights,
-    row k counting 2^k times, add up to n.
+    A node of row k is a runner, residue rho mod 2^k with c beads, kept as (index j
+    in the row, rho, c) only while it holds a bead: an empty runner's subtree is
+    empty.  Child 0 is the runner at rho + 2^k * (c mod 2) and child 1 the other; a
+    popcount against a comb of period 2^(k+1) counts child 0's c0 beads.  The height
+    is d = c - 2 * c0 - (c mod 2), which is even, if d >= 0, else ~d = -d - 1.  The
+    rows stop once their weights, row k counting 2^k times, add up to n.
     """
-    level, width, k, weighed = [(0, x.bit_count())], x.bit_length(), 0, 0
+    level, width, k, weighed = [(0, 0, x.bit_count())], x.bit_length(), 0, 0
     while weighed < n:
-        period = 2 << k
+        bit, period = 1 << k, 2 << k
         comb = ((1 << period * (width // period + 1)) - 1) // ((1 << period) - 1)
-        heights, below = [], []
-        for rho, c in level:
+        heights, below, weight = [0] * bit, [], 0
+        for j, rho, c in level:
             rho0 = rho | (c & 1) << k
-            c0 = (x >> rho0 & comb).bit_count() if c else 0
+            c0 = (x >> rho0 & comb).bit_count()
             d = c - 2 * c0 - (c & 1)
-            heights.append(d if d >= 0 else -d - 1)
-            below += ((rho0, c0), (rho0 ^ 1 << k, c - c0))
-        weighed += sum(h * (h + 1) >> 1 for h in heights) << k
+            if d:
+                heights[j] = h = d if d > 0 else ~d
+                weight += h * (h + 1) >> 1
+            if c0:
+                below.append((2 * j, rho0, c0))
+            if c0 != c:
+                below.append((2 * j + 1, rho0 ^ bit, c - c0))
+        weighed += weight << k
         yield heights
         level, k = below, k + 1
 
 
-def _parts(rows: list[list[int]]) -> tuple[int, ...]:
-    """Inverse of _rows: the parts whose tower rows have these heights.
+def _parts(rows: list[list[int]]) -> tuple[int, int]:
+    """Inverse of _rows: the canonical abacus and the size of the partition with these rows.
 
-    Top down, d = height for an even height and -height - 1 for an odd
-    one, and child 0 gets c0 = (c - (c mod 2) - d) / 2 of the c beads.
+    Top down over the runners with a nonzero height at or below them, child 0 gets
+    c0 = floor((c - d) / 2) of the c beads, d being the height if it is even and ~height
+    if it is odd.  Any other runner (rho, c) of row k is packed, its beads the digits rho,
+    rho + 2^k, ... of one abacus; normalize_mask drops its packed bottom, parts of size 0.
     """
-    n = sum(sum(h * (h + 1) >> 1 for h in row) << k for k, row in enumerate(rows))
-    # the root holds n beads, so each count below is a real runner's, none negative:
-    # p has an abacus of any count >= len(p), and n = |p| >= len(p).  A smaller root
-    # count would invert too, its beads shifted below 0, a shift the parts ignore
-    level = [(0, n)]
-    for k, row in enumerate(rows):
-        below = []
-        for (rho, c), height in zip(level, row):
-            rho0 = rho | (c & 1) << k
-            c0 = (c - (c & 1) - (-height - 1 if height & 1 else height)) >> 1
-            below += ((rho0, c0), (rho0 ^ 1 << k, c - c0))
+    n = sum(h * (h + 1) << k for k, row in enumerate(rows) for h in row if h) >> 1
+    # the heap ids 2^k + j of the nodes with a nonzero height at or below them
+    live = {i >> s for k, row in enumerate(rows) for i in compress(count(1 << k), row)
+            for s in range(k + 1)}
+    # the root holds n = |p| >= len(p) beads, so no count below is negative, and the top bead
+    # is lambda_1 + n - 1 < 2n; a smaller root count would push beads off the runners, below 0
+    level, digits = [(1, 0, n)], bytearray(b"0") * (2 * n + 1)
+    for k, row in enumerate([*rows, []]):
+        below, period = [], 1 << k
+        for i, rho, c in level:
+            if i in live:
+                height = row[i ^ period]
+                rho0 = rho | (c & 1) << k
+                c0 = (c - (~height if height & 1 else height)) >> 1
+                below += ((2 * i, rho0, c0), (2 * i + 1, rho0 ^ period, c - c0))
+            else:
+                digits[rho:rho + c * period:period] = b"1" * c
         level = below
-    # below the last row every node is empty and its runner packed, beads at
-    # rho, rho + period, ... under rho + c * period.  Every position below the
-    # least such bound, the gap, holds a bead for a part of size 0; a bead b
-    # above the gap with i beads between them gives the part b - gap - i
-    period = 1 << len(rows)
-    gap = min(rho + c * period for rho, c in level)
-    beads = sorted(b for rho, c in level
-                   for b in range(gap + (rho - gap) % period, rho + c * period, period))
-    return tuple([b - gap - i for i, b in enumerate(beads)][::-1])
+    return normalize_mask(int(digits[::-1], 2)), n
 
 
 def two_quotient(p: Partition) -> tuple[Partition, Partition]:
@@ -116,8 +118,8 @@ def two_quotient(p: Partition) -> tuple[Partition, Partition]:
     ((1, 1), (2,))
     """
     rows = [*_rows(mask_of(p), p.size)][1:]
-    return (Partition._trusted(_parts([row[:len(row) // 2] for row in rows])),
-            Partition._trusted(_parts([row[len(row) // 2:] for row in rows])))
+    return (Partition._of_abacus(*_parts([row[:len(row) // 2] for row in rows])),
+            Partition._of_abacus(*_parts([row[len(row) // 2:] for row in rows])))
 
 
 def two_core(p: Partition) -> Partition:
@@ -137,7 +139,7 @@ def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     # the shallower side is padded with empty rows
     below = zip_longest(_rows(mask_of(q0), q0.size), _rows(mask_of(q1), q1.size))
     rows = [[len(core)], *((r0 or [0] * len(r1)) + (r1 or [0] * len(r0)) for r0, r1 in below)]
-    return Partition._trusted(_parts(rows))
+    return Partition._of_abacus(*_parts(rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +185,7 @@ def tower(p: Partition) -> CoreTower:
 
 
 def tower_to_partition(t: CoreTower) -> Partition:
-    return Partition._trusted(_parts([[len(node) for node in row] for row in t.rows]))
+    return Partition._of_abacus(*_parts([[len(node.parts) for node in row] for row in t.rows]))
 
 
 def row_weights(t: CoreTower) -> tuple[int, ...]:
@@ -197,18 +199,16 @@ def classify_by_tower(p: Partition) -> str:
     row j weighs 2 or 3, row j + 1 is empty or absent and every other row
     weighs at most 1; "other" covers everything divisible by 4.
     """
-    # The size identity sum(w[k] * 2^k) = n makes an all-0/1 weight vector
-    # n's binary digits, and the one heavy row j with row j + 1 empty is
-    # those digits with a 1 at j + 1 traded for an extra 2 at j.
-    w = [sum(h * (h + 1) // 2 for h in heights) for heights in _rows(mask_of(p), p.size)]
-    heavy = [k for k, weight in enumerate(w) if weight > 1]
-    if not heavy:
-        return "odd"
-    if len(heavy) == 1:
-        j = heavy[0]
-        if w[j] <= 3 and (j + 1 == len(w) or w[j + 1] == 0):
-            return "two_mod_4"
-    return "other"
+    # The size identity sum(w[k] * 2^k) = n makes an all-0/1 weight vector n's binary
+    # digits, and the one heavy row j with row j + 1 empty is those digits with a 1 at
+    # j + 1 traded for an extra 2 at j.  Rows are read only until the answer is fixed.
+    heavy = None
+    for k, heights in enumerate(_rows(mask_of(p), p.size)):
+        weight = sum(h * (h + 1) for h in heights if h) >> 1
+        if weight > 3 or weight > 1 and heavy is not None or weight and heavy == k - 1:
+            return "other"
+        heavy = k if weight > 1 else heavy
+    return "odd" if heavy is None else "two_mod_4"
 
 
 def render_tower(t: CoreTower) -> list[str]:

@@ -6,10 +6,11 @@ tallies (criterion 13), the diagonal hooks of a shape, the parent-sign
 step counted per parent on the parent's abacus, which the package reads
 off its core's step masks instead, and the 2-quotient as a parity split
 of the abacus with its string round trips, level by level, which the
-package reads off runner bead counts instead, and the full p(n) sweep,
-which places every partition and tests each square one for
-self-conjugacy, where the package walks one shape of each conjugate pair
-and counts it twice.  They hold no assert:
+package reads off runner bead counts instead, the tower's residue class
+read off all its row weights, where the package stops at the first row
+that fixes it, and the full p(n) sweep, which places every partition and
+tests each square one for self-conjugacy, where the package walks one
+shape of each conjugate pair and counts it twice.  They hold no assert:
 pytest rewrites none outside test modules, and python -O strips them.
 """
 
@@ -140,6 +141,24 @@ def split_rows(x: int) -> Iterator[list[int]]:
         yield heights
         level = below
 
+
+def tower_class(x: int) -> str:
+    """Residue class of the dimension, from every row weight of the tower over the abacus x.
+
+    "odd" when every row weighs at most 1; "two_mod_4" when exactly one
+    row j weighs 2 or 3, row j + 1 is empty or absent and every other row
+    weighs at most 1; "other" otherwise.  Every row is weighed, where the
+    package stops reading rows once its answer is fixed.
+    """
+    w = [sum(h * (h + 1) // 2 for h in heights) for heights in split_rows(x)]
+    heavy = [k for k, weight in enumerate(w) if weight > 1]
+    if not heavy:
+        return "odd"
+    if len(heavy) == 1:
+        j = heavy[0]
+        if w[j] <= 3 and (j + 1 == len(w) or w[j + 1] == 0):
+            return "two_mod_4"
+    return "other"
 
 
 def full_classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:

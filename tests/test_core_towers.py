@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from dimlab import partitions
 from dimlab.beta_sets import t_core
 from dimlab.core_towers import (
     TOWER_LIMIT,
@@ -18,8 +19,9 @@ from dimlab.core_towers import (
     two_quotient,
 )
 from dimlab.errors import SizeLimitError
-from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, mask_of
-from paper_facts import split_rows
+from dimlab.partitions import (Partition, conjugate, dim_mod4, enumerate_partitions, mask_of,
+                               parts_of)
+from paper_facts import split_rows, tower_class
 
 EMPTY = Partition(())
 
@@ -128,6 +130,16 @@ def test_tower_round_trip():
             assert tower_to_partition(t) == p
 
 
+def test_round_trip_builds_the_abacus_before_any_parts_are_read(monkeypatch):
+    decoded = []
+    monkeypatch.setattr(partitions, "parts_of", lambda x: decoded.append(x) or parts_of(x))
+    for n in range(0, 25):
+        for p in enumerate_partitions(n):
+            back = tower_to_partition(tower(p))
+            assert (mask_of(back), back.size) == (mask_of(p), n), p
+    assert decoded == []
+
+
 def test_census_rows_match_the_parity_split_rows():
     # the reference splits each node's abacus by parity, level by level
     for n in range(0, 25):
@@ -175,6 +187,13 @@ def test_classification_agrees_with_residue():
     for n in range(0, 17):
         for p in enumerate_partitions(n):
             assert classify_by_tower(p) == residue_class(p), p
+
+
+def test_classification_agrees_with_the_all_rows_rule():
+    # the reference weighs every parity-split row, where classify_by_tower stops early
+    for n in range(0, 25):
+        for p in enumerate_partitions(n):
+            assert classify_by_tower(p) == tower_class(mask_of(p)), p
 
 
 @st.composite
