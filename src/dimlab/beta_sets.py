@@ -9,12 +9,13 @@ the diagram.
 
 The int helpers below work on the abacus form: a Python int with bit h
 set for each element h (James and Kerber, 1981).  A shift is a left
-shift and a t-hook removal moves one bit down by t.  An abacus is
-canonical when bit 0 is clear.
-`partitions.mask_of` builds the canonical abacus and `partitions.parts_of`
-reads it back.  `BetaSet` is the validated view of an abacus: it checks
-its elements once on the way in, keeps them as `mask`, and every move
-below goes through the int helpers.
+shift and a t-hook removal moves one bit down by t.  The codec is in
+`partitions`: `mask_of` builds the canonical abacus, whose bit 0 is
+clear, `parts_of` reads it back and `normalize_mask` drops the beads
+packed at the bottom.  `BetaSet` is the validated view of an abacus: it
+checks its elements once on the way in, keeps them as `mask`, and every
+move below goes through the int helpers.  No other module of the package
+imports this one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable
 
-from .partitions import Partition, mask_of
+from .partitions import Partition, mask_of, normalize_mask
 
 
 class BetaSet:
@@ -79,22 +80,6 @@ def t_core(p: Partition, t: int) -> Partition:
     if t < 1:
         raise ValueError(f"hook size must be positive, got {t}")
     return Partition._of_abacus(t_core_mask(mask_of(p), t))
-
-
-def conjugate_mask(x: int) -> int:
-    """The canonical abacus of the conjugate: the gaps of x within its width, read top down.
-
-    >>> bin(conjugate_mask(0b11100))  # (2, 2, 2) -> (3, 3)
-    '0b11000'
-    """
-    width = x.bit_length()
-    gaps = ~x & ((1 << width) - 1)
-    return int(format(gaps, f"0{width}b")[::-1], 2) if width else 0
-
-
-def normalize_mask(x: int) -> int:
-    """Drop the beads packed at the bottom, which stand for parts of size 0."""
-    return x >> ((x + 1) & ~x).bit_length() - 1
 
 
 def shift_mask(x: int, r: int) -> int:

@@ -197,17 +197,12 @@ def _verify_suites(max_n: int, bound: int):
     enumeration._sweep(1, max_n, bound)
     oracle = {n: enumeration.oracle_counts(n, bound) for n in range(1, max_n + 1)}
 
-    bad = [f"n={n}: formula {enumeration.count_odd(n)} oracle {rep.a}"
-           for n, rep in oracle.items() if enumeration.count_odd(n) != rep.a]
-    yield "odd-count formula", bad
-
-    bad = [f"n={n}: formula {enumeration.a2(n)} oracle {rep.a2}"
-           for n, rep in oracle.items() if enumeration.a2(n) != rep.a2]
-    yield "residue-two recursion", bad
-
-    bad = [f"n={n}: formula {enumeration.m4(n)} oracle {rep.m4}"
-           for n, rep in oracle.items() if enumeration.m4(n) != rep.m4]
-    yield "not-divisible-by-four count", bad
+    for name, function, field in (("odd-count formula", "count_odd", "a"),
+                                  ("residue-two recursion", "a2", "a2"),
+                                  ("not-divisible-by-four count", "m4", "m4")):
+        formula = getattr(enumeration, function)
+        yield name, [f"n={n}: formula {formula(n)} oracle {getattr(rep, field)}"
+                     for n, rep in oracle.items() if formula(n) != getattr(rep, field)]
 
     bad = []
     for n, rep in oracle.items():

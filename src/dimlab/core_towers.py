@@ -24,9 +24,8 @@ from functools import lru_cache
 from itertools import compress, count, zip_longest
 from typing import Iterator
 
-from .beta_sets import normalize_mask
 from .errors import SizeLimitError, size_text
-from .partitions import Partition, mask_of
+from .partitions import Partition, mask_of, normalize_mask
 
 # the largest |p| `tower` builds: up to 2|p| row nodes, each holding a bead costs a popcount over
 # at most |p| + 1 bits.  Cold at 10000, 0.002 s for (10000,) and 0.02-0.03 s for (1,) * 10000
@@ -38,11 +37,12 @@ def staircase(height: int) -> Partition:
     """The 2-core with the given number of rows: (h, h-1, ..., 1), built once."""
     if height < 0:
         raise ValueError(f"height must be non-negative, got {height}")
-    return Partition._trusted(tuple(range(height, 0, -1)))
+    # (4^h - 1) / 3 has h beads at 0, 2, ..., 2h - 2; one shift moves them to the odd positions
+    return Partition._of_abacus((1 << 2 * height) // 3 << 1, height * (height + 1) // 2)
 
 
 def is_two_core(p: Partition) -> bool:
-    return p.parts == tuple(range(len(p), 0, -1))
+    return p == staircase(len(p))
 
 
 def _rows(x: int, n: int) -> Iterator[list[int]]:

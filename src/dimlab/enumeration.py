@@ -39,11 +39,10 @@ from functools import cache
 from math import comb
 from typing import Iterator
 
-from .beta_sets import conjugate_mask
 from .binary_arith import _tables, bit_positions, is_sparse, top_two_bits
 from .errors import SizeLimitError, size_text
 from .parents import _hook_additions, _top_level_sum
-from .partitions import ENUMERATION_LIMIT, DimClass, Partition
+from .partitions import ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask
 
 DEFAULT_ORACLE_BOUND = 40
 # the fallback answers only n with at most 2^WALK_CEILING odd partitions, its

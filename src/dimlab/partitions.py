@@ -3,8 +3,9 @@
 `dim_exact` and `dim_mod4` both read the hook product n! / prod of hook
 lengths off `hook_lengths`: one exactly, one through the tables of
 `binary_arith._tables`.  `Partition(...)` and `from_text` check their
-input; `Partition._trusted` and `_of_abacus` build the package's own,
-from parts, or from an abacus and perhaps the class a walk derived.
+input; `Partition._of_abacus` builds the package's own from an abacus,
+perhaps with the class a walk derived.  `mask_of`, `parts_of`,
+`conjugate_mask` and `normalize_mask` are the abacus codec.
 """
 
 from __future__ import annotations
@@ -60,19 +61,11 @@ class Partition:
         self._dim = self._abacus = None
 
     @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
-        # for parts the package built itself, a weakly decreasing tuple of positive
-        # ints by construction: the checks of __init__ are skipped; mask_of builds the abacus
-        p = object.__new__(cls)
-        p.parts, p.size, p._dim, p._abacus = parts, sum(parts), None, None
-        return p
-
-    @classmethod
     def _of_abacus(cls, x: int, size: int | None = None,
                    dim: "DimClass | None" = None) -> "Partition":
-        # as _trusted, from a canonical abacus, which mask_of returns; parts, and size
-        # unless given, are unset until __getattr__.  dim, the DimClass a walk derived,
-        # is what dim_mod4 returns; equality, hashing and repr ignore it
+        # unchecked, for a canonical abacus the package built, as mask_of returns it; parts,
+        # and size unless given, are unset until __getattr__.  dim, the DimClass a walk
+        # derived, is what dim_mod4 returns; equality, hashing and repr ignore it
         p = object.__new__(cls)
         p._abacus, p._dim = x, dim
         if size is not None:
@@ -124,27 +117,20 @@ def conjugate(p: Partition) -> Partition:
     >>> conjugate(Partition((4, 3, 3, 1))).parts
     (4, 3, 3, 1)
     """
-    return Partition._trusted(tuple(_column_heights(p)))
-
-
-def _column_heights(p: Partition) -> list[int]:
-    parts = p.parts
-    if not parts:
-        return []
-    heights = []
-    rows = len(parts)
-    for col in range(1, parts[0] + 1):
-        while rows and parts[rows - 1] < col:
-            rows -= 1
-        heights.append(rows)
-    return heights
+    return Partition._of_abacus(conjugate_mask(mask_of(p)), p.size)
 
 
 def hook_lengths(p: Partition) -> list[int]:
     """All hook lengths, row-major."""
-    heights = _column_heights(p)
+    parts = p.parts
+    # heights[j - 1] is the length of column j
+    heights, rows = [], len(parts)
+    for col in range(1, parts[0] + 1 if parts else 1):
+        while parts[rows - 1] < col:
+            rows -= 1
+        heights.append(rows)
     out = []
-    for i, row in enumerate(p.parts, 1):
+    for i, row in enumerate(parts, 1):
         for j in range(1, row + 1):
             out.append(row - j + heights[j - 1] - i + 1)
     return out
@@ -206,6 +192,22 @@ def parts_of(x: int) -> tuple[int, ...]:
     return (*accumulate(map(len, runs)),)[::-1]
 
 
+def conjugate_mask(x: int) -> int:
+    """The canonical abacus of the conjugate: the gaps of x within its width, read top down.
+
+    >>> bin(conjugate_mask(0b11100))  # (2, 2, 2) -> (3, 3)
+    '0b11000'
+    """
+    width = x.bit_length()
+    gaps = ~x & ((1 << width) - 1)
+    return int(format(gaps, f"0{width}b")[::-1], 2) if width else 0
+
+
+def normalize_mask(x: int) -> int:
+    """Drop the beads packed at the bottom, which stand for parts of size 0."""
+    return x >> ((x + 1) & ~x).bit_length() - 1
+
+
 def dim_mod4(p: Partition) -> DimClass:
     """Valuation and odd-part sign of dim_exact(p), without big integers.
 
@@ -249,16 +251,14 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         raise ValueError(f"expected a non-negative integer, got {n}")
     if n > ENUMERATION_LIMIT:
         raise SizeLimitError(f"n = {n} exceeds the enumeration bound {ENUMERATION_LIMIT}")
-    buf: list[int] = []
 
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+    def rec(remaining: int, cap: int, i: int, x: int) -> Iterator[Partition]:
+        # part i is bead part + n - 1 - i of an abacus of n beads; the n - i beads
+        # of the parts of size 0 would fill the bottom, and one shift drops them
         if remaining == 0:
-            yield tuple(buf)
+            yield Partition._of_abacus(x >> (n - i), n)
             return
         for first in range(min(remaining, cap), 0, -1):
-            buf.append(first)
-            yield from rec(remaining - first, first)
-            buf.pop()
+            yield from rec(remaining - first, first, i + 1, x | 1 << (first + n - 1 - i))
 
-    for parts in rec(n, n):
-        yield Partition._trusted(parts)
+    yield from rec(n, n, 0, 0)

@@ -2,7 +2,9 @@
 
 Each function restates a fact the tests check against the package: the
 parity gap of an abacus (acceptance criterion 08), the binomial residue
-tallies (criterion 13), the diagonal hooks of a shape, the parent-sign
+tallies (criterion 13), the diagonal hooks of a shape, the conjugate read
+off the column heights and the partitions of n listed by their parts,
+where the package runs both on the abacus, the parent-sign
 step counted per parent on the parent's abacus, which the package reads
 off its core's step masks instead, and the 2-quotient as a parity split
 of the abacus with its string round trips, level by level, which the
@@ -16,9 +18,9 @@ pytest rewrites none outside test modules, and python -O strips them.
 
 from typing import Iterator
 
-from dimlab.beta_sets import conjugate_mask, normalize_mask, shift_mask
+from dimlab.beta_sets import shift_mask
 from dimlab.binary_arith import _tables, factorial_sign_parity
-from dimlab.partitions import Partition, conjugate
+from dimlab.partitions import Partition, conjugate, conjugate_mask, normalize_mask
 
 
 def parity_gap(x: int) -> int:
@@ -52,6 +54,33 @@ def diagonal_hooks(p: Partition) -> list[int]:
     """Hook lengths of the diagonal cells (i, i), top-left first."""
     cols = conjugate(p).parts
     return [row + cols[i] - 2 * i - 1 for i, row in enumerate(p.parts) if row > i]
+
+
+def column_conjugate(p: Partition) -> Partition:
+    """Transpose of the Ferrers diagram: the height of column j becomes part j."""
+    parts = p.parts
+    heights, rows = [], len(parts)
+    for col in range(1, parts[0] + 1 if parts else 1):
+        while parts[rows - 1] < col:
+            rows -= 1
+        heights.append(rows)
+    return Partition(heights)
+
+
+def parts_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """The parts of every partition of n in reverse-lexicographic order, (n) first."""
+    buf: list[int] = []
+
+    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(buf)
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            buf.append(first)
+            yield from rec(remaining - first, first)
+            buf.pop()
+
+    return rec(n, n)
 
 
 def _between(x: int, h: int, t: int) -> int:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from dimlab import alternating, enumeration
-from dimlab.beta_sets import conjugate_mask, first_column_hooks, mask_of, t_core, to_partition
+from dimlab.beta_sets import first_column_hooks, t_core, to_partition
 from dimlab.binary_arith import factorial_sign_parity, is_sparse, sign_parity
 from dimlab.core_towers import classify_by_tower, row_weights, tower, tower_to_partition, two_core
 from dimlab.enumeration import EXACT, FALLBACK
@@ -20,8 +20,10 @@ from dimlab.partitions import (
     DimClass,
     Partition,
     conjugate,
+    conjugate_mask,
     dim_mod4,
     enumerate_partitions,
+    mask_of,
     parts_of,
 )
 from paper_facts import binom_mod4_counts, parity_gap

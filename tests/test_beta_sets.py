@@ -5,18 +5,17 @@ from hypothesis import given, strategies as st
 
 from dimlab.beta_sets import (
     BetaSet,
-    conjugate_mask,
     first_column_hooks,
-    mask_of,
-    normalize_mask,
     shift,
     shift_mask,
     t_core,
     t_core_mask,
     to_partition,
 )
-from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, parts_of
-from paper_facts import core_height, interleave, parity_gap, parity_split
+from dimlab.partitions import (Partition, conjugate, conjugate_mask, dim_mod4, enumerate_partitions,
+                               mask_of, normalize_mask, parts_of)
+from paper_facts import (column_conjugate, core_height, interleave, parity_gap, parity_split,
+                         parts_partitions)
 
 
 def abacus(elements):
@@ -197,9 +196,14 @@ def test_mask_round_trip(p):
 
 
 def test_conjugate_mask_is_the_conjugate():
+    # both abacus routes against the column heights of a checked partition
     for n in range(21):
-        for p in enumerate_partitions(n):
-            assert conjugate_mask(mask_of(p)) == mask_of(conjugate(p)), p
+        for parts in parts_partitions(n):
+            p = Partition(parts)
+            want = column_conjugate(p)
+            assert conjugate_mask(mask_of(p)) == mask_of(want), p
+            got = conjugate(p)
+            assert (got.size, got.parts) == (n, want.parts), p
 
 
 @given(masks_st, st.integers(min_value=0, max_value=9))

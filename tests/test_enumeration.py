@@ -25,12 +25,11 @@ from dimlab.enumeration import (
     m4,
     oracle_counts,
 )
-from dimlab.beta_sets import conjugate_mask, normalize_mask
 from dimlab.binary_arith import bit_positions, is_sparse, top_two_bits
 from dimlab.errors import SizeLimitError
 from dimlab.parents import _hook_additions, _top_level_sum
-from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, dim_exact, dim_mod4,
-                               enumerate_partitions, mask_of)
+from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask, dim_exact,
+                               dim_mod4, enumerate_partitions, mask_of, normalize_mask)
 from paper_facts import _flip_parity, _sign_step, full_tallies
 
 # columns: n, a, a1, a2, a3, delta, m4

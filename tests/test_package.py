@@ -127,3 +127,20 @@ def test_no_module_imports_a_name_it_never_reads():
             if f"{module}.{name}" not in benchmark:
                 unread.append(f"{module}: {name}")
     assert unread == []
+
+
+def test_no_other_module_imports_beta_sets():
+    # the abacus codec lives in partitions, so beta_sets is a leaf that only the
+    # tests and the benchmark read, and can be retired as one module
+    importers = []
+    for module, tree in _package_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if module != "beta_sets" and any(name.split(".")[-1] == "beta_sets" for name in names):
+                importers.append(module)
+    assert importers == []

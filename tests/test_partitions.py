@@ -10,7 +10,9 @@ from dimlab.partitions import (
     dim_mod4,
     enumerate_partitions,
     hook_lengths,
+    mask_of,
 )
+from paper_facts import parts_partitions
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
 
@@ -190,6 +192,16 @@ def test_enumerate_partitions_order_and_bounds():
     assert four == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     with pytest.raises(SizeLimitError):
         next(enumerate_partitions(81))
+
+
+def test_enumerate_partitions_is_the_parts_recursion():
+    for n in range(21):
+        want = list(parts_partitions(n))
+        leaves = list(enumerate_partitions(n))
+        # the kept abacus and size are read before the parts are first decoded
+        assert [leaf._abacus for leaf in leaves] == [mask_of(Partition(parts)) for parts in want]
+        assert {leaf.size for leaf in leaves} == {n}
+        assert [leaf.parts for leaf in leaves] == want
 
 
 def test_ordering_and_hashing():

@@ -1,6 +1,7 @@
 """Partitions built inside the package skip the checks of Partition(...).
 
-Each one must pass them anyway: a leaf equals the partition that the
+The package builds each of its own from an abacus (Partition._of_abacus).
+Each one must pass the checks anyway: a leaf equals the partition that the
 public, checking constructor builds from its parts, size included.  A
 leaf of the odd stream also carries the dimension class its walk derived,
 which must equal the class computed afresh on that checked twin.  A
@@ -13,12 +14,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dimlab import partitions
-from dimlab.beta_sets import BetaSet, mask_of, shift_mask, t_core, to_partition
+from dimlab.beta_sets import BetaSet, shift_mask, t_core, to_partition
 from dimlab.core_towers import (CoreTower, combine, staircase, tower, tower_to_partition, two_core,
                                 two_quotient)
 from dimlab.enumeration import count_odd, enumerate_odd_partitions
 from dimlab.parents import all_parents, sign_flip_parity
-from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, parts_of
+from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, mask_of, parts_of
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))))
