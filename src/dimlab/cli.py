@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 
 from . import alternating, enumeration
 from .binary_arith import is_sparse
-from .core_towers import TOWER_LIMIT, render_tower, row_weights, tower
+from .core_towers import TOWER_LIMIT, render_tower, row_weights, staircase_text, tower
 from .enumeration import DEFAULT_ORACLE_BOUND
 from .errors import SizeLimitError, quoted, size_text
 from .parents import all_parents, sign_flip_parity, predict_parent_sign
@@ -154,7 +154,7 @@ def _cmd_tower(args: argparse.Namespace) -> int:
     joined = ",".join(map(str, weights))
     doc = {
         "partition": str(args.partition),
-        "rows": [[str(node) for node in row] for row in t.rows],
+        "rows": [list(map(staircase_text, row)) for row in t.heights],
         "weights": list(weights),
     }
     rows = [{"partition": str(args.partition), "weights": joined, "depth": t.depth}]

@@ -2,9 +2,10 @@
 
 Splitting a hook set by parity yields two smaller partitions (the
 2-quotient) plus a staircase remainder (the 2-core).  Doing this
-recursively hangs a 2-core on every node of a binary tree; row k holds
-2^k of them.  The row weights decide the dimension's residue mod 4, and
-size = sum over rows of 2^k * (sum of core sizes in row k).
+recursively gives a 2-core for every node of a binary tree; row k holds
+2^k of them.  A 2-core is a staircase, fixed by its height, so a tower is
+its rows of int heights.  The row weights decide the dimension's residue
+mod 4, and size = sum over rows of 2^k * (sum of core sizes in row k).
 
 Everything runs on runner bead counts of the James-Kerber abacus (*The
 Representation Theory of the Symmetric Group*, 1981), a Python int with bit
@@ -14,7 +15,8 @@ positions of one residue mod 2^k, and its two children are the runners mod
 reads the heights off the abacus, visiting only the runners that hold a
 bead.  `_parts` runs the counts back down through the nodes with a nonzero
 height below them and packs every other runner into one abacus.  Conjugating
-the partition mirrors every row.  Partitions are built only at the boundary.
+the partition mirrors every row.  Staircase partitions are built only when
+`CoreTower.rows` is read.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, zip_longest
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import SizeLimitError, size_text
 from .partitions import Partition, mask_of, normalize_mask
@@ -76,7 +78,7 @@ def _rows(x: int, n: int) -> Iterator[list[int]]:
         level, k = below, k + 1
 
 
-def _parts(rows: list[list[int]]) -> tuple[int, int]:
+def _parts(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Inverse of _rows: the canonical abacus and the size of the partition with these rows.
 
     Top down over the runners with a nonzero height at or below them, child 0 gets
@@ -142,37 +144,24 @@ def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     return Partition._of_abacus(*_parts(rows))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CoreTower:
-    """Rows of 2-cores; row k has 2^k entries, children of node j are 2j, 2j+1."""
+    """Staircase heights of the 2-cores; row k has 2^k, children of node j are 2j, 2j+1.
 
-    rows: tuple[tuple[Partition, ...], ...]
+    Only the heights are stored.  `rows` builds the staircase partitions each
+    time it is read.  Not slotted: the regenerated class of a slotted frozen
+    dataclass raises TypeError, not AttributeError, when a property is assigned.
+    """
 
-    def __post_init__(self) -> None:
-        rows = self.rows
-        if not rows:
-            raise ValueError("a tower needs at least one row")
-        for k, row in enumerate(rows):
-            if len(row) != 1 << k:
-                raise ValueError(f"row {k} has {len(row)} entries, expected {1 << k}")
-            for node in row:
-                if not is_two_core(node):
-                    raise ValueError(f"row {k} entry {node} is not a 2-core")
-        if len(rows) > 1 and not any(node.size for node in rows[-1]):
-            raise ValueError("trailing all-empty row; trim before constructing")
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
+    heights: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[Partition, ...], ...]) -> "CoreTower":
-        # for rows the package built itself, tuples of staircases of the right
-        # lengths with a nonempty last row by construction: __post_init__ is skipped
-        t = object.__new__(cls)
-        object.__setattr__(t, "rows", rows)
-        return t
+    @property
+    def rows(self) -> tuple[tuple[Partition, ...], ...]:
+        return tuple(tuple(map(staircase, row)) for row in self.heights)
 
     @property
     def depth(self) -> int:
-        return len(self.rows)
+        return len(self.heights)
 
 
 def tower(p: Partition) -> CoreTower:
@@ -180,16 +169,15 @@ def tower(p: Partition) -> CoreTower:
     if p.size > TOWER_LIMIT:
         raise SizeLimitError(f"|p| = {size_text(p.size)} exceeds the tower bound "
                              f"TOWER_LIMIT = {TOWER_LIMIT}")
-    rows = tuple(tuple(map(staircase, heights)) for heights in _rows(mask_of(p), p.size))
-    return CoreTower._trusted(rows or ((staircase(0),),))
+    return CoreTower(tuple(map(tuple, _rows(mask_of(p), p.size))) or ((0,),))
 
 
 def tower_to_partition(t: CoreTower) -> Partition:
-    return Partition._of_abacus(*_parts([[len(node.parts) for node in row] for row in t.rows]))
+    return Partition._of_abacus(*_parts(t.heights))
 
 
 def row_weights(t: CoreTower) -> tuple[int, ...]:
-    return tuple(sum(node.size for node in row) for row in t.rows)
+    return tuple(sum(h * (h + 1) for h in row) >> 1 for row in t.heights)
 
 
 def classify_by_tower(p: Partition) -> str:
@@ -211,6 +199,11 @@ def classify_by_tower(p: Partition) -> str:
     return "odd" if heavy is None else "two_mod_4"
 
 
+def staircase_text(height: int) -> str:
+    """str(staircase(height)) without building it: "h,h-1,...,1", "-" for height 0."""
+    return ",".join(map(str, range(height, 0, -1))) or "-"
+
+
 def render_tower(t: CoreTower) -> list[str]:
     """One string per row, nodes separated by ' | ', empty cores as '-'."""
-    return [" | ".join(str(node) for node in row) for row in t.rows]
+    return [" | ".join(map(staircase_text, row)) for row in t.heights]

@@ -12,7 +12,9 @@ package reads off runner bead counts instead, the tower's residue class
 read off all its row weights, where the package stops at the first row
 that fixes it, and the full p(n) sweep, which places every partition and
 tests each square one for self-conjugacy, where the package walks one
-shape of each conjugate pair and counts it twice.  They hold no assert:
+shape of each conjugate pair and counts it twice.  check_tower_heights
+checks the shape of a tower's heights, which the package builds unchecked.
+They hold no assert:
 pytest rewrites none outside test modules, and python -O strips them.
 """
 
@@ -188,6 +190,24 @@ def tower_class(x: int) -> str:
         if w[j] <= 3 and (j + 1 == len(w) or w[j + 1] == 0):
             return "two_mod_4"
     return "other"
+
+
+def check_tower_heights(heights: tuple[tuple[int, ...], ...]) -> None:
+    """Raise ValueError unless heights have a tower's shape.
+
+    At least one row; row k has 2^k entries, each an int >= 0; the last row
+    is not all 0 unless it is the lone root row.
+    """
+    if not heights:
+        raise ValueError("a tower needs at least one row")
+    for k, row in enumerate(heights):
+        if len(row) != 1 << k:
+            raise ValueError(f"row {k} has {len(row)} entries, expected {1 << k}")
+        for h in row:
+            if type(h) is not int or h < 0:
+                raise ValueError(f"row {k} entry {h!r} is not a 2-core")
+    if len(heights) > 1 and not any(heights[-1]):
+        raise ValueError("trailing all-empty row; trim before constructing")
 
 
 def full_classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int]]:

@@ -202,7 +202,7 @@ def test_bijections():
             t = tower(p)
             assert sum(w << k for k, w in enumerate(row_weights(t))) == n
             assert tower_to_partition(t) == p
-            assert tower(conjugate(p)).rows == tuple(row[::-1] for row in t.rows)
+            assert tower(conjugate(p)).heights == tuple(row[::-1] for row in t.heights)
 
 
 @criterion("12 alternating-group counts match the restriction oracle up to 40")

@@ -17,7 +17,7 @@ import dimlab
 from dimlab import alternating, enumeration
 from dimlab.alternating import AltReport
 from dimlab.cli import build_parser, main
-from dimlab.core_towers import TOWER_LIMIT
+from dimlab.core_towers import TOWER_LIMIT, tower
 from dimlab.enumeration import CountReport
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import Partition, enumerate_partitions
@@ -367,6 +367,26 @@ def test_tower_csv_quotes_commas(capsys):
         ["partition", "weights", "depth"],
         ["6,5,4,2,1,1", "3,0,2,1", "4"],
     ]
+
+
+def test_tower_renderings_match_the_staircase_view(capsys):
+    # the CLI renders int heights; the reference reads str() of the staircases that
+    # t.rows builds and parts_of decodes, so each route checks the other
+    for n in range(14):
+        for p in enumerate_partitions(n):
+            staircases = tower(p).rows
+            rows = [[str(node) for node in row] for row in staircases]
+            weights = [sum(node.size for node in row) for row in staircases]
+            joined = ",".join(map(str, weights))
+            csv_out = io.StringIO()
+            csv.writer(csv_out, lineterminator="\n").writerow([p, joined, len(rows)])
+            want = {
+                "text": "".join(f"{line}\n" for line in [*map(" | ".join, rows), "w = " + joined]),
+                "json": json.dumps({"partition": str(p), "rows": rows, "weights": weights}) + "\n",
+                "csv": csv_out.getvalue(),
+            }
+            for fmt, out in want.items():
+                assert run(capsys, "tower", str(p), "--format", fmt)[:2] == (0, out), (p, fmt)
 
 
 @pytest.mark.parametrize("text", [str(TOWER_LIMIT), ",".join(["1"] * TOWER_LIMIT)],

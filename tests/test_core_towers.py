@@ -21,7 +21,7 @@ from dimlab.core_towers import (
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import (Partition, conjugate, dim_mod4, enumerate_partitions, mask_of,
                                parts_of)
-from paper_facts import split_rows, tower_class
+from paper_facts import check_tower_heights, split_rows, tower_class
 
 EMPTY = Partition(())
 
@@ -111,7 +111,7 @@ def test_tower_of_a_medium_partition():
 def test_tower_of_self_conjugate_partition_is_palindromic():
     t = tower(P(3, 3, 3))
     assert render_tower(t) == ["1", "- | -", "1 | - | - | 1"]
-    assert tuple(row[::-1] for row in t.rows) == t.rows
+    assert tuple(row[::-1] for row in t.heights) == t.heights
 
 
 def test_tower_of_empty_partition():
@@ -175,7 +175,7 @@ def test_flip_is_conjugation():
     for n in range(0, 13):
         for p in enumerate_partitions(n):
             t = tower(p)
-            assert tuple(row[::-1] for row in t.rows) == tower(conjugate(p)).rows
+            assert tuple(row[::-1] for row in t.heights) == tower(conjugate(p)).heights
 
 
 def residue_class(p):
@@ -214,15 +214,18 @@ def test_classification_agrees_with_residue_up_to_80(p):
 def test_tower_validation():
     # each check's whole message
     with pytest.raises(ValueError, match="^a tower needs at least one row$"):
-        CoreTower(())
+        check_tower_heights(())
     with pytest.raises(ValueError, match="^row 1 has 1 entries, expected 2$"):
-        CoreTower(((EMPTY,), (P(1),)))
-    with pytest.raises(ValueError, match="^row 0 entry 2 is not a 2-core$"):
-        CoreTower(((P(2),),))
+        check_tower_heights(((0,), (1,)))
+    with pytest.raises(ValueError, match="^row 0 entry -1 is not a 2-core$"):
+        check_tower_heights(((-1,),))
+    with pytest.raises(ValueError, match=r"^row 1 entry 1\.0 is not a 2-core$"):
+        check_tower_heights(((0,), (1.0, 0)))
     with pytest.raises(ValueError, match="^trailing all-empty row; trim before constructing$"):
-        CoreTower(((P(1),), (EMPTY, EMPTY)))
+        check_tower_heights(((1,), (0, 0)))
     # a lone all-empty row is fine: it is the tower of the empty partition
-    assert row_weights(CoreTower(((EMPTY,),))) == (0,)
+    check_tower_heights(((0,),))
+    assert row_weights(CoreTower(((0,),))) == (0,)
 
 
 def test_tower_identity():
@@ -233,4 +236,6 @@ def test_tower_identity():
     assert len({a, b, tower(P(2, 2))}) == 2
     with pytest.raises(AttributeError):
         a.rows = ()
-    assert repr(a).startswith("CoreTower(rows=(")
+    with pytest.raises(AttributeError):
+        a.heights = ()
+    assert repr(a).startswith("CoreTower(heights=(")

@@ -6,8 +6,9 @@ public, checking constructor builds from its parts, size included.  A
 leaf of the odd stream also carries the dimension class its walk derived,
 which must equal the class computed afresh on that checked twin.  A
 partition built from an abacus decodes its parts only when they are first
-read, and then reads as its checked twin.  Towers built inside the package
-skip the checks of CoreTower(...) the same way.
+read, and then reads as its checked twin.  A tower is its int staircase
+heights, which nothing checks when the package builds them; they must pass
+the shape checks of paper_facts.check_tower_heights.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from dimlab.core_towers import (CoreTower, combine, staircase, tower, tower_to_p
 from dimlab.enumeration import count_odd, enumerate_odd_partitions
 from dimlab.parents import all_parents, sign_flip_parity
 from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, mask_of, parts_of
+from paper_facts import check_tower_heights
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))))
@@ -87,9 +89,10 @@ def test_trusted_towers_pass_the_checks():
     for n in range(21):
         for p in enumerate_partitions(n):
             t = tower(p)
-            assert t == CoreTower(t.rows), p
-            mirrored = tuple(row[::-1] for row in t.rows)
-            assert CoreTower(mirrored).rows == mirrored, p
+            assert t == CoreTower(t.heights), p
+            assert type(t.heights) is tuple and all(type(row) is tuple for row in t.heights), p
+            check_tower_heights(t.heights)
+            check_tower_heights(tuple(row[::-1] for row in t.heights))
 
 
 @given(partitions_st, st.integers(min_value=0, max_value=64))
