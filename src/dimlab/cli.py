@@ -142,8 +142,10 @@ def _emit(args: argparse.Namespace, rows: list[dict], text: Iterable[str],
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    # counts and alt: one report dataclass, its fields in every format
-    fields = dataclasses.asdict(args.report(args.n))
+    # counts and alt: one report dataclass, its fields in every format, read
+    # as they are: asdict would deep-copy every int
+    report = args.report(args.n)
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     _emit(args, [fields], (f"{key} = {value}" for key, value in fields.items()), fields)
     return 0
 

@@ -8,8 +8,9 @@ binary expansion starts "11" and carries three or more ones have no
 proved formula; for those the signed difference falls back to a signed
 walk over the odd-partition stream and says so in its status flag.  The
 stream takes each core's parents, each with its sign step, from
-`parents._hook_additions`, the generator behind `all_parents`, which reads
-the core's step masks (`parents._top_level_steps`) once.  The fallback visits
+`parents._hook_additions`, which lists them for `all_parents` too and
+reads the core's step masks (`parents._top_level_steps`) once; the
+stream builds that core's leaves in one list.  The fallback visits
 only the a(n - t) odd cores below n's top bit t and sums the signs
 of a core's t parents by popcounts of those masks (`parents._top_level_sum`),
 so it builds no partition, visits none of the a(n) = t * a(n - t) leaves
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cache
+from itertools import chain
 from math import comb
 from typing import Iterator
 
@@ -254,18 +256,33 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     2^r + m are precisely the partitions obtained from odd partitions
     of m by adding one hook of length 2^r.  Even-dimension partitions
     are never touched, so the stream scales with the odd count, not
-    with p(n).  The walk runs on abacus ints and builds one unchecked
-    Partition per partition yielded, whose parts are decoded only when
-    first read.  Each leaf carries the class that the parent-sign step,
-    read off its core's step masks, gave it, and `dim_mod4` returns that
+    with p(n).  The walk runs on abacus ints.  For each odd core of
+    n - 2^r it builds the core's 2^r leaves in one list, unchecked
+    Partitions whose parts are decoded only when first read, and the
+    lists are chained, so memory stays at one core's leaves.  n is
+    checked when the function is called, not when the stream is first
+    read.  Each leaf carries the class that the parent-sign step, read
+    off its core's step masks, gave it, and `dim_mod4` returns that
     class without computing.  The tests check those classes against
     `dim_mod4` of the checked twin `Partition(leaf.parts)`, which computes
     the hook product, and against the sweep's determinant form.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    for x, parity in _odd_abaci(n):
-        yield Partition._of_abacus(x, n, _ODD_CLASSES[parity])
+    if n < 2:
+        return iter(Partition._of_abaci((n << 1,), n, (0,), _ODD_CLASSES))
+    t = 1 << (n.bit_length() - 1)
+    # the classes by step, at a core of sign parity 0 and 1
+    by_step = (_ODD_CLASSES, _ODD_CLASSES[::-1])
+    c = top_two_bits(n) & 1
+    return chain.from_iterable(_leaves(core, t, n, by_step[parity ^ c])
+                               for core, parity in _odd_abaci(n - t))
+
+
+def _leaves(core: int, t: int, n: int, classes: tuple[DimClass, DimClass]) -> list[Partition]:
+    # the t leaves of one core, each with the class its step picks
+    _, abaci, steps = _hook_additions(core, t)
+    return Partition._of_abaci(abaci, n, steps, classes)
 
 
 def _odd_abaci(n: int, half: bool = False) -> Iterator[tuple[int, int]]:
@@ -287,7 +304,8 @@ def _odd_abaci(n: int, half: bool = False) -> Iterator[tuple[int, int]]:
     pairs = half and n - t < 2
     for core, parity in _odd_abaci(n - t, half):
         parity ^= c
-        for _, _, _, x, step in _hook_additions(core, t):
+        _, abaci, steps = _hook_additions(core, t)
+        for x, step in zip(abaci, steps):
             if not pairs or x < conjugate_mask(x):
                 yield x, parity ^ step
 

@@ -8,14 +8,15 @@ leaves position 2^R empty.  The sign of a parent's dimension follows the
 core's sign up to a parity computable from the hook set alone, which is
 the engine behind all the signed counting downstream.  `_top_level_steps`
 gives that parity for all 2^R parents of a core at once, one bit each.
-`_hook_additions` yields each parent with its bit, for `all_parents` and
-the odd stream alike, and `_top_level_sum` counts the bits.  The tests
-keep a per-parent route on the parent's abacus as the reference.
+`_hook_additions` lists the parents in one pass, as parallel lists of
+params, parent abaci and bits, for `all_parents` and the odd stream
+alike, and `_top_level_sum` counts the bits.  The tests keep a
+per-parent route on the parent's abacus as the reference.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .binary_arith import top_two_bits
 from .errors import SizeLimitError
@@ -44,13 +45,17 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
         raise SizeLimitError(f"parents of size {core.size} + 2^{r_power} exceed "
                              f"the enumeration bound {ENUMERATION_LIMIT}")
     t = 1 << r_power
-    return [ParentRecord(Partition._of_abacus(x, core.size + t), r_power, kind, param, affected,
-                         step)
-            for kind, param, affected, x, step in _hook_additions(mask_of(core), t)]
+    x, size = mask_of(core), core.size + t
+    params, abaci, steps = _hook_additions(x, t)
+    beads = x.bit_count()
+    kinds = ([("I", bead, bead + t) for bead in params[:beads]]
+             + [("II", shift, t) for shift in params[beads:]])
+    return [ParentRecord(Partition._of_abacus(parent, size), r_power, kind, param, affected, step)
+            for (kind, param, affected), parent, step in zip(kinds, abaci, steps)]
 
 
 def _top_level_steps(core: int, t: int) -> tuple[int, int]:
-    # the sign steps of the t parents _hook_additions(core, t) yields, for a
+    # the sign steps of the t parents _hook_additions(core, t) lists, for a
     # parent size n with top_two_bits(n) = 2 (all flip when it is 1): bit x of
     # the first mask for the kind I parent moving bead x, bit j of the second
     # for the kind II parent leaving j empty.  The step is top_two_bits(n) +
@@ -75,22 +80,31 @@ def _top_level_steps(core: int, t: int) -> tuple[int, int]:
     return core & ~(above ^ mirror), (full ^ core) & (full // 3 << 1 ^ below ^ mirror ^ full)
 
 
-def _hook_additions(core: int, t: int) -> Iterator[tuple[str, int, int, int, int]]:
-    """(kind, param, affected, parent abacus, step) for each t-hook added to a core.
+def _hook_additions(core: int, t: int) -> tuple[list[int], list[int], list[int]]:
+    """(params, parent abaci, steps): the t parents of a core, one list entry each.
 
-    `core` is canonical with every bead below t.  Kind I comes first,
-    largest bead first, then kind II by increasing shift.  `step` is the
-    parent's bit of the core's `_top_level_steps` masks.
+    `core` is canonical with every bead below t.  Kind I comes first, one
+    per bead x of the core, largest bead first, with param x; then kind II
+    by increasing shift r, its param.  So the first core.bit_count() entries
+    are kind I.  A step is the parent's bit of the core's `_top_level_steps`
+    masks.  One pass over the t positions below t builds all three.
     """
     one, two = _top_level_steps(core, t)
-    for x in range(core.bit_length() - 1, 0, -1):
-        if core >> x & 1:
-            yield "I", x, x + t, core ^ (1 << x | 1 << x + t), one >> x & 1
-    # shift by r = t - j, drop bead 0 and set bead t: admissible when j is empty
+    top = 1 << t
+    beads, bead_parents, bead_steps = [], [], []
+    shifts, shift_parents, shift_steps = [], [], []
     for j in range(t - 1, -1, -1):
-        if not core >> j & 1:
+        if core >> j & 1:
+            beads.append(j)
+            bead_parents.append(core ^ (1 << j | top << j))
+            bead_steps.append(one >> j & 1)
+        else:
+            # shift by r = t - j, drop bead 0 and set bead t: admissible when j is empty
             r = t - j
-            yield "II", r, t, core << r | (1 << r) - 2 | 1 << t, two >> j & 1
+            shifts.append(r)
+            shift_parents.append(core << r | (1 << r) - 2 | top)
+            shift_steps.append(two >> j & 1)
+    return beads + shifts, bead_parents + shift_parents, bead_steps + shift_steps
 
 
 def _top_level_sum(core: int, t: int, c: int) -> int:

@@ -4,7 +4,8 @@
 lengths off `hook_lengths`: one exactly, one through the tables of
 `binary_arith._tables`.  `Partition(...)` and `from_text` check their
 input; `Partition._of_abacus` builds the package's own from an abacus,
-perhaps with the class a walk derived.  `mask_of`, `parts_of`,
+perhaps with the class a walk derived, and `Partition._of_abaci` builds
+many of one size in one loop, each with its class.  `mask_of`, `parts_of`,
 `conjugate_mask` and `normalize_mask` are the abacus codec.
 """
 
@@ -71,6 +72,19 @@ class Partition:
         if size is not None:
             p.size = size
         return p
+
+    @classmethod
+    def _of_abaci(cls, abaci: Iterable[int], size: int, picks: Iterable[int],
+                  classes: tuple["DimClass", ...]) -> list["Partition"]:
+        # _of_abacus for many abaci of one size in one loop, with no call per
+        # partition: each gets the class classes[pick], its pick read beside it
+        new = object.__new__
+        out = []
+        for x, pick in zip(abaci, picks):
+            p = new(cls)
+            p._abacus, p._dim, p.size = x, classes[pick], size
+            out.append(p)
+        return out
 
     def __getattr__(self, name: str):
         # reached only for an unset slot, so only on a partition built from an abacus
@@ -251,14 +265,21 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         raise ValueError(f"expected a non-negative integer, got {n}")
     if n > ENUMERATION_LIMIT:
         raise SizeLimitError(f"n = {n} exceeds the enumeration bound {ENUMERATION_LIMIT}")
-
-    def rec(remaining: int, cap: int, i: int, x: int) -> Iterator[Partition]:
-        # part i is bead part + n - 1 - i of an abacus of n beads; the n - i beads
-        # of the parts of size 0 would fill the bottom, and one shift drops them
-        if remaining == 0:
-            yield Partition._of_abacus(x >> (n - i), n)
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            yield from rec(remaining - first, first, i + 1, x | 1 << (first + n - 1 - i))
-
-    yield from rec(n, n, 0, 0)
+    if n == 0:
+        yield Partition._of_abacus(0, 0)
+        return
+    # a node: the room left, the largest part it may take, base = n - 1 - i for
+    # its next part i and its abacus so far.  Part i is bead part + base of an
+    # abacus of n beads; the n - i beads of the parts of size 0 would fill the
+    # bottom, and one shift drops them.  Children are pushed smallest part first,
+    # so they come off the stack largest first, in reverse-lexicographic order
+    stack = [(n, n, n - 1, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        remaining, cap, base, x = pop()
+        if remaining <= cap:
+            # the part that closes the shape, the largest child, comes out at once
+            yield Partition._of_abacus((x | 1 << (remaining + base)) >> base, n)
+            cap = remaining - 1
+        for first in range(1, cap + 1):
+            push((remaining - first, first, base - 1, x | 1 << (first + base)))

@@ -2,18 +2,19 @@
 
 Each function restates a fact the tests check against the package: the
 parity gap of an abacus (acceptance criterion 08), the binomial residue
-tallies (criterion 13), the diagonal hooks of a shape, the conjugate read
-off the column heights and the partitions of n listed by their parts,
-where the package runs both on the abacus, the parent-sign
-step counted per parent on the parent's abacus, which the package reads
-off its core's step masks instead, and the 2-quotient as a parity split
-of the abacus with its string round trips, level by level, which the
-package reads off runner bead counts instead, the tower's residue class
-read off all its row weights, where the package stops at the first row
-that fixes it, and the full p(n) sweep, which places every partition and
-tests each square one for self-conjugacy, where the package walks one
-shape of each conjugate pair and counts it twice.  check_tower_heights
-checks the shape of a tower's heights, which the package builds unchecked.
+tallies (criterion 13), the diagonal hooks of a shape, the conjugate
+read off the column heights and the partitions of n listed by their
+parts, where the package runs both on the abacus, the parent-sign step
+counted per parent on the parent's abacus, which the package reads off
+its core's step masks instead, with the hook each parent adds, and the
+2-quotient as a parity split of the abacus with its string round trips,
+level by level, which the package reads off runner bead counts instead,
+the tower's residue class read off all its row weights, where the
+package stops at the first row that fixes it, and the full p(n) sweep,
+which places every partition and tests each square one for
+self-conjugacy, where the package walks one shape of each conjugate pair
+and counts it twice.  check_tower_heights checks the shape of a tower's
+heights, which the package builds unchecked.
 They hold no assert:
 pytest rewrites none outside test modules, and python -O strips them.
 """
@@ -102,6 +103,17 @@ def _flip_parity(x: int, h: int, t: int) -> int:
     if h >= 3 * half:
         eta ^= x >> (h - 3 * half)
     return eta & 1
+
+
+def added_hooks(core: int, t: int, params: list[int]) -> list[int]:
+    """The first-column hook h of the t-hook each parent of a core adds, by its param.
+
+    The params are those `parents._hook_additions(core, t)` lists: the
+    first core.bit_count() are kind I, whose bead x moves to h = x + t, and
+    each kind II parent sets bead h = t.
+    """
+    beads = core.bit_count()
+    return [x + t for x in params[:beads]] + [t] * (len(params) - beads)
 
 
 def _sign_step(top: int, top_h: int, eta: int) -> int:

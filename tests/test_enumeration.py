@@ -30,7 +30,7 @@ from dimlab.errors import SizeLimitError
 from dimlab.parents import _hook_additions, _top_level_sum
 from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask, dim_exact,
                                dim_mod4, enumerate_partitions, mask_of, normalize_mask)
-from paper_facts import _flip_parity, _sign_step, full_tallies
+from paper_facts import _flip_parity, _sign_step, added_hooks, full_tallies
 
 # columns: n, a, a1, a2, a3, delta, m4
 FROZEN = [
@@ -211,16 +211,34 @@ def test_odd_stream_matches_exact_dimensions():
         assert set(got) == want
 
 
+def test_odd_stream_is_the_walk():
+    # the stream builds each core's leaves in one list: the same abaci, in the
+    # same order, each with the class of the walk's carried sign parity, at
+    # every n to the oracle bound of 40 and past it to the benchmark's 57
+    for n in range(58):
+        assert [(mask_of(p), dim_mod4(p)) for p in enumerate_odd_partitions(n)] == [
+            (x, enumeration._ODD_CLASSES[parity]) for x, parity in enumeration._odd_abaci(n)], n
+
+
+def test_odd_stream_refuses_a_negative_n_when_called():
+    # before the stream is read: the call itself raises
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_odd_partitions(-1)
+
+
 def per_leaf_walk(n):
     """(abacus, sign parity) of each odd partition of n, each parent's step
     computed on its own abacus by _flip_parity and _sign_step."""
     if n == 0:
         return [(0, 0)]
     t = 1 << (n.bit_length() - 1)
-    return [(parent, parity ^ _sign_step(top_two_bits(n), top_two_bits(h),
-                                         _flip_parity(parent, h, t)) if n > 3 else 0)
-            for core, parity in per_leaf_walk(n - t)
-            for _, _, h, parent, _ in _hook_additions(core, t)]
+    leaves = []
+    for core, parity in per_leaf_walk(n - t):
+        params, parents, _ = _hook_additions(core, t)
+        leaves += [(parent, parity ^ _sign_step(top_two_bits(n), top_two_bits(h),
+                                                _flip_parity(parent, h, t)) if n > 3 else 0)
+                   for h, parent in zip(added_hooks(core, t, params), parents)]
+    return leaves
 
 
 def test_odd_abaci_is_the_per_leaf_walk():
@@ -234,7 +252,7 @@ def test_odd_abaci_is_the_per_leaf_walk():
 def test_parents_of_the_base_pair_off_under_conjugation(t):
     # the level where the halved fallback halves: the parents of () and (1)
     for base in (0, 0b10):
-        parents = [x for _, _, _, x, _ in _hook_additions(base, t)]
+        _, parents, _ = _hook_additions(base, t)
         assert len(parents) == len(set(parents)) == t
         assert all(normalize_mask(x) == x for x in parents)
         pairs = {frozenset((x, conjugate_mask(x))) for x in parents}

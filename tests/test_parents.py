@@ -16,7 +16,7 @@ from dimlab.parents import (
     sign_flip_parity,
 )
 from dimlab.partitions import Partition, dim_mod4, enumerate_partitions
-from paper_facts import _between, _flip_parity, _sign_step, parity_gap
+from paper_facts import _between, _flip_parity, _sign_step, added_hooks, parity_gap
 
 
 def column_hooks(p):
@@ -262,8 +262,9 @@ def test_signed_sums_match_closed_forms():
 def enumerated_steps(core, t, c):
     """The step parity of each of the t parents of core, one _flip_parity each,
     for a parent size n with top_two_bits(n) = 2 - c, in _hook_additions order."""
+    params, parents, _ = _hook_additions(core, t)
     return [_sign_step(2 - c, 1 + (2 * h >= 3 * t), _flip_parity(parent, h, t))
-            for _, _, h, parent, _ in _hook_additions(core, t)]
+            for h, parent in zip(added_hooks(core, t, params), parents)]
 
 
 def enumerated_top_level_sum(core, t, c):
@@ -277,11 +278,11 @@ def mask_steps(core, t, c):
     one, two = _top_level_steps(core, t)
     # no bit off the beads in the kind I mask, nor off the empty positions below t in the other
     assert one & ~core == 0 and two & core == 0 and two >> t == 0
-    steps = []
-    for kind, param, _, _, step in _hook_additions(core, t):
-        assert step == (one >> param if kind == "I" else two >> (t - param)) & 1
-        steps.append(step ^ c)
-    return steps
+    params, _, steps = _hook_additions(core, t)
+    beads = core.bit_count()
+    for i, (param, step) in enumerate(zip(params, steps)):
+        assert step == (one >> param if i < beads else two >> (t - param)) & 1
+    return [step ^ c for step in steps]
 
 
 def test_top_level_steps_match_each_parent_on_every_odd_core():
