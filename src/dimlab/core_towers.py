@@ -12,8 +12,8 @@ Representation Theory of the Symmetric Group*, 1981), a Python int with bit
 h set for each first-column hook h.  Node j of row k is a runner, the
 positions of one residue mod 2^k, and its two children are the runners mod
 2^(k+1) inside it; their bead counts fix the node's staircase.  `_rows`
-reads the heights off the abacus, visiting only the runners that hold a
-bead.  `_parts` runs the counts back down through the nodes with a nonzero
+reads the heights off the abacus, visiting only the runners that are not
+packed.  `_parts` runs the counts back down through the nodes with a nonzero
 height below them and packs every other runner into one abacus.  Conjugating
 the partition mirrors every row.  Staircase partitions are built only when
 `CoreTower.rows` is read.
@@ -29,8 +29,8 @@ from typing import Iterator, Sequence
 from .errors import SizeLimitError, size_text
 from .partitions import Partition, mask_of, normalize_mask
 
-# the largest |p| `tower` builds: up to 2|p| row nodes, each holding a bead costs a popcount over
-# at most |p| + 1 bits.  Cold at 10000, 0.002 s for (10000,) and 0.02-0.03 s for (1,) * 10000
+# the largest |p| `tower` builds: up to 2|p| runners not packed, each a popcount over at most
+# 2|p| bits.  Cold at 10000, tower takes 0.4-0.5 ms for (10000,) and 2.4-3.7 ms for (1,) * 10000
 TOWER_LIMIT = 10_000
 
 
@@ -47,33 +47,33 @@ def is_two_core(p: Partition) -> bool:
     return p == staircase(len(p))
 
 
-def _rows(x: int, n: int) -> Iterator[list[int]]:
-    """Staircase heights of each tower row over the canonical abacus x of a partition of n.
+def _rows(x: int) -> Iterator[list[int]]:
+    """Staircase heights of each tower row over the canonical abacus x.
 
-    A node of row k is a runner, residue rho mod 2^k with c beads, kept as (index j
-    in the row, rho, c) only while it holds a bead: an empty runner's subtree is
-    empty.  Child 0 is the runner at rho + 2^k * (c mod 2) and child 1 the other; a
-    popcount against a comb of period 2^(k+1) counts child 0's c0 beads.  The height
-    is d = c - 2 * c0 - (c mod 2), which is even, if d >= 0, else ~d = -d - 1.  The
-    rows stop once their weights, row k counting 2^k times, add up to n.
+    A node of row k is a runner, residue rho mod 2^k with c beads, kept as (index j in
+    the row, rho, c) only while it is not packed, its beads not all in its first c
+    positions: a packed runner is the abacus of (), and so is every runner below it.
+    Child 0 is the runner at rho + 2^k * (c mod 2), with c0 beads, and child 1 the other;
+    a comb of period 2^(k+1) picks a child's beads, packed when their bit length is at most
+    2^(k+1) times their count.  The height is d = c - 2 * c0 - (c mod 2) if d >= 0, else ~d.
     """
-    level, width, k, weighed = [(0, 0, x.bit_count())], x.bit_length(), 0, 0
-    while weighed < n:
+    # x & x + 1 is 0 when x = 2^c - 1, the packed root
+    level, width, k = [(0, 0, x.bit_count())] if x & x + 1 else [], x.bit_length(), 0
+    while level:
         bit, period = 1 << k, 2 << k
         comb = ((1 << period * (width // period + 1)) - 1) // ((1 << period) - 1)
-        heights, below, weight = [0] * bit, [], 0
+        heights, below = [0] * bit, []
         for j, rho, c in level:
             rho0 = rho | (c & 1) << k
-            c0 = (x >> rho0 & comb).bit_count()
+            r0 = x >> rho0 & comb
+            c0 = r0.bit_count()
             d = c - 2 * c0 - (c & 1)
             if d:
-                heights[j] = h = d if d > 0 else ~d
-                weight += h * (h + 1) >> 1
-            if c0:
+                heights[j] = d if d > 0 else ~d
+            if r0.bit_length() > period * c0:
                 below.append((2 * j, rho0, c0))
-            if c0 != c:
+            if (x >> (rho0 ^ bit) & comb).bit_length() > period * (c - c0):
                 below.append((2 * j + 1, rho0 ^ bit, c - c0))
-        weighed += weight << k
         yield heights
         level, k = below, k + 1
 
@@ -83,13 +83,19 @@ def _parts(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
 
     Top down over the runners with a nonzero height at or below them, child 0 gets
     c0 = floor((c - d) / 2) of the c beads, d being the height if it is even and ~height
-    if it is odd.  Any other runner (rho, c) of row k is packed, its beads the digits rho,
-    rho + 2^k, ... of one abacus; normalize_mask drops its packed bottom, parts of size 0.
+    if it is odd.  Every other runner (rho, c > 0) of row k is packed, its beads the digits
+    rho, rho + 2^k, ... of one abacus; normalize_mask drops its packed bottom, parts of size 0.
     """
-    n = sum(h * (h + 1) << k for k, row in enumerate(rows) for h in row if h) >> 1
-    # the heap ids 2^k + j of the nodes with a nonzero height at or below them
-    live = {i >> s for k, row in enumerate(rows) for i in compress(count(1 << k), row)
-            for s in range(k + 1)}
+    # n, and the heap ids 2^k + j of the nodes with a nonzero height at or below them, each
+    # walked up to the first one already found; 0, the root's parent, stops the walk
+    n, live = 0, {0}
+    for k, row in enumerate(rows):
+        for i in compress(count(1 << k), row):
+            h = row[i ^ 1 << k]
+            n += h * (h + 1) >> 1 << k
+            while i not in live:
+                live.add(i)
+                i >>= 1
     # the root holds n = |p| >= len(p) beads, so no count below is negative, and the top bead
     # is lambda_1 + n - 1 < 2n; a smaller root count would push beads off the runners, below 0
     level, digits = [(1, 0, n)], bytearray(b"0") * (2 * n + 1)
@@ -101,7 +107,7 @@ def _parts(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
                 rho0 = rho | (c & 1) << k
                 c0 = (c - (~height if height & 1 else height)) >> 1
                 below += ((2 * i, rho0, c0), (2 * i + 1, rho0 ^ period, c - c0))
-            else:
+            elif c:
                 digits[rho:rho + c * period:period] = b"1" * c
         level = below
     return normalize_mask(int(digits[::-1], 2)), n
@@ -119,7 +125,7 @@ def two_quotient(p: Partition) -> tuple[Partition, Partition]:
     >>> (a.parts, b.parts)
     ((1, 1), (2,))
     """
-    rows = [*_rows(mask_of(p), p.size)][1:]
+    rows = [*_rows(mask_of(p))][1:]
     return (Partition._of_abacus(*_parts([row[:len(row) // 2] for row in rows])),
             Partition._of_abacus(*_parts([row[len(row) // 2:] for row in rows])))
 
@@ -131,7 +137,7 @@ def two_core(p: Partition) -> Partition:
     down to {0, 2, ..., 2e-2} and o odd ones to {1, 3, ..., 2o-1}.  The
     tests compare it with `t_core(p, 2)`, which removes 2-hooks until none remain.
     """
-    return staircase(next(_rows(mask_of(p), p.size), [0])[0])
+    return staircase(next(_rows(mask_of(p)), [0])[0])
 
 
 def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
@@ -139,7 +145,7 @@ def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     if not is_two_core(core):
         raise ValueError(f"{core} is not a staircase")
     # the shallower side is padded with empty rows
-    below = zip_longest(_rows(mask_of(q0), q0.size), _rows(mask_of(q1), q1.size))
+    below = zip_longest(_rows(mask_of(q0)), _rows(mask_of(q1)))
     rows = [[len(core)], *((r0 or [0] * len(r1)) + (r1 or [0] * len(r0)) for r0, r1 in below)]
     return Partition._of_abacus(*_parts(rows))
 
@@ -169,7 +175,7 @@ def tower(p: Partition) -> CoreTower:
     if p.size > TOWER_LIMIT:
         raise SizeLimitError(f"|p| = {size_text(p.size)} exceeds the tower bound "
                              f"TOWER_LIMIT = {TOWER_LIMIT}")
-    return CoreTower(tuple(map(tuple, _rows(mask_of(p), p.size))) or ((0,),))
+    return CoreTower(tuple(map(tuple, _rows(mask_of(p)))) or ((0,),))
 
 
 def tower_to_partition(t: CoreTower) -> Partition:
@@ -191,7 +197,7 @@ def classify_by_tower(p: Partition) -> str:
     # digits, and the one heavy row j with row j + 1 empty is those digits with a 1 at
     # j + 1 traded for an extra 2 at j.  Rows are read only until the answer is fixed.
     heavy = None
-    for k, heights in enumerate(_rows(mask_of(p), p.size)):
+    for k, heights in enumerate(_rows(mask_of(p))):
         weight = sum(h * (h + 1) for h in heights if h) >> 1
         if weight > 3 or weight > 1 and heavy is not None or weight and heavy == k - 1:
             return "other"

@@ -281,7 +281,7 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
 
 def _leaves(core: int, t: int, n: int, classes: tuple[DimClass, DimClass]) -> list[Partition]:
     # the t leaves of one core, each with the class its step picks
-    _, abaci, steps = _hook_additions(core, t)
+    abaci, steps = _hook_additions(core, t)
     return Partition._of_abaci(abaci, n, steps, classes)
 
 
@@ -304,7 +304,7 @@ def _odd_abaci(n: int, half: bool = False) -> Iterator[tuple[int, int]]:
     pairs = half and n - t < 2
     for core, parity in _odd_abaci(n - t, half):
         parity ^= c
-        _, abaci, steps = _hook_additions(core, t)
+        abaci, steps = _hook_additions(core, t)
         for x, step in zip(abaci, steps):
             if not pairs or x < conjugate_mask(x):
                 yield x, parity ^ step

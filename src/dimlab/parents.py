@@ -9,8 +9,8 @@ core's sign up to a parity computable from the hook set alone, which is
 the engine behind all the signed counting downstream.  `_top_level_steps`
 gives that parity for all 2^R parents of a core at once, one bit each.
 `_hook_additions` lists the parents in one pass, as parallel lists of
-params, parent abaci and bits, for `all_parents` and the odd stream
-alike, and `_top_level_sum` counts the bits.  The tests keep a
+parent abaci and bits, for `all_parents` and the odd stream alike, and
+`_top_level_sum` counts the bits.  The tests keep a
 per-parent route on the parent's abacus as the reference.
 """
 
@@ -46,10 +46,10 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
                              f"the enumeration bound {ENUMERATION_LIMIT}")
     t = 1 << r_power
     x, size = mask_of(core), core.size + t
-    params, abaci, steps = _hook_additions(x, t)
-    beads = x.bit_count()
-    kinds = ([("I", bead, bead + t) for bead in params[:beads]]
-             + [("II", shift, t) for shift in params[beads:]])
+    abaci, steps = _hook_additions(x, t)
+    # kind I moves each bead j, largest first, to j + t; kind II shifts by r to fill gap t - r
+    kinds = ([("I", j, j + t) for j in range(t - 1, -1, -1) if x >> j & 1]
+             + [("II", r, t) for r in range(1, t + 1) if not x >> t - r & 1])
     return [ParentRecord(Partition._of_abacus(parent, size), r_power, kind, param, affected, step)
             for (kind, param, affected), parent, step in zip(kinds, abaci, steps)]
 
@@ -80,31 +80,28 @@ def _top_level_steps(core: int, t: int) -> tuple[int, int]:
     return core & ~(above ^ mirror), (full ^ core) & (full // 3 << 1 ^ below ^ mirror ^ full)
 
 
-def _hook_additions(core: int, t: int) -> tuple[list[int], list[int], list[int]]:
-    """(params, parent abaci, steps): the t parents of a core, one list entry each.
+def _hook_additions(core: int, t: int) -> tuple[list[int], list[int]]:
+    """(parent abaci, steps): the t parents of a core, one list entry each.
 
     `core` is canonical with every bead below t.  Kind I comes first, one
-    per bead x of the core, largest bead first, with param x; then kind II
-    by increasing shift r, its param.  So the first core.bit_count() entries
-    are kind I.  A step is the parent's bit of the core's `_top_level_steps`
-    masks.  One pass over the t positions below t builds all three.
+    per bead x of the core, largest bead first; then kind II, one per empty
+    position j < t, largest first, which is by increasing shift r = t - j.
+    A step is the parent's bit of the core's `_top_level_steps` masks.  One
+    pass over the t positions below t builds both lists.
     """
     one, two = _top_level_steps(core, t)
     top = 1 << t
-    beads, bead_parents, bead_steps = [], [], []
-    shifts, shift_parents, shift_steps = [], [], []
+    bead_parents, bead_steps, shift_parents, shift_steps = [], [], [], []
     for j in range(t - 1, -1, -1):
         if core >> j & 1:
-            beads.append(j)
             bead_parents.append(core ^ (1 << j | top << j))
             bead_steps.append(one >> j & 1)
         else:
             # shift by r = t - j, drop bead 0 and set bead t: admissible when j is empty
             r = t - j
-            shifts.append(r)
             shift_parents.append(core << r | (1 << r) - 2 | top)
             shift_steps.append(two >> j & 1)
-    return beads + shifts, bead_parents + shift_parents, bead_steps + shift_steps
+    return bead_parents + shift_parents, bead_steps + shift_steps
 
 
 def _top_level_sum(core: int, t: int, c: int) -> int:

@@ -256,7 +256,8 @@ def dim_mod4(p: Partition) -> DimClass:
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse-lexicographic order, (n) first.
 
-    Refuses n > ENUMERATION_LIMIT with SizeLimitError.
+    Refuses n > ENUMERATION_LIMIT with SizeLimitError, and n < 0 with
+    ValueError, when called, not when the stream is first read.
 
     >>> [str(p) for p in enumerate_partitions(4)]
     ['4', '3,1', '2,2', '2,1,1', '1,1,1,1']
@@ -265,9 +266,10 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         raise ValueError(f"expected a non-negative integer, got {n}")
     if n > ENUMERATION_LIMIT:
         raise SizeLimitError(f"n = {n} exceeds the enumeration bound {ENUMERATION_LIMIT}")
-    if n == 0:
-        yield Partition._of_abacus(0, 0)
-        return
+    return _partitions(n) if n else iter((Partition._of_abacus(0, 0),))
+
+
+def _partitions(n: int) -> Iterator[Partition]:
     # a node: the room left, the largest part it may take, base = n - 1 - i for
     # its next part i and its abacus so far.  Part i is bead part + base of an
     # abacus of n beads; the n - i beads of the parts of size 0 would fill the

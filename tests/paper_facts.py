@@ -105,14 +105,25 @@ def _flip_parity(x: int, h: int, t: int) -> int:
     return eta & 1
 
 
-def added_hooks(core: int, t: int, params: list[int]) -> list[int]:
-    """The first-column hook h of the t-hook each parent of a core adds, by its param.
+def hook_params(core: int, t: int) -> list[int]:
+    """The param of each of the t parents of a core, in `parents._hook_additions(core, t)` order.
 
-    The params are those `parents._hook_additions(core, t)` lists: the
-    first core.bit_count() are kind I, whose bead x moves to h = x + t, and
-    each kind II parent sets bead h = t.
+    Kind I first, the bead x it moves for each bead of the core, largest
+    first; then kind II, the shift r = t - j for each empty position j < t,
+    by increasing r.
     """
-    beads = core.bit_count()
+    return ([x for x in range(t - 1, -1, -1) if core >> x & 1]
+            + [r for r in range(1, t + 1) if not core >> (t - r) & 1])
+
+
+def added_hooks(core: int, t: int) -> list[int]:
+    """The first-column hook h of the t-hook each parent of a core adds, in
+    `parents._hook_additions(core, t)` order.
+
+    The first core.bit_count() parents are kind I, whose bead x moves to
+    h = x + t, and each kind II parent sets bead h = t.
+    """
+    params, beads = hook_params(core, t), core.bit_count()
     return [x + t for x in params[:beads]] + [t] * (len(params) - beads)
 
 

@@ -115,7 +115,9 @@ def test_tower_of_self_conjugate_partition_is_palindromic():
 
 
 def test_tower_of_empty_partition():
+    # the census yields no row over the packed root; tower falls back to one empty root
     t = tower(EMPTY)
+    assert t.heights == ((0,),)
     assert t.depth == 1
     assert row_weights(t) == (0,)
     assert render_tower(t) == ["-"]
@@ -144,13 +146,13 @@ def test_census_rows_match_the_parity_split_rows():
     # the reference splits each node's abacus by parity, level by level
     for n in range(0, 25):
         for p in enumerate_partitions(n):
-            assert list(_rows(mask_of(p), n)) == list(split_rows(mask_of(p))), p
+            assert list(_rows(mask_of(p))) == list(split_rows(mask_of(p))), p
 
 
 @given(st.lists(st.integers(min_value=1, max_value=200), max_size=40))
 def test_census_rows_and_their_inverse_on_larger_partitions(parts):
     p = Partition(tuple(sorted(parts, reverse=True)))
-    assert list(_rows(mask_of(p), p.size)) == list(split_rows(mask_of(p)))
+    assert list(_rows(mask_of(p))) == list(split_rows(mask_of(p)))
     assert tower_to_partition(tower(p)) == p
 
 
@@ -169,6 +171,22 @@ def test_round_trip_at_the_tower_limit(parts):
     assert tower_to_partition(t) == p
     with pytest.raises(SizeLimitError, match="TOWER_LIMIT = 10000"):
         tower(Partition((parts[0] + 1, *parts[1:])))
+
+
+def test_packed_abaci_have_no_rows():
+    # 2^c - 1 holds its c beads in its first c positions: every runner below it is packed
+    for c in range(65):
+        assert list(_rows((1 << c) - 1)) == [], c
+
+
+@pytest.mark.parametrize("shape", ["row", "column"])
+def test_census_rows_and_their_inverse_on_rows_and_columns(shape):
+    # (1,) * n puts a bead on every runner of its rows, yet only one runner per row is not
+    # packed; its conjugate (n,) has a single bead
+    for n in range(513):
+        p = Partition((n,) if shape == "row" and n else (1,) * n)
+        assert list(_rows(mask_of(p))) == list(split_rows(mask_of(p))), n
+        assert tower_to_partition(tower(p)) == p, n
 
 
 def test_flip_is_conjugation():

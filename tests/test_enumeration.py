@@ -234,10 +234,10 @@ def per_leaf_walk(n):
     t = 1 << (n.bit_length() - 1)
     leaves = []
     for core, parity in per_leaf_walk(n - t):
-        params, parents, _ = _hook_additions(core, t)
+        parents, _ = _hook_additions(core, t)
         leaves += [(parent, parity ^ _sign_step(top_two_bits(n), top_two_bits(h),
                                                 _flip_parity(parent, h, t)) if n > 3 else 0)
-                   for h, parent in zip(added_hooks(core, t, params), parents)]
+                   for h, parent in zip(added_hooks(core, t), parents)]
     return leaves
 
 
@@ -252,7 +252,7 @@ def test_odd_abaci_is_the_per_leaf_walk():
 def test_parents_of_the_base_pair_off_under_conjugation(t):
     # the level where the halved fallback halves: the parents of () and (1)
     for base in (0, 0b10):
-        _, parents, _ = _hook_additions(base, t)
+        parents, _ = _hook_additions(base, t)
         assert len(parents) == len(set(parents)) == t
         assert all(normalize_mask(x) == x for x in parents)
         pairs = {frozenset((x, conjugate_mask(x))) for x in parents}

@@ -16,7 +16,7 @@ from dimlab.parents import (
     sign_flip_parity,
 )
 from dimlab.partitions import Partition, dim_mod4, enumerate_partitions
-from paper_facts import _between, _flip_parity, _sign_step, added_hooks, parity_gap
+from paper_facts import _between, _flip_parity, _sign_step, added_hooks, hook_params, parity_gap
 
 
 def column_hooks(p):
@@ -57,6 +57,8 @@ def test_parent_counts_match_hook_set_size():
                 assert sum(rec.kind == "I" for rec in recs) == k
                 assert sum(rec.kind == "II" for rec in recs) == (1 << r) - k
                 assert len({rec.parent for rec in recs}) == 1 << r
+                # the params, read off the core's beads and gaps, in the listing's order
+                assert [rec.param for rec in recs] == hook_params(mask_of(mu), 1 << r)
 
 
 def test_parents_are_exactly_the_core_fiber():
@@ -262,9 +264,9 @@ def test_signed_sums_match_closed_forms():
 def enumerated_steps(core, t, c):
     """The step parity of each of the t parents of core, one _flip_parity each,
     for a parent size n with top_two_bits(n) = 2 - c, in _hook_additions order."""
-    params, parents, _ = _hook_additions(core, t)
+    parents, _ = _hook_additions(core, t)
     return [_sign_step(2 - c, 1 + (2 * h >= 3 * t), _flip_parity(parent, h, t))
-            for h, parent in zip(added_hooks(core, t, params), parents)]
+            for h, parent in zip(added_hooks(core, t), parents)]
 
 
 def enumerated_top_level_sum(core, t, c):
@@ -278,9 +280,9 @@ def mask_steps(core, t, c):
     one, two = _top_level_steps(core, t)
     # no bit off the beads in the kind I mask, nor off the empty positions below t in the other
     assert one & ~core == 0 and two & core == 0 and two >> t == 0
-    params, _, steps = _hook_additions(core, t)
+    _, steps = _hook_additions(core, t)
     beads = core.bit_count()
-    for i, (param, step) in enumerate(zip(params, steps)):
+    for i, (param, step) in enumerate(zip(hook_params(core, t), steps)):
         assert step == (one >> param if i < beads else two >> (t - param)) & 1
     return [step ^ c for step in steps]
 

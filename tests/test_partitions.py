@@ -194,6 +194,14 @@ def test_enumerate_partitions_order_and_bounds():
         next(enumerate_partitions(81))
 
 
+def test_enumerate_partitions_checks_n_when_called():
+    # no next(): the refusal comes before any partition is asked for
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_partitions(-1)
+    with pytest.raises(SizeLimitError, match="enumeration bound 80"):
+        enumerate_partitions(81)
+
+
 def test_enumerate_partitions_is_the_parts_recursion():
     for n in range(21):
         want = list(parts_partitions(n))
