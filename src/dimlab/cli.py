@@ -14,7 +14,7 @@ JSON document; one emitter writes whichever --format asks for.  CSV
 lines end in "\\n", --header prints the keys of the first row, and an
 absent value is written as an empty field.
 
-The parser is built once per process and reused by every call of main.
+main parses argv with the parser of the command its first word names, built on first use.
 Timing lives in the benchmark (python3 perfbench/run.py), not here.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141
@@ -41,7 +41,7 @@ import functools
 import json
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from . import alternating, enumeration
 from .binary_arith import is_sparse
@@ -72,57 +72,29 @@ def _partition_arg(text: str) -> Partition:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dimlab",
-        description="Partition counts by dimension residue mod 4, with verification tools. "
-                    "Every subcommand takes --format csv|json|text and --header.",
-    )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--format", choices=("csv", "json", "text"), default="text",
-        help="output encoding (default text)",
-    )
-    shared.add_argument(
-        "--header", action="store_true",
-        help="with --format csv, print the schema header line first",
-    )
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, run, summary):
-        cmd = sub.add_parser(name, parents=[shared], help=summary)
-        # a command refuses through its own parser, whose usage line names it
-        cmd.set_defaults(run=run, parser=cmd)
-        return cmd
-
-    # counts and alt look their report up in its module at each call, so
-    # the cached parser sees a rebinding there (the benchmark's tracer)
-    p_counts = command("counts", _cmd_report, "residue-class counts for n")
-    p_counts.set_defaults(report=lambda n: enumeration.formula_counts(n))
-    p_counts.add_argument("n", type=_positive_int)
-
-    p_verify = command("verify", _cmd_verify, "formula-vs-oracle checks")
-    p_verify.add_argument("--max-n", type=_positive_int, required=True, metavar="N")
-    p_verify.add_argument(
-        "--oracle-bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND, metavar="B",
-        help="largest n for the brute-force sweep, its alternating suite included "
-             f"(default {DEFAULT_ORACLE_BOUND})",
-    )
-
-    p_tower = command("tower", _cmd_tower, "2-core tower of a partition")
-    p_tower.add_argument("partition", type=_partition_arg,
-                         help=f"comma form, e.g. 6,5,4,2,1,1; refused past size {TOWER_LIMIT}")
-
-    p_parents = command("parents", _cmd_parents, "hook-addition parents of a core")
-    p_parents.add_argument("partition", type=_partition_arg, help="the core, comma form")
-    p_parents.add_argument("--r", type=_positive_int, required=True, metavar="R",
-                           help="hooks have length 2^R")
-
-    p_alt = command("alt", _cmd_report, "alternating-group counts for n")
-    p_alt.set_defaults(report=lambda n: alternating.formula_alt_counts(n))
-    p_alt.add_argument("n", type=_positive_int)
-
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built on the first call that names it."""
+    parser = argparse.ArgumentParser(prog=f"dimlab {name}")
+    parser.add_argument("--format", choices=("csv", "json", "text"), default="text",
+                        help="output encoding (default text)")
+    parser.add_argument("--header", action="store_true",
+                        help="with --format csv, print the schema header line first")
+    if name in ("counts", "alt"):
+        parser.add_argument("n", type=_positive_int)
+    elif name == "verify":
+        parser.add_argument("--max-n", type=_positive_int, required=True, metavar="N")
+        parser.add_argument(
+            "--oracle-bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND, metavar="B",
+            help="largest n for the brute-force sweep, its alternating suite included "
+                 f"(default {DEFAULT_ORACLE_BOUND})",
+        )
+    elif name == "tower":
+        parser.add_argument("partition", type=_partition_arg,
+                            help=f"comma form, e.g. 6,5,4,2,1,1; refused past size {TOWER_LIMIT}")
+    else:  # parents
+        parser.add_argument("partition", type=_partition_arg, help="the core, comma form")
+        parser.add_argument("--r", type=_positive_int, required=True, metavar="R",
+                            help="hooks have length 2^R")
     return parser
 
 
@@ -141,10 +113,10 @@ def _emit(args: argparse.Namespace, rows: list[dict], text: Iterable[str],
             print(line)
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace, report_of: Callable[[int], object]) -> int:
     # counts and alt: one report dataclass, its fields in every format, read
     # as they are: asdict would deep-copy every int
-    report = args.report(args.n)
+    report = report_of(args.n)
     fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     _emit(args, [fields], (f"{key} = {value}" for key, value in fields.items()), fields)
     return 0
@@ -170,7 +142,7 @@ def _cmd_parents(args: argparse.Namespace) -> int:
     except SizeLimitError:  # a ValueError too, but a size refusal, not a usage error
         raise
     except ValueError as exc:
-        args.parser.error(str(exc))
+        command_parser("parents").error(str(exc))
     rows, text = [], []
     core_sign = dim_mod4(args.partition).sign
     for rec in recs:
@@ -250,8 +222,8 @@ def _verify_suites(max_n: int, bound: int):
 def _cmd_verify(args: argparse.Namespace) -> int:
     bound = args.oracle_bound
     if args.max_n > bound:
-        args.parser.error(f"--max-n of {size_text(args.max_n)} is past the oracle bound of "
-                          f"{size_text(bound)}")
+        command_parser("verify").error(f"--max-n of {size_text(args.max_n)} is past the "
+                                       f"oracle bound of {size_text(bound)}")
     suites = [{"name": name, "ok": not bad, "mismatches": bad}
               for name, bad in _verify_suites(args.max_n, bound)]
     failures = sum(len(suite["mismatches"]) for suite in suites)
@@ -265,6 +237,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"({failures} mismatches)")
     _emit(args, rows, text, {"max_n": args.max_n, "mismatches": failures, "suites": suites})
     return 1 if failures else 0
+
+
+# each command's summary for -h and the function that runs it; counts and alt look their
+# report up in its module at each call, so a rebinding there (the benchmark's tracer) is seen
+COMMANDS = {
+    "counts": ("residue-class counts for n",
+               lambda args: _cmd_report(args, enumeration.formula_counts)),
+    "verify": ("formula-vs-oracle checks", _cmd_verify),
+    "tower": ("2-core tower of a partition", _cmd_tower),
+    "parents": ("hook-addition parents of a core", _cmd_parents),
+    "alt": ("alternating-group counts for n",
+            lambda args: _cmd_report(args, alternating.formula_alt_counts)),
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -281,11 +266,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args, extra = build_parser().parse_known_args(argv)
-        if extra:  # refused by the subcommand's parser, whose usage line names it
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        return args.run(args)
+        if argv and argv[0] in COMMANDS:
+            # the command's own parser refuses, so its usage line names the command
+            return COMMANDS[argv[0]][1](command_parser(argv[0]).parse_args(argv[1:]))
+        _top_level(argv)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code
@@ -295,6 +281,19 @@ def _run(argv: Sequence[str] | None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _top_level(argv: list[str]) -> NoReturn:
+    """Answer -h, or refuse a command line that does not start with a command."""
+    parser = argparse.ArgumentParser(prog="dimlab", description=(
+        "Partition counts by dimension residue mod 4, with verification tools. "
+        "Every subcommand takes --format csv|json|text and --header."))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _) in COMMANDS.items():
+        sub.add_parser(name, help=summary)
+    parser.parse_args(argv)
+    # a command word after "--" or an option is not where a command goes
+    parser.error(f"the command must come first, not {quoted(argv[0])}")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import csv
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import dimlab
 from dimlab import alternating, enumeration
 from dimlab.alternating import AltReport
-from dimlab.cli import build_parser, main
+from dimlab.cli import command_parser, main
 from dimlab.core_towers import TOWER_LIMIT, tower
 from dimlab.enumeration import CountReport
 from dimlab.errors import SizeLimitError
@@ -435,7 +436,7 @@ def test_parents_refuses_huge_r_at_once(capsys):
 
 
 def test_parents_refuses_a_huge_r_without_building_two_to_the_r(capsys):
-    build_parser()  # built once per process; not part of the refusal
+    command_parser("parents")  # built on first use; not part of the refusal
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "parents", "1", "--r", str(10**8))
@@ -507,10 +508,23 @@ COMMANDS = {
 }
 
 
+# the one-line summary of each command in the top-level help
+SUMMARIES = {
+    "counts": "residue-class counts for n",
+    "verify": "formula-vs-oracle checks",
+    "tower": "2-core tower of a partition",
+    "parents": "hook-addition parents of a core",
+    "alt": "alternating-group counts for n",
+}
+
+
 def test_help_lists_format_for_every_command(capsys):
     code, out, err = run(capsys, "-h")
     assert (code, err) == (0, "")
     assert "--format" in out and all(command in out for command in COMMANDS)
+    listing = [line.split() for line in out.splitlines()]
+    for command, summary in SUMMARIES.items():
+        assert [command, *summary.split()] in listing, command
     for command in COMMANDS:
         code, out, err = run(capsys, command, "-h")
         assert (code, err) == (0, ""), command
@@ -521,6 +535,31 @@ def test_bench_is_gone(capsys):
     code, out, err = run(capsys, "bench", "--max-n", "4")
     assert (code, out) == (2, "")
     assert "invalid choice: 'bench'" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["bench", "--max-n", "4"], ["--", "counts"],
+                                  ["--", "counts", "6"], ["--format", "json", "counts", "6"]])
+def test_a_line_that_does_not_start_with_a_command_is_refused(capsys, argv):
+    # the top-level parser answers it, whatever command word comes later
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: dimlab [-h] ") and "dimlab: error: " in err
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    command_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    code, out, err = run(capsys, "counts", "6", "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["a1"] == 8
+    # neither the top-level parser nor another command's parser is built
+    assert built == ["dimlab counts"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
@@ -566,7 +605,8 @@ _flags = st.one_of(
 
 # no deadline: a cold verify --max-n 40 sweeps 215,308 partitions
 @settings(deadline=None)
-@given(st.sampled_from(["counts", "verify", "tower", "parents", "alt", "bench", "-h"]),
+@given(st.sampled_from(["counts", "verify", "tower", "parents", "alt", "bench", "-h", "--",
+                        "--format"]),
        st.lists(st.one_of(_numbers, _partition_texts), max_size=2),
        st.lists(_flags, max_size=3))
 def test_fuzzed_command_lines_exit_0_or_2(command, positional, flags):
