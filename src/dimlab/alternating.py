@@ -7,20 +7,21 @@ counts by residue therefore follow from the partition counts, with a
 correction term for self-conjugate partitions whose dimension is twice
 an odd number.  The oracle does no walk of its own: it reads the
 brute-force sweep of `enumeration`, which tallies those self-conjugate
-shapes beside the residue counts, through the same bound gate.
+shapes beside the residue counts, behind the same gate.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .enumeration import (DEFAULT_ORACLE_BOUND, EXACT, _split_signed, _sweep, clear_caches,
-                          count_odd, delta)
+from .enumeration import EXACT, _split_signed, _sweep, clear_caches, count_odd, delta
+from .partitions import ENUMERATION_LIMIT
 
-# The oracle has no bound or cache of its own.  DEFAULT_ALT_ORACLE_BOUND and
+# The oracle has no limit or cache of its own: the sweep refuses n past
+# ENUMERATION_LIMIT.  DEFAULT_ALT_ORACLE_BOUND, an alias of that limit, and
 # clear_caches (the enumeration one, imported above) stay only because the
 # benchmark in perfbench/ reads them.
-DEFAULT_ALT_ORACLE_BOUND = DEFAULT_ORACLE_BOUND
+DEFAULT_ALT_ORACLE_BOUND = ENUMERATION_LIMIT
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,16 +127,16 @@ def formula_alt_counts(n: int) -> AltReport:
     )
 
 
-def alternating_oracle(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> AltReport:
+def alternating_oracle(n: int) -> AltReport:
     """Alternating-group degrees by residue, read off the brute-force sweep.
 
     The sweep is the one `enumeration.oracle_counts` runs, behind the same
-    gate: past `oracle_bound` SizeLimitError is raised.  No group
+    gate: past ENUMERATION_LIMIT SizeLimitError is raised.  No group
     computation happens, only the partition walk.
     """
     if n < 3:
         raise ValueError(f"the oracle starts at n=3, got {n}")
-    c1, _, c3, plus, minus = _sweep(n, n, oracle_bound)[n]
+    c1, _, c3, plus, minus = _sweep(n, n)[n]
     # Restriction to A_n: conjugate shapes share a dimension, so the c1 and
     # c3 odd shapes (none self-conjugate once n >= 2) pair off into c1/2 and
     # c3/2 irreducibles; a self-conjugate shape of dimension 2 mod 4 splits

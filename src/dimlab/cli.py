@@ -2,7 +2,7 @@
 
 Subcommands
     counts <n>            residue-class counts for one n (formula-first)
-    verify --max-n N      formula-vs-oracle checks up to N, exit 1 on mismatch
+    verify --max-n N      formula-vs-oracle checks up to N <= 80, exit 1 on mismatch
     tower <partition>     render the 2-core tower and its row weights, |partition| <= 10000
     parents <partition> --r R   list hook-addition parents with sign data;
                           refused when |partition| + 2^R exceeds 80
@@ -20,10 +20,10 @@ Timing lives in the benchmark (python3 perfbench/run.py), not here.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141
 (128 + SIGPIPE) when the reader closes stdout early.
 
-Each costly route has one limit, and passing it exits 2.  The oracle
-bound B (default 40, set with verify's --oracle-bound) caps the
+Each costly route has one limit, and passing it exits 2.  The
 brute-force sweep over all p(n) partitions that verify replays the
-formulas against, the alternating-group suite included.  The signed
+formulas against, the alternating-group suite included, is refused past
+n = 80 (partitions.ENUMERATION_LIMIT) before it walks anything.  The signed
 odd-stream walk that counts and alt fall back to for delta, when n starts
 "11" in binary with three or more ones, visits the odd cores below n's
 top bit t and sums the signs of each core's t parents in closed form.
@@ -46,8 +46,7 @@ from typing import Callable, Iterable, NoReturn, Sequence
 from . import alternating, enumeration
 from .binary_arith import is_sparse
 from .core_towers import TOWER_LIMIT, render_tower, row_weights, staircase_text, tower
-from .enumeration import DEFAULT_ORACLE_BOUND
-from .errors import SizeLimitError, quoted, size_text
+from .errors import SizeLimitError, quoted
 from .parents import all_parents, sign_flip_parity, predict_parent_sign
 from .partitions import Partition, _natural, dim_mod4
 
@@ -83,11 +82,6 @@ def command_parser(name: str) -> argparse.ArgumentParser:
         parser.add_argument("n", type=_positive_int)
     elif name == "verify":
         parser.add_argument("--max-n", type=_positive_int, required=True, metavar="N")
-        parser.add_argument(
-            "--oracle-bound", type=_positive_int, default=DEFAULT_ORACLE_BOUND, metavar="B",
-            help="largest n for the brute-force sweep, its alternating suite included "
-                 f"(default {DEFAULT_ORACLE_BOUND})",
-        )
     elif name == "tower":
         parser.add_argument("partition", type=_partition_arg,
                             help=f"comma form, e.g. 6,5,4,2,1,1; refused past size {TOWER_LIMIT}")
@@ -165,11 +159,11 @@ def _cmd_parents(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_suites(max_n: int, bound: int):
+def _verify_suites(max_n: int):
     """Yield (suite name, list of mismatch descriptions) pairs."""
-    # one walk sweeps 1..max_n, refused past the bound before it starts
-    enumeration._sweep(1, max_n, bound)
-    oracle = {n: enumeration.oracle_counts(n, bound) for n in range(1, max_n + 1)}
+    # one walk sweeps 1..max_n, refused past the enumeration limit before it starts
+    enumeration._sweep(1, max_n)
+    oracle = {n: enumeration.oracle_counts(n) for n in range(1, max_n + 1)}
 
     for name, function, field in (("odd-count formula", "count_odd", "a"),
                                   ("residue-two recursion", "a2", "a2"),
@@ -208,7 +202,7 @@ def _verify_suites(max_n: int, bound: int):
 
     bad = []
     for n in range(3, max_n + 1):
-        rep = alternating.alternating_oracle(n, bound)
+        rep = alternating.alternating_oracle(n)
         if alternating.hat_m2(n) != rep.m2_hat:
             bad.append(f"n={n}: hat_m2 {alternating.hat_m2(n)} oracle {rep.m2_hat}")
         if alternating.a_circ(n) != rep.a_circ:
@@ -220,12 +214,8 @@ def _verify_suites(max_n: int, bound: int):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    bound = args.oracle_bound
-    if args.max_n > bound:
-        command_parser("verify").error(f"--max-n of {size_text(args.max_n)} is past the "
-                                       f"oracle bound of {size_text(bound)}")
     suites = [{"name": name, "ok": not bad, "mismatches": bad}
-              for name, bad in _verify_suites(args.max_n, bound)]
+              for name, bad in _verify_suites(args.max_n)]
     failures = sum(len(suite["mismatches"]) for suite in suites)
     rows = [{"suite": suite["name"], "ok": suite["ok"], "mismatches": len(suite["mismatches"])}
             for suite in suites]

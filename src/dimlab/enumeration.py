@@ -19,7 +19,8 @@ hooks, so the same dimension, and conjugate cores have the same sum over
 their parents: the fallback visits one core of each conjugate pair and
 doubles the sum.  The brute-force sweep over all
 p(n) partitions stays as the independent oracle, for the symmetric group
-and, through its self-conjugate tally, for the alternating group.  It
+and, through its self-conjugate tally, for the alternating group; its one
+limit is ENUMERATION_LIMIT, checked before it walks anything.  It
 shares only the abacus with the formulas and the walk, and with `dim_mod4`
 only the tables of `binary_arith._tables`, asked for the power of two
 above its largest n.  It places the rows of each partition bottom row
@@ -46,7 +47,6 @@ from .errors import SizeLimitError, size_text
 from .parents import _hook_additions, _top_level_sum
 from .partitions import ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask
 
-DEFAULT_ORACLE_BOUND = 40
 # the fallback answers only n with at most 2^WALK_CEILING odd partitions, its
 # one limit.  That count a(n) = t * a(n - t) still bounds the work: a(n - t)
 # cores, each summing its t parents in O(log t) operations on t-bit ints, of
@@ -59,7 +59,7 @@ WALK_CEILING = 22
 _ODD_CLASSES = (DimClass(0, 1), DimClass(0, -1))
 
 EXACT = "exact-formula"
-FALLBACK = "oracle-fallback"
+FALLBACK = "walk-fallback"
 
 @dataclasses.dataclass(frozen=True)
 class CountReport:
@@ -162,9 +162,10 @@ def _delta(n: int) -> tuple[int, str]:
 def delta(n: int) -> tuple[int, str]:
     """Signed count a1(n) - a3(n) and how it was obtained.
 
-    The status is EXACT for a proved formula and FALLBACK for the signed
-    odd-stream walk, which answers a leading-"11" n with at most
-    2^WALK_CEILING odd partitions and raises SizeLimitError past that.
+    The status is EXACT ("exact-formula") for a proved formula and FALLBACK
+    ("walk-fallback") for the signed odd-stream walk, which answers a
+    leading-"11" n with at most 2^WALK_CEILING odd partitions and raises
+    SizeLimitError past that.
 
     >>> delta(5)
     (4, 'exact-formula')
@@ -326,14 +327,13 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
     # Each node is a partition, its terms carried without the n! term, which is
     # added per size.  A part of at most half the room left below hi makes a
     # node; a larger one closes the shape, placed only when it lands in range.
-    if hi > ENUMERATION_LIMIT:
-        raise SizeLimitError(f"n = {hi} exceeds the enumeration bound {ENUMERATION_LIMIT}")
     v2s, signs, fact = _tables(1 << hi.bit_length())
     vfact = [k - k.bit_count() for k in range(hi + 1)]
     # a difference's valuation above bit 8, its sign parity below.  Field h (16
     # bits) of a node's `diffs` sums these over its hooks y for h - y, distinct
-    # and below 80: at most v2(79!) = 74 and 79, so no field carries into the
-    # next.  Placing hook h adds row[h], its differences to every higher field.
+    # and below 80 (`_sweep` refuses hi past ENUMERATION_LIMIT): at most
+    # v2(79!) = 74 and 79, so no field carries into the next.  Placing hook h
+    # adds row[h], its differences to every higher field.
     pair = [v << 8 | sign for v, sign in zip(v2s, signs)]
     row = [sum(pair[d] << 16 * (h + d) for d in range(1, hi + 1 - h)) for h in range(hi + 1)]
     # a node: its difference fields, its top part, size, row count, abacus, v2, parity
@@ -376,13 +376,13 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
 _tallies: dict[int, tuple[int, int, int, int, int]] = {}
 
 
-def _sweep(lo: int, hi: int, bound: int) -> dict[int, tuple[int, int, int, int, int]]:
-    # the one gate in front of the p(n) sweep; one walk tallies [lo, hi] unless
-    # it all is.  Each shape counts with its weight; a self-conjugate one has
-    # as many rows as its first part, so weighs 1.
-    if hi > bound:
+def _sweep(lo: int, hi: int) -> dict[int, tuple[int, int, int, int, int]]:
+    # the one gate in front of the p(n) sweep, before any walk; one walk
+    # tallies [lo, hi] unless it all is.  Each shape counts with its weight; a
+    # self-conjugate one has as many rows as its first part, so weighs 1.
+    if hi > ENUMERATION_LIMIT:
         raise SizeLimitError(f"the oracle sweep of all partitions of {size_text(hi)} "
-                             f"is past the oracle bound of {size_text(bound)}")
+                             f"exceeds the enumeration bound {ENUMERATION_LIMIT}")
     if not all(k in _tallies for k in range(lo, hi + 1)):
         tally = [[0, 0, 0, 0, 0] for _ in range(hi + 1)]
         for k, x, v, par, w in _classified(lo, hi):
@@ -396,12 +396,12 @@ def _sweep(lo: int, hi: int, bound: int) -> dict[int, tuple[int, int, int, int, 
     return _tallies
 
 
-def oracle_counts(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> CountReport:
+def oracle_counts(n: int) -> CountReport:
     """Classify every partition of n by brute force; fields all carry
-    source "oracle"."""
+    source "oracle".  Past ENUMERATION_LIMIT SizeLimitError is raised."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    c1, c2, c3, _, _ = _sweep(n, n, oracle_bound)[n]
+    c1, c2, c3, _, _ = _sweep(n, n)[n]
     return CountReport(
         n=n, a=c1 + c3, a1=c1, a2=c2, a3=c3,
         delta=c1 - c3, m4=c1 + c2 + c3, source="oracle",

@@ -4,9 +4,9 @@
 lengths off `hook_lengths`: one exactly, one through the tables of
 `binary_arith._tables`.  `Partition(...)` and `from_text` check their
 input; `Partition._of_abacus` builds the package's own from an abacus,
-perhaps with the class a walk derived, and `Partition._of_abaci` builds
-many of one size in one loop, each with its class.  `mask_of`, `parts_of`,
-`conjugate_mask` and `normalize_mask` are the abacus codec.
+and `Partition._of_abaci` builds many of one size in one loop, each with
+the class a walk derived.  `mask_of`, `parts_of`, `conjugate_mask` and
+`normalize_mask` are the abacus codec.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from .binary_arith import _tables
 from .errors import SizeLimitError, quoted
 
 DIM_EXACT_LIMIT = 60
+# the largest n that enumerate_partitions, all_parents and the p(n) sweep of
+# enumeration._sweep take.  The sweep's 16-bit fields hold its sums only below
+# 80, and a cold _sweep(1, 80) took 37 s (one process, 2-core Xeon, Python 3.11;
+# 0.07 s to 40, 2.1 s to 60, 8.9 s to 70)
 ENUMERATION_LIMIT = 80
 
 
@@ -62,13 +66,12 @@ class Partition:
         self._dim = self._abacus = None
 
     @classmethod
-    def _of_abacus(cls, x: int, size: int | None = None,
-                   dim: "DimClass | None" = None) -> "Partition":
+    def _of_abacus(cls, x: int, size: int | None = None) -> "Partition":
         # unchecked, for a canonical abacus the package built, as mask_of returns it; parts,
-        # and size unless given, are unset until __getattr__.  dim, the DimClass a walk
-        # derived, is what dim_mod4 returns; equality, hashing and repr ignore it
+        # and size unless given, are unset until __getattr__.  It carries no class, so
+        # dim_mod4 computes one
         p = object.__new__(cls)
-        p._abacus, p._dim = x, dim
+        p._abacus, p._dim = x, None
         if size is not None:
             p.size = size
         return p
@@ -77,7 +80,9 @@ class Partition:
     def _of_abaci(cls, abaci: Iterable[int], size: int, picks: Iterable[int],
                   classes: tuple["DimClass", ...]) -> list["Partition"]:
         # _of_abacus for many abaci of one size in one loop, with no call per
-        # partition: each gets the class classes[pick], its pick read beside it
+        # partition: each gets the class classes[pick], its pick read beside it,
+        # the DimClass a walk derived, which dim_mod4 returns; equality,
+        # hashing and repr ignore it
         new = object.__new__
         out = []
         for x, pick in zip(abaci, picks):

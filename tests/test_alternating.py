@@ -14,9 +14,10 @@ from dimlab.alternating import (
     hat_m2,
 )
 from dimlab.binary_arith import sign_parity
-from dimlab.enumeration import DEFAULT_ORACLE_BOUND, EXACT, FALLBACK, oracle_counts
+from dimlab.enumeration import EXACT, FALLBACK, oracle_counts
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import (
+    ENUMERATION_LIMIT,
     Partition,
     conjugate,
     dim_mod4,
@@ -133,15 +134,15 @@ def test_sources():
 def test_oracle_bounds():
     with pytest.raises(ValueError):
         alternating_oracle(2)
-    # one gate in front of the one sweep: both readers refuse alike
+    # one gate in front of the one sweep: both readers refuse alike, past the
+    # enumeration limit, and take no bound of their own
     with pytest.raises(SizeLimitError) as sym:
-        oracle_counts(41)
+        oracle_counts(ENUMERATION_LIMIT + 1)
     with pytest.raises(SizeLimitError) as alt:
-        alternating_oracle(41)
+        alternating_oracle(ENUMERATION_LIMIT + 1)
     assert str(alt.value) == str(sym.value)
-    with pytest.raises(SizeLimitError):
-        alternating_oracle(DEFAULT_ORACLE_BOUND + 1)
-    with pytest.raises(SizeLimitError):
+    assert str(alt.value).endswith(f"enumeration bound {ENUMERATION_LIMIT}")
+    with pytest.raises(TypeError):
         alternating_oracle(9, oracle_bound=8)
 
 

@@ -154,6 +154,6 @@ def test_sweep_reads_no_table_past_twice_its_range(monkeypatch):
     for lo, hi in [(1, 1), (5, 17), (28, 28)]:
         # a cold sweep, leaving the tallies other tests warmed in place
         monkeypatch.setattr(enumeration, "_tallies", {})
-        enumeration._sweep(lo, hi, hi)
+        enumeration._sweep(lo, hi)
         assert asked and max(asked) <= 2 * hi, (lo, hi, asked)
         asked.clear()

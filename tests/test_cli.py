@@ -76,7 +76,7 @@ def test_numbers_are_ascii_digits_only(capsys, text):
     assert (code, out) == (2, "")
     assert "not an integer" in err
     assert run(capsys, "parents", "-", "--r", text)[0] == 2
-    assert run(capsys, "verify", "--max-n", "4", "--oracle-bound", text)[0] == 2
+    assert run(capsys, "verify", "--max-n", text)[0] == 2
     assert run(capsys, "counts", " 6 ")[0] == 0
 
 
@@ -108,8 +108,7 @@ def test_long_bad_text_is_cut_in_the_message(capsys):
 
 
 def test_counts_past_oracle_bound(capsys):
-    # 55 needs the walk for delta and lies past the oracle bound, which bounds
-    # only the sweep
+    # 55 needs the walk for delta, which the sweep's limit does not bound
     code, out, err = run(capsys, "counts", "55", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["source"] == "mixed"
@@ -134,10 +133,10 @@ def test_refusals_name_a_big_n_by_its_bit_length(capsys, n, bits):
     assert (code, out) == (2, "")
     assert f"a {bits}-bit number" in err
     assert str(n) not in err and len(err) < 200
-    code, _, err = run(capsys, "verify", "--max-n", str(n))
-    assert code == 2
-    assert f"--max-n of a {bits}-bit number is past the oracle bound of 40" in err
-    assert len(err) < 400
+    code, out, err = run(capsys, "verify", "--max-n", str(n))
+    assert (code, out) == (2, "")
+    assert err == (f"error: the oracle sweep of all partitions of a {bits}-bit number "
+                   "exceeds the enumeration bound 80\n")
 
 
 def test_walk_refusal_names_its_cost(capsys):
@@ -239,10 +238,10 @@ def test_verify_sweeps_its_whole_range_in_one_walk(capsys, monkeypatch):
     assert walks == [(1, 20)]
     # the one walk's weights count every partition of 1..20
     assert shapes == {n: sum(1 for _ in enumerate_partitions(n)) for n in range(1, 21)}
-    # a range past the bound is refused before any walk
+    # a range past the enumeration limit is refused before any walk
     enumeration.clear_caches()
-    with pytest.raises(SizeLimitError, match="past the oracle bound of 40$"):
-        enumeration._sweep(1, 41, 40)
+    with pytest.raises(SizeLimitError, match="exceeds the enumeration bound 80$"):
+        enumeration._sweep(1, 81)
     assert walks == [(1, 20)]
 
 
@@ -319,13 +318,22 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_verify_needs_bound(capsys):
-    code, _, err = run(capsys, "verify", "--max-n", "50")
-    assert code == 2
-    assert "oracle bound" in err
-    assert run(capsys, "verify", "--max-n", "10", "--oracle-bound", "9")[0] == 2
+    # the sweep's one limit refuses, as the size refusals of counts do
+    code, out, err = run(capsys, "verify", "--max-n", "81")
+    assert (code, out) == (2, "")
+    assert err == ("error: the oracle sweep of all partitions of 81 exceeds the "
+                   "enumeration bound 80\n")
 
 
-@pytest.mark.parametrize("argv", [["verify", "--max-n", "50"], ["parents", "3", "--r", "1"],
+def test_verify_answers_past_40_with_no_flag(capsys):
+    # the sweep's rows for 41..48 are checked against perfbench/reference.json
+    # in test_enumeration.py
+    code, out, err = run(capsys, "verify", "--max-n", "48")
+    assert (code, err) == (0, "")
+    assert out.endswith("verify: ok up to n=48 (0 mismatches)\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--max-n", "0"], ["parents", "3", "--r", "1"],
                                   ["counts", "6", "--oracle-bound", "5"], ["alt", "6", "--bogus"],
                                   ["verify", "--max-n", "5", "--bogus"]],
                          ids=["verify", "parents", "counts-unknown-flag", "alt-unknown-flag",
@@ -342,8 +350,8 @@ def test_command_refusals_name_their_command(capsys, argv):
 def test_verify_past_the_enumeration_limit_exits_promptly(capsys):
     # the largest sweep runs first, so the refusal comes before any sweep
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--max-n", "81", "--oracle-bound", "81")
-    assert time.perf_counter() - start < 5.0
+    code, out, err = run(capsys, "verify", "--max-n", "81")
+    assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert "exceeds the enumeration bound 80" in err
 
@@ -478,15 +486,10 @@ def test_alt_csv_row(capsys):
 
 @pytest.mark.parametrize("value", ["9", "soon"])
 def test_env_var_is_ignored(capsys, monkeypatch, value):
-    # --oracle-bound is the one way to set the bound
+    # no environment variable sets a limit
     monkeypatch.setenv("DIMLAB_ORACLE_BOUND", value)
     assert run(capsys, "counts", "6")[0] == 0
     assert run(capsys, "verify", "--max-n", "10")[0] == 0
-
-
-def test_oracle_bound_help_shows_the_default(capsys):
-    out = run(capsys, "verify", "-h")[1]
-    assert f"(default {enumeration.DEFAULT_ORACLE_BOUND})" in " ".join(out.split())
 
 
 def test_oracle_bound_only_where_it_is_used(capsys):
@@ -494,7 +497,7 @@ def test_oracle_bound_only_where_it_is_used(capsys):
     assert run(capsys, "parents", "1", "--r", "2", "--oracle-bound", "5")[0] == 2
     assert run(capsys, "counts", "6", "--oracle-bound", "5")[0] == 2
     assert run(capsys, "alt", "6", "--oracle-bound", "5")[0] == 2
-    assert run(capsys, "verify", "--max-n", "5", "--oracle-bound", "5")[0] == 0
+    assert run(capsys, "verify", "--max-n", "5", "--oracle-bound", "5")[0] == 2
 
 
 # every subcommand, with the keys its CSV rows carry

@@ -3,6 +3,8 @@ exact big-integer dimensions of all partitions of n, independently of the
 formulas under test."""
 
 import inspect
+import json
+import pathlib
 from unittest import mock
 
 import pytest
@@ -10,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from dimlab import alternating, enumeration
 from dimlab.enumeration import (
-    DEFAULT_ORACLE_BOUND,
     EXACT,
     FALLBACK,
     CountReport,
@@ -214,7 +215,7 @@ def test_odd_stream_matches_exact_dimensions():
 def test_odd_stream_is_the_walk():
     # the stream builds each core's leaves in one list: the same abaci, in the
     # same order, each with the class of the walk's carried sign parity, at
-    # every n to the oracle bound of 40 and past it to the benchmark's 57
+    # every n to the benchmark's 57
     for n in range(58):
         assert [(mask_of(p), dim_mod4(p)) for p in enumerate_odd_partitions(n)] == [
             (x, enumeration._ODD_CLASSES[parity]) for x, parity in enumeration._odd_abaci(n)], n
@@ -294,28 +295,35 @@ def test_oracle_counts_frozen_rows():
         assert rep == CountReport(n, a, one, two, three, diff, not4, "oracle")
 
 
-def test_oracle_bound_default_is_in_the_signatures():
-    for route in (oracle_counts, alternating.alternating_oracle):
-        default = inspect.signature(route).parameters["oracle_bound"].default
-        assert default == DEFAULT_ORACLE_BOUND, route
-    # the formula routes answer to the walk's ceiling alone
-    for route in (delta, formula_counts, alternating.delta_circ,
-                  alternating.formula_alt_counts):
-        assert "oracle_bound" not in inspect.signature(route).parameters, route
-
-
 def test_oracle_bound():
-    with pytest.raises(SizeLimitError, match="^the oracle sweep of all partitions of 41 is "
-                                             "past the oracle bound of 40$"):
-        oracle_counts(DEFAULT_ORACLE_BOUND + 1)
-    with pytest.raises(SizeLimitError):
-        oracle_counts(5, oracle_bound=3)
-    assert oracle_counts(5, oracle_bound=5).a == 4
+    # the sweep's one limit is ENUMERATION_LIMIT: no route takes a bound of its
+    # own, and the formula routes answer to the walk's ceiling alone
+    for route in (oracle_counts, alternating.alternating_oracle, delta, formula_counts,
+                  alternating.delta_circ, alternating.formula_alt_counts):
+        assert "oracle_bound" not in inspect.signature(route).parameters, route
+    assert list(inspect.signature(enumeration._sweep).parameters) == ["lo", "hi"]
+    with pytest.raises(SizeLimitError, match="^the oracle sweep of all partitions of a 71-bit "
+                                             "number exceeds the enumeration bound 80$"):
+        oracle_counts(2**70)
+    with pytest.raises(TypeError):
+        oracle_counts(5, oracle_bound=5)
+    assert oracle_counts(5).a == 4
 
 
 def test_sweep_refuses_past_the_enumeration_limit():
-    with pytest.raises(SizeLimitError, match=f"enumeration bound {ENUMERATION_LIMIT}$"):
-        oracle_counts(ENUMERATION_LIMIT + 1, oracle_bound=100)
+    with pytest.raises(SizeLimitError, match="^the oracle sweep of all partitions of 81 "
+                                             f"exceeds the enumeration bound {ENUMERATION_LIMIT}$"):
+        oracle_counts(ENUMERATION_LIMIT + 1)
+
+
+def test_oracle_counts_past_40_match_the_exact_reference():
+    # perfbench/reference.json holds a1, a2, a3 for n <= 48 from exact-integer
+    # dimensions, computed apart from the sweep
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
+    rows = {row[0]: tuple(row[1:4]) for row in json.loads(path.read_text())["sym"]}
+    for n in range(41, 49):
+        rep = oracle_counts(n)
+        assert (rep.a1, rep.a2, rep.a3) == rows[n], n
 
 
 def test_range_walk_places_every_partition_once_with_its_class():
@@ -340,25 +348,27 @@ def test_halved_sweep_tallies_as_the_full_sweep():
     for lo in range(31):
         for hi in range(lo, 31):
             with mock.patch.object(enumeration, "_tallies", {}):
-                got = enumeration._sweep(lo, hi, 30)
+                got = enumeration._sweep(lo, hi)
             assert got == {k: want[k] for k in range(lo, hi + 1)}, (lo, hi)
 
 
 def test_one_range_sweep_tallies_as_the_per_size_sweeps():
     clear_caches()
-    together = dict(enumeration._sweep(1, 30, 30))
+    together = dict(enumeration._sweep(1, 30))
     assert sorted(together) == list(range(1, 31))
     for n in range(1, 31):
         clear_caches()
-        assert enumeration._sweep(n, n, 30) == {n: together[n]}, n
+        assert enumeration._sweep(n, n) == {n: together[n]}, n
     clear_caches()
 
 
-def test_range_walk_refuses_past_the_enumeration_limit_before_it_starts():
-    # with lo = 0 the walk's first item would be the empty partition
-    walk = enumeration._classified(0, ENUMERATION_LIMIT + 1)
+def test_range_walk_refuses_past_the_enumeration_limit_before_it_starts(monkeypatch):
+    # the sweep's gate stands in front of the walk, which is never started
+    walks = []
+    monkeypatch.setattr(enumeration, "_classified", lambda lo, hi: walks.append((lo, hi)))
     with pytest.raises(SizeLimitError, match=f"enumeration bound {ENUMERATION_LIMIT}$"):
-        next(walk)
+        enumeration._sweep(0, ENUMERATION_LIMIT + 1)
+    assert walks == []
 
 
 def test_report_invariants_are_enforced():

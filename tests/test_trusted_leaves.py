@@ -62,8 +62,8 @@ def test_streamed_leaves_pass_the_checks(n):
 
 
 def test_streamed_classes_match_their_checked_twins():
-    # past the oracle bound of 40, every n below 64 whose stream is at most
-    # 2^10 leaves: 41-45 and 48-51 among them
+    # every n below 64 whose stream is at most 2^10 leaves: 41-45 and 48-51
+    # among them
     sizes = [n for n in range(64) if count_odd(n) <= 1 << 10]
     assert max(sizes) == 51
     leaves = 0
