@@ -10,8 +10,8 @@ the diagram.
 The int helpers below work on the abacus form: a Python int with bit h
 set for each element h (James and Kerber, 1981).  A shift is a left
 shift and a t-hook removal moves one bit down by t.  The codec is in
-`partitions`: `mask_of` builds the canonical abacus, whose bit 0 is
-clear, `parts_of` reads it back and `normalize_mask` drops the beads
+`partitions`: `Partition.abacus` is the canonical abacus, whose bit 0
+is clear, `parts_of` reads it back and `normalize_mask` drops the beads
 packed at the bottom.  `BetaSet` is the validated view of an abacus: it
 checks its elements once on the way in, keeps them as `mask`, and every
 move below goes through the int helpers.  No other module of the package
@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable
 
-from .partitions import Partition, mask_of, normalize_mask
+from .partitions import Partition, normalize_mask
 
 
 class BetaSet:
@@ -52,7 +52,7 @@ def first_column_hooks(p: Partition) -> BetaSet:
     >>> bin(first_column_hooks(Partition((2, 2, 2))).mask)
     '0b11100'
     """
-    return _view(mask_of(p))
+    return _view(p.abacus)
 
 
 def shift(x: BetaSet, r: int) -> BetaSet:
@@ -79,7 +79,7 @@ def t_core(p: Partition, t: int) -> Partition:
     """
     if t < 1:
         raise ValueError(f"hook size must be positive, got {t}")
-    return Partition._of_abacus(t_core_mask(mask_of(p), t))
+    return Partition._of_abacus(t_core_mask(p.abacus, t))
 
 
 def shift_mask(x: int, r: int) -> int:

@@ -263,11 +263,8 @@ def _run(argv: Sequence[str] | None) -> int:
             return COMMANDS[argv[0]][1](command_parser(argv[0]).parse_args(argv[1:]))
         _top_level(argv)
     except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        if exc.code is not None:
-            print(exc.code, file=sys.stderr)
-        return 2
+        # argparse exits with an int status, having printed its message
+        return exc.code
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,21 +22,19 @@ the partition mirrors every row.  Staircase partitions are built only when
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, count, zip_longest
 from typing import Iterator, Sequence
 
 from .errors import SizeLimitError, size_text
-from .partitions import Partition, mask_of, normalize_mask
+from .partitions import Partition, normalize_mask
 
 # the largest |p| `tower` builds: up to 2|p| runners not packed, each a popcount over at most
 # 2|p| bits.  Cold at 10000, tower takes 0.4-0.5 ms for (10000,) and 2.4-3.7 ms for (1,) * 10000
 TOWER_LIMIT = 10_000
 
 
-@lru_cache(maxsize=None)
 def staircase(height: int) -> Partition:
-    """The 2-core with the given number of rows: (h, h-1, ..., 1), built once."""
+    """The 2-core with the given number of rows: (h, h-1, ..., 1)."""
     if height < 0:
         raise ValueError(f"height must be non-negative, got {height}")
     # (4^h - 1) / 3 has h beads at 0, 2, ..., 2h - 2; one shift moves them to the odd positions
@@ -125,7 +123,7 @@ def two_quotient(p: Partition) -> tuple[Partition, Partition]:
     >>> (a.parts, b.parts)
     ((1, 1), (2,))
     """
-    rows = [*_rows(mask_of(p))][1:]
+    rows = [*_rows(p.abacus)][1:]
     return (Partition._of_abacus(*_parts([row[:len(row) // 2] for row in rows])),
             Partition._of_abacus(*_parts([row[len(row) // 2:] for row in rows])))
 
@@ -137,7 +135,7 @@ def two_core(p: Partition) -> Partition:
     down to {0, 2, ..., 2e-2} and o odd ones to {1, 3, ..., 2o-1}.  The
     tests compare it with `t_core(p, 2)`, which removes 2-hooks until none remain.
     """
-    return staircase(next(_rows(mask_of(p)), [0])[0])
+    return staircase(next(_rows(p.abacus), [0])[0])
 
 
 def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
@@ -145,7 +143,7 @@ def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     if not is_two_core(core):
         raise ValueError(f"{core} is not a staircase")
     # the shallower side is padded with empty rows
-    below = zip_longest(_rows(mask_of(q0)), _rows(mask_of(q1)))
+    below = zip_longest(_rows(q0.abacus), _rows(q1.abacus))
     rows = [[len(core)], *((r0 or [0] * len(r1)) + (r1 or [0] * len(r0)) for r0, r1 in below)]
     return Partition._of_abacus(*_parts(rows))
 
@@ -175,7 +173,7 @@ def tower(p: Partition) -> CoreTower:
     if p.size > TOWER_LIMIT:
         raise SizeLimitError(f"|p| = {size_text(p.size)} exceeds the tower bound "
                              f"TOWER_LIMIT = {TOWER_LIMIT}")
-    return CoreTower(tuple(map(tuple, _rows(mask_of(p)))) or ((0,),))
+    return CoreTower(tuple(map(tuple, _rows(p.abacus))) or ((0,),))
 
 
 def tower_to_partition(t: CoreTower) -> Partition:
@@ -197,7 +195,7 @@ def classify_by_tower(p: Partition) -> str:
     # digits, and the one heavy row j with row j + 1 empty is those digits with a 1 at
     # j + 1 traded for an extra 2 at j.  Rows are read only until the answer is fixed.
     heavy = None
-    for k, heights in enumerate(_rows(mask_of(p))):
+    for k, heights in enumerate(_rows(p.abacus)):
         weight = sum(h * (h + 1) for h in heights if h) >> 1
         if weight > 3 or weight > 1 and heavy is not None or weight and heavy == k - 1:
             return "other"

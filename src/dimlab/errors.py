@@ -10,8 +10,8 @@ def size_text(n: int) -> str:
     return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit number"
 
 
-def quoted(text: str, width: int = 40) -> str:
-    """text in a message: its repr, cut after `width` characters."""
-    if len(text) <= width:
+def quoted(text: str) -> str:
+    """text in a message: its repr, cut after 40 characters."""
+    if len(text) <= 40:
         return repr(text)
-    return f"{text[:width]!r}... ({len(text)} characters)"
+    return f"{text[:40]!r}... ({len(text)} characters)"

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .binary_arith import top_two_bits
 from .errors import SizeLimitError
-from .partitions import ENUMERATION_LIMIT, Partition, mask_of
+from .partitions import ENUMERATION_LIMIT, Partition
 
 
 class ParentRecord(NamedTuple):
@@ -45,7 +45,7 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
         raise SizeLimitError(f"parents of size {core.size} + 2^{r_power} exceed "
                              f"the enumeration bound {ENUMERATION_LIMIT}")
     t = 1 << r_power
-    x, size = mask_of(core), core.size + t
+    x, size = core.abacus, core.size + t
     abaci, steps = _hook_additions(x, t)
     # kind I moves each bead j, largest first, to j + t; kind II shifts by r to fill gap t - r
     kinds = ([("I", j, j + t) for j in range(t - 1, -1, -1) if x >> j & 1]

@@ -5,8 +5,9 @@ lengths off `hook_lengths`: one exactly, one through the tables of
 `binary_arith._tables`.  `Partition(...)` and `from_text` check their
 input; `Partition._of_abacus` builds the package's own from an abacus,
 and `Partition._of_abaci` builds many of one size in one loop, each with
-the class a walk derived.  `mask_of`, `parts_of`, `conjugate_mask` and
-`normalize_mask` are the abacus codec.
+the class a walk derived.  `hook_lengths` reads the hooks off
+`Partition.abacus`, so no dimension decodes parts.  `parts_of`,
+`conjugate_mask` and `normalize_mask` are the abacus codec.
 """
 
 from __future__ import annotations
@@ -46,11 +47,15 @@ class Partition:
     """A weakly decreasing tuple of positive integers.
 
     The empty partition is Partition(()).  Text form is comma separated
-    parts, with "-" standing for the empty partition.  One built from an
-    abacus decodes its parts (and size) from it only when first read.
+    parts, with "-" standing for the empty partition.  `abacus` has bit h
+    set per first-column hook h.  A checked partition encodes it, and one
+    built from an abacus decodes its parts (and size), on first read only.
+
+    >>> bin(Partition((2, 2, 2)).abacus)
+    '0b11100'
     """
 
-    __slots__ = ("parts", "size", "_dim", "_abacus")
+    __slots__ = ("parts", "size", "abacus", "_dim")
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(map(operator.index, parts))
@@ -63,15 +68,15 @@ class Partition:
             prev = p
         self.parts = parts
         self.size = sum(parts)
-        self._dim = self._abacus = None
+        self._dim = None
 
     @classmethod
     def _of_abacus(cls, x: int, size: int | None = None) -> "Partition":
-        # unchecked, for a canonical abacus the package built, as mask_of returns it; parts,
-        # and size unless given, are unset until __getattr__.  It carries no class, so
-        # dim_mod4 computes one
+        # unchecked, for a canonical abacus the package built, bit 0 clear; parts, and size
+        # unless given, are unset until __getattr__.  It carries no class, so dim_mod4
+        # computes one
         p = object.__new__(cls)
-        p._abacus, p._dim = x, None
+        p.abacus, p._dim = x, None
         if size is not None:
             p.size = size
         return p
@@ -87,16 +92,20 @@ class Partition:
         out = []
         for x, pick in zip(abaci, picks):
             p = new(cls)
-            p._abacus, p._dim, p.size = x, classes[pick], size
+            p.abacus, p._dim, p.size = x, classes[pick], size
             out.append(p)
         return out
 
     def __getattr__(self, name: str):
-        # reached only for an unset slot, so only on a partition built from an abacus
+        # reached only for an unset slot: parts and size built from an abacus, or the abacus
+        # of a checked partition, left unset by __init__: a part of 10^20 has no abacus in memory
         if name == "parts":
-            self.parts = parts_of(self._abacus)
+            self.parts = parts_of(self.abacus)
         elif name == "size":
             self.size = sum(self.parts)
+        elif name == "abacus":
+            # the part i rows from the bottom is the bead part + i
+            self.abacus = sum(1 << part + i for i, part in enumerate(reversed(self.parts)))
         else:
             raise AttributeError(f"'Partition' object has no attribute {name!r}")
         return getattr(self, name)
@@ -136,22 +145,24 @@ def conjugate(p: Partition) -> Partition:
     >>> conjugate(Partition((4, 3, 3, 1))).parts
     (4, 3, 3, 1)
     """
-    return Partition._of_abacus(conjugate_mask(mask_of(p)), p.size)
+    return Partition._of_abacus(conjugate_mask(p.abacus), p.size)
 
 
 def hook_lengths(p: Partition) -> list[int]:
-    """All hook lengths, row-major."""
-    parts = p.parts
-    # heights[j - 1] is the length of column j
-    heights, rows = [], len(parts)
-    for col in range(1, parts[0] + 1 if parts else 1):
-        while parts[rows - 1] < col:
-            rows -= 1
-        heights.append(rows)
+    """All hook lengths, row-major, read off the abacus.
+
+    The row of bead b lists b - g for each empty position g below b,
+    lowest first; the top bead's row comes first.
+    """
+    gaps, rows = [], []
+    for h, digit in enumerate(format(p.abacus, "b")[::-1]):
+        if digit == "0":
+            gaps.append(h)
+        else:
+            rows.append([h - g for g in gaps])
     out = []
-    for i, row in enumerate(parts, 1):
-        for j in range(1, row + 1):
-            out.append(row - j + heights[j - 1] - i + 1)
+    for row in reversed(rows):
+        out += row
     return out
 
 
@@ -181,24 +192,8 @@ class DimClass(NamedTuple):
     sign: int
 
 
-def mask_of(p: Partition) -> int:
-    """The canonical beta-set of p as an abacus: bit h per first-column hook h.
-
-    A partition built from its abacus returns that, without decoding its parts.
-
-    >>> bin(mask_of(Partition((2, 2, 2))))
-    '0b11100'
-    """
-    if p._abacus is not None:
-        return p._abacus
-    x, top = 0, len(p.parts) - 1
-    for i, part in enumerate(p.parts):
-        x |= 1 << (part + top - i)
-    return x
-
-
 def parts_of(x: int) -> tuple[int, ...]:
-    """Inverse of mask_of: each bead's part is the count of empty positions below it.
+    """Inverse of Partition.abacus: each bead's part is the count of empty positions below it.
 
     The binary digits split at the beads into runs of empty positions; a
     part sums the runs below its bead.  Beads packed at the bottom stand

@@ -2,11 +2,13 @@
 
 Each function restates a fact the tests check against the package: the
 parity gap of an abacus (acceptance criterion 08), the binomial residue
-tallies (criterion 13), the diagonal hooks of a shape, the conjugate
-read off the column heights and the partitions of n listed by their
-parts, where the package runs both on the abacus, the parent-sign step
-counted per parent on the parent's abacus, which the package reads off
-its core's step masks instead, with the hook each parent adds, and the
+tallies (criterion 13), the diagonal hooks of a shape, the conjugate and
+every hook length read off the column heights and the partitions of n
+listed by their parts, where the package runs all three on the abacus,
+the abacus read off the first column's hooks, where the package sets
+one bead per part, the parent-sign step counted per parent on the
+parent's abacus, which the package reads off its core's step masks
+instead, with the hook each parent adds, and the
 2-quotient as a parity split of the abacus with its string round trips,
 level by level, which the package reads off runner bead counts instead,
 the tower's residue class read off all its row weights, where the
@@ -68,6 +70,22 @@ def column_conjugate(p: Partition) -> Partition:
             rows -= 1
         heights.append(rows)
     return Partition(heights)
+
+
+def column_hook_lengths(p: Partition) -> list[int]:
+    """All hook lengths, row-major, from the parts and the column heights: arm + leg + 1."""
+    heights = column_conjugate(p).parts
+    return [row - j + heights[j - 1] - i + 1
+            for i, row in enumerate(p.parts, 1) for j in range(1, row + 1)]
+
+
+def first_column_abacus(p: Partition) -> int:
+    """Bit h for each hook h of the first column: the first of each row of column_hook_lengths."""
+    hooks, x, start = column_hook_lengths(p), 0, 0
+    for row in p.parts:
+        x |= 1 << hooks[start]
+        start += row
+    return x
 
 
 def parts_partitions(n: int) -> Iterator[tuple[int, ...]]:

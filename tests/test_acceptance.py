@@ -23,7 +23,6 @@ from dimlab.partitions import (
     conjugate_mask,
     dim_mod4,
     enumerate_partitions,
-    mask_of,
     parts_of,
 )
 from paper_facts import binom_mod4_counts, parity_gap
@@ -167,7 +166,7 @@ def test_signed_sums():
                 assert sums["I"] == (0 if k % 2 == 0 else 1), (mu, r)
                 t2 = sums["II low"] + sums["II high"]
                 assert t2 == (2 if k % 2 == 0 else 1) - 2 * (-1) ** m, (mu, r)
-                gap = parity_gap(mask_of(mu))
+                gap = parity_gap(mu.abacus)
                 assert sums["II low"] == 2 * (-1) ** k * gap, (mu, r)
                 assert sums["II high"] == (0 if k % 2 == 0 else 1), (mu, r)
 

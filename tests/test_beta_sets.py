@@ -13,7 +13,7 @@ from dimlab.beta_sets import (
     to_partition,
 )
 from dimlab.partitions import (Partition, conjugate, conjugate_mask, dim_mod4, enumerate_partitions,
-                               mask_of, normalize_mask, parts_of)
+                               normalize_mask, parts_of)
 from paper_facts import (column_conjugate, core_height, interleave, parity_gap, parity_split,
                          parts_partitions)
 
@@ -177,7 +177,7 @@ def test_parity_gap_of_odd_partitions():
         for p in enumerate_partitions(n):
             if dim_mod4(p).v2 != 0:
                 continue
-            hooks = mask_of(p)
+            hooks = p.abacus
             want = (1 - (-1) ** n) if hooks.bit_count() % 2 == 0 else (-1) ** n
             assert parity_gap(hooks) == want, p
 
@@ -189,7 +189,7 @@ masks_st = st.integers(min_value=0, max_value=(1 << 48) - 1)
 
 @given(partitions_st)
 def test_mask_round_trip(p):
-    x = mask_of(p)
+    x = p.abacus
     assert x == first_column_hooks(p).mask
     assert parts_of(x) == p.parts
     assert normalize_mask(x) == x
@@ -201,7 +201,7 @@ def test_conjugate_mask_is_the_conjugate():
         for parts in parts_partitions(n):
             p = Partition(parts)
             want = column_conjugate(p)
-            assert conjugate_mask(mask_of(p)) == mask_of(want), p
+            assert conjugate_mask(p.abacus) == want.abacus, p
             got = conjugate(p)
             assert (got.size, got.parts) == (n, want.parts), p
 
@@ -226,7 +226,7 @@ def test_shift_by_two_shifts_each_quotient_by_one(x):
 @given(partitions_st)
 def test_core_height_from_popcounts_is_the_two_core(p):
     core = t_core(p, 2)
-    x0, x1 = parity_split(mask_of(p))
+    x0, x1 = parity_split(p.abacus)
     assert core.parts == tuple(range(core_height(x0.bit_count(), x1.bit_count()), 0, -1))
 
 
@@ -251,4 +251,4 @@ def test_t_core_mask_matches_one_hook_at_a_time(p, t):
             break
         x.remove(max(moves))
         x.add(max(moves) - t)
-    assert parts_of(t_core_mask(mask_of(p), t)) == to_partition(BetaSet(x)).parts
+    assert parts_of(t_core_mask(p.abacus, t)) == to_partition(BetaSet(x)).parts

@@ -19,8 +19,7 @@ from dimlab.core_towers import (
     two_quotient,
 )
 from dimlab.errors import SizeLimitError
-from dimlab.partitions import (Partition, conjugate, dim_mod4, enumerate_partitions, mask_of,
-                               parts_of)
+from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, parts_of
 from paper_facts import check_tower_heights, split_rows, tower_class
 
 EMPTY = Partition(())
@@ -138,7 +137,7 @@ def test_round_trip_builds_the_abacus_before_any_parts_are_read(monkeypatch):
     for n in range(0, 25):
         for p in enumerate_partitions(n):
             back = tower_to_partition(tower(p))
-            assert (mask_of(back), back.size) == (mask_of(p), n), p
+            assert (back.abacus, back.size) == (p.abacus, n), p
     assert decoded == []
 
 
@@ -146,13 +145,13 @@ def test_census_rows_match_the_parity_split_rows():
     # the reference splits each node's abacus by parity, level by level
     for n in range(0, 25):
         for p in enumerate_partitions(n):
-            assert list(_rows(mask_of(p))) == list(split_rows(mask_of(p))), p
+            assert list(_rows(p.abacus)) == list(split_rows(p.abacus)), p
 
 
 @given(st.lists(st.integers(min_value=1, max_value=200), max_size=40))
 def test_census_rows_and_their_inverse_on_larger_partitions(parts):
     p = Partition(tuple(sorted(parts, reverse=True)))
-    assert list(_rows(mask_of(p))) == list(split_rows(mask_of(p)))
+    assert list(_rows(p.abacus)) == list(split_rows(p.abacus))
     assert tower_to_partition(tower(p)) == p
 
 
@@ -185,7 +184,7 @@ def test_census_rows_and_their_inverse_on_rows_and_columns(shape):
     # packed; its conjugate (n,) has a single bead
     for n in range(513):
         p = Partition((n,) if shape == "row" and n else (1,) * n)
-        assert list(_rows(mask_of(p))) == list(split_rows(mask_of(p))), n
+        assert list(_rows(p.abacus)) == list(split_rows(p.abacus)), n
         assert tower_to_partition(tower(p)) == p, n
 
 
@@ -211,7 +210,7 @@ def test_classification_agrees_with_the_all_rows_rule():
     # the reference weighs every parity-split row, where classify_by_tower stops early
     for n in range(0, 25):
         for p in enumerate_partitions(n):
-            assert classify_by_tower(p) == tower_class(mask_of(p)), p
+            assert classify_by_tower(p) == tower_class(p.abacus), p
 
 
 @st.composite

@@ -30,7 +30,7 @@ from dimlab.binary_arith import bit_positions, is_sparse, top_two_bits
 from dimlab.errors import SizeLimitError
 from dimlab.parents import _hook_additions, _top_level_sum
 from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask, dim_exact,
-                               dim_mod4, enumerate_partitions, mask_of, normalize_mask)
+                               dim_mod4, enumerate_partitions, normalize_mask)
 from paper_facts import _flip_parity, _sign_step, added_hooks, full_tallies
 
 # columns: n, a, a1, a2, a3, delta, m4
@@ -217,7 +217,7 @@ def test_odd_stream_is_the_walk():
     # same order, each with the class of the walk's carried sign parity, at
     # every n to the benchmark's 57
     for n in range(58):
-        assert [(mask_of(p), dim_mod4(p)) for p in enumerate_odd_partitions(n)] == [
+        assert [(p.abacus, dim_mod4(p)) for p in enumerate_odd_partitions(n)] == [
             (x, enumeration._ODD_CLASSES[parity]) for x, parity in enumeration._odd_abaci(n)], n
 
 
@@ -329,7 +329,7 @@ def test_oracle_counts_past_40_match_the_exact_reference():
 def test_range_walk_places_every_partition_once_with_its_class():
     # the reference class of each partition of k <= 18, from its checked twin;
     # a shape of weight 2 stands for its conjugate too, which the walk skips
-    want = {(k, mask_of(p)): dim_mod4(Partition(p.parts))
+    want = {(k, p.abacus): dim_mod4(Partition(p.parts))
             for k in range(19) for p in enumerate_partitions(k)}
     for lo in range(19):
         for hi in range(lo, 19):

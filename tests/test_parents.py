@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dimlab.beta_sets import first_column_hooks, mask_of, t_core
+from dimlab.beta_sets import first_column_hooks, t_core
 from dimlab.binary_arith import sign_parity, top_two_bits
 from dimlab.enumeration import enumerate_odd_partitions
 from dimlab.errors import SizeLimitError
@@ -58,7 +58,7 @@ def test_parent_counts_match_hook_set_size():
                 assert sum(rec.kind == "II" for rec in recs) == (1 << r) - k
                 assert len({rec.parent for rec in recs}) == 1 << r
                 # the params, read off the core's beads and gaps, in the listing's order
-                assert [rec.param for rec in recs] == hook_params(mask_of(mu), 1 << r)
+                assert [rec.param for rec in recs] == hook_params(mu.abacus, 1 << r)
 
 
 def test_parents_are_exactly_the_core_fiber():
@@ -139,7 +139,7 @@ def test_type2_split_and_admissible_shifts():
 
 
 def test_count_between():
-    x = mask_of(Partition((2, 2, 1)))  # hook set {4, 3, 1}
+    x = Partition((2, 2, 1)).abacus  # hook set {4, 3, 1}
     assert _between(x, 4, 2) == 1
     assert _between(x, 4, 4) == 2
 
@@ -156,7 +156,7 @@ def test_count_between_is_the_brute_count(p, i, r_power):
         return
     h = hooks[i % len(hooks)]
     lo = h - (1 << r_power)
-    assert _between(mask_of(p), h, 1 << r_power) == sum(1 for y in hooks if lo < y < h)
+    assert _between(p.abacus, h, 1 << r_power) == sum(1 for y in hooks if lo < y < h)
 
 
 SMALL_CORES = {r: [mu for m in range(1 << r) for mu in enumerate_partitions(m)]
@@ -196,7 +196,7 @@ def test_flip_parity_matches_the_defining_product():
             for rec in all_parents(mu, r):
                 eta = _flip_product_parity(rec)
                 assert sign_flip_parity(rec) == eta, rec
-                assert _flip_parity(mask_of(rec.parent), rec.affected, 1 << r) == eta, rec
+                assert _flip_parity(rec.parent.abacus, rec.affected, 1 << r) == eta, rec
                 checked += 1
     assert checked == sum(len(cores) << r for r, cores in SMALL_CORES.items())
 
@@ -212,7 +212,7 @@ def test_the_record_step_matches_each_parent_on_every_core():
             for mu in enumerate_partitions(m):
                 for rec in all_parents(mu, r):
                     n, h = rec.parent.size, rec.affected
-                    eta = _flip_parity(mask_of(Partition(rec.parent.parts)), h, t)
+                    eta = _flip_parity(Partition(rec.parent.parts).abacus, h, t)
                     assert sign_flip_parity(rec) == eta, rec
                     if n > 3:
                         step = _sign_step(top_two_bits(n), top_two_bits(h), eta)
@@ -256,7 +256,7 @@ def test_signed_sums_match_closed_forms():
                 type1, low, high = kinds(mu, r)
                 assert signed(type1, mu) == (0 if k % 2 == 0 else 1)
                 assert signed(low + high, mu) == (2 if k % 2 == 0 else 1) - 2 * (-1) ** m
-                gap = parity_gap(mask_of(mu))
+                gap = parity_gap(mu.abacus)
                 assert signed(low, mu) == 2 * (-1) ** k * gap
                 assert signed(high, mu) == (0 if k % 2 == 0 else 1)
 
@@ -295,7 +295,7 @@ def test_top_level_steps_match_each_parent_on_every_odd_core():
         t = 1 << r
         for m in range(t):
             for mu in enumerate_odd_partitions(m):
-                core = mask_of(mu)
+                core = mu.abacus
                 for c in (0, 1):
                     assert mask_steps(core, t, c) == enumerated_steps(core, t, c), (mu, t, c)
                     checked += t
@@ -308,7 +308,7 @@ def test_top_level_sum_matches_the_parents_on_every_odd_core():
         t = 1 << r
         for m in range(t):
             for mu in enumerate_odd_partitions(m):
-                core = mask_of(mu)
+                core = mu.abacus
                 for c in (0, 1):
                     assert _top_level_sum(core, t, c) == enumerated_top_level_sum(core, t, c), (
                         mu, t, c)
@@ -326,7 +326,7 @@ def test_top_level_sum_matches_the_parents_on_every_odd_core():
 @example((256, [128] * 128), 1)
 def test_top_level_sum_matches_the_parents_on_any_core(t_and_parts, c):
     t, parts = t_and_parts
-    core = mask_of(Partition(tuple(sorted(parts, reverse=True))))
+    core = Partition(tuple(sorted(parts, reverse=True))).abacus
     assert core.bit_length() <= t
     steps = enumerated_steps(core, t, c)
     assert mask_steps(core, t, c) == steps

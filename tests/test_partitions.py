@@ -10,9 +10,8 @@ from dimlab.partitions import (
     dim_mod4,
     enumerate_partitions,
     hook_lengths,
-    mask_of,
 )
-from paper_facts import parts_partitions
+from paper_facts import first_column_abacus, parts_partitions
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
 
@@ -207,9 +206,24 @@ def test_enumerate_partitions_is_the_parts_recursion():
         want = list(parts_partitions(n))
         leaves = list(enumerate_partitions(n))
         # the kept abacus and size are read before the parts are first decoded
-        assert [leaf._abacus for leaf in leaves] == [mask_of(Partition(parts)) for parts in want]
+        assert [leaf.abacus for leaf in leaves] == [Partition(parts).abacus for parts in want]
         assert {leaf.size for leaf in leaves} == {n}
         assert [leaf.parts for leaf in leaves] == want
+
+
+def test_a_checked_partition_builds_its_abacus_once_when_read():
+    p = Partition((40, 3))
+    with pytest.raises(AttributeError):  # __init__ leaves the slot unset
+        object.__getattribute__(p, "abacus")
+    x = p.abacus
+    assert x == 1 << 41 | 1 << 3 and p.abacus is x
+
+
+def test_the_abacus_is_the_first_column_hooks():
+    for n in range(15):
+        for parts in parts_partitions(n):
+            p = Partition(parts)
+            assert p.abacus == first_column_abacus(p), parts
 
 
 def test_ordering_and_hashing():

@@ -6,7 +6,8 @@ public, checking constructor builds from its parts, size included.  A
 leaf of the odd stream also carries the dimension class its walk derived,
 which must equal the class computed afresh on that checked twin.  A
 partition built from an abacus decodes its parts only when they are first
-read, and then reads as its checked twin.  A tower is its int staircase
+read, and then reads as its checked twin; its hooks and dimensions never
+read them.  A tower is its int staircase
 heights, which nothing checks when the package builds them; they must pass
 the shape checks of paper_facts.check_tower_heights.
 """
@@ -19,9 +20,10 @@ from dimlab.beta_sets import BetaSet, shift_mask, t_core, to_partition
 from dimlab.core_towers import (CoreTower, combine, staircase, tower, tower_to_partition, two_core,
                                 two_quotient)
 from dimlab.enumeration import count_odd, enumerate_odd_partitions
-from dimlab.parents import all_parents, sign_flip_parity
-from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, mask_of, parts_of
-from paper_facts import check_tower_heights
+from dimlab.parents import all_parents, predict_parent_sign, sign_flip_parity
+from dimlab.partitions import (Partition, conjugate, dim_exact, dim_mod4, enumerate_partitions,
+                               hook_lengths, parts_of)
+from paper_facts import check_tower_heights, column_hook_lengths, parts_partitions
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))))
@@ -31,13 +33,13 @@ def assert_checked(leaf):
     checked = Partition(leaf.parts)
     assert type(leaf) is Partition and type(leaf.parts) is tuple
     assert (leaf.parts, leaf.size) == (checked.parts, checked.size)
-    # a kept abacus is canonical, as mask_of returns it
-    assert mask_of(leaf) == mask_of(checked)
+    # a kept abacus is canonical, as a checked partition encodes it
+    assert leaf.abacus == checked.abacus
 
 
 @given(partitions_st, st.integers(min_value=1, max_value=9))
 def test_leaves_of_the_abacus_moves_pass_the_checks(p, t):
-    x = shift_mask(mask_of(p), t)
+    x = shift_mask(p.abacus, t)
     shifted = BetaSet(h for h in range(x.bit_length()) if x >> h & 1)
     for leaf in (t_core(p, t), *two_quotient(p), tower_to_partition(tower(p)),
                  combine(*two_quotient(p), two_core(p)), conjugate(p), to_partition(shifted)):
@@ -97,7 +99,7 @@ def test_trusted_towers_pass_the_checks():
 
 @given(partitions_st, st.integers(min_value=0, max_value=64))
 def test_parts_of_drops_the_beads_packed_at_the_bottom(p, r):
-    assert parts_of(shift_mask(mask_of(p), r)) == p.parts
+    assert parts_of(shift_mask(p.abacus, r)) == p.parts
 
 
 def test_parts_of_the_empty_abacus():
@@ -135,6 +137,32 @@ def test_parents_and_their_signs_decode_no_leaf(decoded):
     assert decoded == []
 
 
+def test_hooks_and_dimensions_decode_no_parts(decoded):
+    for p in enumerate_partitions(12):
+        q = conjugate(p)
+        assert sorted(hook_lengths(q)) == sorted(hook_lengths(p))
+        assert (dim_exact(q), dim_mod4(q)) == (dim_exact(p), dim_mod4(p))
+    assert decoded == []
+
+
+def test_the_parents_dimensions_decode_no_parts(decoded):
+    core = Partition((3, 1))
+    recs = all_parents(core, 3)
+    assert [predict_parent_sign(rec, dim_mod4(core).sign) for rec in recs] == [
+        dim_mod4(rec.parent).sign for rec in recs]
+    assert len(recs) == 8 and decoded == []
+
+
+def test_hooks_read_off_the_abacus_match_the_parts_route(decoded):
+    # order included: the reference lists arm + leg + 1 row-major
+    for n in range(31):
+        for leaf, parts in zip(enumerate_partitions(n), parts_partitions(n), strict=True):
+            checked = Partition(parts)
+            want = column_hook_lengths(checked)
+            assert hook_lengths(leaf) == hook_lengths(checked) == want, parts
+    assert decoded == []
+
+
 def test_parts_are_decoded_once(decoded):
     leaf = list(enumerate_odd_partitions(13))[5]
     parts = leaf.parts
@@ -142,7 +170,7 @@ def test_parts_are_decoded_once(decoded):
     # built without a size, which its first read sums from the parts decoded once
     p = to_partition(BetaSet((9, 6, 4, 2, 1)))
     assert (p.size, p.size, p.parts, p.parts) == (12, 12, (5, 3, 2, 1, 1), (5, 3, 2, 1, 1))
-    assert decoded == [mask_of(leaf), 0b1001010110]
+    assert decoded == [leaf.abacus, 0b1001010110]
 
 
 @pytest.mark.parametrize("read", [str, len, hash, repr], ids=["str", "len", "hash", "repr"])
@@ -164,4 +192,5 @@ def test_an_unknown_attribute_is_an_attribute_error():
         with pytest.raises(AttributeError, match="'Partition' object has no attribute 'colour'"):
             p.colour
         assert not hasattr(p, "colour")
-    assert Partition((2, 1))._abacus is None  # built from parts, it keeps no abacus
+    with pytest.raises(AttributeError):  # built from parts, it has no abacus until read
+        object.__getattribute__(Partition((2, 1)), "abacus")
