@@ -12,7 +12,9 @@ instead, with the hook each parent adds, and the
 2-quotient as a parity split of the abacus with its string round trips,
 level by level, which the package reads off runner bead counts instead,
 the tower's residue class read off all its row weights, where the
-package stops at the first row that fixes it, and the full p(n) sweep,
+package sums the weights of its nodes and stops once that sum fixes the
+class, the tower built from its dense heights, where the package stores
+the nodes that are not packed as it visits them, and the full p(n) sweep,
 which places every partition and tests each square one for
 self-conjugacy, where the package walks one shape of each conjugate pair
 and counts it twice.  check_tower_heights checks the shape of a tower's
@@ -25,6 +27,7 @@ from typing import Iterator
 
 from dimlab.beta_sets import shift_mask
 from dimlab.binary_arith import _tables, factorial_sign_parity
+from dimlab.core_towers import CoreTower
 from dimlab.partitions import Partition, conjugate, conjugate_mask, normalize_mask
 
 
@@ -231,6 +234,20 @@ def tower_class(x: int) -> str:
         if w[j] <= 3 and (j + 1 == len(w) or w[j + 1] == 0):
             return "two_mod_4"
     return "other"
+
+
+def tower_of_heights(heights: tuple[tuple[int, ...], ...]) -> CoreTower:
+    """The tower with these dense heights: its nodes are the ancestors-or-self of the
+    nonzero heights, by heap id 2^k + j, and its size is the sum over rows of 2^k * w_k."""
+    flat = {2 ** k + j: h for k, row in enumerate(heights) for j, h in enumerate(row)}
+    live = set()
+    for i, h in flat.items():
+        # 0 is the root's parent
+        while h and i and i not in live:
+            live.add(i)
+            i //= 2
+    size = sum(h * (h + 1) // 2 * 2 ** (i.bit_length() - 1) for i, h in flat.items())
+    return CoreTower(tuple((i, flat[i]) for i in sorted(live)), size)
 
 
 def check_tower_heights(heights: tuple[tuple[int, ...], ...]) -> None:

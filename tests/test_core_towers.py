@@ -6,7 +6,7 @@ from dimlab.beta_sets import t_core
 from dimlab.core_towers import (
     TOWER_LIMIT,
     CoreTower,
-    _rows,
+    _nodes,
     classify_by_tower,
     combine,
     is_two_core,
@@ -20,13 +20,18 @@ from dimlab.core_towers import (
 )
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import Partition, conjugate, dim_mod4, enumerate_partitions, parts_of
-from paper_facts import check_tower_heights, split_rows, tower_class
+from paper_facts import check_tower_heights, split_rows, tower_class, tower_of_heights
 
 EMPTY = Partition(())
 
 
 def P(*parts):
     return Partition(parts)
+
+
+def split_heights(x):
+    # the parity-split rows as a tower's dense heights: no row over a packed root is one empty root
+    return tuple(map(tuple, split_rows(x))) or ((0,),)
 
 
 def test_staircase():
@@ -114,8 +119,9 @@ def test_tower_of_self_conjugate_partition_is_palindromic():
 
 
 def test_tower_of_empty_partition():
-    # the census yields no row over the packed root; tower falls back to one empty root
+    # the census yields no node under the packed root; the dense view is one empty root
     t = tower(EMPTY)
+    assert t.nodes == ()
     assert t.heights == ((0,),)
     assert t.depth == 1
     assert row_weights(t) == (0,)
@@ -145,14 +151,28 @@ def test_census_rows_match_the_parity_split_rows():
     # the reference splits each node's abacus by parity, level by level
     for n in range(0, 25):
         for p in enumerate_partitions(n):
-            assert list(_rows(p.abacus)) == list(split_rows(p.abacus)), p
+            assert tower(p).heights == split_heights(p.abacus), p
 
 
 @given(st.lists(st.integers(min_value=1, max_value=200), max_size=40))
 def test_census_rows_and_their_inverse_on_larger_partitions(parts):
     p = Partition(tuple(sorted(parts, reverse=True)))
-    assert list(_rows(p.abacus)) == list(split_rows(p.abacus))
+    assert tower(p).heights == split_heights(p.abacus)
     assert tower_to_partition(tower(p)) == p
+
+
+def test_nodes_are_the_ancestors_of_the_nonzero_heights():
+    # zero heights above a nonzero one stay, for the inverse descends through them
+    for n in range(0, 23):
+        for p in enumerate_partitions(n):
+            assert tower(p) == tower_of_heights(split_heights(p.abacus)), p
+    assert tower(P(3, 1)).nodes == ((1, 0), (2, 0), (5, 1))
+
+
+@given(st.lists(st.integers(min_value=1, max_value=200), max_size=40))
+def test_nodes_are_the_ancestors_of_the_nonzero_heights_on_larger_partitions(parts):
+    p = Partition(tuple(sorted(parts, reverse=True)))
+    assert tower(p) == tower_of_heights(split_heights(p.abacus))
 
 
 @pytest.mark.parametrize("parts", [
@@ -175,7 +195,17 @@ def test_round_trip_at_the_tower_limit(parts):
 def test_packed_abaci_have_no_rows():
     # 2^c - 1 holds its c beads in its first c positions: every runner below it is packed
     for c in range(65):
-        assert list(_rows((1 << c) - 1)) == [], c
+        assert list(_nodes((1 << c) - 1)) == [], c
+
+
+@pytest.mark.parametrize("parts", [(TOWER_LIMIT,), (1,) * TOWER_LIMIT],
+                         ids=["one-row", "one-column"])
+def test_a_row_or_a_column_stores_one_node_a_row(parts):
+    # the rows under the root hold 2^14 - 2 runners, and only the one over the top bead
+    # is not packed
+    t = tower(Partition(parts))
+    assert [i.bit_length() for i, _ in t.nodes] == list(range(1, t.depth + 1))
+    assert len(t.nodes) == t.depth == 14
 
 
 @pytest.mark.parametrize("shape", ["row", "column"])
@@ -184,7 +214,7 @@ def test_census_rows_and_their_inverse_on_rows_and_columns(shape):
     # packed; its conjugate (n,) has a single bead
     for n in range(513):
         p = Partition((n,) if shape == "row" and n else (1,) * n)
-        assert list(_rows(p.abacus)) == list(split_rows(p.abacus)), n
+        assert tower(p).heights == split_heights(p.abacus), n
         assert tower_to_partition(tower(p)) == p, n
 
 
@@ -228,6 +258,36 @@ def test_classification_agrees_with_residue_up_to_80(p):
     assert classify_by_tower(p) == residue_class(p)
 
 
+def node_valuation(p):
+    # Macdonald: v2 of the dimension is the sum of the tower's weights less n's binary digit sum
+    return sum(h * (h + 1) // 2 for _, h in tower(p).nodes) - p.size.bit_count()
+
+
+def test_node_weights_give_the_valuation():
+    for n in range(0, 21):
+        for p in enumerate_partitions(n):
+            assert node_valuation(p) == dim_mod4(p).v2, p
+
+
+@given(partitions_up_to(80))
+def test_node_weights_give_the_valuation_up_to_80(p):
+    assert node_valuation(p) == dim_mod4(p).v2
+
+
+def test_tower_its_inverse_and_the_class_read_no_dense_rows(monkeypatch):
+    reads = []
+    dense = CoreTower.heights
+    monkeypatch.setattr(CoreTower, "heights", property(lambda t: reads.append(t) or dense.fget(t)))
+    for n in range(0, 16):
+        for p in enumerate_partitions(n):
+            assert tower_to_partition(tower(p)) == p
+            classify_by_tower(p)
+    assert reads == []
+    # the spy sees a reader: the renderer reads the dense view
+    render_tower(tower(P(3, 1)))
+    assert len(reads) == 1
+
+
 def test_tower_validation():
     # each check's whole message
     with pytest.raises(ValueError, match="^a tower needs at least one row$"):
@@ -242,7 +302,7 @@ def test_tower_validation():
         check_tower_heights(((1,), (0, 0)))
     # a lone all-empty row is fine: it is the tower of the empty partition
     check_tower_heights(((0,),))
-    assert row_weights(CoreTower(((0,),))) == (0,)
+    assert row_weights(CoreTower((), 0)) == (0,)
 
 
 def test_tower_identity():
@@ -255,4 +315,4 @@ def test_tower_identity():
         a.rows = ()
     with pytest.raises(AttributeError):
         a.heights = ()
-    assert repr(a).startswith("CoreTower(heights=(")
+    assert repr(a).startswith("CoreTower(nodes=((")

@@ -7,9 +7,10 @@ leaf of the odd stream also carries the dimension class its walk derived,
 which must equal the class computed afresh on that checked twin.  A
 partition built from an abacus decodes its parts only when they are first
 read, and then reads as its checked twin; its hooks and dimensions never
-read them.  A tower is its int staircase
-heights, which nothing checks when the package builds them; they must pass
-the shape checks of paper_facts.check_tower_heights.
+read them.  A tower is the runners of its abacus that are not packed,
+with their int staircase heights, which nothing checks when the package
+builds them; the dense heights read off them must pass the shape checks of
+paper_facts.check_tower_heights and give back the same tower.
 """
 
 import pytest
@@ -17,13 +18,12 @@ from hypothesis import given, strategies as st
 
 from dimlab import partitions
 from dimlab.beta_sets import BetaSet, shift_mask, t_core, to_partition
-from dimlab.core_towers import (CoreTower, combine, staircase, tower, tower_to_partition, two_core,
-                                two_quotient)
+from dimlab.core_towers import combine, staircase, tower, tower_to_partition, two_core, two_quotient
 from dimlab.enumeration import count_odd, enumerate_odd_partitions
 from dimlab.parents import all_parents, predict_parent_sign, sign_flip_parity
 from dimlab.partitions import (Partition, conjugate, dim_exact, dim_mod4, enumerate_partitions,
                                hook_lengths, parts_of)
-from paper_facts import check_tower_heights, column_hook_lengths, parts_partitions
+from paper_facts import check_tower_heights, column_hook_lengths, parts_partitions, tower_of_heights
 
 partitions_st = st.lists(st.integers(min_value=1, max_value=12), max_size=10).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))))
@@ -91,7 +91,7 @@ def test_trusted_towers_pass_the_checks():
     for n in range(21):
         for p in enumerate_partitions(n):
             t = tower(p)
-            assert t == CoreTower(t.heights), p
+            assert t == tower_of_heights(t.heights), p
             assert type(t.heights) is tuple and all(type(row) is tuple for row in t.heights), p
             check_tower_heights(t.heights)
             check_tower_heights(tuple(row[::-1] for row in t.heights))
