@@ -14,13 +14,15 @@ shift and a t-hook removal moves one bit down by t.  The codec is in
 is clear, `parts_of` reads it back and `normalize_mask` drops the beads
 packed at the bottom.  `BetaSet` is the validated view of an abacus: it
 checks its elements once on the way in, keeps them as `mask`, and every
-move below goes through the int helpers.  No other module of the package
-imports this one.
+move below goes through the int helpers.  A partition built here gets
+its size from `abacus_size`, so its parts are decoded only when read.
+No other module of the package imports this one.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import count
 from typing import Iterable
 
 from .partitions import Partition, normalize_mask
@@ -68,7 +70,7 @@ def to_partition(x: BetaSet) -> Partition:
     >>> to_partition(BetaSet((9, 6, 4, 2, 1))).parts
     (5, 3, 2, 1, 1)
     """
-    return Partition._of_abacus(normalize_mask(x.mask))
+    return Partition._of_abacus(normalize_mask(x.mask), abacus_size(x.mask))
 
 
 def t_core(p: Partition, t: int) -> Partition:
@@ -79,7 +81,17 @@ def t_core(p: Partition, t: int) -> Partition:
     """
     if t < 1:
         raise ValueError(f"hook size must be positive, got {t}")
-    return Partition._of_abacus(t_core_mask(p.abacus, t))
+    core = t_core_mask(p.abacus, t)
+    return Partition._of_abacus(core, abacus_size(core))
+
+
+def abacus_size(x: int) -> int:
+    """|p| for any abacus of p: sum of bead positions - k(k-1)/2 for k beads.
+
+    That is one count per (bead, empty position below it): the run of 0s
+    below the j-th bead from the top counts j times.
+    """
+    return sum(map(operator.mul, count(), map(len, format(x, "b").split("1"))))
 
 
 def shift_mask(x: int, r: int) -> int:

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, NoReturn, Sequence
 
 from . import alternating, enumeration
 from .binary_arith import is_sparse
-from .core_towers import TOWER_LIMIT, render_tower, row_weights, staircase_text, tower
+from .core_towers import TOWER_LIMIT, row_weights, staircase_text, tower
 from .errors import SizeLimitError, quoted
 from .parents import all_parents, sign_flip_parity, predict_parent_sign
 from .partitions import Partition, _natural, dim_mod4
@@ -120,13 +120,11 @@ def _cmd_tower(args: argparse.Namespace) -> int:
     t = tower(args.partition)
     weights = row_weights(t)
     joined = ",".join(map(str, weights))
-    doc = {
-        "partition": str(args.partition),
-        "rows": [list(map(staircase_text, row)) for row in t.heights],
-        "weights": list(weights),
-    }
+    # each staircase is formatted once: the JSON rows are these cells, a text line joins a row
+    cells = [list(map(staircase_text, row)) for row in t.heights]
+    doc = {"partition": str(args.partition), "rows": cells, "weights": list(weights)}
     rows = [{"partition": str(args.partition), "weights": joined, "depth": t.depth}]
-    _emit(args, rows, [*render_tower(t), "w = " + joined], doc)
+    _emit(args, rows, [*map(" | ".join, cells), "w = " + joined], doc)
     return 0
 
 
@@ -137,25 +135,21 @@ def _cmd_parents(args: argparse.Namespace) -> int:
         raise
     except ValueError as exc:
         command_parser("parents").error(str(exc))
-    rows, text = [], []
     core_sign = dim_mod4(args.partition).sign
-    for rec in recs:
-        eta = sign_flip_parity(rec)
-        actual = dim_mod4(rec.parent).sign
-        predicted = predict_parent_sign(rec, core_sign) if rec.parent.size > 3 else None
-        rows.append({
-            "parent": str(rec.parent),
-            "kind": rec.kind,
-            "param": rec.param,
-            "affected": rec.affected,
-            "eta": eta,
-            "predicted": predicted,
-            "actual": actual,
-        })
-        pred = "?" if predicted is None else f"{predicted:+d}"
-        text.append(f"kind {rec.kind}  param {rec.param:>3}  affected {rec.affected:>3}  "
-                    f"eta {eta}  predicted {pred}  actual {actual:+d}  parent {rec.parent}")
-    _emit(args, rows, text)
+    rows = [{
+        "parent": str(rec.parent),
+        "kind": rec.kind,
+        "param": rec.param,
+        "affected": rec.affected,
+        "eta": sign_flip_parity(rec),
+        "predicted": predict_parent_sign(rec, core_sign) if rec.parent.size > 3 else None,
+        "actual": dim_mod4(rec.parent).sign,
+    } for rec in recs]
+    # the text lines are formatted from the rows only when --format text reads them
+    _emit(args, rows, (f"kind {r['kind']}  param {r['param']:>3}  affected {r['affected']:>3}  "
+                       f"eta {r['eta']}  predicted "
+                       f"{'?' if r['predicted'] is None else format(r['predicted'], '+d')}  "
+                       f"actual {r['actual']:+d}  parent {r['parent']}" for r in rows))
     return 0
 
 

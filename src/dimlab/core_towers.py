@@ -206,8 +206,3 @@ def classify_by_tower(p: Partition) -> str:
 def staircase_text(height: int) -> str:
     """str(staircase(height)) without building it: "h,h-1,...,1", "-" for height 0."""
     return ",".join(map(str, range(height, 0, -1))) or "-"
-
-
-def render_tower(t: CoreTower) -> list[str]:
-    """One string per row, nodes separated by ' | ', empty cores as '-'."""
-    return [" | ".join(map(staircase_text, row)) for row in t.heights]

@@ -3,9 +3,9 @@
 `dim_exact` and `dim_mod4` both read the hook product n! / prod of hook
 lengths off `hook_lengths`: one exactly, one through the tables of
 `binary_arith._tables`.  `Partition(...)` and `from_text` check their
-input; `Partition._of_abacus` builds the package's own from an abacus,
-and `Partition._of_abaci` builds many of one size in one loop, each with
-the class a walk derived.  `hook_lengths` reads the hooks off
+input; `Partition._of_abacus` builds the package's own from an abacus
+and its size, and `Partition._of_abaci` builds many of one size in one
+loop, each with the class a walk derived.  `hook_lengths` reads the hooks off
 `Partition.abacus`, so no dimension decodes parts.  `parts_of`,
 `conjugate_mask` and `normalize_mask` are the abacus codec.
 """
@@ -48,8 +48,9 @@ class Partition:
 
     The empty partition is Partition(()).  Text form is comma separated
     parts, with "-" standing for the empty partition.  `abacus` has bit h
-    set per first-column hook h.  A checked partition encodes it, and one
-    built from an abacus decodes its parts (and size), on first read only.
+    set per first-column hook h.  Every partition is built with its size;
+    a checked partition encodes its abacus, and one built from an abacus
+    decodes its parts, on first read only.
 
     >>> bin(Partition((2, 2, 2)).abacus)
     '0b11100'
@@ -71,14 +72,11 @@ class Partition:
         self._dim = None
 
     @classmethod
-    def _of_abacus(cls, x: int, size: int | None = None) -> "Partition":
-        # unchecked, for a canonical abacus the package built, bit 0 clear; parts, and size
-        # unless given, are unset until __getattr__.  It carries no class, so dim_mod4
-        # computes one
+    def _of_abacus(cls, x: int, size: int) -> "Partition":
+        # unchecked, for a canonical abacus the package built, bit 0 clear, and its size;
+        # parts are unset until __getattr__.  It carries no class, so dim_mod4 computes one
         p = object.__new__(cls)
-        p.abacus, p._dim = x, None
-        if size is not None:
-            p.size = size
+        p.abacus, p._dim, p.size = x, None, size
         return p
 
     @classmethod
@@ -97,15 +95,16 @@ class Partition:
         return out
 
     def __getattr__(self, name: str):
-        # reached only for an unset slot: parts and size built from an abacus, or the abacus
+        # reached only for an unset slot: the parts of one built from an abacus, or the abacus
         # of a checked partition, left unset by __init__: a part of 10^20 has no abacus in memory
         if name == "parts":
             self.parts = parts_of(self.abacus)
-        elif name == "size":
-            self.size = sum(self.parts)
         elif name == "abacus":
-            # the part i rows from the bottom is the bead part + i
-            self.abacus = sum(1 << part + i for i, part in enumerate(reversed(self.parts)))
+            # the inverse of parts_of, top down: a bead per part, then a 0 per unit it drops
+            # to the next part (the last to 0); base 2 converts in linear time, with no limit
+            parts = self.parts
+            self.abacus = int("".join("1" + "0" * (a - b) for a, b in
+                                      zip(parts, (*parts[1:], 0))) or "0", 2)
         else:
             raise AttributeError(f"'Partition' object has no attribute {name!r}")
         return getattr(self, name)

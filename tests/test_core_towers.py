@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from dimlab import partitions
 from dimlab.beta_sets import t_core
+from dimlab.cli import main
 from dimlab.core_towers import (
     TOWER_LIMIT,
     CoreTower,
@@ -10,7 +11,6 @@ from dimlab.core_towers import (
     classify_by_tower,
     combine,
     is_two_core,
-    render_tower,
     row_weights,
     staircase,
     tower,
@@ -27,6 +27,14 @@ EMPTY = Partition(())
 
 def P(*parts):
     return Partition(parts)
+
+
+def rendered(capsys, p):
+    """The rows `dimlab tower p` prints as text, one string a row; the weights line dropped."""
+    assert main(["tower", str(p)]) == 0
+    *rows, weights = capsys.readouterr().out.splitlines()
+    assert weights.startswith("w = ")
+    return rows
 
 
 def split_heights(x):
@@ -99,9 +107,9 @@ def test_combine_rejects_non_staircase_core():
         combine(P(1), P(1), P(2))
 
 
-def test_tower_of_a_medium_partition():
+def test_tower_of_a_medium_partition(capsys):
     t = tower(P(6, 5, 4, 2, 1, 1))
-    assert render_tower(t) == [
+    assert rendered(capsys, P(6, 5, 4, 2, 1, 1)) == [
         "2,1",
         "- | -",
         "1 | - | 1 | -",
@@ -112,20 +120,20 @@ def test_tower_of_a_medium_partition():
     assert sum(w << k for k, w in enumerate(row_weights(t))) == 19
 
 
-def test_tower_of_self_conjugate_partition_is_palindromic():
+def test_tower_of_self_conjugate_partition_is_palindromic(capsys):
     t = tower(P(3, 3, 3))
-    assert render_tower(t) == ["1", "- | -", "1 | - | - | 1"]
+    assert rendered(capsys, P(3, 3, 3)) == ["1", "- | -", "1 | - | - | 1"]
     assert tuple(row[::-1] for row in t.heights) == t.heights
 
 
-def test_tower_of_empty_partition():
+def test_tower_of_empty_partition(capsys):
     # the census yields no node under the packed root; the dense view is one empty root
     t = tower(EMPTY)
     assert t.nodes == ()
     assert t.heights == ((0,),)
     assert t.depth == 1
     assert row_weights(t) == (0,)
-    assert render_tower(t) == ["-"]
+    assert rendered(capsys, EMPTY) == ["-"]
 
 
 def test_tower_round_trip():
@@ -274,7 +282,7 @@ def test_node_weights_give_the_valuation_up_to_80(p):
     assert node_valuation(p) == dim_mod4(p).v2
 
 
-def test_tower_its_inverse_and_the_class_read_no_dense_rows(monkeypatch):
+def test_tower_its_inverse_and_the_class_read_no_dense_rows(monkeypatch, capsys):
     reads = []
     dense = CoreTower.heights
     monkeypatch.setattr(CoreTower, "heights", property(lambda t: reads.append(t) or dense.fget(t)))
@@ -283,8 +291,8 @@ def test_tower_its_inverse_and_the_class_read_no_dense_rows(monkeypatch):
             assert tower_to_partition(tower(p)) == p
             classify_by_tower(p)
     assert reads == []
-    # the spy sees a reader: the renderer reads the dense view
-    render_tower(tower(P(3, 1)))
+    # the spy sees a reader: the CLI's rendering reads the dense view, once
+    assert rendered(capsys, P(3, 1)) == ["-", "- | -", "- | 1 | - | -"]
     assert len(reads) == 1
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+from dimlab.core_towers import TOWER_LIMIT
 from dimlab.errors import SizeLimitError
 from dimlab.partitions import (
     DimClass,
@@ -224,6 +225,17 @@ def test_the_abacus_is_the_first_column_hooks():
         for parts in parts_partitions(n):
             p = Partition(parts)
             assert p.abacus == first_column_abacus(p), parts
+    # the long shapes at the tower's bound: a column, a row, and a staircase of size 9870
+    assert Partition((1,) * TOWER_LIMIT).abacus == (1 << TOWER_LIMIT + 1) - 2
+    assert Partition((TOWER_LIMIT,)).abacus == 1 << TOWER_LIMIT
+    assert Partition(tuple(range(140, 0, -1))).abacus == sum(1 << 2 * i + 1 for i in range(140))
+
+
+@given(blocks_up_to(300))
+@example(Partition((300,)))
+@example(Partition((1,) * 300))
+def test_a_drawn_abacus_is_the_first_column_hooks(p):
+    assert p.abacus == first_column_abacus(p)
 
 
 def test_ordering_and_hashing():

@@ -46,6 +46,19 @@ def test_leaves_of_the_abacus_moves_pass_the_checks(p, t):
         assert_checked(leaf)
 
 
+@given(partitions_st, st.integers(min_value=1, max_value=9))
+def test_every_partition_is_built_with_its_size(p, t):
+    x = shift_mask(p.abacus, t)
+    shifted = BetaSet(h for h in range(x.bit_length()) if x >> h & 1)
+    built = [to_partition(shifted), t_core(p, t), conjugate(p), staircase(t),
+             *(rec.parent for rec in all_parents(Partition((2, 1)), 3)),
+             *enumerate_partitions(t), *enumerate_odd_partitions(t + 4),
+             tower_to_partition(tower(p)), *two_quotient(p), combine(*two_quotient(p), two_core(p))]
+    # the slot itself, read before anything could decode the parts to sum them
+    sizes = [object.__getattribute__(q, "size") for q in built]
+    assert sizes == [Partition(q.parts).size for q in built]
+
+
 @given(st.integers(min_value=0, max_value=15), st.data())
 def test_parents_pass_the_checks(size, data):
     core = data.draw(st.sampled_from(list(enumerate_partitions(size))))
@@ -167,9 +180,10 @@ def test_parts_are_decoded_once(decoded):
     leaf = list(enumerate_odd_partitions(13))[5]
     parts = leaf.parts
     assert leaf.parts is parts and leaf.size == 13 and len(decoded) == 1
-    # built without a size, which its first read sums from the parts decoded once
+    # its size is read off the mask when it is built, so only its parts are decoded, once
     p = to_partition(BetaSet((9, 6, 4, 2, 1)))
-    assert (p.size, p.size, p.parts, p.parts) == (12, 12, (5, 3, 2, 1, 1), (5, 3, 2, 1, 1))
+    assert (p.size, p.size) == (12, 12) and decoded == [leaf.abacus]
+    assert (p.parts, p.parts) == ((5, 3, 2, 1, 1), (5, 3, 2, 1, 1))
     assert decoded == [leaf.abacus, 0b1001010110]
 
 
