@@ -120,10 +120,14 @@ def _cmd_tower(args: argparse.Namespace) -> int:
     t = tower(args.partition)
     weights = row_weights(t)
     joined = ",".join(map(str, weights))
-    # each staircase is formatted once: the JSON rows are these cells, a text line joins a row
+    rows = [{"partition": str(args.partition), "weights": joined, "depth": t.depth}]
+    if args.format == "csv":
+        _emit(args, rows, ())
+        return 0
+    # each staircase is formatted once, and only for the formats that print it: the
+    # JSON rows are these cells, a text line joins a row
     cells = [list(map(staircase_text, row)) for row in t.heights]
     doc = {"partition": str(args.partition), "rows": cells, "weights": list(weights)}
-    rows = [{"partition": str(args.partition), "weights": joined, "depth": t.depth}]
     _emit(args, rows, [*map(" | ".join, cells), "w = " + joined], doc)
     return 0
 

@@ -31,7 +31,14 @@ Every node of that search is a partition itself, so one walk sweeps a
 range of sizes and keeps a tally per size.  It places only the shapes
 whose first part is at least their row count, and counts twice each
 whose first part is larger, for its conjugate, which it skips; so it
-places about half of the partitions and counts each once.
+places about half of the partitions and counts each once.  The tally
+reads only the shapes of v2 at most 1, so the walk yields only those.
+Most shapes close a node with one last part, and the v2 of each is the
+node's carried valuation plus two terms, neither negative, that sit in
+the new hook's 16-bit field.  So one packed comparison over the node's
+fields, a SWAR "field less than t" test, picks out the closing parts of
+v2 at most 1, and the walk visits only those: a sweep of sizes 1 to 40
+covers 113,696 shapes and yields 8,691.
 """
 
 from __future__ import annotations
@@ -311,9 +318,41 @@ def _odd_abaci(n: int, half: bool = False) -> Iterator[tuple[int, int]]:
                 yield x, parity ^ step
 
 
+# a gain past any threshold: a field no closing part reaches fails the test
+_PAST = 0x100
+
+
+def _closing_tables(vfact: list[int]) -> tuple[int, list[int], list[int], list[int]]:
+    # the packed test of a node's closing parts, one 16-bit field per hook h
+    # as in the sweep's `diffs`.  A closing part p of a node of size k with r
+    # rows places hook h = p + r and lands at size h + o, o = k - r >= 0, so
+    # its v2 is the node's val plus V[h] + vfact[h + o] - vfact[h], V[h] the
+    # valuation byte of field h of diffs, and neither term is negative (vfact
+    # never falls).  `diffs >> 8 & high` holds V[h] in field h.  gain[o] holds
+    # vfact[h + o] - vfact[h] in field h up to hi - o, the last hook a closing
+    # part reaches, and _PAST above it.  under[t] holds 0x7FFF + t in every
+    # field, so field h of under[t] - gain[o] - V is 0x8000 + (t - 1 - f), f the
+    # part's v2 less val, and its bit 15 is set exactly when f < t.  above[j]
+    # holds bit 15 of fields j..hi.  Below 80 (`_sweep` refuses hi past
+    # ENUMERATION_LIMIT) no field borrows from the next: V[h] sums v2 over
+    # distinct differences h - y < 80, at most v2(79!) = 74; gain is at most
+    # vfact[80] = 78; the test runs at t = 2 - val, and a node's val is
+    # v2(dim) - v2(k!) for its size k < 80, at most 0 since dim divides k! and
+    # at least -vfact[79], so 2 <= t <= 76; so f <= 74 + _PAST and every
+    # field stays in [0x8000 - 74 - _PAST, 0x7FFF + 76], inside 16 bits
+    hi = len(vfact) - 1
+    ones = sum(1 << 16 * h for h in range(hi + 1))
+    gain = [sum((vfact[h + o] - vfact[h] if h + o <= hi else _PAST) << 16 * h
+                for h in range(hi + 1)) for o in range(hi + 1)]
+    under = [(0x7FFF + t) * ones for t in range(vfact[hi] + 3)]
+    above = [ones >> 16 * j << 16 * j + 15 for j in range(hi + 1)]
+    return 0xFF * ones, gain, under, above
+
+
 def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
     # (size, abacus, v2, sign parity, weight) of the dimension of one partition
-    # of each conjugate pair of a size in [lo, hi].  The hooks of a conjugate
+    # of each conjugate pair of a size in [lo, hi], for exactly the shapes of
+    # v2 at most 1, the ones `_sweep` tallies.  The hooks of a conjugate
     # are the same, so it shares v2 and sign: the walk visits only shapes with
     # first part at least their row count, weight 2 when the first part is
     # larger (the conjugate is not visited) and 1 when they are equal or the
@@ -327,6 +366,9 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
     # Each node is a partition, its terms carried without the n! term, which is
     # added per size.  A part of at most half the room left below hi makes a
     # node; a larger one closes the shape, placed only when it lands in range.
+    # Most shapes are closing parts, and most have v2 >= 2: one packed
+    # comparison over the node's fields (`_closing_tables`) picks out those
+    # below 2, and only their set bits are visited.
     v2s, signs, fact = _tables(1 << hi.bit_length())
     vfact = [k - k.bit_count() for k in range(hi + 1)]
     # a difference's valuation above bit 8, its sign parity below.  Field h (16
@@ -336,12 +378,13 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
     # adds row[h], its differences to every higher field.
     pair = [v << 8 | sign for v, sign in zip(v2s, signs)]
     row = [sum(pair[d] << 16 * (h + d) for d in range(1, hi + 1 - h)) for h in range(hi + 1)]
+    high, gain, under, above = _closing_tables(vfact)
     # a node: its difference fields, its top part, size, row count, abacus, v2, parity
     stack = [(0, 1, 0, 0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         diffs, low, k, r, x, val, par = pop()
-        if k >= lo and low >= r:
+        if k >= lo and low >= r and val + vfact[k] <= 1:
             yield k, x, val + vfact[k], par ^ fact[k], 2 if low > r > 0 else 1
         room = hi - k
         half = room >> 1
@@ -363,12 +406,18 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
             first = r + 1
         if first < low:
             first = low
-        for p in range(first, room + 1):
-            h = p + r
+        if first > room:
+            continue
+        # bit 15 of field h is set for the closing part p = h - r of v2 <= 1
+        keep = (under[2 - val] - gain[k - r] - (diffs >> 8 & high)) & above[first + r]
+        while keep:
+            bit = keep & -keep
+            keep ^= bit
+            h = (bit.bit_length() >> 4) - 1
             s = diffs >> 16 * h & 0xFFFF
-            size = k + p
+            size = k + h - r
             yield (size, x | 1 << h, val - vfact[h] + (s >> 8) + vfact[size],
-                   par ^ fact[h] ^ (s & 1) ^ fact[size], 1 if p == r + 1 else 2)
+                   par ^ fact[h] ^ (s & 1) ^ fact[size], 1 if h == 2 * r + 1 else 2)
 
 
 # the sweep's tally per size: residues 1, 2, 3, then the self-conjugate shapes

@@ -23,9 +23,10 @@ from .errors import SizeLimitError, quoted
 
 DIM_EXACT_LIMIT = 60
 # the largest n that enumerate_partitions, all_parents and the p(n) sweep of
-# enumeration._sweep take.  The sweep's 16-bit fields hold its sums only below
-# 80, and a cold _sweep(1, 80) took 37 s (one process, 2-core Xeon, Python 3.11;
-# 0.07 s to 40, 2.1 s to 60, 8.9 s to 70)
+# enumeration._sweep take.  The sweep's 16-bit fields hold its sums, and its
+# packed test of a node's closing parts, only below 80, and a cold
+# _sweep(1, 80) took 11-13 s (one fresh process each, 2-core Xeon, Python 3.11;
+# 0.03-0.05 s to 40, 0.7-1.0 s to 60, 2.8-3.7 s to 70; BENCH_34.json)
 ENUMERATION_LIMIT = 80
 
 
@@ -228,9 +229,9 @@ def dim_mod4(p: Partition) -> DimClass:
     of n! and of each hook of `hook_lengths`, the hooks `dim_exact`
     multiplies, read from `binary_arith._tables` at the power of two above
     n.  The oracle sweep `enumeration._classified`, which walks one
-    partition of each conjugate pair of a range of sizes, uses the
-    determinant form on the first-column hooks instead, so the two check
-    each other.
+    partition of each conjugate pair of a range of sizes and yields those
+    of valuation at most 1, uses the determinant form on the first-column
+    hooks instead, so the two check each other.
 
     A leaf of `enumerate_odd_partitions` carries the class that the
     walk's parent-sign step gave it, and that class is returned as it

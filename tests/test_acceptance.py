@@ -23,7 +23,6 @@ from dimlab.partitions import (
     conjugate_mask,
     dim_mod4,
     enumerate_partitions,
-    parts_of,
 )
 from paper_facts import binom_mod4_counts, parity_gap
 
@@ -54,19 +53,28 @@ def oracle():
     start = time.perf_counter()
     reports = {n: enumeration.oracle_counts(n) for n in range(1, ORACLE_MAX + 1)}
     elapsed = time.perf_counter() - start
-    # the sweep classifies one partition of each conjugate pair from the terms
-    # carried down to it; replay one walk over every size up to ORACLE_MAX,
-    # each shape of weight 2 with its conjugate, through dim_mod4 of a checked
-    # Partition, outside the timed sweep
-    masks = set()
+    # the sweep classifies one partition of each conjugate pair of v2 <= 1
+    # from the terms carried down to it; replay one walk over every size up to
+    # ORACLE_MAX, each shape of weight 2 with its conjugate, outside the timed
+    # sweep.  Every partition up to ORACLE_MAX goes through dim_mod4 of a
+    # checked Partition: one of v2 <= 1 must be walked, once, for its size and
+    # with its class, and one the walk leaves out must have v2 >= 2
+    walked = {}
     route_mismatches = []
     for n, x, v, parity, weight in enumeration._classified(0, ORACLE_MAX):
-        walked = DimClass(v, -1 if parity else 1)
         for y in (x, conjugate_mask(x))[:weight]:
-            masks.add(y)
-            p = Partition(parts_of(y))
-            if p.size != n or walked != dim_mod4(p):
+            if y in walked:
                 route_mismatches.append((n, y))
+            walked[y] = (n, DimClass(v, -1 if parity else 1))
+    masks = set()
+    for n in range(ORACLE_MAX + 1):
+        for q in enumerate_partitions(n):
+            p = Partition(q.parts)
+            masks.add(p.abacus)
+            want = dim_mod4(p)
+            if walked.pop(p.abacus, None) != ((n, want) if want.v2 <= 1 else None):
+                route_mismatches.append((n, p.abacus))
+    route_mismatches += walked.items()
     return {"reports": reports, "elapsed": elapsed,
             "route_checked": len(masks), "route_mismatches": route_mismatches}
 
@@ -256,7 +264,8 @@ def test_odd_stream_delta(oracle):
 
 @criterion("16 the sweep's walk and dim_mod4 agree on every partition up to 40")
 def test_dim_mod4_routes_agree_up_to_40(oracle):
-    # distinct leaves, each of the size it was walked for: every partition once
+    # every partition once through dim_mod4; the walk yields exactly those of
+    # v2 <= 1, each once, of the size and class it was walked with
     assert oracle["route_checked"] == 215_308  # p(0) + p(1) + ... + p(40)
     assert oracle["route_mismatches"] == []
 

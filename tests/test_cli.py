@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dimlab
-from dimlab import alternating, enumeration
+from dimlab import alternating, cli, enumeration
 from dimlab.alternating import AltReport
 from dimlab.cli import command_parser, main
 from dimlab.core_towers import TOWER_LIMIT, tower
 from dimlab.enumeration import CountReport
 from dimlab.errors import SizeLimitError
-from dimlab.partitions import Partition, enumerate_partitions
+from dimlab.partitions import Partition, dim_mod4, enumerate_partitions
 
 
 def run(capsys, *argv):
@@ -236,8 +236,10 @@ def test_verify_sweeps_its_whole_range_in_one_walk(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-n", "20")
     assert code == 0 and out.endswith("verify: ok up to n=20 (0 mismatches)\n")
     assert walks == [(1, 20)]
-    # the one walk's weights count every partition of 1..20
-    assert shapes == {n: sum(1 for _ in enumerate_partitions(n)) for n in range(1, 21)}
+    # the one walk's weights count every partition of 1..20 that the tally
+    # reads, those of v2 <= 1
+    assert shapes == {n: sum(dim_mod4(p).v2 <= 1 for p in enumerate_partitions(n))
+                      for n in range(1, 21)}
     # a range past the enumeration limit is refused before any walk
     enumeration.clear_caches()
     with pytest.raises(SizeLimitError, match="exceeds the enumeration bound 80$"):
@@ -376,6 +378,22 @@ def test_tower_csv_quotes_commas(capsys):
         ["partition", "weights", "depth"],
         ["6,5,4,2,1,1", "3,0,2,1", "4"],
     ]
+
+
+def test_tower_csv_formats_no_staircase(capsys, monkeypatch):
+    # csv prints the partition, weights and depth alone; the staircase cells are
+    # formatted only for text and json, which print them
+    calls = []
+    real = cli.staircase_text
+    monkeypatch.setattr(cli, "staircase_text", lambda h: calls.append(h) or real(h))
+    for header in ((), ("--header",)):
+        code, out, _ = run(capsys, "tower", "10000", "--format", "csv", *header)
+        assert code == 0 and out.endswith("10000,\"0,0,0,0,1,0,0,0,1,1,1,0,0,1\",14\n")
+    assert calls == []
+    for fmt in ("text", "json"):
+        assert run(capsys, "tower", "6,5,4,2,1,1", "--format", fmt)[0] == 0
+        assert len(calls) == 15, fmt
+        calls.clear()
 
 
 def test_tower_renderings_match_the_staircase_view(capsys):

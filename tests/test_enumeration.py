@@ -26,12 +26,12 @@ from dimlab.enumeration import (
     m4,
     oracle_counts,
 )
-from dimlab.binary_arith import bit_positions, is_sparse, top_two_bits
+from dimlab.binary_arith import _tables, bit_positions, is_sparse, top_two_bits
 from dimlab.errors import SizeLimitError
 from dimlab.parents import _hook_additions, _top_level_sum
 from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask, dim_exact,
                                dim_mod4, enumerate_partitions, normalize_mask)
-from paper_facts import _flip_parity, _sign_step, added_hooks, full_tallies
+from paper_facts import _flip_parity, _sign_step, added_hooks, full_classified, full_tallies
 
 # columns: n, a, a1, a2, a3, delta, m4
 FROZEN = [
@@ -326,11 +326,12 @@ def test_oracle_counts_past_40_match_the_exact_reference():
         assert (rep.a1, rep.a2, rep.a3) == rows[n], n
 
 
-def test_range_walk_places_every_partition_once_with_its_class():
-    # the reference class of each partition of k <= 18, from its checked twin;
-    # a shape of weight 2 stands for its conjugate too, which the walk skips
-    want = {(k, p.abacus): dim_mod4(Partition(p.parts))
-            for k in range(19) for p in enumerate_partitions(k)}
+def test_range_walk_places_every_partition_of_v2_at_most_1_once_with_its_class():
+    # the reference class of each partition of k <= 18 with v2 <= 1, from its
+    # checked twin; a shape of weight 2 stands for its conjugate too, which the
+    # walk skips
+    want = {(k, p.abacus): c for k in range(19) for p in enumerate_partitions(k)
+            if (c := dim_mod4(Partition(p.parts))).v2 <= 1}
     for lo in range(19):
         for hi in range(lo, 19):
             walked = [((k, y), DimClass(v, -1 if par else 1))
@@ -338,6 +339,53 @@ def test_range_walk_places_every_partition_once_with_its_class():
                       for y in (x, conjugate_mask(x))[:weight]]
             assert sorted(walked) == sorted(
                 item for item in want.items() if lo <= item[0][0] <= hi), (lo, hi)
+
+
+def test_range_walk_yields_the_v2_at_most_1_shapes_of_the_full_walk():
+    # the full walk classifies every partition of [0, 22].  A shape of weight 2
+    # stands for its conjugate too, which the walk skips; one of weight 1 is
+    # square and its conjugate, when another shape, is walked in its own right.
+    # So the shapes a range yields, each with its weight's share of its
+    # conjugate pair, are each partition of v2 <= 1 in range once, with its class
+    want = {x: (k, v, par) for k, x, v, par in full_classified(0, 22) if v <= 1}
+    for lo in range(23):
+        for hi in range(lo, 23):
+            walked = [(y, (k, v, par)) for k, x, v, par, weight in enumeration._classified(lo, hi)
+                      for y in (x, conjugate_mask(x))[:weight]]
+            assert len(walked) == len(dict(walked)), (lo, hi)
+            assert dict(walked) == {x: c for x, c in want.items() if lo <= c[0] <= hi}, (lo, hi)
+
+
+def test_the_packed_closing_test_holds_at_its_bounds():
+    # the tables at the enumeration bound, checked against the bounds their
+    # comment states: V[h] <= 74, a reachable gain <= 78, thresholds up to 76
+    # (the walk meets 2..76; 1 is checked too).  For every threshold t, fields
+    # of v2 less val of 0, t - 1, t and the largest stated, side by side: each
+    # field of under[t] - fields must be 0x7FFF + t - f, so none borrows, with
+    # bit 15 set exactly when f < t
+    hi = ENUMERATION_LIMIT
+    vfact = [k - k.bit_count() for k in range(hi + 1)]
+    high, gain, under, above = enumeration._closing_tables(vfact)
+    ones = high // 0xFF
+
+    def fields(packed):
+        return [packed >> 16 * h & 0xFFFF for h in range(hi + 1)]
+
+    v2s, _, _ = _tables(1 << hi.bit_length())
+    assert max(sum(v2s[1:h]) for h in range(hi + 1)) == 74
+    assert fields(high) == [0xFF] * (hi + 1) and high >> 16 * (hi + 1) == 0
+    assert all(g == (vfact[h + o] - vfact[h] if h + o <= hi else enumeration._PAST)
+               for o in range(hi + 1) for h, g in enumerate(fields(gain[o])))
+    assert max(vfact[h + o] - vfact[h] for o in range(hi + 1) for h in range(hi + 1 - o)) == 78
+    largest = 2 + vfact[hi - 1]
+    assert largest == 76 and len(under) > largest
+    assert all(above[j] == sum(1 << 16 * h + 15 for h in range(j, hi + 1)) for j in range(hi + 1))
+    for t in range(1, largest + 1):
+        values = (0, t - 1, t, 74 + 78, 74 + enumeration._PAST)
+        f = [values[h % len(values)] for h in range(hi + 1)]
+        got = fields(under[t] - sum(v << 16 * h for h, v in enumerate(f)))
+        assert got == [0x7FFF + t - v for v in f], t
+        assert [g >> 15 for g in got] == [int(v < t) for v in f], t
 
 
 def test_halved_sweep_tallies_as_the_full_sweep():
