@@ -36,16 +36,28 @@ def top_two_bits(n: int) -> int:
     return 1 + ((n >> (k - 1)) & 1)
 
 
-def bit_positions(n: int) -> frozenset[int]:
-    """Set of positions of the 1-digits in the binary expansion of n."""
+def position_sum(n: int) -> int:
+    """Sum of the positions of the 1-digits of n, from a few popcounts.
+
+    Mask k holds a 1 at each position whose index has bit k set, so the sum
+    is that of 2^k times the ones of n under mask k.
+
+    >>> position_sum(44)   # 101100: positions 2, 3 and 5
+    10
+    """
     if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
-    positions = []
-    while n:
-        low = n & -n
-        positions.append(low.bit_length() - 1)
-        n ^= low
-    return frozenset(positions)
+    masks = _position_masks((n.bit_length() - 1).bit_length())
+    return sum((n & mask).bit_count() << k for k, mask in enumerate(masks))
+
+
+@cache
+def _position_masks(k_max: int) -> tuple[int, ...]:
+    # mask k for k < k_max, over the 2^k_max positions below 2^(2^k_max): runs
+    # of 2^k zeros then 2^k ones, one block per period 2^(k+1)
+    ones = (1 << (1 << k_max)) - 1
+    return tuple(ones // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1) << (1 << k)
+                 for k in range(k_max))
 
 
 def sign_parity(n: int) -> int:

@@ -14,7 +14,12 @@ JSON document; one emitter writes whichever --format asks for.  CSV
 lines end in "\\n", --header prints the keys of the first row, and an
 absent value is written as an empty field.
 
-main parses argv with the parser of the command its first word names, built on first use.
+main reads the words after the command with that command's row of ARGUMENTS.
+The usual line, exact long options once each and the positionals in any order,
+every value passing the parser's type and choices, builds no parser.  Any other
+line (-h, --, an abbreviation, --opt=value, a repeat, a bad value) goes to the
+command's argparse parser, built on first use, which alone writes help, usage
+and error text.
 Timing lives in the benchmark (python3 perfbench/run.py), not here.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141
@@ -70,26 +75,81 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+# each command's arguments, in the order its parser adds them, each as the name and
+# keywords of one add_argument call.  command_parser builds argparse's parser from
+# them, and _read reads the usual line with them, so the two cannot disagree on a
+# name, a type, a choice or a default
+_COMMON = (("--format", {"choices": ("csv", "json", "text"), "default": "text",
+                         "help": "output encoding (default text)"}),
+           ("--header", {"action": "store_true", "default": False,
+                         "help": "with --format csv, print the schema header line first"}))
+ARGUMENTS = {
+    "counts": (*_COMMON, ("n", {"type": _positive_int})),
+    "verify": (*_COMMON, ("--max-n", {"type": _positive_int, "required": True, "metavar": "N"})),
+    "tower": (*_COMMON, ("partition", {
+        "type": _partition_arg,
+        "help": f"comma form, e.g. 6,5,4,2,1,1; refused past size {TOWER_LIMIT}"})),
+    "parents": (*_COMMON, ("partition", {"type": _partition_arg, "help": "the core, comma form"}),
+                ("--r", {"type": _positive_int, "required": True, "metavar": "R",
+                         "help": "hooks have length 2^R"})),
+    "alt": (*_COMMON, ("n", {"type": _positive_int})),
+}
+
+
 @functools.cache
 def command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command, built on the first call that names it."""
     parser = argparse.ArgumentParser(prog=f"dimlab {name}")
-    parser.add_argument("--format", choices=("csv", "json", "text"), default="text",
-                        help="output encoding (default text)")
-    parser.add_argument("--header", action="store_true",
-                        help="with --format csv, print the schema header line first")
-    if name in ("counts", "alt"):
-        parser.add_argument("n", type=_positive_int)
-    elif name == "verify":
-        parser.add_argument("--max-n", type=_positive_int, required=True, metavar="N")
-    elif name == "tower":
-        parser.add_argument("partition", type=_partition_arg,
-                            help=f"comma form, e.g. 6,5,4,2,1,1; refused past size {TOWER_LIMIT}")
-    else:  # parents
-        parser.add_argument("partition", type=_partition_arg, help="the core, comma form")
-        parser.add_argument("--r", type=_positive_int, required=True, metavar="R",
-                            help="hooks have length 2^R")
+    for argument, keywords in ARGUMENTS[name]:
+        parser.add_argument(argument, **keywords)
     return parser
+
+
+def _read(name: str, words: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace the parser of command name makes of words, read without it.
+
+    Only a line of the command's exact long options, each at most once and each
+    value not starting with "-", and its positionals, in any order, is read; every
+    value passes the parser's own type function and choices.  Any other line gives
+    None, and the parser reads it: -h, --, abbreviations, --opt=value, a repeat, a
+    word or value that starts with "-", a missing or extra word, a bad value.
+    """
+    arguments = dict(ARGUMENTS[name])
+    given, positionals = {}, []
+    rest = iter(words)
+    for word in rest:
+        if not word.startswith("-"):
+            positionals.append(word)
+        elif word not in arguments or word in given:
+            return None
+        elif arguments[word].get("action") == "store_true":
+            given[word] = True
+        else:
+            value = given[word] = next(rest, "-")
+            if value.startswith("-"):
+                return None
+    names = [argument for argument in arguments if not argument.startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    given.update(zip(names, positionals))
+    args = argparse.Namespace()
+    for argument, keywords in arguments.items():
+        if argument in given:
+            value = given[argument]
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default")
+        # argparse's dest: --max-n is max_n
+        setattr(args, argument.lstrip("-").replace("-", "_"), value)
+    return args
 
 
 def _emit(args: argparse.Namespace, rows: list[dict], text: Iterable[str],
@@ -257,8 +317,13 @@ def _run(argv: Sequence[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         if argv and argv[0] in COMMANDS:
-            # the command's own parser refuses, so its usage line names the command
-            return COMMANDS[argv[0]][1](command_parser(argv[0]).parse_args(argv[1:]))
+            # the usual line is read without argparse; the command's own parser reads
+            # the rest and refuses, so its usage line names the command
+            name, words = argv[0], argv[1:]
+            args = _read(name, words)
+            if args is None:
+                args = command_parser(name).parse_args(words)
+            return COMMANDS[name][1](args)
         _top_level(argv)
     except SystemExit as exc:
         # argparse exits with an int status, having printed its message

@@ -49,7 +49,7 @@ from itertools import chain
 from math import comb
 from typing import Iterator
 
-from .binary_arith import _tables, bit_positions, is_sparse, top_two_bits
+from .binary_arith import _tables, is_sparse, position_sum, top_two_bits
 from .errors import SizeLimitError, size_text
 from .parents import _hook_additions, _top_level_sum
 from .partitions import ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask
@@ -110,7 +110,7 @@ def count_odd(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    exponent = sum(bit_positions(n))
+    exponent = position_sum(n)
     if exponent >= 64:
         raise SizeLimitError(
             f"odd-partition count of {size_text(n)} needs 2^{exponent}, past the 64-bit line")
@@ -156,7 +156,7 @@ def _delta(n: int) -> tuple[int, str]:
     # in closed form, so no leaf is built, and doubles the sum: a core and its
     # conjugate share their sign and their parents' signs.  m > 2, so no core
     # is self-conjugate
-    exponent = sum(bit_positions(n))
+    exponent = position_sum(n)
     if exponent > WALK_CEILING:
         raise SizeLimitError(
             f"delta of {size_text(n)} has no closed form (leading 11 with extra ones), and its "

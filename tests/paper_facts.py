@@ -18,7 +18,9 @@ the nodes that are not packed as it visits them, and the full p(n) sweep,
 which places every partition and tests each square one for
 self-conjugacy, where the package walks one shape of each conjugate pair
 and counts it twice.  check_tower_heights checks the shape of a tower's
-heights, which the package builds unchecked.
+heights, which the package builds unchecked.  bit_positions lists the
+1-digits of n one at a time, where the package sums their positions from
+a few masked popcounts.
 They hold no assert:
 pytest rewrites none outside test modules, and python -O strips them.
 """
@@ -29,6 +31,18 @@ from dimlab.beta_sets import shift_mask
 from dimlab.binary_arith import _tables, factorial_sign_parity
 from dimlab.core_towers import CoreTower
 from dimlab.partitions import Partition, conjugate, conjugate_mask, normalize_mask
+
+
+def bit_positions(n: int) -> frozenset[int]:
+    """Set of positions of the 1-digits in the binary expansion of n."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    positions = []
+    while n:
+        low = n & -n
+        positions.append(low.bit_length() - 1)
+        n ^= low
+    return frozenset(positions)
 
 
 def parity_gap(x: int) -> int:

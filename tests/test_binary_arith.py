@@ -1,18 +1,19 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dimlab import binary_arith
 from dimlab.binary_arith import (
-    bit_positions,
     factorial_sign_parity,
     is_sparse,
+    position_sum,
     sign_parity,
     top_two_bits,
     v2,
 )
-from paper_facts import binom_mod4_counts
+from paper_facts import binom_mod4_counts, bit_positions
 
 
 def test_v2_values():
@@ -41,6 +42,20 @@ def test_bit_positions():
     assert bit_positions(42) == {1, 3, 5}
     assert bit_positions(1) == {0}
     assert sum(bit_positions(44)) == 10
+
+
+def test_position_sum_is_the_sum_of_the_bit_positions():
+    # the popcount route against the one that lists every 1-digit, on every n
+    # below 2^12 and on seeded 1000-bit n, whose masks are the longest cached
+    for n in range(1 << 12):
+        assert position_sum(n) == sum(bit_positions(n)), n
+    rng = random.Random(12)
+    for _ in range(50):
+        n = rng.getrandbits(1000) | 1 << 999
+        assert position_sum(n) == sum(bit_positions(n))
+    assert position_sum((1 << 1000) - 1) == 999 * 1000 // 2
+    with pytest.raises(ValueError):
+        position_sum(-1)
 
 
 def test_odd_sign_values():

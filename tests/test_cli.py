@@ -579,7 +579,11 @@ def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
     code, out, err = run(capsys, "counts", "6", "--format", "json")
     assert (code, err) == (0, "") and json.loads(out)["a1"] == 8
-    # neither the top-level parser nor another command's parser is built
+    # the usual line is read without argparse: no parser is built
+    assert built == []
+    # a line the reader declines, here an abbreviated option, meets the command's own
+    # parser, and neither the top-level parser nor another command's is built
+    assert run(capsys, "counts", "6", "--form", "json") == (0, out, "")
     assert built == ["dimlab counts"]
 
 
@@ -624,17 +628,94 @@ _flags = st.one_of(
     st.tuples(st.sampled_from(["--max-n", "--r", "--oracle-bound"]), _numbers).map(list))
 
 
+_positionals = st.lists(st.one_of(_numbers, _partition_texts), max_size=2)
+_flag_lists = st.lists(_flags, max_size=3)
+
+
+def _line(positional, flags):
+    return [*positional, *(word for flag in flags for word in flag)]
+
+
 # no deadline: a cold verify --max-n 40 sweeps 215,308 partitions
 @settings(deadline=None)
 @given(st.sampled_from(["counts", "verify", "tower", "parents", "alt", "bench", "-h", "--",
                         "--format"]),
-       st.lists(st.one_of(_numbers, _partition_texts), max_size=2),
-       st.lists(_flags, max_size=3))
+       _positionals, _flag_lists)
 def test_fuzzed_command_lines_exit_0_or_2(command, positional, flags):
-    argv = [command, *positional, *(word for flag in flags for word in flag)]
+    argv = [command, *_line(positional, flags)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2), (argv, code, err.getvalue())
     if code == 2:
         assert out.getvalue() == "" and err.getvalue(), argv
+
+
+# lines after the command word that only argparse reads, or that test how the reader
+# reads option order
+READER_LINES = [
+    ["6", "--format=json"], ["6", "--form", "json"], ["6", "--header", "--header"],
+    ["6", "--format", "json", "--format", "csv"], ["--format", "json", "6"],
+    ["--header", "6", "--format", "csv"], ["--", "6"], ["6", "--"], ["-h"], ["6", "--help"],
+    ["-"], ["-6"], [""], ["6", "7"], ["6", "--format"], ["6", "--format", "-"],
+    ["6", "--format", "xml"], ["6", "--format", ""], ["--max-n", "6"], ["--max-n", "-6"],
+    ["--max-n", "6", "--max-n", "7"], ["--max-n", "0"], ["1", "--r", "2"], ["--r", "2", "1"],
+    ["1", "--r"], ["1", "--r", "2", "--r", "3"], ["3,1", "--r", "x"], ["x"], ["1,3"],
+]
+
+# the usual line of each command: its positional or required option, then the options
+USUAL = {
+    "counts": (["6"], ["--format", "json"]),
+    "alt": (["9"], ["--format", "csv", "--header"]),
+    "verify": (["--max-n", "28"], ["--format", "json"]),
+    "tower": (["6,5,4,2,1,1"], ["--format", "text", "--header"]),
+    "parents": (["1", "--r", "2"], ["--format", "json"]),
+}
+
+
+def _parsed(command, words):
+    # the command parser's Namespace of words, or None where it refuses or helps
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return command_parser(command).parse_args(words)
+        except SystemExit:
+            return None
+
+
+def _assert_reader_agrees(command, words):
+    # the reader declines, or makes the parser's own Namespace
+    read = cli._read(command, list(words))
+    assert read is None or read == _parsed(command, words), (command, words, read)
+
+
+@pytest.mark.parametrize("words", READER_LINES, ids=" ".join)
+@pytest.mark.parametrize("command", USUAL)
+def test_the_reader_declines_or_agrees_with_argparse(command, words):
+    _assert_reader_agrees(command, words)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(list(USUAL)),
+       st.one_of(st.builds(_line, _positionals, _flag_lists), st.sampled_from(READER_LINES)))
+def test_the_reader_agrees_with_argparse_on_fuzzed_lines(command, words):
+    _assert_reader_agrees(command, words)
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "6", "--format=json"], ["counts", "6", "--form", "json"], ["counts", "-h"],
+    ["counts", "6", "--header", "--header"], ["counts", "6", "--format", "json", "--format", "csv"],
+    ["counts", "--", "6"], ["counts", "-6"], ["counts", "6", "7"], ["counts", "0"],
+    ["counts", "6", "--format", "xml"], ["tower", "-"], ["verify", "--format", "json"],
+    ["verify", "--max-n", "6", "--max-n", "6"], ["parents", "1", "--r"]], ids=" ".join)
+def test_the_reader_leaves_other_lines_to_argparse(argv):
+    # the reader keeps to exact options, each once, with values its checks pass:
+    # a repeat, an abbreviation, -h or a refused value is argparse's to read
+    assert cli._read(argv[0], argv[1:]) is None
+
+
+@pytest.mark.parametrize("command", USUAL)
+def test_the_usual_line_of_each_command_is_read_without_argparse(command):
+    head, options = USUAL[command]
+    for words in ([*head, *options], [*options, *head]):
+        read = cli._read(command, words)
+        assert read is not None and read == _parsed(command, words), words

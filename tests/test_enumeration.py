@@ -26,12 +26,13 @@ from dimlab.enumeration import (
     m4,
     oracle_counts,
 )
-from dimlab.binary_arith import _tables, bit_positions, is_sparse, top_two_bits
+from dimlab.binary_arith import _tables, is_sparse, top_two_bits
 from dimlab.errors import SizeLimitError
 from dimlab.parents import _hook_additions, _top_level_sum
 from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask, dim_exact,
                                dim_mod4, enumerate_partitions, normalize_mask)
-from paper_facts import _flip_parity, _sign_step, added_hooks, full_classified, full_tallies
+from paper_facts import (_flip_parity, _sign_step, added_hooks, bit_positions, full_classified,
+                         full_tallies)
 
 # columns: n, a, a1, a2, a3, delta, m4
 FROZEN = [
