@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import os
@@ -167,11 +166,10 @@ def _emit(args: argparse.Namespace, rows: list[dict], text: Iterable[str],
             print(line)
 
 
-def _cmd_report(args: argparse.Namespace, report_of: Callable[[int], object]) -> int:
-    # counts and alt: one report dataclass, its fields in every format, read
-    # as they are: asdict would deep-copy every int
-    report = report_of(args.n)
-    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+def _cmd_report(args: argparse.Namespace,
+                report_of: Callable[[int], enumeration.CountReport | alternating.AltReport]) -> int:
+    # counts and alt: one report, its fields in every format
+    fields = report_of(args.n)._asdict()
     _emit(args, [fields], (f"{key} = {value}" for key, value in fields.items()), fields)
     return 0
 

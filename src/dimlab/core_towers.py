@@ -19,8 +19,7 @@ through them.  Conjugating the partition mirrors every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SizeLimitError, size_text
 from .partitions import Partition, normalize_mask
@@ -136,14 +135,12 @@ def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     return _partition(nodes, core.size + 2 * (q0.size + q1.size))
 
 
-@dataclass(frozen=True)
-class CoreTower:
+class CoreTower(NamedTuple):
     """A tower's runners that are not packed: (heap id 2^k + j, height), top down.
 
     Node j of row k has children 2j and 2j + 1; an unlisted runner is packed, height 0.
     `size` is |p|.  `heights` (dense rows), `rows` (their staircases) and `depth` are built
-    when read.  Not slotted: the regenerated class of a slotted frozen dataclass raises
-    TypeError, not AttributeError, when a property is assigned.
+    when read.
     """
 
     nodes: tuple[tuple[int, int], ...]

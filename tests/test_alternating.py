@@ -6,7 +6,6 @@ from math import prod
 import pytest
 
 from dimlab.alternating import (
-    AltReport,
     a_circ,
     alternating_oracle,
     delta_circ,
@@ -144,13 +143,6 @@ def test_oracle_bounds():
     assert str(alt.value).endswith(f"enumeration bound {ENUMERATION_LIMIT}")
     with pytest.raises(TypeError):
         alternating_oracle(9, oracle_bound=8)
-
-
-def test_report_invariants():
-    with pytest.raises(ValueError, match="a1_circ"):
-        AltReport(9, 9, 5, 3, 2, 2, "formula")
-    with pytest.raises(ValueError, match="delta_circ"):
-        AltReport(9, 8, 5, 3, 0, 2, "formula")
 
 
 def test_diagonal_hooks_carry_the_odd_sign():

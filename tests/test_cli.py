@@ -2,7 +2,6 @@ import argparse
 import collections
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -319,6 +318,19 @@ def test_closed_stdout_exits_quietly():
     assert proc.returncode == 141
 
 
+def test_a_cold_counts_call_loads_no_dataclasses():
+    # the reports are NamedTuples: a fresh process that imports the CLI and
+    # answers counts 6 loads neither dataclasses nor what it imports
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dimlab.__file__)))
+    code = ("import sys\nfrom dimlab.cli import main\nmain(['counts', '6'])\n"
+            "print(*sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("n = 6\na = 8\n")
+    assert proc.stderr == "\n"
+
+
 def test_verify_needs_bound(capsys):
     # the sweep's one limit refuses, as the size refusals of counts do
     code, out, err = run(capsys, "verify", "--max-n", "81")
@@ -520,8 +532,8 @@ def test_oracle_bound_only_where_it_is_used(capsys):
 
 # every subcommand, with the keys its CSV rows carry
 COMMANDS = {
-    "counts": (["counts", "13"], [f.name for f in dataclasses.fields(CountReport)]),
-    "alt": (["alt", "9"], [f.name for f in dataclasses.fields(AltReport)]),
+    "counts": (["counts", "13"], list(CountReport._fields)),
+    "alt": (["alt", "9"], list(AltReport._fields)),
     "tower": (["tower", "6,5,4,2,1,1"], ["partition", "weights", "depth"]),
     "parents": (["parents", "-", "--r", "2"],
                 ["parent", "kind", "param", "affected", "eta", "predicted", "actual"]),

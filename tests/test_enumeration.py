@@ -420,15 +420,19 @@ def test_range_walk_refuses_past_the_enumeration_limit_before_it_starts(monkeypa
     assert walks == []
 
 
-def test_report_invariants_are_enforced():
-    with pytest.raises(ValueError, match="a1 \\+ a3"):
-        CountReport(6, 9, 8, 2, 0, 8, 10, "formula")
-    with pytest.raises(ValueError, match="delta"):
-        CountReport(6, 8, 8, 2, 0, 4, 10, "formula")
-    with pytest.raises(ValueError, match="a \\+ a2"):
-        CountReport(6, 8, 8, 2, 0, 8, 11, "formula")
-    with pytest.raises(ValueError, match="source"):
-        CountReport(6, 8, 8, 2, 0, 8, 10, "guess")
+def test_every_report_the_package_builds_holds_its_invariants():
+    # the reports check nothing when built: each constructor derives a, delta
+    # and m4 (a_circ and delta_circ) from the residue counts, and this holds it
+    for n in range(1, 41):
+        for rep in (formula_counts(n), oracle_counts(n)):
+            assert rep.a == rep.a1 + rep.a3, rep
+            assert rep.delta == rep.a1 - rep.a3, rep
+            assert rep.m4 == rep.a + rep.a2, rep
+            assert rep.source in ("formula", "oracle", "mixed"), rep
+        if n >= 3:
+            for alt in (alternating.formula_alt_counts(n), alternating.alternating_oracle(n)):
+                assert alt.a_circ == alt.a1_circ + alt.a3_circ, alt
+                assert alt.delta_circ == alt.a1_circ - alt.a3_circ, alt
 
 
 def test_sources():
@@ -459,10 +463,13 @@ def test_reports_hold_their_invariants_or_refuse(n):
     with mock.patch.object(enumeration, "WALK_CEILING", 10):
         rep = _report_or_refusal(formula_counts, n)
         if rep is not None:
-            assert rep.a1 + rep.a3 == count_odd(n)
+            assert rep.a == rep.a1 + rep.a3 == count_odd(n)
+            assert rep.delta == rep.a1 - rep.a3
             assert (rep.a + rep.delta) % 2 == 0
             assert rep.m4 == rep.a + rep.a2
+            assert rep.source in ("formula", "mixed")
         alt = _report_or_refusal(alternating.formula_alt_counts, n)
         if alt is not None:
+            assert alt.a_circ == alt.a1_circ + alt.a3_circ
             assert (alt.a_circ + alt.delta_circ) % 2 == 0
             assert alt.a1_circ - alt.a3_circ == alt.delta_circ
