@@ -7,13 +7,15 @@ a1 - a3 recurses whenever the two leading digits are "10".  Inputs whose
 binary expansion starts "11" and carries three or more ones have no
 proved formula; for those the signed difference falls back to a signed
 walk over the odd-partition stream and says so in its status flag.  The
-stream takes each core's parents, each with its sign step, from
-`parents._hook_additions`, which lists them for `all_parents` too and
-reads the core's step masks (`parents._top_level_steps`) once; the
-stream builds that core's leaves in one list.  The fallback visits
-only the a(n - t) odd cores below n's top bit t and sums the signs
-of a core's t parents by popcounts of those masks (`parents._top_level_sum`),
-so it builds no partition, visits none of the a(n) = t * a(n - t) leaves
+stream takes each core's parents, each with its own sign parity, from
+`parents._hook_additions(core, n, parity)`, which lists them for
+`all_parents` too, reads the core's step masks
+(`parents._top_level_steps`) once and is the one place that flips every
+step when n starts "10"; the stream builds that core's leaves in one
+list.  The fallback, whose n starts "11", visits only the a(n - t) odd
+cores below n's top bit t and sums the signs of a core's t parents by
+popcounts of those masks (`parents._top_level_sum(core, t)`), so it
+builds no partition, visits none of the a(n) = t * a(n - t) leaves
 and computes no dimension.  A partition and its conjugate have the same
 hooks, so the same dimension, and conjugate cores have the same sum over
 their parents: the fallback visits one core of each conjugate pair and
@@ -48,10 +50,10 @@ from itertools import chain
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .binary_arith import _tables, is_sparse, position_sum, top_two_bits
+from .binary_arith import _tables, is_sparse, position_sum
 from .errors import SizeLimitError, size_text
 from .parents import _hook_additions, _top_level_sum
-from .partitions import ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask
+from .partitions import ENUMERATION_LIMIT, Partition, conjugate_mask
 
 # the fallback answers only n with at most 2^WALK_CEILING odd partitions, its
 # one limit.  That count a(n) = t * a(n - t) still bounds the work: a(n - t)
@@ -60,9 +62,6 @@ from .partitions import ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask
 # peers with 2^15 cores (t = 128), took 0.05-0.07 s cold (a fresh process, best
 # of 5, shared 2-core Xeon, Python 3.11; BENCH_23.json)
 WALK_CEILING = 22
-
-# the class of an odd dimension whose odd part is 1 and 3 mod 4, by sign parity
-_ODD_CLASSES = (DimClass(0, 1), DimClass(0, -1))
 
 EXACT = "exact-formula"
 FALLBACK = "walk-fallback"
@@ -149,8 +148,8 @@ def _delta(n: int) -> tuple[int, str]:
         raise SizeLimitError(
             f"delta of {size_text(n)} has no closed form (leading 11 with extra ones), and its "
             f"walk over 2^{exponent} odd partitions is past the walk's ceiling of 2^{WALK_CEILING}")
-    t, c = 1 << r, top_two_bits(n) & 1
-    return (2 * scale * sum(_top_level_sum(core, t, c) * (1 - 2 * parity)
+    t = 1 << r
+    return (2 * scale * sum(_top_level_sum(core, t) * (1 - 2 * parity)
                             for core, parity in _odd_abaci(m, half=True)), FALLBACK)
 
 
@@ -257,53 +256,40 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     Partitions whose parts are decoded only when first read, and the
     lists are chained, so memory stays at one core's leaves.  n is
     checked when the function is called, not when the stream is first
-    read.  Each leaf carries the class that the parent-sign step, read
-    off its core's step masks, gave it, and `dim_mod4` returns that
-    class without computing.  The tests check those classes against
-    `dim_mod4` of the checked twin `Partition(leaf.parts)`, which computes
-    the hook product, and against the sweep's determinant form.
+    read.  Each leaf carries the class of the sign parity that
+    `_hook_additions` gave it off its core's step masks, and `dim_mod4`
+    returns that class without computing.  The tests check those classes
+    against `dim_mod4` of the checked twin `Partition(leaf.parts)`, which
+    computes the hook product, and against the sweep's determinant form.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if n < 2:
-        return iter(Partition._of_abaci((n << 1,), n, (0,), _ODD_CLASSES))
-    t = 1 << (n.bit_length() - 1)
-    # the classes by step, at a core of sign parity 0 and 1
-    by_step = (_ODD_CLASSES, _ODD_CLASSES[::-1])
-    c = top_two_bits(n) & 1
-    return chain.from_iterable(_leaves(core, t, n, by_step[parity ^ c])
-                               for core, parity in _odd_abaci(n - t))
-
-
-def _leaves(core: int, t: int, n: int, classes: tuple[DimClass, DimClass]) -> list[Partition]:
-    # the t leaves of one core, each with the class its step picks
-    abaci, steps = _hook_additions(core, t)
-    return Partition._of_abaci(abaci, n, steps, classes)
+        return iter(Partition._of_abaci((n << 1,), (0,), n))
+    return chain.from_iterable(Partition._of_abaci(*_hook_additions(core, n, parity), n)
+                               for core, parity in _odd_abaci(n - (1 << n.bit_length() - 1)))
 
 
 def _odd_abaci(n: int, half: bool = False) -> Iterator[tuple[int, int]]:
     # (abacus, sign parity) per odd partition of n, the parity 1 when the
-    # dimension is 3 mod 4: each parent _hook_additions yields for each odd
-    # core of n - t, its parity the core's XOR the parent's step, flipped when
-    # n's top two bits are "10".  That also gives parity 0 at sizes 2 and 3,
-    # but not at size 1, whose hook has length t = 1, so 0 and 1 are the base:
-    # the abaci of () and (1).  With half, for n >= 2, one partition of each
-    # conjugate pair: the parents of () or (1) pair off under conjugation, none
-    # self-conjugate, so the level above the base keeps the smaller canonical
-    # abacus of each pair, and the parents of a conjugate are the conjugates
-    # of the parents, so the levels above it keep one of each pair too
+    # dimension is 3 mod 4: each parent, with its own parity, that
+    # _hook_additions lists for each odd core of n - t, t the top bit of n.
+    # That also gives parity 0 at sizes 2 and 3, but not at size 1, whose
+    # hook has length t = 1, so 0 and 1 are the base: the abaci of () and
+    # (1).  With half, for n >= 2, one partition of each conjugate pair: the
+    # parents of () or (1) pair off under conjugation, none self-conjugate,
+    # so the level above the base keeps the smaller canonical abacus of each
+    # pair, and the parents of a conjugate are the conjugates of the parents,
+    # so the levels above it keep one of each pair too
     if n < 2:
         yield n << 1, 0
         return
-    t = 1 << (n.bit_length() - 1)
-    c = top_two_bits(n) & 1
-    pairs = half and n - t < 2
-    for core, parity in _odd_abaci(n - t, half):
-        parity ^= c
-        abaci, steps = _hook_additions(core, t)
-        for x, step in zip(abaci, steps):
+    m = n - (1 << n.bit_length() - 1)
+    pairs = half and m < 2
+    for core, parity in _odd_abaci(m, half):
+        for x, own in zip(*_hook_additions(core, n, parity)):
             if not pairs or x < conjugate_mask(x):
-                yield x, parity ^ step
+                yield x, own
 
 
 # a gain past any threshold: a field no closing part reaches fails the test

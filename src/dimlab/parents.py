@@ -8,9 +8,10 @@ leaves position 2^R empty.  The sign of a parent's dimension follows the
 core's sign up to a parity computable from the hook set alone, which is
 the engine behind all the signed counting downstream.  `_top_level_steps`
 gives that parity for all 2^R parents of a core at once, one bit each.
-`_hook_additions` lists the parents in one pass, as parallel lists of
-parent abaci and bits, for `all_parents` and the odd stream alike, and
-`_top_level_sum` counts the bits.  The tests keep a
+`_hook_additions` lists the parents of size n in one pass, as parallel
+lists of parent abaci and their own sign parities, for `all_parents` and
+the odd stream alike; it alone flips every bit when n starts "10".
+`_top_level_sum` counts the bits where n starts "11".  The tests keep a
 per-parent route on the parent's abacus as the reference.
 """
 
@@ -25,11 +26,10 @@ from .partitions import ENUMERATION_LIMIT, Partition
 
 class ParentRecord(NamedTuple):
     parent: Partition
-    r_power: int  # the added hook has length 2**r_power
     kind: str  # "I" bumps an existing element, "II" shifts then inserts
     param: int  # kind I: the bumped element; kind II: the shift amount
     affected: int  # first-column hook length of the added hook
-    step: int  # the parent's bit of _top_level_steps: its sign step when top_two_bits(n) = 2
+    step: int  # 1 when the parent's dimension sign is the opposite of its core's (n > 3)
 
 
 def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
@@ -46,17 +46,17 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
                              f"the enumeration bound {ENUMERATION_LIMIT}")
     t = 1 << r_power
     x, size = core.abacus, core.size + t
-    abaci, steps = _hook_additions(x, t)
+    abaci, steps = _hook_additions(x, size, 0)
     # kind I moves each bead j, largest first, to j + t; kind II shifts by r to fill gap t - r
     kinds = ([("I", j, j + t) for j in range(t - 1, -1, -1) if x >> j & 1]
              + [("II", r, t) for r in range(1, t + 1) if not x >> t - r & 1])
-    return [ParentRecord(Partition._of_abacus(parent, size), r_power, kind, param, affected, step)
+    return [ParentRecord(Partition._of_abacus(parent, size), kind, param, affected, step)
             for (kind, param, affected), parent, step in zip(kinds, abaci, steps)]
 
 
 def _top_level_steps(core: int, t: int) -> tuple[int, int]:
-    # the sign steps of the t parents _hook_additions(core, t) lists, for a
-    # parent size n with top_two_bits(n) = 2 (all flip when it is 1): bit x of
+    # the sign steps of the t parents _hook_additions(core, n, 0) lists, for a parent
+    # size n starting "11", top_two_bits(n) = 2 (it flips them all at "10"): bit x of
     # the first mask for the kind I parent moving bead x, bit j of the second
     # for the kind II parent leaving j empty.  The step is top_two_bits(n) +
     # top_two_bits(h) + eta mod 2, h the added hook's first-column hook and eta
@@ -80,17 +80,21 @@ def _top_level_steps(core: int, t: int) -> tuple[int, int]:
     return core & ~(above ^ mirror), (full ^ core) & (full // 3 << 1 ^ below ^ mirror ^ full)
 
 
-def _hook_additions(core: int, t: int) -> tuple[list[int], list[int]]:
-    """(parent abaci, steps): the t parents of a core, one list entry each.
+def _hook_additions(core: int, n: int, parity: int) -> tuple[list[int], list[int]]:
+    """(parent abaci, sign parities): the t parents of size n of a core, t the top bit of n.
 
     `core` is canonical with every bead below t.  Kind I comes first, one
     per bead x of the core, largest bead first; then kind II, one per empty
     position j < t, largest first, which is by increasing shift r = t - j.
-    A step is the parent's bit of the core's `_top_level_steps` masks.  One
-    pass over the t positions below t builds both lists.
+    A parent's parity is `parity` XOR its bit of the core's `_top_level_steps`
+    masks, flipped when n starts "10".  One pass builds both lists.
     """
-    one, two = _top_level_steps(core, t)
+    t = 1 << (n.bit_length() - 1)
     top = 1 << t
+    one, two = _top_level_steps(core, t)
+    if parity ^ top_two_bits(n) & 1:
+        one ^= core
+        two ^= top - 1 ^ core
     bead_parents, bead_steps, shift_parents, shift_steps = [], [], [], []
     for j in range(t - 1, -1, -1):
         if core >> j & 1:
@@ -104,21 +108,21 @@ def _hook_additions(core: int, t: int) -> tuple[list[int], list[int]]:
     return bead_parents + shift_parents, bead_steps + shift_steps
 
 
-def _top_level_sum(core: int, t: int, c: int) -> int:
-    # the sum of (-1)^step over those parents, c = top_two_bits(n) & 1: t less twice the odd steps
+def _top_level_sum(core: int, t: int) -> int:
+    # the sum of (-1)^step over the t parents of a core, for a parent size
+    # starting "11": t less twice the odd steps
     one, two = _top_level_steps(core, t)
-    total = t - 2 * (one.bit_count() + two.bit_count())
-    return -total if c else total
+    return t - 2 * (one.bit_count() + two.bit_count())
 
 
 def sign_flip_parity(rec: ParentRecord) -> int:
     """Parity of sign flips between the core's dimension and the parent's.
 
-    Read off the record's step.  The window count on the parent's abacus
-    and the defining product of odd-part signs are the reference routes
-    in the tests.
+    Read off the record's step and the top digits of the parent's size and
+    of the added hook.  The window count on the parent's abacus and the
+    defining product of odd-part signs are the reference routes in the tests.
     """
-    return rec.step ^ (top_two_bits(rec.affected) & 1)
+    return rec.step ^ (top_two_bits(rec.parent.size) ^ top_two_bits(rec.affected)) & 1
 
 
 def predict_parent_sign(rec: ParentRecord, core_sign: int) -> int:
@@ -126,4 +130,4 @@ def predict_parent_sign(rec: ParentRecord, core_sign: int) -> int:
     n = rec.parent.size
     if n <= 3:
         raise ValueError(f"prediction needs a parent of size above 3, got {n}")
-    return -core_sign if rec.step ^ (top_two_bits(n) & 1) else core_sign
+    return -core_sign if rec.step else core_sign

@@ -4,8 +4,9 @@
 lengths off `hook_lengths`: one exactly, one through the tables of
 `binary_arith._tables`.  `Partition(...)` and `from_text` check their
 input; `Partition._of_abacus` builds the package's own from an abacus
-and its size, and `Partition._of_abaci` builds many of one size in one
-loop, each with the class a walk derived.  `hook_lengths` reads the hooks off
+and its size, and `Partition._of_abaci` builds many odd partitions of one
+size in one loop, each with the class `_ODD_CLASSES` gives the sign
+parity a walk derived.  `hook_lengths` reads the hooks off
 `Partition.abacus`, so no dimension decodes parts.  `parts_of`,
 `conjugate_mask` and `normalize_mask` are the abacus codec.
 """
@@ -81,17 +82,17 @@ class Partition:
         return p
 
     @classmethod
-    def _of_abaci(cls, abaci: Iterable[int], size: int, picks: Iterable[int],
-                  classes: tuple["DimClass", ...]) -> list["Partition"]:
-        # _of_abacus for many abaci of one size in one loop, with no call per
-        # partition: each gets the class classes[pick], its pick read beside it,
-        # the DimClass a walk derived, which dim_mod4 returns; equality,
-        # hashing and repr ignore it
-        new = object.__new__
+    def _of_abaci(cls, abaci: Iterable[int], parities: Iterable[int],
+                  size: int) -> list["Partition"]:
+        # _of_abacus for many odd partitions of one size in one loop, with no
+        # call per partition: each gets the class _ODD_CLASSES[parity], its
+        # sign parity as a walk derived it, read beside it, which dim_mod4
+        # returns; equality, hashing and repr ignore it
+        new, classes = object.__new__, _ODD_CLASSES
         out = []
-        for x, pick in zip(abaci, picks):
+        for x, parity in zip(abaci, parities):
             p = new(cls)
-            p.abacus, p._dim, p.size = x, classes[pick], size
+            p.abacus, p._dim, p.size = x, classes[parity], size
             out.append(p)
         return out
 
@@ -190,6 +191,10 @@ class DimClass(NamedTuple):
 
     v2: int
     sign: int
+
+
+# the class of an odd dimension whose odd part is 1 and 3 mod 4, by sign parity
+_ODD_CLASSES = (DimClass(0, 1), DimClass(0, -1))
 
 
 def parts_of(x: int) -> tuple[int, ...]:

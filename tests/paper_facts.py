@@ -141,11 +141,12 @@ def _flip_parity(x: int, h: int, t: int) -> int:
 
 
 def hook_params(core: int, t: int) -> list[int]:
-    """The param of each of the t parents of a core, in `parents._hook_additions(core, t)` order.
+    """The param of each of the t parents of a core, in `parents._hook_additions` order.
 
-    Kind I first, the bead x it moves for each bead of the core, largest
-    first; then kind II, the shift r = t - j for each empty position j < t,
-    by increasing r.
+    That is the order of `_hook_additions(core, n, parity)`, t the top bit
+    of n: kind I first, the bead x it moves for each bead of the core,
+    largest first; then kind II, the shift r = t - j for each empty
+    position j < t, by increasing r.
     """
     return ([x for x in range(t - 1, -1, -1) if core >> x & 1]
             + [r for r in range(1, t + 1) if not core >> (t - r) & 1])
@@ -153,7 +154,7 @@ def hook_params(core: int, t: int) -> list[int]:
 
 def added_hooks(core: int, t: int) -> list[int]:
     """The first-column hook h of the t-hook each parent of a core adds, in
-    `parents._hook_additions(core, t)` order.
+    `parents._hook_additions(core, n, parity)` order, t the top bit of n.
 
     The first core.bit_count() parents are kind I, whose bead x moves to
     h = x + t, and each kind II parent sets bead h = t.

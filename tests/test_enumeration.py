@@ -29,8 +29,9 @@ from dimlab.enumeration import (
 from dimlab.binary_arith import _tables, is_sparse, top_two_bits
 from dimlab.errors import SizeLimitError
 from dimlab.parents import _hook_additions, _top_level_sum
-from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask, dim_exact,
-                               dim_mod4, enumerate_partitions, normalize_mask)
+from dimlab.partitions import (_ODD_CLASSES, ENUMERATION_LIMIT, DimClass, Partition,
+                               conjugate_mask, dim_exact, dim_mod4, enumerate_partitions,
+                               normalize_mask)
 from paper_facts import (_flip_parity, _sign_step, added_hooks, bit_positions, full_classified,
                          full_tallies)
 
@@ -219,7 +220,7 @@ def test_odd_stream_is_the_walk():
     # every n to the benchmark's 57
     for n in range(58):
         assert [(p.abacus, dim_mod4(p)) for p in enumerate_odd_partitions(n)] == [
-            (x, enumeration._ODD_CLASSES[parity]) for x, parity in enumeration._odd_abaci(n)], n
+            (x, _ODD_CLASSES[parity]) for x, parity in enumeration._odd_abaci(n)], n
 
 
 def test_odd_stream_refuses_a_negative_n_when_called():
@@ -236,7 +237,7 @@ def per_leaf_walk(n):
     t = 1 << (n.bit_length() - 1)
     leaves = []
     for core, parity in per_leaf_walk(n - t):
-        parents, _ = _hook_additions(core, t)
+        parents, _ = _hook_additions(core, n, 0)
         leaves += [(parent, parity ^ _sign_step(top_two_bits(n), top_two_bits(h),
                                                 _flip_parity(parent, h, t)) if n > 3 else 0)
                    for h, parent in zip(added_hooks(core, t), parents)]
@@ -253,8 +254,8 @@ def test_odd_abaci_is_the_per_leaf_walk():
 @pytest.mark.parametrize("t", [1 << s for s in range(1, 7)])
 def test_parents_of_the_base_pair_off_under_conjugation(t):
     # the level where the halved fallback halves: the parents of () and (1)
-    for base in (0, 0b10):
-        parents, _ = _hook_additions(base, t)
+    for base, size in ((0, 0), (0b10, 1)):
+        parents, _ = _hook_additions(base, size + t, 0)
         assert len(parents) == len(set(parents)) == t
         assert all(normalize_mask(x) == x for x in parents)
         pairs = {frozenset((x, conjugate_mask(x))) for x in parents}
@@ -271,7 +272,7 @@ def test_conjugate_cores_share_parity_and_top_level_sum():
             for x, parity in parities.items():
                 y = conjugate_mask(x)
                 assert parities[y] == parity, (k, x)
-                assert _top_level_sum(x, t, 0) == _top_level_sum(y, t, 0), (t, x)
+                assert _top_level_sum(x, t) == _top_level_sum(y, t), (t, x)
 
 
 def test_half_walk_keeps_one_of_each_conjugate_pair():

@@ -43,7 +43,7 @@ def test_parents_of_single_box():
         ("II", 2, 4, "2,2,1"),
         ("II", 4, 4, "1,1,1,1,1"),
     ]
-    assert all(r.r_power == 2 for r in recs)
+    assert all(1 << r.parent.size.bit_length() - 1 == 4 for r in recs)  # the added hook's length
     assert [sign_flip_parity(r) for r in recs] == [0, 0, 0, 0]
     assert [predict_parent_sign(r, 1) for r in recs] == [1, 1, 1, 1]
 
@@ -178,7 +178,7 @@ def _flip_product_parity(rec):
     # the defining product: the parity of the product over x in
     # hooks(parent) - {h} of the odd-part signs of |h - x| and |h - 2^R - x|
     h = rec.affected
-    t = 1 << rec.r_power
+    t = 1 << rec.parent.size.bit_length() - 1  # the core's size is below t, so t is the top bit
     par = 0
     for x in column_hooks(rec.parent):
         if x == h:
@@ -223,13 +223,20 @@ def test_the_record_step_matches_each_parent_on_every_core():
 
 
 def test_predicted_sign_matches_dimensions():
-    for n in range(4, 25):
-        r = n.bit_length() - 1
-        for lam in enumerate_odd_partitions(n):
-            mu = t_core(lam, 1 << r)
-            rec = next(x for x in all_parents(mu, r) if x.parent == lam)
-            twin = Partition(lam.parts)  # a streamed leaf's checked twin carries no class
-            assert predict_parent_sign(rec, dim_mod4(mu).sign) == dim_mod4(twin).sign
+    # dimlab parents predicts a sign for any core, not only odd ones: every
+    # parent of size above 3 of every core of size below t, for t = 2..16,
+    # against the hook products of the checked twins, which carry no class
+    checked = 0
+    for r in range(1, 5):
+        for m in range(1 << r):
+            for mu in enumerate_partitions(m):
+                core_sign = dim_mod4(Partition(mu.parts)).sign
+                for rec in all_parents(mu, r):
+                    if rec.parent.size > 3:
+                        twin = Partition(rec.parent.parts)
+                        assert predict_parent_sign(rec, core_sign) == dim_mod4(twin).sign, rec
+                        checked += 1
+    assert checked == 11_332
 
 
 def test_predict_rejects_tiny_parents():
@@ -261,58 +268,72 @@ def test_signed_sums_match_closed_forms():
                 assert signed(high, mu) == (0 if k % 2 == 0 else 1)
 
 
-def enumerated_steps(core, t, c):
-    """The step parity of each of the t parents of core, one _flip_parity each,
-    for a parent size n with top_two_bits(n) = 2 - c, in _hook_additions order."""
-    parents, _ = _hook_additions(core, t)
-    return [_sign_step(2 - c, 1 + (2 * h >= 3 * t), _flip_parity(parent, h, t))
+def sizes(t):
+    """Parent sizes n = t, whose top digits are "10", and n = 3t/2, whose are "11".
+
+    _hook_additions reads only the top bit and the top two digits of n.
+    """
+    return t, t + t // 2
+
+
+def enumerated_steps(core, n):
+    """The step parity of each of the t parents of size n of core, t the top
+    bit of n, one _flip_parity each, in _hook_additions order."""
+    t = 1 << n.bit_length() - 1
+    parents, _ = _hook_additions(core, n, 0)
+    return [_sign_step(top_two_bits(n), 1 + (2 * h >= 3 * t), _flip_parity(parent, h, t))
             for h, parent in zip(added_hooks(core, t), parents)]
 
 
-def enumerated_top_level_sum(core, t, c):
-    """The sum of (-1)^step over the t parents of core."""
-    return sum(1 - 2 * step for step in enumerated_steps(core, t, c))
+def enumerated_top_level_sum(core, n):
+    """The sum of (-1)^step over the t parents of size n of core."""
+    return sum(1 - 2 * step for step in enumerated_steps(core, n))
 
 
-def mask_steps(core, t, c):
-    """The step _hook_additions yields with each parent, flipped when c is 1:
-    its bit in the masks of _top_level_steps, bead x of kind I, empty t - shift of kind II."""
+def mask_steps(core, n):
+    """The parity _hook_additions yields with each parent of size n of a core
+    of parity 0: its bit in the masks of _top_level_steps, bead x of kind I,
+    empty t - shift of kind II, flipped when n starts "10"."""
+    t, flip = 1 << n.bit_length() - 1, top_two_bits(n) & 1
     one, two = _top_level_steps(core, t)
     # no bit off the beads in the kind I mask, nor off the empty positions below t in the other
     assert one & ~core == 0 and two & core == 0 and two >> t == 0
-    _, steps = _hook_additions(core, t)
+    abaci, steps = _hook_additions(core, n, 0)
     beads = core.bit_count()
     for i, (param, step) in enumerate(zip(hook_params(core, t), steps)):
-        assert step == (one >> param if i < beads else two >> (t - param)) & 1
-    return [step ^ c for step in steps]
+        assert step == (one >> param if i < beads else two >> (t - param)) & 1 ^ flip
+    # a core of parity 1 lists the same parents, each with the other parity
+    assert _hook_additions(core, n, 1) == (abaci, [step ^ 1 for step in steps])
+    return steps
 
 
 def test_top_level_steps_match_each_parent_on_every_odd_core():
     # per parent, so that two wrong bits cannot cancel in a sum: the t parents
-    # of each of the 4898 odd cores below t = 2, 4, ..., 32, for both c
+    # of each of the 4898 odd cores below t = 2, 4, ..., 32, at both top digits
     checked = 0
     for r in range(1, 6):
         t = 1 << r
         for m in range(t):
             for mu in enumerate_odd_partitions(m):
                 core = mu.abacus
-                for c in (0, 1):
-                    assert mask_steps(core, t, c) == enumerated_steps(core, t, c), (mu, t, c)
+                for n in sizes(t):
+                    assert mask_steps(core, n) == enumerated_steps(core, n), (mu, n)
                     checked += t
     assert checked == 2 * 151_468
 
 
 def test_top_level_sum_matches_the_parents_on_every_odd_core():
+    # the sum at a size starting "11", and its negation at one starting "10"
     checked = 0
     for r in range(1, 6):
         t = 1 << r
         for m in range(t):
             for mu in enumerate_odd_partitions(m):
                 core = mu.abacus
-                for c in (0, 1):
-                    assert _top_level_sum(core, t, c) == enumerated_top_level_sum(core, t, c), (
-                        mu, t, c)
-                    checked += 1
+                ten, eleven = sizes(t)
+                assert (_top_level_sum(core, t) == enumerated_top_level_sum(core, eleven)
+                        == -enumerated_top_level_sum(core, ten)), (mu, t)
+                checked += 2
     assert checked == 2 * 4898  # 4898 odd cores over t = 2, 4, ..., 32
 
 
@@ -325,9 +346,11 @@ def test_top_level_sum_matches_the_parents_on_every_odd_core():
 @example((4, [2, 1]), 0)
 @example((256, [128] * 128), 1)
 def test_top_level_sum_matches_the_parents_on_any_core(t_and_parts, c):
+    # c = 1 takes a parent size starting "10", whose steps all flip, and c = 0 one starting "11"
     t, parts = t_and_parts
     core = Partition(tuple(sorted(parts, reverse=True))).abacus
     assert core.bit_length() <= t
-    steps = enumerated_steps(core, t, c)
-    assert mask_steps(core, t, c) == steps
-    assert _top_level_sum(core, t, c) == sum(1 - 2 * step for step in steps)
+    n = sizes(t)[1 - c]
+    steps = enumerated_steps(core, n)
+    assert mask_steps(core, n) == steps
+    assert (-1) ** c * _top_level_sum(core, t) == sum(1 - 2 * step for step in steps)
