@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .enumeration import EXACT, _split_signed, _sweep, clear_caches, count_odd, delta
+from .enumeration import _SOURCES, EXACT, _split_signed, _sweep, clear_caches, count_odd, delta
 from .partitions import ENUMERATION_LIMIT
 
 # The oracle has no limit or cache of its own: the sweep refuses n past
@@ -42,6 +42,11 @@ class AltReport(NamedTuple):
     delta_circ: int
     m2_hat: int
     source: str
+
+
+def _alt_report(n: int, a1: int, a3: int, m2: int, status: str | None) -> AltReport:
+    # the one place a_circ and delta_circ are derived and the source is chosen
+    return AltReport(n, a1 + a3, a1, a3, a1 - a3, m2, _SOURCES[status])
 
 
 def _power_base(n: int) -> int:
@@ -122,10 +127,7 @@ def formula_alt_counts(n: int) -> AltReport:
     which raises SizeLimitError past its walk's ceiling."""
     value, status = delta_circ(n)
     a1, a3 = _split_signed(n, a_circ(n), value)
-    return AltReport(
-        n=n, a_circ=a1 + a3, a1_circ=a1, a3_circ=a3, delta_circ=a1 - a3,
-        m2_hat=hat_m2(n), source="formula" if status == EXACT else "mixed",
-    )
+    return _alt_report(n, a1, a3, hat_m2(n), status)
 
 
 def alternating_oracle(n: int) -> AltReport:
@@ -142,8 +144,4 @@ def alternating_oracle(n: int) -> AltReport:
     # c3 odd shapes (none self-conjugate once n >= 2) pair off into c1/2 and
     # c3/2 irreducibles; a self-conjugate shape of dimension 2 mod 4 splits
     # into two odd halves carrying the sign of its odd part.
-    ones, threes = c1 // 2 + 2 * plus, c3 // 2 + 2 * minus
-    return AltReport(
-        n=n, a_circ=ones + threes, a1_circ=ones, a3_circ=threes,
-        delta_circ=ones - threes, m2_hat=plus + minus, source="oracle",
-    )
+    return _alt_report(n, c1 // 2 + 2 * plus, c3 // 2 + 2 * minus, plus + minus, None)

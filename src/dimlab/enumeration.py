@@ -1,8 +1,8 @@
 """Counting partitions of n by the residue of their dimension mod 4.
 
 Closed forms and recursions cover most inputs: the odd count is read off
-the binary expansion, the residue-2 count satisfies a two-branch
-recursion on the leading binary digit, and the signed difference
+the binary expansion, the residue-2 count is one sum over the binary
+digits, a term per set bit, and the signed difference
 a1 - a3 recurses whenever the two leading digits are "10".  Inputs whose
 binary expansion starts "11" and carries three or more ones have no
 proved formula; for those the signed difference falls back to a signed
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain
-from math import comb
 from typing import Iterator, NamedTuple
 
 from .binary_arith import _tables, is_sparse, position_sum
@@ -83,6 +82,15 @@ class CountReport(NamedTuple):
     delta: int
     m4: int
     source: str
+
+
+# a report's source: a formula route's by its delta status, None for the oracle
+_SOURCES = {EXACT: "formula", FALLBACK: "mixed", None: "oracle"}
+
+
+def _count_report(n: int, a1: int, two: int, a3: int, status: str | None) -> CountReport:
+    # the one place a, delta and m4 are derived and the source is chosen
+    return CountReport(n, a1 + a3, a1, two, a3, a1 - a3, a1 + two + a3, _SOURCES[status])
 
 
 def count_odd(n: int) -> int:
@@ -188,9 +196,11 @@ def _split_signed(n: int, a: int, value: int) -> tuple[int, int]:
 def a2(n: int) -> int:
     """Number of partitions of n with dimension exactly 2 mod 4.
 
-    Recursion on the leading binary digit, with the branch split at the
-    second-highest bit; totals for the smaller index enter through the
-    odd count.
+    One sum over the set bits r >= 1 of n: the partitions whose 2-core
+    tower trades bit r's 1 for two at r - 1 number c_r * 2^(E - r), E the
+    sum of n's bit positions, half = 2^(r - 1), c_r = C(half, 2) when bit
+    r - 1 is clear and (C(half, 3) + half) / half when it is set.  Every
+    c_r is an integer, so the sum is exact at any size.
 
     >>> a2(4)
     1
@@ -201,19 +211,14 @@ def a2(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    # a2(2^r + m) = 2^r * a2(m) + term, unrolled so that a long n stays off the stack
-    total, scale = 0, 1
-    while n > 1:
-        r = n.bit_length() - 1
-        m = n - (1 << r)
-        half = 1 << (r - 1)
-        if m < half:
-            term = comb(half, 2) * count_odd(m)
-        else:
-            term, rem = divmod((comb(half, 3) + half) * count_odd(m), half)
-            assert rem == 0, f"inexact division in a2({n})"
-        total += scale * term
-        n, scale = m, scale << r
+    exponent, total, bits = position_sum(n), 0, n >> 1 << 1
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        r, half = low.bit_length() - 1, low >> 1
+        # (C(half, 3) + half) / half = (half - 1)(half - 2)/6 + 1
+        c = (half - 1) * (half - 2) // 6 + 1 if n & half else half * (half - 1) >> 1
+        total += c << exponent - r
     return total
 
 
@@ -425,10 +430,7 @@ def oracle_counts(n: int) -> CountReport:
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     c1, c2, c3, _, _ = _sweep(n, n)[n]
-    return CountReport(
-        n=n, a=c1 + c3, a1=c1, a2=c2, a3=c3,
-        delta=c1 - c3, m4=c1 + c2 + c3, source="oracle",
-    )
+    return _count_report(n, c1, c2, c3, None)
 
 
 def formula_counts(n: int) -> CountReport:
@@ -436,12 +438,7 @@ def formula_counts(n: int) -> CountReport:
     "mixed" when delta needed the odd-stream fallback."""
     value, status = delta(n)
     a1, a3 = _split_signed(n, count_odd(n), value)
-    two = a2(n)
-    return CountReport(
-        n=n, a=a1 + a3, a1=a1, a2=two, a3=a3,
-        delta=a1 - a3, m4=a1 + a3 + two,
-        source="formula" if status == EXACT else "mixed",
-    )
+    return _count_report(n, a1, a2(n), a3, status)
 
 
 def clear_caches() -> None:

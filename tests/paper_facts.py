@@ -20,15 +20,18 @@ self-conjugacy, where the package walks one shape of each conjugate pair
 and counts it twice.  check_tower_heights checks the shape of a tower's
 heights, which the package builds unchecked.  bit_positions lists the
 1-digits of n one at a time, where the package sums their positions from
-a few masked popcounts.
+a few masked popcounts.  a2_recursion is the residue-2 count by the
+paper's recursion on the leading binary digit, where the package sums
+one term per set bit of n.
 They hold no assert:
 pytest rewrites none outside test modules, and python -O strips them.
 """
 
+from math import comb
 from typing import Iterator
 
 from dimlab.beta_sets import shift_mask
-from dimlab.binary_arith import _tables, factorial_sign_parity
+from dimlab.binary_arith import _tables, factorial_sign_parity, position_sum
 from dimlab.core_towers import CoreTower
 from dimlab.partitions import Partition, conjugate, conjugate_mask, normalize_mask
 
@@ -43,6 +46,32 @@ def bit_positions(n: int) -> frozenset[int]:
         positions.append(low.bit_length() - 1)
         n ^= low
     return frozenset(positions)
+
+
+def a2_recursion(n: int) -> int:
+    """Partitions of n of dimension 2 mod 4, by the recursion on n's top bit.
+
+    a2(2^r + m) = 2^r * a2(m) + C(half, 2) * a(m) when m < half = 2^(r - 1),
+    and 2^r * a2(m) + (C(half, 3) + half) * a(m) / half otherwise, with the
+    odd count a(m) = 2^(sum of m's bit positions); unrolled top bit first.
+    """
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    total, scale = 0, 1
+    while n > 1:
+        r = n.bit_length() - 1
+        m = n - (1 << r)
+        half = 1 << (r - 1)
+        odd = 1 << position_sum(m)
+        if m < half:
+            term = comb(half, 2) * odd
+        else:
+            term, rem = divmod((comb(half, 3) + half) * odd, half)
+            if rem:
+                raise ArithmeticError(f"inexact division at n={n}")
+        total += scale * term
+        n, scale = m, scale << r
+    return total
 
 
 def parity_gap(x: int) -> int:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import dimlab
 from dimlab import alternating, cli, enumeration
 from dimlab.alternating import AltReport
+from dimlab.binary_arith import position_sum
 from dimlab.cli import command_parser, main
 from dimlab.core_towers import TOWER_LIMIT, tower
 from dimlab.enumeration import CountReport
@@ -199,12 +200,15 @@ def test_a_long_sparse_n_is_refused_not_crashed(capsys, command):
                    "past the 64-bit line\n")
 
 
-def test_a_long_sparse_n_has_an_exact_delta_and_a_refused_a2():
+def test_a_long_sparse_n_has_an_exact_delta_and_a2_and_a_refused_m4():
     enumeration.clear_caches()
     assert enumeration.delta(LONG_SPARSE) == (enumeration.delta_sparse(LONG_SPARSE),
                                               enumeration.EXACT)
+    # a2 of an odd sparse n is that of n - 1, whose a2 is a(n - 1)(n - 1 - 2 ones)/8
+    even = LONG_SPARSE - 1
+    assert enumeration.a2(LONG_SPARSE) == (1 << position_sum(even)) * (even - 2000) >> 3
     with pytest.raises(SizeLimitError, match="past the 64-bit line"):
-        enumeration.a2(LONG_SPARSE)
+        enumeration.m4(LONG_SPARSE)
 
 
 def test_verify_clean(capsys):

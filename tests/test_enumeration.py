@@ -5,6 +5,7 @@ formulas under test."""
 import inspect
 import json
 import pathlib
+import random
 from unittest import mock
 
 import pytest
@@ -32,8 +33,8 @@ from dimlab.parents import _hook_additions, _top_level_sum
 from dimlab.partitions import (_ODD_CLASSES, ENUMERATION_LIMIT, DimClass, Partition,
                                conjugate_mask, dim_exact, dim_mod4, enumerate_partitions,
                                normalize_mask)
-from paper_facts import (_flip_parity, _sign_step, added_hooks, bit_positions, full_classified,
-                         full_tallies)
+from paper_facts import (_flip_parity, _sign_step, a2_recursion, added_hooks, bit_positions,
+                         full_classified, full_tallies)
 
 # columns: n, a, a1, a2, a3, delta, m4
 FROZEN = [
@@ -156,6 +157,30 @@ def test_a2_values():
     assert a2(6) == 2
     assert a2(24) == 160
     assert [a2(row[0]) for row in FROZEN] == [row[3] for row in FROZEN]
+
+
+def test_a2_is_the_recursion():
+    # every n below 2^14, then seeded long n: the recursion's odd count
+    # 2^(sum of bit positions) has no cap, so it reaches any size
+    assert all(a2(n) == a2_recursion(n) for n in range(1 << 14))
+    rng = random.Random(38)
+    for bits, count in ((300, 20), (1000, 3)):
+        for _ in range(count):
+            n = rng.getrandbits(bits) | 1 << bits - 1
+            assert a2(n) == a2_recursion(n), n
+
+
+def test_a2_is_exact_past_the_count_cap():
+    # a2 once took each level's odd count from count_odd, so it refused the
+    # second n by its suffix 2^34 + 2^30, a number the caller never passed.
+    # The odd count of each n is past the 64-bit line, and the refusals of the
+    # functions that report it name the caller's n
+    for n, name in ((87381, "of 87381"), (2**100 + 2**34 + 2**30, "a 101-bit number")):
+        assert a2(n) == a2_recursion(n)
+        for function in (count_odd, m4, formula_counts, alternating.formula_alt_counts):
+            with pytest.raises(SizeLimitError, match=f"{name} needs 2\\^") as refusal:
+                function(n)
+            assert "past the 64-bit line" in str(refusal.value)
 
 
 def test_a2_sparse_shortcut():
