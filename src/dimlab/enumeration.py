@@ -7,14 +7,16 @@ a1 - a3 recurses whenever the two leading digits are "10".  Inputs whose
 binary expansion starts "11" and carries three or more ones have no
 proved formula; for those the signed difference falls back to a signed
 walk over the odd-partition stream and says so in its status flag.  The
-stream takes each core's parents, each with its own sign parity, from
-`parents._hook_additions(core, n, parity)`, which lists them for
-`all_parents` too, reads the core's step masks
-(`parents._top_level_steps`) once and is the one place that flips every
-step when n starts "10"; the stream builds that core's leaves in one
-list.  The fallback, whose n starts "11", visits only the a(n - t) odd
-cores below n's top bit t and sums the signs of a core's t parents by
-popcounts of those masks (`parents._top_level_sum(core, t)`), so it
+stream builds each core's leaves with `parents._leaves(core, n, parity)`,
+one loop that reads each leaf's own sign parity off the core's step
+masks (`parents._top_level_steps`) as it builds the leaf; the walks over
+abaci take the same parents as ints from `parents._hook_additions`, and
+both read the parities from `parents._parities`, the one place that flips
+every step when n starts "10".  The fallback, whose n starts "11",
+visits only the a(n - t) odd cores below n's top bit t, groups them by
+sign parity and sums the signs of their t parents each by popcounts of
+those masks, run on many cores packed per int
+(`parents._top_level_total(cores, t)`), so it
 builds no partition, visits none of the a(n) = t * a(n - t) leaves
 and computes no dimension.  A partition and its conjugate have the same
 hooks, so the same dimension, and conjugate cores have the same sum over
@@ -51,16 +53,18 @@ from typing import Iterator, NamedTuple
 
 from .binary_arith import _tables, is_sparse, position_sum
 from .errors import SizeLimitError, size_text
-from .parents import _hook_additions, _top_level_sum
+from .parents import _ODD_CLASSES, _hook_additions, _leaves, _top_level_total
 from .partitions import ENUMERATION_LIMIT, Partition, conjugate_mask
 
 # the fallback answers only n with at most 2^WALK_CEILING odd partitions, its
 # one limit.  That count a(n) = t * a(n - t) still bounds the work: a(n - t)
-# cores, each summing its t parents in O(log t) operations on t-bit ints, of
-# which the walk visits half.  The costliest it admits, 220 = 11011100 and its
-# peers with 2^15 cores (t = 128), took 0.05-0.07 s cold (a fresh process, best
-# of 5, shared 2-core Xeon, Python 3.11; BENCH_23.json)
+# cores, of which the walk visits half, their t parents summed in O(log t)
+# operations on ints packing many cores.  The costliest it admits, 220 =
+# 11011100 and its peers with 2^15 cores (t = 128), took 0.014 s cold (median
+# of 10 fresh processes, shared 2-core Xeon, Python 3.11; BENCH_39.json)
 WALK_CEILING = 22
+# the fallback sums the top level of this many cores of one sign per packed int
+_PACK = 1024
 
 EXACT = "exact-formula"
 FALLBACK = "walk-fallback"
@@ -148,17 +152,24 @@ def _delta(n: int) -> tuple[int, str]:
     # formula exists, so fall back to the signed odd stream.  It visits one
     # of each conjugate pair of the a(m) odd cores of m = n - t, t = 2^r the
     # top bit of n, each with its sign, sums the signs of a core's t parents
-    # in closed form, so no leaf is built, and doubles the sum: a core and its
-    # conjugate share their sign and their parents' signs.  m > 2, so no core
-    # is self-conjugate
+    # in closed form, one packed pass per _PACK cores of one sign, so no leaf
+    # is built and no more than 2 * _PACK cores are held, and doubles the sum:
+    # a core and its conjugate share their sign and their parents' signs.  m >
+    # 2, so no core is self-conjugate
     exponent = position_sum(n)
     if exponent > WALK_CEILING:
         raise SizeLimitError(
             f"delta of {size_text(n)} has no closed form (leading 11 with extra ones), and its "
             f"walk over 2^{exponent} odd partitions is past the walk's ceiling of 2^{WALK_CEILING}")
-    t = 1 << r
-    return (2 * scale * sum(_top_level_sum(core, t) * (1 - 2 * parity)
-                            for core, parity in _odd_abaci(m, half=True)), FALLBACK)
+    t, total, groups = 1 << r, 0, ([], [])
+    for core, parity in _odd_abaci(m, half=True):
+        group = groups[parity]
+        group.append(core)
+        if len(group) == _PACK:
+            total += (1 - 2 * parity) * _top_level_total(group, t)
+            group.clear()
+    total += _top_level_total(groups[0], t) - _top_level_total(groups[1], t)
+    return (2 * scale * total, FALLBACK)
 
 
 def delta(n: int) -> tuple[int, str]:
@@ -257,21 +268,24 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     of m by adding one hook of length 2^r.  Even-dimension partitions
     are never touched, so the stream scales with the odd count, not
     with p(n).  The walk runs on abacus ints.  For each odd core of
-    n - 2^r it builds the core's 2^r leaves in one list, unchecked
-    Partitions whose parts are decoded only when first read, and the
-    lists are chained, so memory stays at one core's leaves.  n is
-    checked when the function is called, not when the stream is first
-    read.  Each leaf carries the class of the sign parity that
-    `_hook_additions` gave it off its core's step masks, and `dim_mod4`
-    returns that class without computing.  The tests check those classes
-    against `dim_mod4` of the checked twin `Partition(leaf.parts)`, which
-    computes the hook product, and against the sweep's determinant form.
+    n - 2^r, `parents._leaves` builds the core's 2^r leaves in one list,
+    unchecked Partitions whose parts are decoded only when first read,
+    and the lists are chained, so memory stays at one core's leaves.  n
+    is checked when the function is called, not when the stream is first
+    read.  Each leaf, those of n = 0 and 1 too, carries the class of the
+    sign parity read off its core's step masks as the leaf is built, and
+    `dim_mod4` returns that class without computing.  The tests check
+    those classes against `dim_mod4` of the checked twin
+    `Partition(leaf.parts)`, which computes the hook product, and against
+    the sweep's determinant form.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if n < 2:
-        return iter(Partition._of_abaci((n << 1,), (0,), n))
-    return chain.from_iterable(Partition._of_abaci(*_hook_additions(core, n, parity), n)
+        leaf = Partition._of_abacus(n << 1, n)
+        leaf._dim = _ODD_CLASSES[0]
+        return iter((leaf,))
+    return chain.from_iterable(_leaves(core, n, parity)
                                for core, parity in _odd_abaci(n - (1 << n.bit_length() - 1)))
 
 

@@ -8,20 +8,26 @@ leaves position 2^R empty.  The sign of a parent's dimension follows the
 core's sign up to a parity computable from the hook set alone, which is
 the engine behind all the signed counting downstream.  `_top_level_steps`
 gives that parity for all 2^R parents of a core at once, one bit each.
-`_hook_additions` lists the parents of size n in one pass, as parallel
-lists of parent abaci and their own sign parities, for `all_parents` and
-the odd stream alike; it alone flips every bit when n starts "10".
-`_top_level_sum` counts the bits where n starts "11".  The tests keep a
-per-parent route on the parent's abacus as the reference.
+`_parities` makes them each parent's own sign parity, the one place
+that flips every bit when n starts "10".  `_hook_additions` lists the
+parents as ints with their parities, `_leaves` builds them as the odd
+stream's leaves with their classes, and where n starts "11"
+`_top_level_total` sums the signs of many cores' parents, the cores
+packed into big ints.  The tests keep a per-parent route on the parent's
+abacus, and the per-core sum, as the references.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .binary_arith import top_two_bits
 from .errors import SizeLimitError
-from .partitions import ENUMERATION_LIMIT, Partition
+from .partitions import ENUMERATION_LIMIT, DimClass, Partition
+
+# the class of an odd dimension whose odd part is 1 and 3 mod 4, by sign parity
+_ODD_CLASSES = (DimClass(0, 1), DimClass(0, -1))
 
 
 class ParentRecord(NamedTuple):
@@ -56,7 +62,7 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
 
 def _top_level_steps(core: int, t: int) -> tuple[int, int]:
     # the sign steps of the t parents _hook_additions(core, n, 0) lists, for a parent
-    # size n starting "11", top_two_bits(n) = 2 (it flips them all at "10"): bit x of
+    # size n starting "11", top_two_bits(n) = 2 (_parities flips them all at "10"): bit x of
     # the first mask for the kind I parent moving bead x, bit j of the second
     # for the kind II parent leaving j empty.  The step is top_two_bits(n) +
     # top_two_bits(h) + eta mod 2, h the added hook's first-column hook and eta
@@ -65,19 +71,48 @@ def _top_level_steps(core: int, t: int) -> tuple[int, int]:
     #   kind I: 1 + [x >= half] + (beads above x) + core[x + half] + core[x - half];
     #   kind II: j + (beads below j) + (1 if j < half else core[j - half]) + core[j + half].
     # The bead counts are suffix and prefix XOR scans of log2(t) shift-XORs (Warren,
-    # Hacker's Delight, 2nd ed., 5-2): O(log t) ops on t-bit ints.  full // 3 << 1 is the odd j.
+    # Hacker's Delight, 2nd ed., 5-2): O(log t) ops on t-bit ints.
+    return _packed_steps(core, t, 1)
+
+
+def _packed_steps(cores: int, t: int, ones: int) -> tuple[int, int]:
+    # _top_level_steps of each core in `cores`, one per W-bit field, W >= 2t, `ones`
+    # bit 0 of each field.  A scan shifts by t at most, so no field's bits below t
+    # reach another's, and each field holds its core's steps.  full // 3 << 1 is the odd j
     half = t >> 1
-    full = (1 << t) - 1
-    high = full ^ ((1 << half) - 1)
-    above, below = core >> 1, core << 1
+    full = ((1 << t) - 1) * ones
+    high = full ^ ((1 << half) - 1) * ones
+    above, below = cores >> 1, cores << 1
     k = 1
     while k < t:
         above ^= above >> k
         below ^= below << k
         k <<= 1
     # core[x + half], core[x - half] and [x >= half] at each position x < t
-    mirror = core << half ^ core >> half ^ high
-    return core & ~(above ^ mirror), (full ^ core) & (full // 3 << 1 ^ below ^ mirror ^ full)
+    mirror = cores << half ^ cores >> half ^ high
+    return cores & ~(above ^ mirror), (full ^ cores) & (full // 3 << 1 ^ below ^ mirror ^ full)
+
+
+def _top_level_total(cores: list[int], t: int) -> int:
+    # the sum of (-1)^step over the t parents of every core listed, for a parent
+    # size starting "11": t less twice the odd steps, per core.  The cores go in
+    # one int, each in a field of `width` bytes, W >= 2t + 2 bits, so the scans run once
+    width = (2 * t + 9) // 8
+    packed = int.from_bytes(b"".join(map(int.to_bytes, cores, repeat(width))))
+    one, two = _packed_steps(packed, t, int.from_bytes((bytes(width - 1) + b"\1") * len(cores)))
+    return t * len(cores) - 2 * (one.bit_count() + two.bit_count())
+
+
+def _parities(core: int, n: int, parity: int) -> tuple[int, int]:
+    # (t, steps): t the top bit of n, bit j of steps the sign parity of the parent
+    # of size n that moves bead j (kind I) or leaves j empty (kind II): `parity`
+    # XOR its bit of the disjoint `_top_level_steps` masks, flipped when n starts "10"
+    t = 1 << (n.bit_length() - 1)
+    one, two = _top_level_steps(core, t)
+    steps = one | two
+    if parity ^ top_two_bits(n) & 1:
+        steps ^= (1 << t) - 1
+    return t, steps
 
 
 def _hook_additions(core: int, n: int, parity: int) -> tuple[list[int], list[int]]:
@@ -86,33 +121,44 @@ def _hook_additions(core: int, n: int, parity: int) -> tuple[list[int], list[int
     `core` is canonical with every bead below t.  Kind I comes first, one
     per bead x of the core, largest bead first; then kind II, one per empty
     position j < t, largest first, which is by increasing shift r = t - j.
-    A parent's parity is `parity` XOR its bit of the core's `_top_level_steps`
-    masks, flipped when n starts "10".  One pass builds both lists.
+    A parent's parity is its bit of `_parities`.  One pass builds both lists.
     """
-    t = 1 << (n.bit_length() - 1)
+    t, steps = _parities(core, n, parity)
     top = 1 << t
-    one, two = _top_level_steps(core, t)
-    if parity ^ top_two_bits(n) & 1:
-        one ^= core
-        two ^= top - 1 ^ core
+    raised, base, bead = core + 1, top - 2, top | 1
     bead_parents, bead_steps, shift_parents, shift_steps = [], [], [], []
     for j in range(t - 1, -1, -1):
         if core >> j & 1:
-            bead_parents.append(core ^ (1 << j | top << j))
-            bead_steps.append(one >> j & 1)
+            # move bead j to j + t
+            bead_parents.append(core ^ bead << j)
+            bead_steps.append(steps >> j & 1)
         else:
-            # shift by r = t - j, drop bead 0 and set bead t: admissible when j is empty
-            r = t - j
-            shift_parents.append(core << r | (1 << r) - 2 | top)
-            shift_steps.append(two >> j & 1)
+            # shift by r = t - j, drop bead 0 and set bead t: admissible when j is
+            # empty.  core << r, (1 << r) - 2 and top share no bit, so their sum
+            shift_parents.append((raised << t - j) + base)
+            shift_steps.append(steps >> j & 1)
     return bead_parents + shift_parents, bead_steps + shift_steps
 
 
-def _top_level_sum(core: int, t: int) -> int:
-    # the sum of (-1)^step over the t parents of a core, for a parent size
-    # starting "11": t less twice the odd steps
-    one, two = _top_level_steps(core, t)
-    return t - 2 * (one.bit_count() + two.bit_count())
+def _leaves(core: int, n: int, parity: int) -> list[Partition]:
+    # the parents of _hook_additions(core, n, parity), in its order, as unchecked
+    # Partitions of size n, each built as its parity bit is read, with the class
+    # _ODD_CLASSES[parity] that dim_mod4 returns and equality, hashing and repr ignore
+    t, steps = _parities(core, n, parity)
+    top = 1 << t
+    new, cls, classes = object.__new__, Partition, _ODD_CLASSES
+    raised, base, bead = core + 1, top - 2, top | 1
+    beads, shifts = [], []
+    for j in range(t - 1, -1, -1):
+        leaf = new(cls)
+        if core >> j & 1:
+            leaf.abacus = core ^ bead << j
+            beads.append(leaf)
+        else:
+            leaf.abacus = (raised << t - j) + base
+            shifts.append(leaf)
+        leaf._dim, leaf.size = classes[steps >> j & 1], n
+    return beads + shifts
 
 
 def sign_flip_parity(rec: ParentRecord) -> int:

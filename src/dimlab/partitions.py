@@ -1,13 +1,13 @@
 """Integer partitions, their abacus, hook lengths, and tableau dimensions exact and mod 4.
 
 `dim_exact` and `dim_mod4` both read the hook product n! / prod of hook
-lengths off `hook_lengths`: one exactly, one through the tables of
-`binary_arith._tables`.  `Partition(...)` and `from_text` check their
-input; `Partition._of_abacus` builds the package's own from an abacus
-and its size, and `Partition._of_abaci` builds many odd partitions of one
-size in one loop, each with the class `_ODD_CLASSES` gives the sign
-parity a walk derived.  `hook_lengths` reads the hooks off
-`Partition.abacus`, so no dimension decodes parts.  `parts_of`,
+lengths off the abacus: one exactly, over the row-major list of
+`hook_lengths`, one through the tables of `binary_arith._tables`, adding
+each hook's valuation and sign as its pass over the abacus digits finds
+it.  `Partition(...)` and `from_text` check their input;
+`Partition._of_abacus` builds the package's own from an abacus and its
+size, and `parents._leaves` builds the odd stream's leaves, each with the
+class its walk derived.  No dimension decodes parts.  `parts_of`,
 `conjugate_mask` and `normalize_mask` are the abacus codec.
 """
 
@@ -80,21 +80,6 @@ class Partition:
         p = object.__new__(cls)
         p.abacus, p._dim, p.size = x, None, size
         return p
-
-    @classmethod
-    def _of_abaci(cls, abaci: Iterable[int], parities: Iterable[int],
-                  size: int) -> list["Partition"]:
-        # _of_abacus for many odd partitions of one size in one loop, with no
-        # call per partition: each gets the class _ODD_CLASSES[parity], its
-        # sign parity as a walk derived it, read beside it, which dim_mod4
-        # returns; equality, hashing and repr ignore it
-        new, classes = object.__new__, _ODD_CLASSES
-        out = []
-        for x, parity in zip(abaci, parities):
-            p = new(cls)
-            p.abacus, p._dim, p.size = x, classes[parity], size
-            out.append(p)
-        return out
 
     def __getattr__(self, name: str):
         # reached only for an unset slot: the parts of one built from an abacus, or the abacus
@@ -193,10 +178,6 @@ class DimClass(NamedTuple):
     sign: int
 
 
-# the class of an odd dimension whose odd part is 1 and 3 mod 4, by sign parity
-_ODD_CLASSES = (DimClass(0, 1), DimClass(0, -1))
-
-
 def parts_of(x: int) -> tuple[int, ...]:
     """Inverse of Partition.abacus: each bead's part is the count of empty positions below it.
 
@@ -231,9 +212,11 @@ def dim_mod4(p: Partition) -> DimClass:
     """Valuation and odd-part sign of dim_exact(p), without big integers.
 
     The hook-product form n! / prod of hook lengths: the valuation and sign
-    of n! and of each hook of `hook_lengths`, the hooks `dim_exact`
-    multiplies, read from `binary_arith._tables` at the power of two above
-    n.  The oracle sweep `enumeration._classified`, which walks one
+    of n! and of each hook, read from `binary_arith._tables` at the power of
+    two above n.  The hooks are those `hook_lengths` lists and `dim_exact`
+    multiplies, taken in one pass over the abacus digits: the row of bead h
+    is h - g for each empty position g below it, and each hook is summed as
+    it is found, with no list of rows.  The oracle sweep `enumeration._classified`, which walks one
     partition of each conjugate pair of a range of sizes and yields those
     of valuation at most 1, uses the determinant form on the first-column
     hooks instead, so the two check each other.
@@ -252,9 +235,15 @@ def dim_mod4(p: Partition) -> DimClass:
     vt, st, ft = _tables(1 << n.bit_length())
     val = n - n.bit_count()
     par = ft[n]
-    for h in hook_lengths(p):
-        val -= vt[h]
-        par ^= st[h]
+    gaps = []
+    for h, digit in enumerate(format(p.abacus, "b")[::-1]):
+        if digit == "0":
+            gaps.append(h)
+        else:
+            for g in gaps:
+                d = h - g
+                val -= vt[d]
+                par ^= st[d]
     return DimClass(val, -1 if par else 1)
 
 

@@ -8,7 +8,9 @@ listed by their parts, where the package runs all three on the abacus,
 the abacus read off the first column's hooks, where the package sets
 one bead per part, the parent-sign step counted per parent on the
 parent's abacus, which the package reads off its core's step masks
-instead, with the hook each parent adds, and the
+instead, with the hook each parent adds, the sum of those steps' signs
+over a core's parents one core at a time, where the package's fallback
+packs many cores per int, and the
 2-quotient as a parity split of the abacus with its string round trips,
 level by level, which the package reads off runner bead counts instead,
 the tower's residue class read off all its row weights, where the
@@ -33,6 +35,7 @@ from typing import Iterator
 from dimlab.beta_sets import shift_mask
 from dimlab.binary_arith import _tables, factorial_sign_parity, position_sum
 from dimlab.core_towers import CoreTower
+from dimlab.parents import _top_level_steps
 from dimlab.partitions import Partition, conjugate, conjugate_mask, normalize_mask
 
 
@@ -200,6 +203,16 @@ def _sign_step(top: int, top_h: int, eta: int) -> int:
     of the parent at h.
     """
     return (top + top_h + eta) & 1
+
+
+def top_level_sum(core: int, t: int) -> int:
+    """The sum of (-1)^step over the t parents of a core, for a parent size starting "11".
+
+    t less twice the odd steps of the core's own masks, one core at a time,
+    where the package's fallback packs many cores per int.
+    """
+    one, two = _top_level_steps(core, t)
+    return t - 2 * (one.bit_count() + two.bit_count())
 
 
 def parity_split(x: int) -> tuple[int, int]:

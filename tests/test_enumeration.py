@@ -29,12 +29,11 @@ from dimlab.enumeration import (
 )
 from dimlab.binary_arith import _tables, is_sparse, top_two_bits
 from dimlab.errors import SizeLimitError
-from dimlab.parents import _hook_additions, _top_level_sum
-from dimlab.partitions import (_ODD_CLASSES, ENUMERATION_LIMIT, DimClass, Partition,
-                               conjugate_mask, dim_exact, dim_mod4, enumerate_partitions,
-                               normalize_mask)
+from dimlab.parents import _ODD_CLASSES, _hook_additions
+from dimlab.partitions import (ENUMERATION_LIMIT, DimClass, Partition, conjugate_mask,
+                               dim_exact, dim_mod4, enumerate_partitions, normalize_mask)
 from paper_facts import (_flip_parity, _sign_step, a2_recursion, added_hooks, bit_positions,
-                         full_classified, full_tallies)
+                         full_classified, full_tallies, top_level_sum)
 
 # columns: n, a, a1, a2, a3, delta, m4
 FROZEN = [
@@ -297,7 +296,7 @@ def test_conjugate_cores_share_parity_and_top_level_sum():
             for x, parity in parities.items():
                 y = conjugate_mask(x)
                 assert parities[y] == parity, (k, x)
-                assert _top_level_sum(x, t) == _top_level_sum(y, t), (t, x)
+                assert top_level_sum(x, t) == top_level_sum(y, t), (t, x)
 
 
 def test_half_walk_keeps_one_of_each_conjugate_pair():

@@ -5,18 +5,22 @@ from hypothesis import example, given, settings, strategies as st
 
 from dimlab.beta_sets import first_column_hooks, t_core
 from dimlab.binary_arith import sign_parity, top_two_bits
-from dimlab.enumeration import enumerate_odd_partitions
+from dimlab import enumeration
+from dimlab.enumeration import FALLBACK, _odd_abaci, delta, enumerate_odd_partitions
 from dimlab.errors import SizeLimitError
 from dimlab.parents import (
+    _ODD_CLASSES,
     _hook_additions,
+    _leaves,
     _top_level_steps,
-    _top_level_sum,
+    _top_level_total,
     all_parents,
     predict_parent_sign,
     sign_flip_parity,
 )
 from dimlab.partitions import Partition, dim_mod4, enumerate_partitions
-from paper_facts import _between, _flip_parity, _sign_step, added_hooks, hook_params, parity_gap
+from paper_facts import (_between, _flip_parity, _sign_step, added_hooks, hook_params,
+                         parity_gap, top_level_sum)
 
 
 def column_hooks(p):
@@ -331,7 +335,7 @@ def test_top_level_sum_matches_the_parents_on_every_odd_core():
             for mu in enumerate_odd_partitions(m):
                 core = mu.abacus
                 ten, eleven = sizes(t)
-                assert (_top_level_sum(core, t) == enumerated_top_level_sum(core, eleven)
+                assert (top_level_sum(core, t) == enumerated_top_level_sum(core, eleven)
                         == -enumerated_top_level_sum(core, ten)), (mu, t)
                 checked += 2
     assert checked == 2 * 4898  # 4898 odd cores over t = 2, 4, ..., 32
@@ -353,4 +357,51 @@ def test_top_level_sum_matches_the_parents_on_any_core(t_and_parts, c):
     n = sizes(t)[1 - c]
     steps = enumerated_steps(core, n)
     assert mask_steps(core, n) == steps
-    assert (-1) ** c * _top_level_sum(core, t) == sum(1 - 2 * step for step in steps)
+    assert (-1) ** c * top_level_sum(core, t) == sum(1 - 2 * step for step in steps)
+
+
+def test_leaves_are_the_hook_additions_with_their_classes():
+    # the stream's leaves, built as each step bit is read, against the int
+    # listing: the same abaci in the same order, each with the class of its
+    # parity and the size asked for.  Each odd core of size m below t gets
+    # both parities at n = t + m and at n with the other second digit, so both
+    # "10" and "11".  t = 2..32 takes every such core; t = 64 the 4590 of size
+    # below 32 (all 151,470 below 64 would take about 37 s)
+    checked = 0
+    for r in range(1, 7):
+        t = 1 << r
+        for m in range(min(t, 32)):
+            for core, _ in _odd_abaci(m):
+                for n in (t + m, t + m ^ t >> 1):
+                    for parity in (0, 1):
+                        abaci, parities = _hook_additions(core, n, parity)
+                        assert [(leaf.abacus, leaf._dim, leaf.size)
+                                for leaf in _leaves(core, n, parity)] == [
+                            (x, _ODD_CLASSES[q], n) for x, q in zip(abaci, parities)], (core, n)
+                        checked += t
+    assert checked == 4 * (2 * 2 + 4 * 6 + 8 * 30 + 16 * 270 + 32 * 4590 + 64 * 4590)
+
+
+def test_packed_top_level_sum_is_the_per_core_sum():
+    # the fallback's cores for every leading-"11" n with t <= 64, each sign's
+    # in one packed int and through delta, which packs K of them per int and
+    # then the short last group; then lists of 0, 1, K - 1, K and K + 1 cores
+    k = enumeration._PACK
+    flushed_and_short = 0
+    enumeration.clear_caches()
+    for n in range(7, 128):
+        if n >> n.bit_length() - 2 == 0b11 and n.bit_count() >= 3:
+            t = 1 << n.bit_length() - 1
+            groups = ([], [])
+            for core, parity in _odd_abaci(n - t, half=True):
+                groups[parity].append(core)
+            sums = [sum(top_level_sum(core, t) for core in group) for group in groups]
+            assert [_top_level_total(group, t) for group in groups] == sums, n
+            assert delta(n) == (2 * (sums[0] - sums[1]), FALLBACK), n
+            flushed_and_short += any(len(group) > k and len(group) % k for group in groups)
+    assert flushed_and_short
+    cores = [core for core, _ in _odd_abaci(62)]
+    for length in (0, 1, k - 1, k, k + 1):
+        for t in (64, 128, 256):
+            assert _top_level_total(cores[:length], t) == sum(
+                top_level_sum(core, t) for core in cores[:length]), (length, t)
