@@ -11,7 +11,7 @@ stream builds each core's leaves with `parents._leaves(core, n, parity)`,
 one loop that reads each leaf's own sign parity off the core's step
 masks (`parents._top_level_steps`) as it builds the leaf; the walks over
 abaci take the same parents as ints from `parents._hook_additions`, and
-both read the parities from `parents._parities`, the one place that flips
+both read the parities from `parents._top_level`, the one place that flips
 every step when n starts "10".  The fallback, whose n starts "11",
 visits only the a(n - t) odd cores below n's top bit t, groups them by
 sign parity and sums the signs of their t parents each by popcounts of

@@ -8,7 +8,7 @@ leaves position 2^R empty.  The sign of a parent's dimension follows the
 core's sign up to a parity computable from the hook set alone, which is
 the engine behind all the signed counting downstream.  `_top_level_steps`
 gives that parity for all 2^R parents of a core at once, one bit each.
-`_parities` makes them each parent's own sign parity, the one place
+`_top_level` makes them each parent's own sign parity, the one place
 that flips every bit when n starts "10".  `_hook_additions` lists the
 parents as ints with their parities, `_leaves` builds them as the odd
 stream's leaves with their classes, and where n starts "11"
@@ -60,9 +60,9 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
             for (kind, param, affected), parent, step in zip(kinds, abaci, steps)]
 
 
-def _top_level_steps(core: int, t: int) -> tuple[int, int]:
+def _top_level_steps(cores: int, t: int, ones: int = 1) -> tuple[int, int]:
     # the sign steps of the t parents _hook_additions(core, n, 0) lists, for a parent
-    # size n starting "11", top_two_bits(n) = 2 (_parities flips them all at "10"): bit x of
+    # size n starting "11", top_two_bits(n) = 2 (_top_level flips them all at "10"): bit x of
     # the first mask for the kind I parent moving bead x, bit j of the second
     # for the kind II parent leaving j empty.  The step is top_two_bits(n) +
     # top_two_bits(h) + eta mod 2, h the added hook's first-column hook and eta
@@ -71,14 +71,10 @@ def _top_level_steps(core: int, t: int) -> tuple[int, int]:
     #   kind I: 1 + [x >= half] + (beads above x) + core[x + half] + core[x - half];
     #   kind II: j + (beads below j) + (1 if j < half else core[j - half]) + core[j + half].
     # The bead counts are suffix and prefix XOR scans of log2(t) shift-XORs (Warren,
-    # Hacker's Delight, 2nd ed., 5-2): O(log t) ops on t-bit ints.
-    return _packed_steps(core, t, 1)
-
-
-def _packed_steps(cores: int, t: int, ones: int) -> tuple[int, int]:
-    # _top_level_steps of each core in `cores`, one per W-bit field, W >= 2t, `ones`
-    # bit 0 of each field.  A scan shifts by t at most, so no field's bits below t
-    # reach another's, and each field holds its core's steps.  full // 3 << 1 is the odd j
+    # Hacker's Delight, 2nd ed., 5-2): O(log t) ops on t-bit ints.  `cores` may
+    # hold many cores, one per field of W >= 2t bits, `ones` the bit 0 of each
+    # field: a scan shifts by t at most, so no field's bits below t reach
+    # another's, and each field gets its own core's masks.  full // 3 << 1 is the odd j
     half = t >> 1
     full = ((1 << t) - 1) * ones
     high = full ^ ((1 << half) - 1) * ones
@@ -98,21 +94,27 @@ def _top_level_total(cores: list[int], t: int) -> int:
     # size starting "11": t less twice the odd steps, per core.  The cores go in
     # one int, each in a field of `width` bytes, W >= 2t + 2 bits, so the scans run once
     width = (2 * t + 9) // 8
-    packed = int.from_bytes(b"".join(map(int.to_bytes, cores, repeat(width))))
-    one, two = _packed_steps(packed, t, int.from_bytes((bytes(width - 1) + b"\1") * len(cores)))
+    packed = int.from_bytes(b"".join(map(int.to_bytes, cores, repeat(width), repeat("big"))), "big")
+    ones = int.from_bytes((bytes(width - 1) + b"\1") * len(cores), "big")
+    one, two = _top_level_steps(packed, t, ones)
     return t * len(cores) - 2 * (one.bit_count() + two.bit_count())
 
 
-def _parities(core: int, n: int, parity: int) -> tuple[int, int]:
-    # (t, steps): t the top bit of n, bit j of steps the sign parity of the parent
-    # of size n that moves bead j (kind I) or leaves j empty (kind II): `parity`
-    # XOR its bit of the disjoint `_top_level_steps` masks, flipped when n starts "10"
+def _top_level(core: int, n: int, parity: int) -> tuple[int, int, int, int, int]:
+    # (t, steps, bead, raised, base), what both listings of the core's t parents
+    # of size n read: t the top bit of n; bit j of steps the sign parity of the
+    # parent that moves bead j (kind I) or leaves j empty (kind II), `parity`
+    # XOR its bit of the disjoint `_top_level_steps` masks, flipped when n starts
+    # "10"; and the parents' abaci, core ^ bead << j for kind I and
+    # (raised << t - j) + base for kind II.  That is the shift by r = t - j, bead 0
+    # dropped and bead t set: core << r, (1 << r) - 2 and 1 << t share no bit, so
+    # (core + 1 << r) + 2^t - 2 is their OR
     t = 1 << (n.bit_length() - 1)
     one, two = _top_level_steps(core, t)
     steps = one | two
     if parity ^ top_two_bits(n) & 1:
         steps ^= (1 << t) - 1
-    return t, steps
+    return t, steps, (1 << t) | 1, core + 1, (1 << t) - 2
 
 
 def _hook_additions(core: int, n: int, parity: int) -> tuple[list[int], list[int]]:
@@ -121,20 +123,16 @@ def _hook_additions(core: int, n: int, parity: int) -> tuple[list[int], list[int
     `core` is canonical with every bead below t.  Kind I comes first, one
     per bead x of the core, largest bead first; then kind II, one per empty
     position j < t, largest first, which is by increasing shift r = t - j.
-    A parent's parity is its bit of `_parities`.  One pass builds both lists.
+    Abaci and parities come from `_top_level`.  One pass builds both lists;
+    `_leaves` walks the same loop, and the two change together.
     """
-    t, steps = _parities(core, n, parity)
-    top = 1 << t
-    raised, base, bead = core + 1, top - 2, top | 1
+    t, steps, bead, raised, base = _top_level(core, n, parity)
     bead_parents, bead_steps, shift_parents, shift_steps = [], [], [], []
     for j in range(t - 1, -1, -1):
         if core >> j & 1:
-            # move bead j to j + t
             bead_parents.append(core ^ bead << j)
             bead_steps.append(steps >> j & 1)
         else:
-            # shift by r = t - j, drop bead 0 and set bead t: admissible when j is
-            # empty.  core << r, (1 << r) - 2 and top share no bit, so their sum
             shift_parents.append((raised << t - j) + base)
             shift_steps.append(steps >> j & 1)
     return bead_parents + shift_parents, bead_steps + shift_steps
@@ -143,11 +141,10 @@ def _hook_additions(core: int, n: int, parity: int) -> tuple[list[int], list[int
 def _leaves(core: int, n: int, parity: int) -> list[Partition]:
     # the parents of _hook_additions(core, n, parity), in its order, as unchecked
     # Partitions of size n, each built as its parity bit is read, with the class
-    # _ODD_CLASSES[parity] that dim_mod4 returns and equality, hashing and repr ignore
-    t, steps = _parities(core, n, parity)
-    top = 1 << t
+    # _ODD_CLASSES[parity] that dim_mod4 returns and equality, hashing and repr
+    # ignore.  The loop is _hook_additions' own, and the two change together
+    t, steps, bead, raised, base = _top_level(core, n, parity)
     new, cls, classes = object.__new__, Partition, _ODD_CLASSES
-    raised, base, bead = core + 1, top - 2, top | 1
     beads, shifts = [], []
     for j in range(t - 1, -1, -1):
         leaf = new(cls)
