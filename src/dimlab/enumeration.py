@@ -16,7 +16,7 @@ every step when n starts "10".  The fallback, whose n starts "11",
 visits only the a(n - t) odd cores below n's top bit t, groups them by
 sign parity and sums the signs of their t parents each by popcounts of
 those masks, run on many cores packed per int
-(`parents._top_level_total(cores, t)`), so it
+(`parents._top_level_total(cores, t, masks)`), so it
 builds no partition, visits none of the a(n) = t * a(n - t) leaves
 and computes no dimension.  A partition and its conjugate have the same
 hooks, so the same dimension, and conjugate cores have the same sum over
@@ -42,7 +42,9 @@ node's carried valuation plus two terms, neither negative, that sit in
 the new hook's 16-bit field.  So one packed comparison over the node's
 fields, a SWAR "field less than t" test, picks out the closing parts of
 v2 at most 1, and the walk visits only those: a sweep of sizes 1 to 40
-covers 113,696 shapes and yields 8,691.
+covers 113,696 shapes and yields 8,691.  Each node is visited in the loop
+of its parent that builds it, and only a node with children is stacked:
+4,628 of the 19,991 to 40.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Iterator, NamedTuple
 
 from .binary_arith import _tables, is_sparse, position_sum
 from .errors import SizeLimitError, size_text
-from .parents import _ODD_CLASSES, _hook_additions, _leaves, _top_level_total
+from .parents import _ODD_CLASSES, _hook_additions, _leaves, _top_level_masks, _top_level_total
 from .partitions import ENUMERATION_LIMIT, Partition, conjugate_mask
 
 # the fallback answers only n with at most 2^WALK_CEILING odd partitions, its
@@ -161,14 +163,17 @@ def _delta(n: int) -> tuple[int, str]:
         raise SizeLimitError(
             f"delta of {size_text(n)} has no closed form (leading 11 with extra ones), and its "
             f"walk over 2^{exponent} odd partitions is past the walk's ceiling of 2^{WALK_CEILING}")
-    t, total, groups = 1 << r, 0, ([], [])
+    t, total, groups, masks = 1 << r, 0, ([], []), None
     for core, parity in _odd_abaci(m, half=True):
         group = groups[parity]
         group.append(core)
         if len(group) == _PACK:
-            total += (1 - 2 * parity) * _top_level_total(group, t)
+            # the masks of a full group, built at the first flush
+            masks = masks or _top_level_masks(t, _PACK)
+            total += (1 - 2 * parity) * _top_level_total(group, t, masks)
             group.clear()
-    total += _top_level_total(groups[0], t) - _top_level_total(groups[1], t)
+    for sign, group in zip((1, -1), groups):
+        total += sign * _top_level_total(group, t, _top_level_masks(t, len(group)))
     return (2 * scale * total, FALLBACK)
 
 
@@ -321,7 +326,7 @@ def _closing_tables(vfact: list[int]) -> tuple[int, list[int], list[int], list[i
     # rows places hook h = p + r and lands at size h + o, o = k - r >= 0, so
     # its v2 is the node's val plus V[h] + vfact[h + o] - vfact[h], V[h] the
     # valuation byte of field h of diffs, and neither term is negative (vfact
-    # never falls).  `diffs >> 8 & high` holds V[h] in field h.  gain[o] holds
+    # never falls).  `diffs & high` holds V[h] in field h.  gain[o] holds
     # vfact[h + o] - vfact[h] in field h up to hi - o, the last hook a closing
     # part reaches, and _PAST above it.  under[t] holds 0x7FFF + t in every
     # field, so field h of under[t] - gain[o] - V is 0x8000 + (t - 1 - f), f the
@@ -361,56 +366,68 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
     # node; a larger one closes the shape, placed only when it lands in range.
     # Most shapes are closing parts, and most have v2 >= 2: one packed
     # comparison over the node's fields (`_closing_tables`) picks out those
-    # below 2, and only their set bits are visited.
+    # below 2, and only their set bits are visited.  Most nodes have no child
+    # (80% at hi = 60), so each node is visited in the loop of its parent that
+    # builds it, and only a node with children goes on the stack.
     v2s, signs, fact = _tables(1 << hi.bit_length())
     vfact = [k - k.bit_count() for k in range(hi + 1)]
-    # a difference's valuation above bit 8, its sign parity below.  Field h (16
+    # a difference's sign parity above bit 8, its valuation below.  Field h (16
     # bits) of a node's `diffs` sums these over its hooks y for h - y, distinct
-    # and below 80 (`_sweep` refuses hi past ENUMERATION_LIMIT): at most
-    # v2(79!) = 74 and 79, so no field carries into the next.  Placing hook h
-    # adds row[h], its differences to every higher field.
-    pair = [v << 8 | sign for v, sign in zip(v2s, signs)]
+    # and below 80 (`_sweep` refuses hi past ENUMERATION_LIMIT): at most 79 and
+    # v2(79!) = 74, inside its byte, so no field carries into the next.  Placing
+    # hook h adds row[h], its differences to every higher field.
+    pair = [sign << 8 | v for v, sign in zip(v2s, signs)]
     row = [sum(pair[d] << 16 * (h + d) for d in range(1, hi + 1 - h)) for h in range(hi + 1)]
     high, gain, under, above = _closing_tables(vfact)
-    # a node: its difference fields, its top part, size, row count, abacus, v2, parity
-    stack = [(0, 1, 0, 0, 0, 0, 0)]
+    # a node with children: its difference fields, top part, largest child
+    # part, size, row count, abacus, v2, parity.  The walk starts from a node of
+    # size and rows -1 whose one child, part 1 on hook 0, is the empty shape:
+    # abacus 1 and fields -row[0], so that placing hook 0 leaves none of either
+    stack = [(-row[0], 1, 1, -1, -1, 1, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        diffs, low, k, r, x, val, par = pop()
-        if k >= lo and low >= r and val + vfact[k] <= 1:
-            yield k, x, val + vfact[k], par ^ fact[k], 2 if low > r > 0 else 1
-        room = hi - k
-        half = room >> 1
-        # skip a child that leads to no shape with its first part at least its
-        # rows: one of part p <= r, r + 1 rows, whose next part, at most
-        # room - p, stays below the r + 2 rows it makes (more parts fall further short)
-        cut = room - r - 2
+        diffs, low, half, k, r, x, val, par = pop()
+        # the children have r rows.  Skip one that leads to no shape with its
+        # first part at least its rows: one of part p < r whose next part, at
+        # most hi - k - p, stays below the r + 1 rows it makes (more parts fall
+        # further short)
+        r += 1
+        cut = hi - k - r - 1
         for p in range(low, half + 1):
-            if cut < p <= r:
+            if cut < p < r:
                 continue
-            h = p + r
+            # the child of part p, visited here: its own shape, then its
+            # closing parts.  It goes on the stack only if a part in [p, top]
+            # escapes its own skip
+            h = p + r - 1
             s = diffs >> 16 * h & 0xFFFF
-            push((diffs + row[h], p, k + p, r + 1, x | 1 << h,
-                  val - vfact[h] + (s >> 8), par ^ fact[h] ^ (s & 1)))
-        # the closing parts: past half, at least the top part and the r + 1
-        # rows they make, landing in range
-        first = lo - k if lo - k > half else half + 1
-        if first <= r:
-            first = r + 1
-        if first < low:
-            first = low
-        if first > room:
-            continue
-        # bit 15 of field h is set for the closing part p = h - r of v2 <= 1
-        keep = (under[2 - val] - gain[k - r] - (diffs >> 8 & high)) & above[first + r]
-        while keep:
-            bit = keep & -keep
-            keep ^= bit
-            h = (bit.bit_length() >> 4) - 1
-            s = diffs >> 16 * h & 0xFFFF
-            size = k + h - r
-            yield (size, x | 1 << h, val - vfact[h] + (s >> 8) + vfact[size],
-                   par ^ fact[h] ^ (s & 1) ^ fact[size], 1 if h == 2 * r + 1 else 2)
+            d, size, y = diffs + row[h], k + p, x ^ 1 << h
+            v, q = val - vfact[h] + (s & 0xFF), par ^ fact[h] ^ (s >> 8 & 1)
+            if size >= lo and p >= r and v + vfact[size] <= 1:
+                yield size, y, v + vfact[size], q ^ fact[size], 2 if p > r > 0 else 1
+            room = hi - size
+            top = room >> 1
+            if p <= top and (p <= room - r - 2 or top > r):
+                push((d, p, top, size, r, y, v, q))
+            # the closing parts: past top, at least p and the r + 1 rows they
+            # make, landing in range
+            first = lo - size if lo - size > top else top + 1
+            if first <= r:
+                first = r + 1
+            if first < p:
+                first = p
+            if first > room:
+                continue
+            # bit 15 of field c is set for the closing part c - r of v2 <= 1
+            keep = (under[2 - v] - gain[size - r] - (d & high)) & above[first + r]
+            while keep:
+                bit = keep & -keep
+                keep ^= bit
+                c = (bit.bit_length() >> 4) - 1
+                s = d >> 16 * c & 0xFFFF
+                end = size + c - r
+                yield (end, y | 1 << c, v - vfact[c] + (s & 0xFF) + vfact[end],
+                       q ^ fact[c] ^ (s >> 8 & 1) ^ fact[end], 1 if c == 2 * r + 1 else 2)
 
 
 # the sweep's tally per size: residues 1, 2, 3, then the self-conjugate shapes

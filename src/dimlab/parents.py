@@ -19,6 +19,7 @@ abacus, and the per-core sum, as the references.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import repeat
 from typing import NamedTuple
 
@@ -60,7 +61,21 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
             for (kind, param, affected), parent, step in zip(kinds, abaci, steps)]
 
 
-def _top_level_steps(cores: int, t: int, ones: int = 1) -> tuple[int, int]:
+def _top_level_masks(t: int, count: int = 1) -> tuple[int, int, int, int]:
+    # the field width in bytes and the masks _top_level_steps reads, for `count`
+    # cores packed one per field of W = 8 * width >= 2t + 2 bits: in every field,
+    # the t positions below t, those at t/2 or above, and the odd ones
+    width = (2 * t + 9) // 8
+    ones = int.from_bytes((bytes(width - 1) + b"\1") * count, "big")
+    full = ((1 << t) - 1) * ones
+    return width, full, full ^ ((1 << (t >> 1)) - 1) * ones, full // 3 << 1
+
+
+# one core's masks by t, which the listings read once per core
+_core_masks = cache(_top_level_masks)
+
+
+def _top_level_steps(cores: int, t: int, masks: tuple[int, int, int, int]) -> tuple[int, int]:
     # the sign steps of the t parents _hook_additions(core, n, 0) lists, for a parent
     # size n starting "11", top_two_bits(n) = 2 (_top_level flips them all at "10"): bit x of
     # the first mask for the kind I parent moving bead x, bit j of the second
@@ -72,12 +87,11 @@ def _top_level_steps(cores: int, t: int, ones: int = 1) -> tuple[int, int]:
     #   kind II: j + (beads below j) + (1 if j < half else core[j - half]) + core[j + half].
     # The bead counts are suffix and prefix XOR scans of log2(t) shift-XORs (Warren,
     # Hacker's Delight, 2nd ed., 5-2): O(log t) ops on t-bit ints.  `cores` may
-    # hold many cores, one per field of W >= 2t bits, `ones` the bit 0 of each
-    # field: a scan shifts by t at most, so no field's bits below t reach
-    # another's, and each field gets its own core's masks.  full // 3 << 1 is the odd j
+    # hold many cores, one per field of W >= 2t bits, with `_top_level_masks`
+    # for as many: a scan shifts by t at most, so no field's bits below t reach
+    # another's, and each field gets its own core's masks
+    _, full, high, odd = masks
     half = t >> 1
-    full = ((1 << t) - 1) * ones
-    high = full ^ ((1 << half) - 1) * ones
     above, below = cores >> 1, cores << 1
     k = 1
     while k < t:
@@ -86,17 +100,17 @@ def _top_level_steps(cores: int, t: int, ones: int = 1) -> tuple[int, int]:
         k <<= 1
     # core[x + half], core[x - half] and [x >= half] at each position x < t
     mirror = cores << half ^ cores >> half ^ high
-    return cores & ~(above ^ mirror), (full ^ cores) & (full // 3 << 1 ^ below ^ mirror ^ full)
+    return cores & ~(above ^ mirror), (full ^ cores) & (odd ^ below ^ mirror ^ full)
 
 
-def _top_level_total(cores: list[int], t: int) -> int:
+def _top_level_total(cores: list[int], t: int, masks: tuple[int, int, int, int]) -> int:
     # the sum of (-1)^step over the t parents of every core listed, for a parent
     # size starting "11": t less twice the odd steps, per core.  The cores go in
-    # one int, each in a field of `width` bytes, W >= 2t + 2 bits, so the scans run once
-    width = (2 * t + 9) // 8
+    # one int, one per field, so the scans run once; `masks` is
+    # _top_level_masks(t, len(cores)), which callers build once per length
+    width = masks[0]
     packed = int.from_bytes(b"".join(map(int.to_bytes, cores, repeat(width), repeat("big"))), "big")
-    ones = int.from_bytes((bytes(width - 1) + b"\1") * len(cores), "big")
-    one, two = _top_level_steps(packed, t, ones)
+    one, two = _top_level_steps(packed, t, masks)
     return t * len(cores) - 2 * (one.bit_count() + two.bit_count())
 
 
@@ -110,7 +124,7 @@ def _top_level(core: int, n: int, parity: int) -> tuple[int, int, int, int, int]
     # dropped and bead t set: core << r, (1 << r) - 2 and 1 << t share no bit, so
     # (core + 1 << r) + 2^t - 2 is their OR
     t = 1 << (n.bit_length() - 1)
-    one, two = _top_level_steps(core, t)
+    one, two = _top_level_steps(core, t, _core_masks(t))
     steps = one | two
     if parity ^ top_two_bits(n) & 1:
         steps ^= (1 << t) - 1

@@ -26,8 +26,8 @@ DIM_EXACT_LIMIT = 60
 # the largest n that enumerate_partitions, all_parents and the p(n) sweep of
 # enumeration._sweep take.  The sweep's 16-bit fields hold its sums, and its
 # packed test of a node's closing parts, only below 80, and a cold
-# _sweep(1, 80) took 11-13 s (one fresh process each, 2-core Xeon, Python 3.11;
-# 0.03-0.05 s to 40, 0.7-1.0 s to 60, 2.8-3.7 s to 70; BENCH_34.json)
+# _sweep(1, 80) took 7.1-9.3 s, median 7.5 s (5 fresh processes, 2-core Xeon,
+# Python 3.11; medians 0.028 s to 40, 0.49 s to 60, 2.0 s to 70; BENCH_40.json)
 ENUMERATION_LIMIT = 80
 
 

@@ -35,7 +35,7 @@ from typing import Iterator
 from dimlab.beta_sets import shift_mask
 from dimlab.binary_arith import _tables, factorial_sign_parity, position_sum
 from dimlab.core_towers import CoreTower
-from dimlab.parents import _top_level_steps
+from dimlab.parents import _top_level_masks, _top_level_steps
 from dimlab.partitions import Partition, conjugate, conjugate_mask, normalize_mask
 
 
@@ -211,7 +211,7 @@ def top_level_sum(core: int, t: int) -> int:
     t less twice the odd steps of the core's own masks, one core at a time,
     where the package's fallback packs many cores per int.
     """
-    one, two = _top_level_steps(core, t)
+    one, two = _top_level_steps(core, t, _top_level_masks(t))
     return t - 2 * (one.bit_count() + two.bit_count())
 
 

@@ -352,6 +352,20 @@ def test_oracle_counts_past_40_match_the_exact_reference():
         assert (rep.a1, rep.a2, rep.a3) == rows[n], n
 
 
+def test_the_sweep_past_48_meets_the_formulas():
+    # one walk of sizes 49..56, past perfbench/reference.json, held to the
+    # formula routes, which share nothing with the sweep: a1, a2 and a3, and
+    # every field of the alternating report but its source
+    clear_caches()
+    enumeration._sweep(49, 56)
+    for n in range(49, 57):
+        rep, want = oracle_counts(n), formula_counts(n)
+        assert (rep.a1, rep.a2, rep.a3) == (want.a1, want.a2, want.a3), n
+        alt, want_alt = alternating.alternating_oracle(n), alternating.formula_alt_counts(n)
+        assert alt[:-1] == want_alt[:-1], n
+    clear_caches()
+
+
 def test_range_walk_places_every_partition_of_v2_at_most_1_once_with_its_class():
     # the reference class of each partition of k <= 18 with v2 <= 1, from its
     # checked twin; a shape of weight 2 stands for its conjugate too, which the
@@ -373,13 +387,22 @@ def test_range_walk_yields_the_v2_at_most_1_shapes_of_the_full_walk():
     # square and its conjugate, when another shape, is walked in its own right.
     # So the shapes a range yields, each with its weight's share of its
     # conjugate pair, are each partition of v2 <= 1 in range once, with its class
-    want = {x: (k, v, par) for k, x, v, par in full_classified(0, 22) if v <= 1}
-    for lo in range(23):
-        for hi in range(lo, 23):
-            walked = [(y, (k, v, par)) for k, x, v, par, weight in enumeration._classified(lo, hi)
-                      for y in (x, conjugate_mask(x))[:weight]]
-            assert len(walked) == len(dict(walked)), (lo, hi)
-            assert dict(walked) == {x: c for x, c in want.items() if lo <= c[0] <= hi}, (lo, hi)
+    assert_walks_as_the_full_walk(22, [(lo, hi) for lo in range(23) for hi in range(lo, 23)])
+
+
+def test_range_walk_past_22_yields_the_v2_at_most_1_shapes_of_the_full_walk():
+    # as above, for each hi of 23..32, with lo at 0, 1, hi - 1 and hi
+    assert_walks_as_the_full_walk(32, [(lo, hi) for hi in range(23, 33)
+                                       for lo in (0, 1, hi - 1, hi)])
+
+
+def assert_walks_as_the_full_walk(top, ranges):
+    want = {x: (k, v, par) for k, x, v, par in full_classified(0, top) if v <= 1}
+    for lo, hi in ranges:
+        walked = [(y, (k, v, par)) for k, x, v, par, weight in enumeration._classified(lo, hi)
+                  for y in (x, conjugate_mask(x))[:weight]]
+        assert len(walked) == len(dict(walked)), (lo, hi)
+        assert dict(walked) == {x: c for x, c in want.items() if lo <= c[0] <= hi}, (lo, hi)
 
 
 def test_the_packed_closing_test_holds_at_its_bounds():

@@ -13,6 +13,7 @@ from dimlab.parents import (
     _ODD_CLASSES,
     _hook_additions,
     _leaves,
+    _top_level_masks,
     _top_level_steps,
     _top_level_total,
     all_parents,
@@ -300,7 +301,7 @@ def mask_steps(core, n):
     of parity 0: its bit in the masks of _top_level_steps, bead x of kind I,
     empty t - shift of kind II, flipped when n starts "10"."""
     t, flip = 1 << n.bit_length() - 1, top_two_bits(n) & 1
-    one, two = _top_level_steps(core, t)
+    one, two = _top_level_steps(core, t, _top_level_masks(t))
     # no bit off the beads in the kind I mask, nor off the empty positions below t in the other
     assert one & ~core == 0 and two & core == 0 and two >> t == 0
     abaci, steps = _hook_additions(core, n, 0)
@@ -404,12 +405,26 @@ def test_packed_top_level_sum_is_the_per_core_sum():
             for core, parity in _odd_abaci(n - t, half=True):
                 groups[parity].append(core)
             sums = [sum(top_level_sum(core, t) for core in group) for group in groups]
-            assert [_top_level_total(group, t) for group in groups] == sums, n
+            assert [_top_level_total(group, t, _top_level_masks(t, len(group)))
+                    for group in groups] == sums, n
             assert delta(n) == (2 * (sums[0] - sums[1]), FALLBACK), n
             flushed_and_short += any(len(group) > k and len(group) % k for group in groups)
     assert flushed_and_short
     cores = [core for core, _ in _odd_abaci(62)]
     for length in (0, 1, k - 1, k, k + 1):
         for t in (64, 128, 256):
-            assert _top_level_total(cores[:length], t) == sum(
+            masks = _top_level_masks(t, length)
+            assert _top_level_total(cores[:length], t, masks) == sum(
                 top_level_sum(core, t) for core in cores[:length]), (length, t)
+
+
+def test_packed_masks_repeat_the_one_core_masks_in_every_field():
+    # the masks of `count` packed cores are the one-core masks, one copy per
+    # field of `width` bytes, at least 2t + 2 bits and a whole number of bytes
+    for t in (2, 4, 8, 16, 32, 64, 128, 256):
+        width, *one = _top_level_masks(t)
+        assert 8 * width >= 2 * t + 2 > 8 * width - 8, t
+        for count in (0, 1, 2, 5, enumeration._PACK):
+            got = _top_level_masks(t, count)
+            assert got == (width, *(sum(mask << 8 * width * i for i in range(count))
+                                    for mask in one)), (t, count)
