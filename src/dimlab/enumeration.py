@@ -320,31 +320,36 @@ def _odd_abaci(n: int, half: bool = False) -> Iterator[tuple[int, int]]:
 _PAST = 0x100
 
 
-def _closing_tables(vfact: list[int]) -> tuple[int, list[int], list[int], list[int]]:
-    # the packed test of a node's closing parts, one 16-bit field per hook h
-    # as in the sweep's `diffs`.  A closing part p of a node of size k with r
-    # rows places hook h = p + r and lands at size h + o, o = k - r >= 0, so
-    # its v2 is the node's val plus V[h] + vfact[h + o] - vfact[h], V[h] the
-    # valuation byte of field h of diffs, and neither term is negative (vfact
-    # never falls).  `diffs & high` holds V[h] in field h.  gain[o] holds
-    # vfact[h + o] - vfact[h] in field h up to hi - o, the last hook a closing
-    # part reaches, and _PAST above it.  under[t] holds 0x7FFF + t in every
-    # field, so field h of under[t] - gain[o] - V is 0x8000 + (t - 1 - f), f the
-    # part's v2 less val, and its bit 15 is set exactly when f < t.  above[j]
-    # holds bit 15 of fields j..hi.  Below 80 (`_sweep` refuses hi past
-    # ENUMERATION_LIMIT) no field borrows from the next: V[h] sums v2 over
-    # distinct differences h - y < 80, at most v2(79!) = 74; gain is at most
-    # vfact[80] = 78; the test runs at t = 2 - val, and a node's val is
-    # v2(dim) - v2(k!) for its size k < 80, at most 0 since dim divides k! and
-    # at least -vfact[79], so 2 <= t <= 76; so f <= 74 + _PAST and every
-    # field stays in [0x8000 - 74 - _PAST, 0x7FFF + 76], inside 16 bits
-    hi = len(vfact) - 1
-    ones = sum(1 << 16 * h for h in range(hi + 1))
-    gain = [sum((vfact[h + o] - vfact[h] if h + o <= hi else _PAST) << 16 * h
-                for h in range(hi + 1)) for o in range(hi + 1)]
+def _closing_tables(vfact: list[int], pair: list[int]
+                    ) -> tuple[list[int], int, list[int], list[int], list[int]]:
+    # row[h] holds pair[d] in field h + d for d = 1..hi - h, the fields placing
+    # hook h adds to the sweep's `diffs`.  The rest is the packed test of a
+    # node's closing parts, one 16-bit field per hook h as in `diffs`.  A
+    # closing part p of a node of size k with r rows places hook h = p + r and
+    # lands at size h + o, o = k - r >= 0, so its v2 is the node's val plus
+    # V[h] + vfact[h + o] - vfact[h], V[h] the valuation byte of field h of
+    # diffs, and neither term is negative (vfact never falls).  `diffs & high`
+    # holds V[h] in field h.  gain[o] holds vfact[h + o] - vfact[h] in field h
+    # up to hi - o, the last hook a closing part reaches, and _PAST above it:
+    # packed vfact shifted down o fields less its low hi + 1 - o fields, none
+    # borrowing.  under[t] holds 0x7FFF + t in every field, so field h of
+    # under[t] - gain[o] - V is 0x8000 + (t - 1 - f), f the part's v2 less
+    # val, and its bit 15 is set exactly when f < t.  above[j] holds bit 15 of
+    # fields j..hi.  Below 80 (`_sweep` refuses hi past ENUMERATION_LIMIT) no
+    # field borrows from the next: V[h] sums v2 over distinct differences
+    # h - y < 80, at most v2(79!) = 74; gain is at most vfact[80] = 78; the
+    # test runs at t = 2 - val, and a node's val is v2(dim) - v2(k!) for its
+    # size k < 80, at most 0 since dim divides k! and at least -vfact[79], so
+    # 2 <= t <= 76; so f <= 74 + _PAST and every field stays in
+    # [0x8000 - 74 - _PAST, 0x7FFF + 76], inside 16 bits
+    hi, top, ones = len(vfact) - 1, 16 * len(vfact), sum(1 << 16 * h for h in range(len(vfact)))
+    pairs, vf = (sum(v << 16 * h for h, v in enumerate(f)) for f in (pair[1:hi + 1], vfact))
+    row = [(pairs & (1 << 16 * (hi - h)) - 1) << 16 * (h + 1) for h in range(hi + 1)]
+    gain = [(vf >> top - low) - (vf & (1 << low) - 1) + (_PAST * ones >> low << low)
+            for low in range(top, 0, -16)]
     under = [(0x7FFF + t) * ones for t in range(vfact[hi] + 3)]
     above = [ones >> 16 * j << 16 * j + 15 for j in range(hi + 1)]
-    return 0xFF * ones, gain, under, above
+    return row, 0xFF * ones, gain, under, above
 
 
 def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -377,8 +382,7 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
     # v2(79!) = 74, inside its byte, so no field carries into the next.  Placing
     # hook h adds row[h], its differences to every higher field.
     pair = [sign << 8 | v for v, sign in zip(v2s, signs)]
-    row = [sum(pair[d] << 16 * (h + d) for d in range(1, hi + 1 - h)) for h in range(hi + 1)]
-    high, gain, under, above = _closing_tables(vfact)
+    row, high, gain, under, above = _closing_tables(vfact, pair)
     # a node with children: its difference fields, top part, largest child
     # part, size, row count, abacus, v2, parity.  The walk starts from a node of
     # size and rows -1 whose one child, part 1 on hook 0, is the empty shape:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dimlab import partitions
+from dimlab import core_towers, partitions
 from dimlab.beta_sets import t_core
 from dimlab.cli import main
 from dimlab.core_towers import (
@@ -219,11 +219,31 @@ def test_a_row_or_a_column_stores_one_node_a_row(parts):
 @pytest.mark.parametrize("shape", ["row", "column"])
 def test_census_rows_and_their_inverse_on_rows_and_columns(shape):
     # (1,) * n puts a bead on every runner of its rows, yet only one runner per row is not
-    # packed; its conjugate (n,) has a single bead
-    for n in range(513):
+    # packed; its conjugate (n,) has a single bead.  Sizes 2^j - 1, 2^j and 2^j + 1 put the
+    # abacus width n + 1 on either side of a comb class, and the inverse's width 2n + 2 in
+    # the classes up to that of 2 * TOWER_LIMIT + 2
+    for n in [*range(513), *(2 ** j + e for j in range(10, 14) for e in (-1, 0, 1))]:
         p = Partition((n,) if shape == "row" and n else (1,) * n)
         assert tower(p).heights == split_heights(p.abacus), n
         assert tower_to_partition(tower(p)) == p, n
+
+
+def test_nodes_are_the_same_with_the_comb_tables_cold_warm_and_after_a_wider_class(monkeypatch):
+    monkeypatch.setattr(core_towers, "_combs", {})
+    small = [p for n in range(0, 16) for p in enumerate_partitions(n)]
+    cold = []
+    for p in small:
+        core_towers._combs.clear()
+        cold.append(tuple(_nodes(p.abacus)))
+    warm = [tuple(_nodes(p.abacus)) for p in small]
+    # the one-row tower at the limit fills class 14 and its inverse, of width
+    # 2 * TOWER_LIMIT + 2, class 15; a wider abacus builds class 16 for its call, unkept
+    assert tower_to_partition(tower(Partition((TOWER_LIMIT,)))) == Partition((TOWER_LIMIT,))
+    assert [i.bit_length() for i, _ in _nodes(1 << 4 * TOWER_LIMIT)] == list(range(1, 17))
+    assert max(core_towers._combs) == 15
+    wider = [tuple(_nodes(p.abacus)) for p in small]
+    assert cold == warm == wider == [tower_of_heights(split_heights(p.abacus)).nodes
+                                     for p in small]
 
 
 def test_flip_is_conjugation():

@@ -414,7 +414,7 @@ def test_the_packed_closing_test_holds_at_its_bounds():
     # bit 15 set exactly when f < t
     hi = ENUMERATION_LIMIT
     vfact = [k - k.bit_count() for k in range(hi + 1)]
-    high, gain, under, above = enumeration._closing_tables(vfact)
+    _, high, gain, under, above = enumeration._closing_tables(vfact, [0] * (hi + 1))
     ones = high // 0xFF
 
     def fields(packed):
@@ -435,6 +435,20 @@ def test_the_packed_closing_test_holds_at_its_bounds():
         got = fields(under[t] - sum(v << 16 * h for h, v in enumerate(f)))
         assert got == [0x7FFF + t - v for v in f], t
         assert [g >> 15 for g in got] == [int(v < t) for v in f], t
+
+
+def test_the_packed_tables_equal_their_per_field_definition():
+    # row[h] and gain[o] are masks and shifts of one packed int; the reference
+    # sums every field of each by itself
+    for hi in range(1, ENUMERATION_LIMIT + 1):
+        vfact = [k - k.bit_count() for k in range(hi + 1)]
+        v2s, signs, _ = _tables(1 << hi.bit_length())
+        pair = [sign << 8 | v for v, sign in zip(v2s, signs)]
+        row, _, gain, _, _ = enumeration._closing_tables(vfact, pair)
+        assert row == [sum(pair[d] << 16 * (h + d) for d in range(1, hi + 1 - h))
+                       for h in range(hi + 1)], hi
+        assert gain == [sum((vfact[h + o] - vfact[h] if h + o <= hi else enumeration._PAST)
+                            << 16 * h for h in range(hi + 1)) for o in range(hi + 1)], hi
 
 
 def test_halved_sweep_tallies_as_the_full_sweep():
