@@ -9,13 +9,13 @@ proved formula; for those the signed difference falls back to a signed
 walk over the odd-partition stream and says so in its status flag.  The
 stream builds each core's leaves with `parents._leaves(core, n, parity)`,
 one loop that reads each leaf's own sign parity off the core's step
-masks (`parents._top_level_steps`) as it builds the leaf; the walks over
+mask (`parents._top_level_steps`) as it builds the leaf; the walks over
 abaci take the same parents as ints from `parents._hook_additions`, and
 both read the parities from `parents._top_level`, the one place that flips
 every step when n starts "10".  The fallback, whose n starts "11",
 visits only the a(n - t) odd cores below n's top bit t, groups them by
-sign parity and sums the signs of their t parents each by popcounts of
-those masks, run on many cores packed per int
+sign parity and sums the signs of their t parents each by the popcount of
+that mask, run on many cores packed per int
 (`parents._top_level_total(cores, t, masks)`), so it
 builds no partition, visits none of the a(n) = t * a(n - t) leaves
 and computes no dimension.  A partition and its conjugate have the same
@@ -278,7 +278,7 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     and the lists are chained, so memory stays at one core's leaves.  n
     is checked when the function is called, not when the stream is first
     read.  Each leaf, those of n = 0 and 1 too, carries the class of the
-    sign parity read off its core's step masks as the leaf is built, and
+    sign parity read off its core's step mask as the leaf is built, and
     `dim_mod4` returns that class without computing.  The tests check
     those classes against `dim_mod4` of the checked twin
     `Partition(leaf.parts)`, which computes the hook product, and against
@@ -295,25 +295,22 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
 
 
 def _odd_abaci(n: int, half: bool = False) -> Iterator[tuple[int, int]]:
-    # (abacus, sign parity) per odd partition of n, the parity 1 when the
-    # dimension is 3 mod 4: each parent, with its own parity, that
-    # _hook_additions lists for each odd core of n - t, t the top bit of n.
-    # That also gives parity 0 at sizes 2 and 3, but not at size 1, whose
-    # hook has length t = 1, so 0 and 1 are the base: the abaci of () and
-    # (1).  With half, for n >= 2, one partition of each conjugate pair: the
-    # parents of () or (1) pair off under conjugation, none self-conjugate,
-    # so the level above the base keeps the smaller canonical abacus of each
-    # pair, and the parents of a conjugate are the conjugates of the parents,
-    # so the levels above it keep one of each pair too
+    # (abacus, sign parity) per odd partition of n, the parity 1 when the dimension
+    # is 3 mod 4: each parent, with its own parity, that _hook_additions lists for
+    # each odd core of n - t, t the top bit of n.  That also gives parity 0 at sizes
+    # 2 and 3, but not at size 1, whose hook has length t = 1, so 0 and 1 are the
+    # base: the abaci of () and (1).  Each level chains its cores' listings, one
+    # core's held at a time.  With half, for n >= 2, one of each conjugate pair:
+    # the parents of () or (1) pair off under conjugation, none self-conjugate, so
+    # the level above the base keeps the smaller canonical abacus of each pair, and
+    # the parents of a conjugate are the conjugates of the parents, so the levels
+    # above it keep one of each pair too
     if n < 2:
-        yield n << 1, 0
-        return
+        return iter(((n << 1, 0),))
     m = n - (1 << n.bit_length() - 1)
-    pairs = half and m < 2
-    for core, parity in _odd_abaci(m, half):
-        for x, own in zip(*_hook_additions(core, n, parity)):
-            if not pairs or x < conjugate_mask(x):
-                yield x, own
+    level = chain.from_iterable(zip(*_hook_additions(core, n, parity))
+                                for core, parity in _odd_abaci(m, half))
+    return ((x, own) for x, own in level if x < conjugate_mask(x)) if half and m < 2 else level
 
 
 # a gain past any threshold: a field no closing part reaches fails the test

@@ -54,11 +54,12 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
     t = 1 << r_power
     x, size = core.abacus, core.size + t
     abaci, steps = _hook_additions(x, size, 0)
-    # kind I moves each bead j, largest first, to j + t; kind II shifts by r to fill gap t - r
-    kinds = ([("I", j, j + t) for j in range(t - 1, -1, -1) if x >> j & 1]
-             + [("II", r, t) for r in range(1, t + 1) if not x >> t - r & 1])
-    return [ParentRecord(Partition._of_abacus(parent, size), kind, param, affected, step)
-            for (kind, param, affected), parent, step in zip(kinds, abaci, steps)]
+    # kind I moves bead j to j + t, kind II shifts by t - j to fill gap j; the stable
+    # sort puts kind I first, each kind in position order (largest j first)
+    return sorted((ParentRecord(Partition._of_abacus(parent, size),
+                                *(("I", j, j + t) if x >> j & 1 else ("II", t - j, t)), step)
+                   for j, parent, step in zip(range(t - 1, -1, -1), abaci, steps)),
+                  key=lambda rec: rec.kind)
 
 
 def _top_level_masks(t: int, count: int = 1) -> tuple[int, int, int, int]:
@@ -75,11 +76,11 @@ def _top_level_masks(t: int, count: int = 1) -> tuple[int, int, int, int]:
 _core_masks = cache(_top_level_masks)
 
 
-def _top_level_steps(cores: int, t: int, masks: tuple[int, int, int, int]) -> tuple[int, int]:
+def _top_level_steps(cores: int, t: int, masks: tuple[int, int, int, int]) -> int:
     # the sign steps of the t parents _hook_additions(core, n, 0) lists, for a parent
-    # size n starting "11", top_two_bits(n) = 2 (_top_level flips them all at "10"): bit x of
-    # the first mask for the kind I parent moving bead x, bit j of the second
-    # for the kind II parent leaving j empty.  The step is top_two_bits(n) +
+    # size n starting "11", top_two_bits(n) = 2 (_top_level flips them all at "10"): bit x,
+    # a bead, for the kind I parent moving it, bit j, a gap, for the kind II
+    # parent filling it.  The step is top_two_bits(n) +
     # top_two_bits(h) + eta mod 2, h the added hook's first-column hook and eta
     # sign_flip_parity, which the tests count per parent in a window of the
     # parent's abacus (tests/paper_facts.py).  Here that count reads:
@@ -100,7 +101,7 @@ def _top_level_steps(cores: int, t: int, masks: tuple[int, int, int, int]) -> tu
         k <<= 1
     # core[x + half], core[x - half] and [x >= half] at each position x < t
     mirror = cores << half ^ cores >> half ^ high
-    return cores & ~(above ^ mirror), (full ^ cores) & (odd ^ below ^ mirror ^ full)
+    return cores & ~(above ^ mirror) | (full ^ cores) & (odd ^ below ^ mirror ^ full)
 
 
 def _top_level_total(cores: list[int], t: int, masks: tuple[int, int, int, int]) -> int:
@@ -110,22 +111,20 @@ def _top_level_total(cores: list[int], t: int, masks: tuple[int, int, int, int])
     # _top_level_masks(t, len(cores)), which callers build once per length
     width = masks[0]
     packed = int.from_bytes(b"".join(map(int.to_bytes, cores, repeat(width), repeat("big"))), "big")
-    one, two = _top_level_steps(packed, t, masks)
-    return t * len(cores) - 2 * (one.bit_count() + two.bit_count())
+    return t * len(cores) - 2 * _top_level_steps(packed, t, masks).bit_count()
 
 
 def _top_level(core: int, n: int, parity: int) -> tuple[int, int, int, int, int]:
     # (t, steps, bead, raised, base), what both listings of the core's t parents
     # of size n read: t the top bit of n; bit j of steps the sign parity of the
-    # parent that moves bead j (kind I) or leaves j empty (kind II), `parity`
-    # XOR its bit of the disjoint `_top_level_steps` masks, flipped when n starts
+    # parent that moves bead j (kind I) or fills gap j (kind II), `parity`
+    # XOR its bit of the `_top_level_steps` mask, flipped when n starts
     # "10"; and the parents' abaci, core ^ bead << j for kind I and
     # (raised << t - j) + base for kind II.  That is the shift by r = t - j, bead 0
     # dropped and bead t set: core << r, (1 << r) - 2 and 1 << t share no bit, so
     # (core + 1 << r) + 2^t - 2 is their OR
     t = 1 << (n.bit_length() - 1)
-    one, two = _top_level_steps(core, t, _core_masks(t))
-    steps = one | two
+    steps = _top_level_steps(core, t, _core_masks(t))
     if parity ^ top_two_bits(n) & 1:
         steps ^= (1 << t) - 1
     return t, steps, (1 << t) | 1, core + 1, (1 << t) - 2
@@ -134,22 +133,18 @@ def _top_level(core: int, n: int, parity: int) -> tuple[int, int, int, int, int]
 def _hook_additions(core: int, n: int, parity: int) -> tuple[list[int], list[int]]:
     """(parent abaci, sign parities): the t parents of size n of a core, t the top bit of n.
 
-    `core` is canonical with every bead below t.  Kind I comes first, one
-    per bead x of the core, largest bead first; then kind II, one per empty
-    position j < t, largest first, which is by increasing shift r = t - j.
-    Abaci and parities come from `_top_level`.  One pass builds both lists;
-    `_leaves` walks the same loop, and the two change together.
+    `core` is canonical with every bead below t.  The parents come in
+    position order, one per position j < t, largest first: kind I moves the
+    bead at j, kind II shifts by r = t - j to fill the gap at j.  Abaci and
+    parities come from `_top_level`; one loop builds both lists, and `_leaves`
+    walks the same loop: the two change together.
     """
     t, steps, bead, raised, base = _top_level(core, n, parity)
-    bead_parents, bead_steps, shift_parents, shift_steps = [], [], [], []
+    parents, parities = [], []
     for j in range(t - 1, -1, -1):
-        if core >> j & 1:
-            bead_parents.append(core ^ bead << j)
-            bead_steps.append(steps >> j & 1)
-        else:
-            shift_parents.append((raised << t - j) + base)
-            shift_steps.append(steps >> j & 1)
-    return bead_parents + shift_parents, bead_steps + shift_steps
+        parents.append(core ^ bead << j if core >> j & 1 else (raised << t - j) + base)
+        parities.append(steps >> j & 1)
+    return parents, parities
 
 
 def _leaves(core: int, n: int, parity: int) -> list[Partition]:
@@ -159,17 +154,13 @@ def _leaves(core: int, n: int, parity: int) -> list[Partition]:
     # ignore.  The loop is _hook_additions' own, and the two change together
     t, steps, bead, raised, base = _top_level(core, n, parity)
     new, cls, classes = object.__new__, Partition, _ODD_CLASSES
-    beads, shifts = [], []
+    leaves = []
     for j in range(t - 1, -1, -1):
         leaf = new(cls)
-        if core >> j & 1:
-            leaf.abacus = core ^ bead << j
-            beads.append(leaf)
-        else:
-            leaf.abacus = (raised << t - j) + base
-            shifts.append(leaf)
+        leaf.abacus = core ^ bead << j if core >> j & 1 else (raised << t - j) + base
         leaf._dim, leaf.size = classes[steps >> j & 1], n
-    return beads + shifts
+        leaves.append(leaf)
+    return leaves
 
 
 def sign_flip_parity(rec: ParentRecord) -> int:

@@ -7,7 +7,7 @@ every hook length read off the column heights and the partitions of n
 listed by their parts, where the package runs all three on the abacus,
 the abacus read off the first column's hooks, where the package sets
 one bead per part, the parent-sign step counted per parent on the
-parent's abacus, which the package reads off its core's step masks
+parent's abacus, which the package reads off its core's step mask
 instead, with the hook each parent adds, the sum of those steps' signs
 over a core's parents one core at a time, where the package's fallback
 packs many cores per int, and the
@@ -176,23 +176,21 @@ def hook_params(core: int, t: int) -> list[int]:
     """The param of each of the t parents of a core, in `parents._hook_additions` order.
 
     That is the order of `_hook_additions(core, n, parity)`, t the top bit
-    of n: kind I first, the bead x it moves for each bead of the core,
-    largest first; then kind II, the shift r = t - j for each empty
-    position j < t, by increasing r.
+    of n: position order, one parent per position j < t, largest first.
+    A bead at j makes a kind I parent, whose param is the bead j it moves;
+    a gap at j makes a kind II parent, whose param is its shift r = t - j.
     """
-    return ([x for x in range(t - 1, -1, -1) if core >> x & 1]
-            + [r for r in range(1, t + 1) if not core >> (t - r) & 1])
+    return [j if core >> j & 1 else t - j for j in range(t - 1, -1, -1)]
 
 
 def added_hooks(core: int, t: int) -> list[int]:
     """The first-column hook h of the t-hook each parent of a core adds, in
     `parents._hook_additions(core, n, parity)` order, t the top bit of n.
 
-    The first core.bit_count() parents are kind I, whose bead x moves to
-    h = x + t, and each kind II parent sets bead h = t.
+    A kind I parent, at a bead j, moves it to h = j + t, and each kind II
+    parent, at a gap, sets bead h = t.
     """
-    params, beads = hook_params(core, t), core.bit_count()
-    return [x + t for x in params[:beads]] + [t] * (len(params) - beads)
+    return [j + t if core >> j & 1 else t for j in range(t - 1, -1, -1)]
 
 
 def _sign_step(top: int, top_h: int, eta: int) -> int:
@@ -208,11 +206,10 @@ def _sign_step(top: int, top_h: int, eta: int) -> int:
 def top_level_sum(core: int, t: int) -> int:
     """The sum of (-1)^step over the t parents of a core, for a parent size starting "11".
 
-    t less twice the odd steps of the core's own masks, one core at a time,
+    t less twice the odd steps of the core's own step mask, one core at a time,
     where the package's fallback packs many cores per int.
     """
-    one, two = _top_level_steps(core, t, _top_level_masks(t))
-    return t - 2 * (one.bit_count() + two.bit_count())
+    return t - 2 * _top_level_steps(core, t, _top_level_masks(t)).bit_count()
 
 
 def parity_split(x: int) -> tuple[int, int]:

@@ -2,6 +2,7 @@
 exact big-integer dimensions of all partitions of n, independently of the
 formulas under test."""
 
+import hashlib
 import inspect
 import json
 import pathlib
@@ -269,10 +270,26 @@ def per_leaf_walk(n):
 
 
 def test_odd_abaci_is_the_per_leaf_walk():
-    # the masks of _top_level_steps give the walk the same leaves, in the same
+    # the step mask of _top_level_steps gives the walk the same leaves, in the same
     # order and with the same signs, as one step per leaf: 53,166 leaves
     for n in range(60):
         assert list(enumeration._odd_abaci(n)) == per_leaf_walk(n), n
+
+
+def test_the_halved_walk_lists_one_core_per_level_for_its_first_pair(monkeypatch):
+    # the walk is lazy: its first pair at 126 = 1111110, whose last level
+    # would list 2^20 cores if a level were built whole, asks each binary
+    # level for at most one core's parents
+    calls = []
+
+    def counted(core, n, parity):
+        calls.append(n)
+        return _hook_additions(core, n, parity)
+
+    monkeypatch.setattr(enumeration, "_hook_additions", counted)
+    next(enumeration._odd_abaci(126, half=True))
+    assert calls and len(calls) == len(set(calls))
+    assert set(calls) <= {2, 6, 14, 30, 62, 126}
 
 
 @pytest.mark.parametrize("t", [1 << s for s in range(1, 7)])
@@ -363,6 +380,34 @@ def test_the_sweep_past_48_meets_the_formulas():
         assert (rep.a1, rep.a2, rep.a3) == (want.a1, want.a2, want.a3), n
         alt, want_alt = alternating.alternating_oracle(n), alternating.formula_alt_counts(n)
         assert alt[:-1] == want_alt[:-1], n
+    clear_caches()
+
+
+def test_the_formulas_meet_the_committed_sweep_to_80():
+    # tests/data/sweep_tallies.json holds the tallies of one cold _sweep(1, 80),
+    # which CI regenerates and compares byte for byte.  Every n to the bound,
+    # field by field: each count report but its source, and each alternating
+    # report from n = 3, where the oracle starts; the 33 rows where the
+    # fallback answers delta check the fallback too
+    path = pathlib.Path(__file__).parent / "data" / "sweep_tallies.json"
+    table = json.loads(path.read_text())
+    rows = table["rows"]
+    text = "".join(f"{r['n']},{r['c1']},{r['c2']},{r['c3']},{r['plus']},{r['minus']}\n"
+                   for r in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == table["sha256"]
+    assert [r["n"] for r in rows] == list(range(1, ENUMERATION_LIMIT + 1))
+    clear_caches()
+    mixed = 0
+    for r in rows:
+        n, c1, c2, c3, plus, minus = (r[key] for key in ("n", "c1", "c2", "c3", "plus", "minus"))
+        rep = formula_counts(n)
+        assert rep[:-1] == (n, c1 + c3, c1, c2, c3, c1 - c3, c1 + c2 + c3), n
+        mixed += rep.source == "mixed"
+        if n >= 3:
+            a1, a3 = c1 // 2 + 2 * plus, c3 // 2 + 2 * minus
+            want = (n, a1 + a3, a1, a3, a1 - a3, plus + minus)
+            assert alternating.formula_alt_counts(n)[:-1] == want, n
+    assert mixed == 33
     clear_caches()
 
 

@@ -44,8 +44,8 @@ def test_fallback_reproduces_the_whole_table():
 def test_fallback_equals_the_leaf_walk():
     # the popcount sum of the top level against the sum over every leaf of the
     # walk, at each leading-"11" n <= 127 whose walk visits at most 2^16
-    # leaves.  Both sides read the same _top_level_steps masks, so this checks
-    # only the popcount arithmetic; the masks themselves are checked per parent
+    # leaves.  Both sides read the same _top_level_steps mask, so this checks
+    # only the popcount arithmetic; the mask itself is checked per parent
     # in tests/test_parents.py and, through dim_mod4 of each leaf's checked
     # twin, by test_streamed_classes_match_their_checked_twins
     ns = [n for n in range(4, 128) if n >> (n.bit_length() - 2) == 0b11

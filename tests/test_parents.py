@@ -63,8 +63,13 @@ def test_parent_counts_match_hook_set_size():
                 assert sum(rec.kind == "I" for rec in recs) == k
                 assert sum(rec.kind == "II" for rec in recs) == (1 << r) - k
                 assert len({rec.parent for rec in recs}) == 1 << r
-                # the params, read off the core's beads and gaps, in the listing's order
-                assert [rec.param for rec in recs] == hook_params(mu.abacus, 1 << r)
+                # the kinds and params, read off the core's beads and gaps in position
+                # order, then kind I first with each kind's order kept
+                t, x = 1 << r, mu.abacus
+                listed = zip(["I" if x >> j & 1 else "II" for j in range(t - 1, -1, -1)],
+                             hook_params(x, t))
+                want = sorted(listed, key=lambda kind_param: kind_param[0])
+                assert [(rec.kind, rec.param) for rec in recs] == want
 
 
 def test_parents_are_exactly_the_core_fiber():
@@ -298,16 +303,19 @@ def enumerated_top_level_sum(core, n):
 
 def mask_steps(core, n):
     """The parity _hook_additions yields with each parent of size n of a core
-    of parity 0: its bit in the masks of _top_level_steps, bead x of kind I,
-    empty t - shift of kind II, flipped when n starts "10"."""
+    of parity 0: its bit in the step mask of _top_level_steps, bead x of kind
+    I, empty t - shift of kind II, flipped when n starts "10"."""
     t, flip = 1 << n.bit_length() - 1, top_two_bits(n) & 1
-    one, two = _top_level_steps(core, t, _top_level_masks(t))
-    # no bit off the beads in the kind I mask, nor off the empty positions below t in the other
-    assert one & ~core == 0 and two & core == 0 and two >> t == 0
+    mask = _top_level_steps(core, t, _top_level_masks(t))
+    # no bit off the positions below t; split by kind, on the core's beads and on its gaps
+    assert mask >> t == 0
+    one, two = mask & core, mask & ~core
     abaci, steps = _hook_additions(core, n, 0)
-    beads = core.bit_count()
-    for i, (param, step) in enumerate(zip(hook_params(core, t), steps)):
-        assert step == (one >> param if i < beads else two >> (t - param)) & 1 ^ flip
+    for j, param, step in zip(range(t - 1, -1, -1), hook_params(core, t), steps):
+        if core >> j & 1:
+            assert step == one >> param & 1 ^ flip
+        else:
+            assert step == two >> (t - param) & 1 ^ flip
     # a core of parity 1 lists the same parents, each with the other parity
     assert _hook_additions(core, n, 1) == (abaci, [step ^ 1 for step in steps])
     return steps
