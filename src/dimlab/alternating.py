@@ -139,7 +139,7 @@ def alternating_oracle(n: int) -> AltReport:
     """
     if n < 3:
         raise ValueError(f"the oracle starts at n=3, got {n}")
-    c1, _, c3, plus, minus = _sweep(n, n)[n]
+    c1, _, c3, plus, minus = _sweep(n)[n]
     # Restriction to A_n: conjugate shapes share a dimension, so the c1 and
     # c3 odd shapes (none self-conjugate once n >= 2) pair off into c1/2 and
     # c3/2 irreducibles; a self-conjugate shape of dimension 2 mod 4 splits

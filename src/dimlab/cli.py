@@ -217,8 +217,8 @@ def _cmd_parents(args: argparse.Namespace) -> int:
 
 def _verify_suites(max_n: int):
     """Yield (suite name, list of mismatch descriptions) pairs."""
-    # one walk sweeps 1..max_n, refused past the enumeration limit before it starts
-    enumeration._sweep(1, max_n)
+    # one walk sweeps 0..max_n, refused past the enumeration limit before it starts
+    enumeration.oracle_counts(max_n)
     oracle = {n: enumeration.oracle_counts(n) for n in range(1, max_n + 1)}
 
     for name, function, field in (("odd-count formula", "count_odd", "a"),

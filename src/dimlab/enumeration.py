@@ -31,8 +31,8 @@ above its largest n.  It places the rows of each partition bottom row
 first, so every row's first-column hook is known when the row goes in,
 and carries the determinant-form terms of the dimension down the search,
 each added once for all the partitions that share the rows placed so far.
-Every node of that search is a partition itself, so one walk sweeps a
-range of sizes and keeps a tally per size.  It places only the shapes
+Every node of that search is a partition itself, so one walk sweeps
+every size from 0 to n and keeps a tally per size.  It places only the shapes
 whose first part is at least their row count, and counts twice each
 whose first part is larger, for its conjugate, which it skips; so it
 places about half of the partitions and counts each once.  The tally
@@ -41,8 +41,8 @@ Most shapes close a node with one last part, and the v2 of each is the
 node's carried valuation plus two terms, neither negative, that sit in
 the new hook's 16-bit field.  So one packed comparison over the node's
 fields, a SWAR "field less than t" test, picks out the closing parts of
-v2 at most 1, and the walk visits only those: a sweep of sizes 1 to 40
-covers 113,696 shapes and yields 8,691.  Each node is visited in the loop
+v2 at most 1, and the walk visits only those: a sweep of sizes 0 to 40
+covers 113,697 shapes and yields 8,692.  Each node is visited in the loop
 of its parent that builds it, and only a node with children is stacked:
 4,628 of the 19,991 to 40.
 """
@@ -349,9 +349,9 @@ def _closing_tables(vfact: list[int], pair: list[int]
     return row, 0xFF * ones, gain, under, above
 
 
-def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
+def _classified(hi: int) -> Iterator[tuple[int, int, int, int, int]]:
     # (size, abacus, v2, sign parity, weight) of the dimension of one partition
-    # of each conjugate pair of a size in [lo, hi], for exactly the shapes of
+    # of each conjugate pair of every size 0 to hi, for exactly the shapes of
     # v2 at most 1, the ones `_sweep` tallies.  The hooks of a conjugate
     # are the same, so it shares v2 and sign: the walk visits only shapes with
     # first part at least their row count, weight 2 when the first part is
@@ -365,7 +365,7 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
     # differences to the hooks below it once, for every partition above it.
     # Each node is a partition, its terms carried without the n! term, which is
     # added per size.  A part of at most half the room left below hi makes a
-    # node; a larger one closes the shape, placed only when it lands in range.
+    # node; a larger one, at most the room, closes the shape.
     # Most shapes are closing parts, and most have v2 >= 2: one packed
     # comparison over the node's fields (`_closing_tables`) picks out those
     # below 2, and only their set bits are visited.  Most nodes have no child
@@ -404,17 +404,15 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
             s = diffs >> 16 * h & 0xFFFF
             d, size, y = diffs + row[h], k + p, x ^ 1 << h
             v, q = val - vfact[h] + (s & 0xFF), par ^ fact[h] ^ (s >> 8 & 1)
-            if size >= lo and p >= r and v + vfact[size] <= 1:
+            if p >= r and v + vfact[size] <= 1:
                 yield size, y, v + vfact[size], q ^ fact[size], 2 if p > r > 0 else 1
             room = hi - size
             top = room >> 1
             if p <= top and (p <= room - r - 2 or top > r):
                 push((d, p, top, size, r, y, v, q))
             # the closing parts: past top, at least p and the r + 1 rows they
-            # make, landing in range
-            first = lo - size if lo - size > top else top + 1
-            if first <= r:
-                first = r + 1
+            # make, at most the room
+            first = top + 1 if top >= r else r + 1
             if first < p:
                 first = p
             if first > room:
@@ -431,28 +429,28 @@ def _classified(lo: int, hi: int) -> Iterator[tuple[int, int, int, int, int]]:
                        q ^ fact[c] ^ (s >> 8 & 1) ^ fact[end], 1 if c == 2 * r + 1 else 2)
 
 
-# the sweep's tally per size: residues 1, 2, 3, then the self-conjugate shapes
-# of dimension 2 mod 4 whose odd part is 1 and 3 mod 4, for the alternating oracle
-_tallies: dict[int, tuple[int, int, int, int, int]] = {}
+# the sweep's tally per size from 0: residues 1, 2, 3, then the self-conjugate
+# shapes of dimension 2 mod 4 whose odd part is 1 and 3 mod 4, for the alternating oracle
+_tallies: list[tuple[int, int, int, int, int]] = []
 
 
-def _sweep(lo: int, hi: int) -> dict[int, tuple[int, int, int, int, int]]:
-    # the one gate in front of the p(n) sweep, before any walk; one walk
-    # tallies [lo, hi] unless it all is.  Each shape counts with its weight; a
+def _sweep(hi: int) -> list[tuple[int, int, int, int, int]]:
+    # the one gate in front of the p(n) sweep, before any walk; one walk tallies
+    # sizes 0 to hi unless they all are.  Each shape counts with its weight; a
     # self-conjugate one has as many rows as its first part, so weighs 1.
     if hi > ENUMERATION_LIMIT:
         raise SizeLimitError(f"the oracle sweep of all partitions of {size_text(hi)} "
                              f"exceeds the enumeration bound {ENUMERATION_LIMIT}")
-    if not all(k in _tallies for k in range(lo, hi + 1)):
+    if hi >= len(_tallies):
         tally = [[0, 0, 0, 0, 0] for _ in range(hi + 1)]
-        for k, x, v, par, w in _classified(lo, hi):
+        for k, x, v, par, w in _classified(hi):
             if v == 0:
                 tally[k][2 * par] += w
             elif v == 1:
                 tally[k][1] += w
                 if w == 1 and x == conjugate_mask(x):
                     tally[k][3 + par] += 1
-        _tallies.update((k, tuple(tally[k])) for k in range(lo, hi + 1))
+        _tallies[:] = map(tuple, tally)
     return _tallies
 
 
@@ -461,7 +459,7 @@ def oracle_counts(n: int) -> CountReport:
     source "oracle".  Past ENUMERATION_LIMIT SizeLimitError is raised."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    c1, c2, c3, _, _ = _sweep(n, n)[n]
+    c1, c2, c3, _, _ = _sweep(n)[n]
     return _count_report(n, c1, c2, c3, None)
 
 

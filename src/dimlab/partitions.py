@@ -25,9 +25,9 @@ from .errors import SizeLimitError, quoted
 DIM_EXACT_LIMIT = 60
 # the largest n that enumerate_partitions, all_parents and the p(n) sweep of
 # enumeration._sweep take.  The sweep's 16-bit fields hold its sums, and its
-# packed test of a node's closing parts, only below 80, and a cold
-# _sweep(1, 80) took 7.1-9.3 s, median 7.5 s (5 fresh processes, 2-core Xeon,
-# Python 3.11; medians 0.028 s to 40, 0.49 s to 60, 2.0 s to 70; BENCH_40.json)
+# packed test of a node's closing parts, only below 80, and a cold _sweep(80)
+# took 10.2-11.8 s, median 10.5 s, on a busier host than BENCH_40's 7.5 s (5 fresh
+# processes, 2-core Xeon, Python 3.11; 0.042 s to 40, 1.0 s to 60; BENCH_43.json)
 ENUMERATION_LIMIT = 80
 
 

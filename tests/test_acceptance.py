@@ -61,7 +61,7 @@ def oracle():
     # with its class, and one the walk leaves out must have v2 >= 2
     walked = {}
     route_mismatches = []
-    for n, x, v, parity, weight in enumeration._classified(0, ORACLE_MAX):
+    for n, x, v, parity, weight in enumeration._classified(ORACLE_MAX):
         for y in (x, conjugate_mask(x))[:weight]:
             if y in walked:
                 route_mismatches.append((n, y))

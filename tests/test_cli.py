@@ -230,24 +230,24 @@ def test_verify_sweeps_its_whole_range_in_one_walk(capsys, monkeypatch):
             shapes[k] += weight
             yield k, x, v, par, weight
 
-    def counted(lo, hi):
-        walks.append((lo, hi))
-        return weighed(walk(lo, hi))
+    def counted(hi):
+        walks.append(hi)
+        return weighed(walk(hi))
 
     monkeypatch.setattr(enumeration, "_classified", counted)
     enumeration.clear_caches()
     code, out, _ = run(capsys, "verify", "--max-n", "20")
     assert code == 0 and out.endswith("verify: ok up to n=20 (0 mismatches)\n")
-    assert walks == [(1, 20)]
-    # the one walk's weights count every partition of 1..20 that the tally
+    assert walks == [20]
+    # the one walk's weights count every partition of 0..20 that the tally
     # reads, those of v2 <= 1
     assert shapes == {n: sum(dim_mod4(p).v2 <= 1 for p in enumerate_partitions(n))
-                      for n in range(1, 21)}
-    # a range past the enumeration limit is refused before any walk
+                      for n in range(21)}
+    # a sweep past the enumeration limit is refused before any walk
     enumeration.clear_caches()
     with pytest.raises(SizeLimitError, match="exceeds the enumeration bound 80$"):
-        enumeration._sweep(1, 81)
-    assert walks == [(1, 20)]
+        enumeration._sweep(81)
+    assert walks == [20]
 
 
 def test_verify_json(capsys):
@@ -268,6 +268,22 @@ def test_verify_csv(capsys):
     assert len(rows) == 9
     _, plain, _ = run(capsys, "verify", "--max-n", "10", "--format", "csv")
     assert plain.splitlines() == out.splitlines()[1:]
+
+
+@pytest.mark.parametrize("max_n", [1, 2])
+def test_verify_passes_below_the_alternating_oracle_in_every_format(capsys, max_n):
+    # the smallest bounds sweep 0..max_n cold; the alternating suite, which
+    # starts at n = 3, checks nothing and passes
+    enumeration.clear_caches()
+    code, out, _ = run(capsys, "verify", "--max-n", str(max_n))
+    assert code == 0 and out.endswith(f"verify: ok up to n={max_n} (0 mismatches)\n")
+    code, out, _ = run(capsys, "verify", "--max-n", str(max_n), "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and (data["max_n"], data["mismatches"]) == (max_n, 0)
+    assert all(suite["ok"] for suite in data["suites"]) and len(data["suites"]) == 8
+    code, out, _ = run(capsys, "verify", "--max-n", str(max_n), "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and len(rows) == 8 and all(row[1:] == ["True", "0"] for row in rows)
 
 
 def test_verify_reports_mismatches_in_every_format(capsys, monkeypatch):

@@ -344,7 +344,7 @@ def test_oracle_bound():
     for route in (oracle_counts, alternating.alternating_oracle, delta, formula_counts,
                   alternating.delta_circ, alternating.formula_alt_counts):
         assert "oracle_bound" not in inspect.signature(route).parameters, route
-    assert list(inspect.signature(enumeration._sweep).parameters) == ["lo", "hi"]
+    assert list(inspect.signature(enumeration._sweep).parameters) == ["hi"]
     with pytest.raises(SizeLimitError, match="^the oracle sweep of all partitions of a 71-bit "
                                              "number exceeds the enumeration bound 80$"):
         oracle_counts(2**70)
@@ -370,11 +370,11 @@ def test_oracle_counts_past_40_match_the_exact_reference():
 
 
 def test_the_sweep_past_48_meets_the_formulas():
-    # one walk of sizes 49..56, past perfbench/reference.json, held to the
-    # formula routes, which share nothing with the sweep: a1, a2 and a3, and
-    # every field of the alternating report but its source
+    # one walk of sizes up to 56, its sizes 49..56 past perfbench/reference.json,
+    # held to the formula routes, which share nothing with the sweep: a1, a2
+    # and a3, and every field of the alternating report but its source
     clear_caches()
-    enumeration._sweep(49, 56)
+    enumeration._sweep(56)
     for n in range(49, 57):
         rep, want = oracle_counts(n), formula_counts(n)
         assert (rep.a1, rep.a2, rep.a3) == (want.a1, want.a2, want.a3), n
@@ -384,7 +384,7 @@ def test_the_sweep_past_48_meets_the_formulas():
 
 
 def test_the_formulas_meet_the_committed_sweep_to_80():
-    # tests/data/sweep_tallies.json holds the tallies of one cold _sweep(1, 80),
+    # tests/data/sweep_tallies.json holds the tallies of one cold _sweep(80),
     # which CI regenerates and compares byte for byte.  Every n to the bound,
     # field by field: each count report but its source, and each alternating
     # report from n = 3, where the oracle starts; the 33 rows where the
@@ -417,37 +417,35 @@ def test_range_walk_places_every_partition_of_v2_at_most_1_once_with_its_class()
     # walk skips
     want = {(k, p.abacus): c for k in range(19) for p in enumerate_partitions(k)
             if (c := dim_mod4(Partition(p.parts))).v2 <= 1}
-    for lo in range(19):
-        for hi in range(lo, 19):
-            walked = [((k, y), DimClass(v, -1 if par else 1))
-                      for k, x, v, par, weight in enumeration._classified(lo, hi)
-                      for y in (x, conjugate_mask(x))[:weight]]
-            assert sorted(walked) == sorted(
-                item for item in want.items() if lo <= item[0][0] <= hi), (lo, hi)
+    for hi in range(19):
+        walked = [((k, y), DimClass(v, -1 if par else 1))
+                  for k, x, v, par, weight in enumeration._classified(hi)
+                  for y in (x, conjugate_mask(x))[:weight]]
+        assert sorted(walked) == sorted(item for item in want.items() if item[0][0] <= hi), hi
 
 
 def test_range_walk_yields_the_v2_at_most_1_shapes_of_the_full_walk():
     # the full walk classifies every partition of [0, 22].  A shape of weight 2
     # stands for its conjugate too, which the walk skips; one of weight 1 is
     # square and its conjugate, when another shape, is walked in its own right.
-    # So the shapes a range yields, each with its weight's share of its
-    # conjugate pair, are each partition of v2 <= 1 in range once, with its class
-    assert_walks_as_the_full_walk(22, [(lo, hi) for lo in range(23) for hi in range(lo, 23)])
+    # So the shapes a walk to hi yields, each with its weight's share of its
+    # conjugate pair, are each partition of v2 <= 1 and size at most hi once,
+    # with its class
+    assert_walks_as_the_full_walk(22, range(23))
 
 
 def test_range_walk_past_22_yields_the_v2_at_most_1_shapes_of_the_full_walk():
-    # as above, for each hi of 23..32, with lo at 0, 1, hi - 1 and hi
-    assert_walks_as_the_full_walk(32, [(lo, hi) for hi in range(23, 33)
-                                       for lo in (0, 1, hi - 1, hi)])
+    # as above, for each hi of 23..32
+    assert_walks_as_the_full_walk(32, range(23, 33))
 
 
-def assert_walks_as_the_full_walk(top, ranges):
+def assert_walks_as_the_full_walk(top, his):
     want = {x: (k, v, par) for k, x, v, par in full_classified(0, top) if v <= 1}
-    for lo, hi in ranges:
-        walked = [(y, (k, v, par)) for k, x, v, par, weight in enumeration._classified(lo, hi)
+    for hi in his:
+        walked = [(y, (k, v, par)) for k, x, v, par, weight in enumeration._classified(hi)
                   for y in (x, conjugate_mask(x))[:weight]]
-        assert len(walked) == len(dict(walked)), (lo, hi)
-        assert dict(walked) == {x: c for x, c in want.items() if lo <= c[0] <= hi}, (lo, hi)
+        assert len(walked) == len(dict(walked)), hi
+        assert dict(walked) == {x: c for x, c in want.items() if c[0] <= hi}, hi
 
 
 def test_the_packed_closing_test_holds_at_its_bounds():
@@ -498,32 +496,52 @@ def test_the_packed_tables_equal_their_per_field_definition():
 
 def test_halved_sweep_tallies_as_the_full_sweep():
     # the reference walks every partition of [0, 30] and tests each square one
-    # for self-conjugacy.  Only a range from 0 walks the empty shape, which
-    # must weigh 1
+    # for self-conjugacy.  Every sweep walks the empty shape, which must weigh 1
     want = full_tallies(0, 30)
-    for lo in range(31):
-        for hi in range(lo, 31):
-            with mock.patch.object(enumeration, "_tallies", {}):
-                got = enumeration._sweep(lo, hi)
-            assert got == {k: want[k] for k in range(lo, hi + 1)}, (lo, hi)
+    for hi in range(31):
+        with mock.patch.object(enumeration, "_tallies", []):
+            got = enumeration._sweep(hi)
+        assert got == [want[k] for k in range(hi + 1)], hi
 
 
 def test_one_range_sweep_tallies_as_the_per_size_sweeps():
     clear_caches()
-    together = dict(enumeration._sweep(1, 30))
-    assert sorted(together) == list(range(1, 31))
+    together = list(enumeration._sweep(30))
+    assert len(together) == 31
     for n in range(1, 31):
         clear_caches()
-        assert enumeration._sweep(n, n) == {n: together[n]}, n
+        assert enumeration._sweep(n) == together[:n + 1], n
     clear_caches()
+
+
+def test_the_tallies_are_a_prefix_one_walk_extends(monkeypatch):
+    # a sweep to hi walks only when hi is past the sizes already tallied, and
+    # its walk tallies every size from 0 afresh
+    walks = []
+    walk = enumeration._classified
+
+    def counted(hi):
+        walks.append(hi)
+        return walk(hi)
+
+    monkeypatch.setattr(enumeration, "_classified", counted)
+    monkeypatch.setattr(enumeration, "_tallies", [])
+    want = full_tallies(0, 31)
+    assert enumeration._sweep(30) == [want[k] for k in range(31)]
+    assert walks == [30]
+    for k in range(31):
+        assert enumeration._sweep(k)[k] == want[k], k
+    assert walks == [30]
+    assert enumeration._sweep(31) == [want[k] for k in range(32)]
+    assert walks == [30, 31]
 
 
 def test_range_walk_refuses_past_the_enumeration_limit_before_it_starts(monkeypatch):
     # the sweep's gate stands in front of the walk, which is never started
     walks = []
-    monkeypatch.setattr(enumeration, "_classified", lambda lo, hi: walks.append((lo, hi)))
+    monkeypatch.setattr(enumeration, "_classified", walks.append)
     with pytest.raises(SizeLimitError, match=f"enumeration bound {ENUMERATION_LIMIT}$"):
-        enumeration._sweep(0, ENUMERATION_LIMIT + 1)
+        enumeration._sweep(ENUMERATION_LIMIT + 1)
     assert walks == []
 
 
