@@ -16,7 +16,7 @@ every step when n starts "10".  The fallback, whose n starts "11",
 visits only the a(n - t) odd cores below n's top bit t, groups them by
 sign parity and sums the signs of their t parents each by the popcount of
 that mask, run on many cores packed per int
-(`parents._top_level_total(cores, t, masks)`), so it
+(`parents._top_level_total(cores, t)`), so it
 builds no partition, visits none of the a(n) = t * a(n - t) leaves
 and computes no dimension.  A partition and its conjugate have the same
 hooks, so the same dimension, and conjugate cores have the same sum over
@@ -55,7 +55,7 @@ from typing import Iterator, NamedTuple
 
 from .binary_arith import _tables, is_sparse, position_sum
 from .errors import SizeLimitError, size_text
-from .parents import _ODD_CLASSES, _hook_additions, _leaves, _top_level_masks, _top_level_total
+from .parents import _ODD_CLASSES, _hook_additions, _leaves, _top_level_total
 from .partitions import ENUMERATION_LIMIT, Partition, conjugate_mask
 
 # the fallback answers only n with at most 2^WALK_CEILING odd partitions, its
@@ -163,17 +163,14 @@ def _delta(n: int) -> tuple[int, str]:
         raise SizeLimitError(
             f"delta of {size_text(n)} has no closed form (leading 11 with extra ones), and its "
             f"walk over 2^{exponent} odd partitions is past the walk's ceiling of 2^{WALK_CEILING}")
-    t, total, groups, masks = 1 << r, 0, ([], []), None
+    t, total, groups = 1 << r, 0, ([], [])
     for core, parity in _odd_abaci(m, half=True):
         group = groups[parity]
         group.append(core)
         if len(group) == _PACK:
-            # the masks of a full group, built at the first flush
-            masks = masks or _top_level_masks(t, _PACK)
-            total += (1 - 2 * parity) * _top_level_total(group, t, masks)
+            total += (1 - 2 * parity) * _top_level_total(group, t)
             group.clear()
-    for sign, group in zip((1, -1), groups):
-        total += sign * _top_level_total(group, t, _top_level_masks(t, len(group)))
+    total += _top_level_total(groups[0], t) - _top_level_total(groups[1], t)
     return (2 * scale * total, FALLBACK)
 
 

@@ -13,8 +13,9 @@ that flips every bit when n starts "10".  `_hook_additions` lists the
 parents as ints with their parities, `_leaves` builds them as the odd
 stream's leaves with their classes, and where n starts "11"
 `_top_level_total` sums the signs of many cores' parents, the cores
-packed into big ints.  The tests keep a per-parent route on the parent's
-abacus, and the per-core sum, as the references.
+packed into big ints padded with empty cores to a power of two.  The
+tests keep a per-parent route on the parent's abacus, and the per-core
+sum, as the references.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .binary_arith import top_two_bits
-from .errors import SizeLimitError
+from .errors import SizeLimitError, size_text
 from .partitions import ENUMERATION_LIMIT, DimClass, Partition
 
 # the class of an odd dimension whose odd part is 1 and 3 mod 4, by sign parity
@@ -46,10 +47,11 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
         raise ValueError(f"r_power must be at least 1, got {r_power}")
     # bit lengths first, so that a huge r_power is refused before 2^r_power is built
     if core.size.bit_length() > r_power:
-        raise ValueError(f"core size {core.size} must be below 2^{r_power} = {1 << r_power}")
+        raise ValueError(f"core size {size_text(core.size)} must be below "
+                         f"2^{r_power} = {size_text(1 << r_power)}")
     if (r_power > ENUMERATION_LIMIT.bit_length()
             or core.size + (1 << r_power) > ENUMERATION_LIMIT):
-        raise SizeLimitError(f"parents of size {core.size} + 2^{r_power} exceed "
+        raise SizeLimitError(f"parents of size {size_text(core.size)} + 2^{r_power} exceed "
                              f"the enumeration bound {ENUMERATION_LIMIT}")
     t = 1 << r_power
     x, size = core.abacus, core.size + t
@@ -62,6 +64,7 @@ def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
                   key=lambda rec: rec.kind)
 
 
+@cache
 def _top_level_masks(t: int, count: int = 1) -> tuple[int, int, int, int]:
     # the field width in bytes and the masks _top_level_steps reads, for `count`
     # cores packed one per field of W = 8 * width >= 2t + 2 bits: in every field,
@@ -70,10 +73,6 @@ def _top_level_masks(t: int, count: int = 1) -> tuple[int, int, int, int]:
     ones = int.from_bytes((bytes(width - 1) + b"\1") * count, "big")
     full = ((1 << t) - 1) * ones
     return width, full, full ^ ((1 << (t >> 1)) - 1) * ones, full // 3 << 1
-
-
-# one core's masks by t, which the listings read once per core
-_core_masks = cache(_top_level_masks)
 
 
 def _top_level_steps(cores: int, t: int, masks: tuple[int, int, int, int]) -> int:
@@ -104,14 +103,17 @@ def _top_level_steps(cores: int, t: int, masks: tuple[int, int, int, int]) -> in
     return cores & ~(above ^ mirror) | (full ^ cores) & (odd ^ below ^ mirror ^ full)
 
 
-def _top_level_total(cores: list[int], t: int, masks: tuple[int, int, int, int]) -> int:
+def _top_level_total(cores: list[int], t: int) -> int:
     # the sum of (-1)^step over the t parents of every core listed, for a parent
     # size starting "11": t less twice the odd steps, per core.  The cores go in
-    # one int, one per field, so the scans run once; `masks` is
-    # _top_level_masks(t, len(cores)), which callers build once per length
+    # one int, one per field, so the scans run once.  Padding to `count` fields, a
+    # power of two, keeps few masks cached; the pad is the core (), whose t steps
+    # hold t/2 ones for t >= 4 (the fallback's least n is 7), so it adds 0
+    count = 1 << (len(cores) - 1).bit_length()
+    masks = _top_level_masks(t, count)
     width = masks[0]
     packed = int.from_bytes(b"".join(map(int.to_bytes, cores, repeat(width), repeat("big"))), "big")
-    return t * len(cores) - 2 * _top_level_steps(packed, t, masks).bit_count()
+    return t * count - 2 * _top_level_steps(packed, t, masks).bit_count()
 
 
 def _top_level(core: int, n: int, parity: int) -> tuple[int, int, int, int, int]:
@@ -124,7 +126,7 @@ def _top_level(core: int, n: int, parity: int) -> tuple[int, int, int, int, int]
     # dropped and bead t set: core << r, (1 << r) - 2 and 1 << t share no bit, so
     # (core + 1 << r) + 2^t - 2 is their OR
     t = 1 << (n.bit_length() - 1)
-    steps = _top_level_steps(core, t, _core_masks(t))
+    steps = _top_level_steps(core, t, _top_level_masks(t))
     if parity ^ top_two_bits(n) & 1:
         steps ^= (1 << t) - 1
     return t, steps, (1 << t) | 1, core + 1, (1 << t) - 2

@@ -20,7 +20,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 from .binary_arith import _tables
-from .errors import SizeLimitError, quoted
+from .errors import SizeLimitError, quoted, size_text
 
 DIM_EXACT_LIMIT = 60
 # the largest n that enumerate_partitions, all_parents and the p(n) sweep of
@@ -162,7 +162,7 @@ def dim_exact(p: Partition, limit: int = DIM_EXACT_LIMIT) -> int:
     5
     """
     if p.size > limit:
-        raise SizeLimitError(f"|p| = {p.size} exceeds the dim_exact bound {limit}")
+        raise SizeLimitError(f"|p| = {size_text(p.size)} exceeds the dim_exact bound {limit}")
     denom = 1
     for h in hook_lengths(p):
         denom *= h
@@ -259,7 +259,8 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
     if n > ENUMERATION_LIMIT:
-        raise SizeLimitError(f"n = {n} exceeds the enumeration bound {ENUMERATION_LIMIT}")
+        raise SizeLimitError(
+            f"n = {size_text(n)} exceeds the enumeration bound {ENUMERATION_LIMIT}")
     return _partitions(n) if n else iter((Partition._of_abacus(0, 0),))
 
 

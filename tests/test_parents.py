@@ -104,6 +104,20 @@ def test_parents_past_the_enumeration_bound_are_refused():
         all_parents(Partition(()), 40)
 
 
+def test_a_core_past_4300_digits_is_refused_by_its_bit_length():
+    # str() of a size past Python's 4300-digit limit raises; the messages name
+    # its bit length instead, and a size of 64 bits or less by its digits
+    core = Partition((int("9" * 4300),) * 3)
+    with pytest.raises(ValueError,
+                       match="^core size a 14286-bit number must be below 2\\^3 = 8$") as refusal:
+        all_parents(core, 3)
+    assert refusal.type is ValueError
+    with pytest.raises(SizeLimitError, match="^parents of size a 14286-bit number \\+ 2\\^14286 "):
+        all_parents(core, 14286)
+    with pytest.raises(ValueError, match="^core size 9 must be below 2\\^3 = 8$"):
+        all_parents(Partition((9,)), 3)
+
+
 def test_a_huge_r_is_refused_without_building_two_to_the_r():
     # 2^(10^8) alone would take about 12 MiB; the refusal compares bit lengths
     core = Partition((3, 1))
@@ -413,17 +427,45 @@ def test_packed_top_level_sum_is_the_per_core_sum():
             for core, parity in _odd_abaci(n - t, half=True):
                 groups[parity].append(core)
             sums = [sum(top_level_sum(core, t) for core in group) for group in groups]
-            assert [_top_level_total(group, t, _top_level_masks(t, len(group)))
-                    for group in groups] == sums, n
+            assert [_top_level_total(group, t) for group in groups] == sums, n
             assert delta(n) == (2 * (sums[0] - sums[1]), FALLBACK), n
             flushed_and_short += any(len(group) > k and len(group) % k for group in groups)
     assert flushed_and_short
     cores = [core for core, _ in _odd_abaci(62)]
     for length in (0, 1, k - 1, k, k + 1):
         for t in (64, 128, 256):
-            masks = _top_level_masks(t, length)
-            assert _top_level_total(cores[:length], t, masks) == sum(
+            assert _top_level_total(cores[:length], t) == sum(
                 top_level_sum(core, t) for core in cores[:length]), (length, t)
+
+
+def test_an_empty_field_adds_nothing_from_t_4():
+    # _top_level_total pads its group with the core (), abacus 0: its t steps
+    # hold exactly t/2 ones for every t >= 4, but not at t = 2
+    for r in range(2, 13):
+        t = 1 << r
+        assert top_level_sum(0, t) == 0, t
+        assert _top_level_total([], t) == _top_level_total([0] * 3, t) == 0, t
+    assert top_level_sum(0, 2) != 0
+
+
+def test_the_fallback_keeps_masks_for_powers_of_two_only(monkeypatch):
+    # every leading-"11" n < 256 through the fallback, from an empty cache: each
+    # count cached is 1 (the listings' one core) or a power of two up to _PACK.
+    # Asking for every key of that set then leaves the cache at the set's size
+    # only if it held no other key
+    monkeypatch.setattr(enumeration, "WALK_CEILING", 64)
+    enumeration.clear_caches()
+    _top_level_masks.cache_clear()
+    for n in range(7, 256):
+        if n >> n.bit_length() - 2 == 0b11 and n.bit_count() >= 3:
+            assert delta(n)[1] == FALLBACK, n
+    assert _top_level_masks.cache_info().currsize > 0
+    counts = [1 << k for k in range(enumeration._PACK.bit_length())]
+    allowed = {(1 << r, *count) for r in range(8) for count in [(), *zip(counts)]}
+    for key in allowed:
+        _top_level_masks(*key)
+    assert _top_level_masks.cache_info().currsize == len(allowed)
+    enumeration.clear_caches()
 
 
 def test_packed_masks_repeat_the_one_core_masks_in_every_field():

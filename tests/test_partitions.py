@@ -130,6 +130,13 @@ def test_dim_exact_respects_limit():
     assert dim_exact(Partition((61,)), limit=61) == 1
 
 
+def test_dim_exact_refuses_a_size_past_4300_digits_by_its_bit_length():
+    with pytest.raises(SizeLimitError, match="^\\|p\\| = a 14617-bit number exceeds"):
+        dim_exact(Partition((10**4400,)))
+    with pytest.raises(SizeLimitError, match="^\\|p\\| = 61 exceeds the dim_exact bound 60$"):
+        dim_exact(Partition((61,)))
+
+
 def test_dim_exact_equals_conjugate_dim():
     for n in range(0, 13):
         for p in enumerate_partitions(n):
@@ -199,6 +206,13 @@ def test_enumerate_partitions_checks_n_when_called():
     with pytest.raises(ValueError, match="non-negative"):
         enumerate_partitions(-1)
     with pytest.raises(SizeLimitError, match="enumeration bound 80"):
+        enumerate_partitions(81)
+
+
+def test_enumerate_partitions_refuses_n_past_4300_digits_by_its_bit_length():
+    with pytest.raises(SizeLimitError, match="^n = a 14617-bit number exceeds the enumeration "):
+        enumerate_partitions(10**4400)
+    with pytest.raises(SizeLimitError, match="^n = 81 exceeds the enumeration bound 80$"):
         enumerate_partitions(81)
 
 
