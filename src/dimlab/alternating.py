@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .enumeration import _SOURCES, EXACT, _split_signed, _sweep, clear_caches, count_odd, delta
+from .errors import at_least
 from .partitions import ENUMERATION_LIMIT
 
 # The oracle has no limit or cache of its own: the sweep refuses n past
@@ -67,8 +68,7 @@ def hat_m2(n: int) -> int:
     >>> hat_m2(6)
     0
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    at_least("n", n, 1)
     if n == 3:
         return 1
     base = _power_base(n)
@@ -85,8 +85,6 @@ def a_circ(n: int) -> int:
     >>> a_circ(5)
     4
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     if n == 1:
         return 1
     return 2 * hat_m2(n) + count_odd(n) // 2
@@ -105,8 +103,7 @@ def delta_circ(n: int) -> tuple[int, str]:
     >>> delta_circ(5)
     (0, 'exact-formula')
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    at_least("n", n, 1)
     if n <= 2:
         return (1, EXACT)
     if n == 3:
@@ -137,8 +134,7 @@ def alternating_oracle(n: int) -> AltReport:
     gate: past ENUMERATION_LIMIT SizeLimitError is raised.  No group
     computation happens, only the partition walk.
     """
-    if n < 3:
-        raise ValueError(f"the oracle starts at n=3, got {n}")
+    at_least("n", n, 3)
     c1, _, c3, plus, minus = _sweep(n)[n]
     # Restriction to A_n: conjugate shapes share a dimension, so the c1 and
     # c3 odd shapes (none self-conjugate once n >= 2) pair off into c1/2 and

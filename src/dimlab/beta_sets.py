@@ -12,11 +12,12 @@ set for each element h (James and Kerber, 1981).  A shift is a left
 shift and a t-hook removal moves one bit down by t.  The codec is in
 `partitions`: `Partition.abacus` is the canonical abacus, whose bit 0
 is clear, `parts_of` reads it back and `normalize_mask` drops the beads
-packed at the bottom.  `BetaSet` is the validated view of an abacus: it
-checks its elements once on the way in, keeps them as `mask`, and every
-move below goes through the int helpers.  A partition built here gets
-its size from `abacus_size`, so its parts are decoded only when read.
-No other module of the package imports this one.
+packed at the bottom.  `BetaSet` is the view of an abacus: it checks the
+elements a caller gives it once and keeps them as `mask`.  Every move
+below goes through the int helpers and views the mask they return
+unchecked.  A partition built here gets its size from `abacus_size`, so
+its parts are decoded only when read.  No other module of the package
+imports this one.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import operator
 from itertools import count
 from typing import Iterable
 
+from .errors import at_least, size_text
 from .partitions import Partition, normalize_mask
 
 
@@ -37,15 +39,17 @@ class BetaSet:
         mask = 0
         for x in map(operator.index, elements):
             if x < 0:
-                raise ValueError(f"beta-set elements must be non-negative, got {x}")
+                at_least("beta-set elements", x, 0)
             if mask >> x & 1:
-                raise ValueError(f"beta-set elements must be distinct, got {x} twice")
+                raise ValueError(f"beta-set elements must be distinct, got {size_text(x)} twice")
             mask |= 1 << x
         self.mask = mask
 
 
 def _view(x: int) -> BetaSet:
-    return BetaSet(h for h in range(x.bit_length()) if x >> h & 1)
+    view = object.__new__(BetaSet)
+    view.mask = x
+    return view
 
 
 def first_column_hooks(p: Partition) -> BetaSet:
@@ -59,8 +63,7 @@ def first_column_hooks(p: Partition) -> BetaSet:
 
 def shift(x: BetaSet, r: int) -> BetaSet:
     """Add r to every element and fill in the new low positions 0..r-1."""
-    if r < 0:
-        raise ValueError(f"shift amount must be non-negative, got {r}")
+    at_least("shift amount", r, 0)
     return _view(shift_mask(x.mask, r))
 
 
@@ -79,8 +82,7 @@ def t_core(p: Partition, t: int) -> Partition:
     >>> t_core(Partition((5, 5, 5, 4, 2)), 5).parts
     (3, 1, 1, 1)
     """
-    if t < 1:
-        raise ValueError(f"hook size must be positive, got {t}")
+    at_least("hook size", t, 1)
     core = t_core_mask(p.abacus, t)
     return Partition._of_abacus(core, abacus_size(core))
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from functools import cache
 
+from .errors import at_least
+
 
 def v2(n: int) -> int:
     """2-adic valuation: exponent of the largest power of 2 dividing n.
@@ -21,15 +23,13 @@ def v2(n: int) -> int:
     >>> v2(40)
     3
     """
-    if n <= 0:
-        raise ValueError(f"v2 is defined for positive integers, got {n}")
+    at_least("n", n, 1)
     return (n & -n).bit_length() - 1
 
 
 def top_two_bits(n: int) -> int:
     """Sum of the two most significant binary digits of n (1 or 2)."""
-    if n <= 0:
-        raise ValueError(f"expected a positive integer, got {n}")
+    at_least("n", n, 1)
     k = n.bit_length() - 1
     if k == 0:
         return 1
@@ -45,8 +45,7 @@ def position_sum(n: int) -> int:
     >>> position_sum(44)   # 101100: positions 2, 3 and 5
     10
     """
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
+    at_least("n", n, 0)
     masks = _position_masks((n.bit_length() - 1).bit_length())
     return sum((n & mask).bit_count() << k for k, mask in enumerate(masks))
 
@@ -62,8 +61,7 @@ def _position_masks(k_max: int) -> tuple[int, ...]:
 
 def sign_parity(n: int) -> int:
     """0 if the odd part of n is 1 mod 4, 1 if it is 3 mod 4."""
-    if n <= 0:
-        raise ValueError(f"expected a positive integer, got {n}")
+    at_least("n", n, 1)
     return (n >> (n & -n).bit_length()) & 1
 
 
@@ -80,8 +78,7 @@ def factorial_sign_parity(n: int) -> int:
     >>> factorial_sign_parity(7)   # 5040 = 16 * 315, 315 = 4*78+3
     1
     """
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
+    at_least("n", n, 0)
     return ((n & (n >> 1)).bit_count() + (n >> 2).bit_count()) & 1
 
 
@@ -91,8 +88,7 @@ def is_sparse(n: int) -> bool:
     >>> is_sparse(42), is_sparse(7)
     (True, False)
     """
-    if n <= 0:
-        raise ValueError(f"expected a positive integer, got {n}")
+    at_least("n", n, 1)
     return (n & (n >> 1)) == 0
 
 

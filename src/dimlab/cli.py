@@ -62,8 +62,8 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be a positive integer, got 0")
     return value
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import SizeLimitError, size_text
+from .errors import SizeLimitError, at_least, size_text
 from .partitions import Partition
 
 # the largest |p| `tower` builds: up to 2|p| runners not packed, each a popcount over at most
@@ -35,8 +35,7 @@ _combs: dict[int, dict[int, int]] = {}
 
 def staircase(height: int) -> Partition:
     """The 2-core with the given number of rows: (h, h-1, ..., 1)."""
-    if height < 0:
-        raise ValueError(f"height must be non-negative, got {height}")
+    at_least("height", height, 0)
     # (4^h - 1) / 3 has h beads at 0, 2, ..., 2h - 2; one shift moves them to the odd positions
     return Partition._of_abacus((1 << 2 * height) // 3 << 1, height * (height + 1) // 2)
 
@@ -139,7 +138,7 @@ def two_core(p: Partition) -> Partition:
 def combine(q0: Partition, q1: Partition, core: Partition) -> Partition:
     """Inverse of (two_quotient, two_core): the core over the towers of q0 and q1 side by side."""
     if not is_two_core(core):
-        raise ValueError(f"{core} is not a staircase")
+        raise ValueError(f"the core, of size {size_text(core.size)}, is not a staircase")
     # node 2^k + j of side s moves to 2^(k+1) + 2^k * s + j; sorted, each parent comes first
     nodes = sorted([(1, len(core)), *((i + (1 + s << i.bit_length() - 1), h) for s, q in
                                       enumerate((q0, q1)) for i, h in _nodes(q.abacus))])

@@ -54,7 +54,7 @@ from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .binary_arith import _tables, is_sparse, position_sum
-from .errors import SizeLimitError, size_text
+from .errors import SizeLimitError, at_least, size_text
 from .parents import _ODD_CLASSES, _hook_additions, _leaves, _top_level_total
 from .partitions import ENUMERATION_LIMIT, Partition, conjugate_mask
 
@@ -109,8 +109,6 @@ def count_odd(n: int) -> int:
     >>> count_odd(1)
     1
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
     exponent = position_sum(n)
     if exponent >= 64:
         raise SizeLimitError(
@@ -123,7 +121,7 @@ def delta_sparse(n: int) -> int:
     if n == 0:
         return 1
     if not is_sparse(n):
-        raise ValueError(f"{n} is not sparse")
+        raise ValueError(f"{size_text(n)} is not sparse")
     if n == 2:
         return 2
     if n % 2 == 0:
@@ -189,8 +187,7 @@ def delta(n: int) -> tuple[int, str]:
     >>> delta(4)
     (0, 'exact-formula')
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    at_least("n", n, 0)
     return _delta(n)
 
 
@@ -222,8 +219,6 @@ def a2(n: int) -> int:
     >>> a2(6)
     2
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
     exponent, total, bits = position_sum(n), 0, n >> 1 << 1
     while bits:
         low = bits & -bits
@@ -241,7 +236,7 @@ def a2_sparse(n: int) -> int:
     if n == 0:
         return 0
     if not is_sparse(n):
-        raise ValueError(f"{n} is not sparse")
+        raise ValueError(f"{size_text(n)} is not sparse")
     if n % 2:
         return a2_sparse(n - 1)
     scaled, rem = divmod(count_odd(n) * (n - 2 * bin(n).count("1")), 8)
@@ -281,8 +276,7 @@ def enumerate_odd_partitions(n: int) -> Iterator[Partition]:
     `Partition(leaf.parts)`, which computes the hook product, and against
     the sweep's determinant form.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    at_least("n", n, 0)
     if n < 2:
         leaf = Partition._of_abacus(n << 1, n)
         leaf._dim = _ODD_CLASSES[0]
@@ -454,8 +448,7 @@ def _sweep(hi: int) -> list[tuple[int, int, int, int, int]]:
 def oracle_counts(n: int) -> CountReport:
     """Classify every partition of n by brute force; fields all carry
     source "oracle".  Past ENUMERATION_LIMIT SizeLimitError is raised."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    at_least("n", n, 0)
     c1, c2, c3, _, _ = _sweep(n)[n]
     return _count_report(n, c1, c2, c3, None)
 

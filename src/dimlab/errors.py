@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types, the one check of an integer argument against its least
+value, and the text that names a refused value in a message, at any size."""
 
 
 class SizeLimitError(ValueError):
@@ -6,8 +7,15 @@ class SizeLimitError(ValueError):
 
 
 def size_text(n: int) -> str:
-    """n in a refusal: its digits up to 64 bits, past that its bit length."""
-    return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit number"
+    """n in a message: its digits up to 64 bits, past that its sign and bit length."""
+    return str(n) if n.bit_length() <= 64 else f"{'minus ' * (n < 0)}a {n.bit_length()}-bit number"
+
+
+def at_least(name: str, value: int, least: int) -> None:
+    """Refuse with ValueError an integer argument below least, naming the argument."""
+    if value < least:
+        bound = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{name} must be {bound}, got {size_text(value)}")
 
 
 def quoted(text: str) -> str:

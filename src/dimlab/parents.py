@@ -25,7 +25,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .binary_arith import top_two_bits
-from .errors import SizeLimitError, size_text
+from .errors import SizeLimitError, at_least, size_text
 from .partitions import ENUMERATION_LIMIT, DimClass, Partition
 
 # the class of an odd dimension whose odd part is 1 and 3 mod 4, by sign parity
@@ -43,16 +43,15 @@ class ParentRecord(NamedTuple):
 def all_parents(core: Partition, r_power: int) -> list[ParentRecord]:
     """Both kinds together: exactly 2^r_power records, refused with
     SizeLimitError when the parents would pass ENUMERATION_LIMIT."""
-    if r_power < 1:
-        raise ValueError(f"r_power must be at least 1, got {r_power}")
+    at_least("r_power", r_power, 1)
     # bit lengths first, so that a huge r_power is refused before 2^r_power is built
     if core.size.bit_length() > r_power:
         raise ValueError(f"core size {size_text(core.size)} must be below "
                          f"2^{r_power} = {size_text(1 << r_power)}")
     if (r_power > ENUMERATION_LIMIT.bit_length()
             or core.size + (1 << r_power) > ENUMERATION_LIMIT):
-        raise SizeLimitError(f"parents of size {size_text(core.size)} + 2^{r_power} exceed "
-                             f"the enumeration bound {ENUMERATION_LIMIT}")
+        raise SizeLimitError(f"parents of size {size_text(core.size)} + 2^{size_text(r_power)} "
+                             f"exceed the enumeration bound {ENUMERATION_LIMIT}")
     t = 1 << r_power
     x, size = core.abacus, core.size + t
     abaci, steps = _hook_additions(x, size, 0)
@@ -177,7 +176,5 @@ def sign_flip_parity(rec: ParentRecord) -> int:
 
 def predict_parent_sign(rec: ParentRecord, core_sign: int) -> int:
     """Odd-part sign of the parent's dimension, from the core's sign alone."""
-    n = rec.parent.size
-    if n <= 3:
-        raise ValueError(f"prediction needs a parent of size above 3, got {n}")
+    at_least("the parent's size", rec.parent.size, 4)
     return -core_sign if rec.step else core_sign

@@ -20,7 +20,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 from .binary_arith import _tables
-from .errors import SizeLimitError, quoted, size_text
+from .errors import SizeLimitError, at_least, quoted, size_text
 
 DIM_EXACT_LIMIT = 60
 # the largest n that enumerate_partitions, all_parents and the p(n) sweep of
@@ -62,13 +62,12 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(map(operator.index, parts))
-        prev = None
-        for p in parts:
+        for i, p in enumerate(parts, 1):
             if p < 1:
-                raise ValueError(f"parts must be positive, got {p} in {parts}")
-            if prev is not None and p > prev:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
-            prev = p
+                at_least(f"part {i}", p, 1)
+            if i > 1 and p > parts[i - 2]:
+                raise ValueError(f"parts must be weakly decreasing, got {size_text(p)} "
+                                 f"after {size_text(parts[i - 2])} at part {i}")
         self.parts = parts
         self.size = sum(parts)
         self._dim = None
@@ -217,9 +216,9 @@ def dim_mod4(p: Partition) -> DimClass:
     multiplies, taken in one pass over the abacus digits: the row of bead h
     is h - g for each empty position g below it, and each hook is summed as
     it is found, with no list of rows.  The oracle sweep `enumeration._classified`, which walks one
-    partition of each conjugate pair of a range of sizes and yields those
-    of valuation at most 1, uses the determinant form on the first-column
-    hooks instead, so the two check each other.
+    partition of each conjugate pair of every size from 0 to its bound and
+    yields those of valuation at most 1, uses the determinant form on the
+    first-column hooks instead, so the two check each other.
 
     A leaf of `enumerate_odd_partitions` carries the class that the
     walk's parent-sign step gave it, and that class is returned as it
@@ -256,8 +255,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     >>> [str(p) for p in enumerate_partitions(4)]
     ['4', '3,1', '2,2', '2,1,1', '1,1,1,1']
     """
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
+    at_least("n", n, 0)
     if n > ENUMERATION_LIMIT:
         raise SizeLimitError(
             f"n = {size_text(n)} exceeds the enumeration bound {ENUMERATION_LIMIT}")

@@ -87,6 +87,15 @@ def test_partition_text_is_ascii_digits_only(capsys, text):
     assert "bad partition text" in err
 
 
+def test_a_long_partition_is_refused_by_its_first_bad_part(capsys):
+    # the refusal names part 100001 and cuts the text, where printing every part took 300 KB
+    code, out, err = run(capsys, "tower", ",".join(["1"] * 100_000 + ["2"]))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: dimlab tower")
+    assert len(err.encode()) < 1000
+    assert err.endswith(": parts must be weakly decreasing, got 2 after 1 at part 100001\n")
+
+
 def test_a_number_past_the_digit_limit_names_it(capsys):
     # Python refuses to convert more than sys.get_int_max_str_digits() digits
     limit = sys.get_int_max_str_digits()
