@@ -83,6 +83,8 @@ def t_core(p: Partition, t: int) -> Partition:
     (3, 1, 1, 1)
     """
     at_least("hook size", t, 1)
+    if t >= p.abacus.bit_length():  # no hook is as long as the abacus is wide
+        return p
     core = t_core_mask(p.abacus, t)
     return Partition._of_abacus(core, abacus_size(core))
 

@@ -43,8 +43,8 @@ the new hook's 16-bit field.  So one packed comparison over the node's
 fields, a SWAR "field less than t" test, picks out the closing parts of
 v2 at most 1, and the walk visits only those: a sweep of sizes 0 to 40
 covers 113,697 shapes and yields 8,692.  Each node is visited in the loop
-of its parent that builds it, and only a node with children is stacked:
-4,628 of the 19,991 to 40.
+of its parent that builds it, and only a node with children is stacked,
+its fields built then and read as one byte string: 4,628 of the 19,991 to 40.
 """
 
 from __future__ import annotations
@@ -368,17 +368,26 @@ def _classified(hi: int) -> Iterator[tuple[int, int, int, int, int]]:
     # bits) of a node's `diffs` sums these over its hooks y for h - y, distinct
     # and below 80 (`_sweep` refuses hi past ENUMERATION_LIMIT): at most 79 and
     # v2(79!) = 74, inside its byte, so no field carries into the next.  Placing
-    # hook h adds row[h], its differences to every higher field.
+    # hook h adds step[h], its differences to every higher field (row[h]; hook
+    # 0, in no shape's first column, places the empty shape and adds nothing).
+    # So no node's fields are negative, and the little-endian bytes of `diffs`
+    # hold V[h] in byte 2h and the sign count, its bit 0 the parity, in 2h + 1.
+    # A child's fields, diffs + step[h], are built only if it is stacked: each
+    # field is the node's plus the step's, bytes and `& high` alike
     pair = [sign << 8 | v for v, sign in zip(v2s, signs)]
     row, high, gain, under, above = _closing_tables(vfact, pair)
+    step, width = [0, *row[1:]], 2 * hi + 2
+    step_high = [s & high for s in step]
+    step_view = [s.to_bytes(width, "little") for s in step]
     # a node with children: its difference fields, top part, largest child
     # part, size, row count, abacus, v2, parity.  The walk starts from a node of
-    # size and rows -1 whose one child, part 1 on hook 0, is the empty shape:
-    # abacus 1 and fields -row[0], so that placing hook 0 leaves none of either
-    stack = [(-row[0], 1, 1, -1, -1, 1, 0, 0)]
+    # size and rows -1 and no fields whose one child, part 1 on hook 0, is the
+    # empty shape: abacus 1, so that placing hook 0 leaves none
+    stack = [(0, 1, 1, -1, -1, 1, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         diffs, low, half, k, r, x, val, par = pop()
+        view, dh = diffs.to_bytes(width, "little"), diffs & high
         # the children have r rows.  Skip one that leads to no shape with its
         # first part at least its rows: one of part p < r whose next part, at
         # most hi - k - p, stays below the r + 1 rows it makes (more parts fall
@@ -391,16 +400,15 @@ def _classified(hi: int) -> Iterator[tuple[int, int, int, int, int]]:
             # the child of part p, visited here: its own shape, then its
             # closing parts.  It goes on the stack only if a part in [p, top]
             # escapes its own skip
-            h = p + r - 1
-            s = diffs >> 16 * h & 0xFFFF
-            d, size, y = diffs + row[h], k + p, x ^ 1 << h
-            v, q = val - vfact[h] + (s & 0xFF), par ^ fact[h] ^ (s >> 8 & 1)
+            h, size = p + r - 1, k + p
+            i = 2 * h
+            v, q = val - vfact[h] + view[i], par ^ fact[h] ^ view[i + 1] & 1
             if p >= r and v + vfact[size] <= 1:
-                yield size, y, v + vfact[size], q ^ fact[size], 2 if p > r > 0 else 1
+                yield size, x ^ 1 << h, v + vfact[size], q ^ fact[size], 2 if p > r > 0 else 1
             room = hi - size
             top = room >> 1
             if p <= top and (p <= room - r - 2 or top > r):
-                push((d, p, top, size, r, y, v, q))
+                push((diffs + step[h], p, top, size, r, x ^ 1 << h, v, q))
             # the closing parts: past top, at least p and the r + 1 rows they
             # make, at most the room
             first = top + 1 if top >= r else r + 1
@@ -409,15 +417,19 @@ def _classified(hi: int) -> Iterator[tuple[int, int, int, int, int]]:
             if first > room:
                 continue
             # bit 15 of field c is set for the closing part c - r of v2 <= 1
-            keep = (under[2 - v] - gain[size - r] - (d & high)) & above[first + r]
+            keep = (under[2 - v] - gain[size - r] - dh - step_high[h]) & above[first + r]
+            if not keep:
+                continue
+            y, sv = x ^ 1 << h, step_view[h]
             while keep:
                 bit = keep & -keep
                 keep ^= bit
                 c = (bit.bit_length() >> 4) - 1
-                s = d >> 16 * c & 0xFFFF
+                i = 2 * c
                 end = size + c - r
-                yield (end, y | 1 << c, v - vfact[c] + (s & 0xFF) + vfact[end],
-                       q ^ fact[c] ^ (s >> 8 & 1) ^ fact[end], 1 if c == 2 * r + 1 else 2)
+                yield (end, y | 1 << c, v - vfact[c] + view[i] + sv[i] + vfact[end],
+                       q ^ fact[c] ^ (view[i + 1] ^ sv[i + 1]) & 1 ^ fact[end],
+                       1 if c == 2 * r + 1 else 2)
 
 
 # the sweep's tally per size from 0: residues 1, 2, 3, then the self-conjugate

@@ -26,8 +26,8 @@ DIM_EXACT_LIMIT = 60
 # the largest n that enumerate_partitions, all_parents and the p(n) sweep of
 # enumeration._sweep take.  The sweep's 16-bit fields hold its sums, and its
 # packed test of a node's closing parts, only below 80, and a cold _sweep(80)
-# took 10.2-11.8 s, median 10.5 s, on a busier host than BENCH_40's 7.5 s (5 fresh
-# processes, 2-core Xeon, Python 3.11; 0.042 s to 40, 1.0 s to 60; BENCH_43.json)
+# took 6.4 s, the median of 10 fresh processes (0.017 s to 40 and 0.42 s to 60,
+# medians of 5; 2-core Xeon, Python 3.11; BENCH_46.json)
 ENUMERATION_LIMIT = 80
 
 

@@ -13,10 +13,10 @@ partitions whose dimension is 2 mod 4 with odd part 1 and 3 mod 4.
 "sha256" is the digest of the rows as `rows_digest` encodes them, so an
 edit of a row that leaves the digest shows.  The sweep shares only the
 abacus with the formula routes, which tests/test_enumeration.py holds to
-these rows.  It takes several seconds in CPython (7.5 s cold to 80,
-2-core Xeon, Python 3.11); writing the file to another path and
-comparing it byte for byte with the committed one checks the table
-against a fresh sweep.
+these rows.  It takes several seconds in CPython (6.4 s cold to 80, the
+median of 10 fresh processes, 2-core Xeon, Python 3.11; BENCH_46.json);
+writing the file to another path and comparing it byte for byte with the
+committed one checks the table against a fresh sweep.
 """
 
 from __future__ import annotations

@@ -124,6 +124,23 @@ def test_t_core_examples():
     assert t_core(Partition(()), 3) == Partition(())
 
 
+def test_a_hook_past_the_abacus_width_removes_nothing_at_any_size():
+    # no hook of (3,) is longer than 3, and no int can be shifted by 10**4400:
+    # the answer must come before any shift
+    for t in (10**6, 10**4400):
+        assert t_core(Partition((3,)), t).parts == (3,)
+    assert t_core(Partition(()), 10**4400).parts == ()
+
+
+def test_t_core_at_the_abacus_width():
+    # the abacus of (3,) is 0b1000 and that of (2, 1) is 0b1010, both 4 bits
+    # wide, and each has a 3-hook: the longest
+    assert t_core(Partition((3,)), 4).parts == (3,)
+    assert t_core(Partition((3,)), 3).parts == ()
+    assert t_core(Partition((2, 1)), 3).parts == ()
+    assert t_core(Partition((2, 1)), 4).parts == (2, 1)
+
+
 def test_t_core_is_idempotent_and_size_consistent():
     for n in range(0, 16):
         for p in enumerate_partitions(n):

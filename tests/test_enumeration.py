@@ -480,6 +480,27 @@ def test_the_packed_closing_test_holds_at_its_bounds():
         assert [g >> 15 for g in got] == [int(v < t) for v in f], t
 
 
+def test_the_byte_view_reads_every_field_at_its_bounds():
+    # the walk reads a node's fields from the little-endian bytes of `diffs`,
+    # V[h] in byte 2h and the sign count in byte 2h + 1, and a child's as the
+    # sum of the node's bytes and its step's: exact when no field carries.  A
+    # node at the enumeration bound holds distinct hooks of 1..79 (hook 0 is in
+    # no shape's first column, and row[80] is empty), so the sum of all their
+    # rows is the most any field of any node sums
+    hi = ENUMERATION_LIMIT
+    vfact = [k - k.bit_count() for k in range(hi + 1)]
+    v2s, signs, _ = _tables(1 << hi.bit_length())
+    pair = [sign << 8 | v for v, sign in zip(v2s, signs)]
+    row, _, _, _, _ = enumeration._closing_tables(vfact, pair)
+    worst = sum(row[1:hi])
+    view = worst.to_bytes(2 * hi + 2, "little")
+    fields = [worst >> 16 * h & 0xFFFF for h in range(hi + 1)]
+    assert fields == [sum(pair[1:h]) for h in range(hi + 1)]
+    assert [view[2 * h] for h in range(hi + 1)] == [f & 0xFF for f in fields]
+    assert [view[2 * h + 1] & 1 for h in range(hi + 1)] == [f >> 8 & 1 for f in fields]
+    assert max(view[::2]) == 74 and max(view[1::2]) == sum(signs[1:hi]) < 0x100
+
+
 def test_the_packed_tables_equal_their_per_field_definition():
     # row[h] and gain[o] are masks and shifts of one packed int; the reference
     # sums every field of each by itself
